@@ -4,7 +4,9 @@ Define-by-run: every operation on a ``Var`` eagerly computes its numpy value
 and records a backward closure. ``grad(loss, leaves)`` walks the recorded
 graph once in reverse topological order. The graph itself acts as the tape;
 it is never mutated by a backward pass, so values can be re-read and
-``grad`` can be called repeatedly.
+``grad`` can be called repeatedly. A result computed from constants alone
+is itself a constant, and no backward closure computes the gradient of an
+operand that needs none.
 
 Broadcasting is deliberately restricted to scalar-with-array. Any other
 shape mismatch raises, because silent broadcasting is the easiest way to
@@ -13,43 +15,15 @@ get a wrong gradient without noticing.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 import numpy as np
 
-__all__ = [
-    "Var",
-    "constant",
-    "grad",
-    "sum_",
-    "mean",
-    "relu",
-    "sqrt",
-    "exp",
-    "tanh",
-    "sin",
-    "cos",
-    "atan2",
-    "matmul",
-    "concat",
-    "stack",
-    "reshape",
-    "broadcast_to",
-    "norm",
-    "adam_step",
-    "AdamState",
-    "Adam",
-]
-
-# Set True to validate finiteness after every op (slow; used in debug runs).
-CHECK_FINITE = False
+_requires_grad = attrgetter("requires_grad")
 
 
 class ShapeMismatchError(ValueError):
     pass
-
-
-def _as_array(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
 
 
 def _check_elementwise(op: str, a: np.ndarray, b: np.ndarray) -> None:
@@ -59,27 +33,18 @@ def _check_elementwise(op: str, a: np.ndarray, b: np.ndarray) -> None:
     raise ShapeMismatchError(f"{op}: incompatible shapes {a.shape} vs {b.shape}")
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Reduce gradient g back to `shape` (handles the scalar broadcast case)."""
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return np.sum(g)
-    return np.broadcast_to(g, shape) if g.shape == () else g.reshape(shape)
-
-
 class Var:
     """A node in the computation graph: value plus backward bookkeeping."""
 
     __slots__ = ("value", "parents", "_backward", "requires_grad")
 
     def __init__(self, value, parents=(), backward=None, requires_grad=True):
-        self.value = _as_array(value)
-        if CHECK_FINITE and not np.all(np.isfinite(self.value)):
-            raise FloatingPointError("non-finite value produced")
+        self.value = np.asarray(value, dtype=np.float64)
         self.parents = tuple(parents)
         self._backward = backward
-        self.requires_grad = requires_grad
+        # an op result computed from constants alone is a constant too
+        self.requires_grad = requires_grad and (
+            not self.parents or any(map(_requires_grad, self.parents)))
 
     @property
     def shape(self):
@@ -132,7 +97,8 @@ def constant(x) -> Var:
     return Var(x, requires_grad=False)
 
 
-def _wrap(x) -> Var:
+def as_var(x) -> Var:
+    """`x` itself if it is a Var, else `x` as a constant leaf."""
     return x if isinstance(x, Var) else constant(x)
 
 
@@ -140,52 +106,53 @@ def _wrap(x) -> Var:
 
 
 def add(a, b) -> Var:
-    a, b = _wrap(a), _wrap(b)
+    a, b = as_var(a), as_var(b)
     _check_elementwise("add", a.value, b.value)
     out_val = a.value + b.value
 
     def backward(g):
-        return (_sum_to(g, a.shape), _sum_to(g, b.shape))
+        return (_sum_to(g, a), _sum_to(g, b))
 
     return Var(out_val, (a, b), backward)
 
 
 def sub(a, b) -> Var:
-    a, b = _wrap(a), _wrap(b)
+    a, b = as_var(a), as_var(b)
     _check_elementwise("sub", a.value, b.value)
 
     def backward(g):
-        return (_sum_to(g, a.shape), _sum_to(-g, b.shape))
+        return (_sum_to(g, a), _sum_to(-g, b) if b.requires_grad else None)
 
     return Var(a.value - b.value, (a, b), backward)
 
 
 def mul(a, b) -> Var:
-    a, b = _wrap(a), _wrap(b)
+    a, b = as_var(a), as_var(b)
     _check_elementwise("mul", a.value, b.value)
 
     def backward(g):
-        return (_sum_to(g * b.value, a.shape), _sum_to(g * a.value, b.shape))
+        return (_sum_to(g * b.value, a) if a.requires_grad else None,
+                _sum_to(g * a.value, b) if b.requires_grad else None)
 
     return Var(a.value * b.value, (a, b), backward)
 
 
 def div(a, b) -> Var:
-    a, b = _wrap(a), _wrap(b)
+    a, b = as_var(a), as_var(b)
     _check_elementwise("div", a.value, b.value)
     inv = 1.0 / b.value
 
     def backward(g):
         return (
-            _sum_to(g * inv, a.shape),
-            _sum_to(-g * a.value * inv * inv, b.shape),
+            _sum_to(g * inv, a) if a.requires_grad else None,
+            _sum_to(-g * a.value * inv * inv, b) if b.requires_grad else None,
         )
 
     return Var(a.value * inv, (a, b), backward)
 
 
 def powi(a, p: float) -> Var:
-    a = _wrap(a)
+    a = as_var(a)
     p = float(p)
 
     def backward(g):
@@ -194,21 +161,17 @@ def powi(a, p: float) -> Var:
     return Var(np.power(a.value, p), (a,), backward)
 
 
-def _sum_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient down to `shape` (inverse of the scalar broadcast)."""
-    g = np.asarray(g)
-    if g.shape == shape:
-        return g
-    if shape == ():
-        return np.sum(g)
-    # g scalar flowing into array operand cannot happen elementwise, but
-    # guard anyway for robustness of composed closures
-    return np.broadcast_to(g, shape).copy()
+def _sum_to(g: np.ndarray, parent: Var):
+    """g summed down to the parent's shape (inverse of the scalar broadcast,
+    the only one _check_elementwise allows); None if it needs no gradient."""
+    if not parent.requires_grad:
+        return None
+    return g if g.shape == parent.value.shape else np.sum(g)
 
 
 def relu(a) -> Var:
     """max(0, a); subgradient at 0 is 0 (satisfied hinge stays inert)."""
-    a = _wrap(a)
+    a = as_var(a)
     mask = a.value > 0.0
 
     def backward(g):
@@ -218,7 +181,7 @@ def relu(a) -> Var:
 
 
 def sqrt(a) -> Var:
-    a = _wrap(a)
+    a = as_var(a)
     out_val = np.sqrt(a.value)
 
     def backward(g):
@@ -228,7 +191,7 @@ def sqrt(a) -> Var:
 
 
 def exp(a) -> Var:
-    a = _wrap(a)
+    a = as_var(a)
     out_val = np.exp(a.value)
 
     def backward(g):
@@ -238,7 +201,7 @@ def exp(a) -> Var:
 
 
 def tanh(a) -> Var:
-    a = _wrap(a)
+    a = as_var(a)
     out_val = np.tanh(a.value)
 
     def backward(g):
@@ -248,7 +211,7 @@ def tanh(a) -> Var:
 
 
 def sin(a) -> Var:
-    a = _wrap(a)
+    a = as_var(a)
 
     def backward(g):
         return (g * np.cos(a.value),)
@@ -257,7 +220,7 @@ def sin(a) -> Var:
 
 
 def cos(a) -> Var:
-    a = _wrap(a)
+    a = as_var(a)
 
     def backward(g):
         return (-g * np.sin(a.value),)
@@ -266,14 +229,14 @@ def cos(a) -> Var:
 
 
 def atan2(y, x) -> Var:
-    y, x = _wrap(y), _wrap(x)
+    y, x = as_var(y), as_var(x)
     _check_elementwise("atan2", y.value, x.value)
     denom = y.value * y.value + x.value * x.value
 
     def backward(g):
         return (
-            _sum_to(g * x.value / denom, y.shape),
-            _sum_to(-g * y.value / denom, x.shape),
+            _sum_to(g * x.value / denom, y) if y.requires_grad else None,
+            _sum_to(-g * y.value / denom, x) if x.requires_grad else None,
         )
 
     return Var(np.arctan2(y.value, x.value), (y, x), backward)
@@ -283,7 +246,7 @@ def atan2(y, x) -> Var:
 
 
 def sum_(a, axis=None) -> Var:
-    a = _wrap(a)
+    a = as_var(a)
     out_val = np.sum(a.value, axis=axis)
 
     def backward(g):
@@ -296,13 +259,13 @@ def sum_(a, axis=None) -> Var:
 
 
 def mean(a, axis=None) -> Var:
-    a = _wrap(a)
+    a = as_var(a)
     count = a.value.size if axis is None else a.shape[axis]
     return sum_(a, axis=axis) * (1.0 / count)
 
 
 def matmul(a, b) -> Var:
-    a, b = _wrap(a), _wrap(b)
+    a, b = as_var(a), as_var(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(
             f"matmul: incompatible shapes {a.shape} vs {b.shape}"
@@ -317,7 +280,7 @@ def matmul(a, b) -> Var:
 def take(a, idx) -> Var:
     """Indexing/slicing with gradient scatter-add. Integer-array indices are
     allowed on the leading axis only; otherwise basic indexing."""
-    a = _wrap(a)
+    a = as_var(a)
     out_val = a.value[idx]
     fancy = isinstance(idx, (np.ndarray, list))
 
@@ -333,34 +296,38 @@ def take(a, idx) -> Var:
 
 
 def concat(parts, axis=0) -> Var:
-    parts = [_wrap(p) for p in parts]
-    sizes = [p.shape[axis] for p in parts]
+    parts = [as_var(p) for p in parts]
     out_val = np.concatenate([p.value for p in parts], axis=axis)
+    ends = np.cumsum([p.shape[axis] for p in parts]).tolist()
 
     def backward(g):
-        return tuple(
-            np.array(chunk, copy=True)
-            for chunk in np.split(g, np.cumsum(sizes)[:-1], axis=axis)
-        )
+        idx = [slice(None)] * g.ndim
+        out = []
+        for p, lo, hi in zip(parts, [0] + ends, ends):
+            idx[axis] = slice(lo, hi)
+            out.append(np.array(g[tuple(idx)], copy=True)
+                       if p.requires_grad else None)
+        return tuple(out)
 
     return Var(out_val, parts, backward)
 
 
 def stack(parts, axis=0) -> Var:
-    parts = [_wrap(p) for p in parts]
+    parts = [as_var(p) for p in parts]
     out_val = np.stack([p.value for p in parts], axis=axis)
 
     def backward(g):
         return tuple(
             np.array(np.take(g, i, axis=axis), copy=True)
-            for i in range(len(parts))
+            if p.requires_grad else None
+            for i, p in enumerate(parts)
         )
 
     return Var(out_val, parts, backward)
 
 
 def reshape(a, shape) -> Var:
-    a = _wrap(a)
+    a = as_var(a)
     old = a.shape
 
     def backward(g):
@@ -371,7 +338,7 @@ def reshape(a, shape) -> Var:
 
 def broadcast_to(a, shape) -> Var:
     """Explicit broadcast; the only way to widen a non-scalar array."""
-    a = _wrap(a)
+    a = as_var(a)
     out_val = np.broadcast_to(a.value, shape).copy()
     old = a.shape
 
@@ -399,6 +366,8 @@ def norm(a, axis=None, eps: float = 0.0) -> Var:
 
 
 def _toposort(root: Var) -> list:
+    """Post-order of the nodes that need a gradient; constants and their
+    subgraphs never receive one and are left out."""
     order: list = []
     seen: set = set()
     stack = [(root, False)]
@@ -412,7 +381,7 @@ def _toposort(root: Var) -> list:
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     return order  # parents before children
 
@@ -451,33 +420,9 @@ def grad(loss: Var, leaves) -> list:
 # -- Adam ------------------------------------------------------------------
 
 
-class AdamState:
-    """First/second moment accumulators for one parameter array."""
-
-    def __init__(self, shape):
-        self.m = np.zeros(shape, dtype=np.float64)
-        self.v = np.zeros(shape, dtype=np.float64)
-
-
-def adam_step(params, grads, state: AdamState, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8, step: int = 1):
-    """One bias-corrected Adam update. Returns (new_params, state)."""
-    if lr <= 0:
-        raise ValueError(f"adam_step: lr must be positive, got {lr}")
-    if params.shape != grads.shape or params.shape != state.m.shape:
-        raise ShapeMismatchError("adam_step: params/grads/state shapes disagree")
-    if step < 1:
-        raise ValueError("adam_step: step must be >= 1")
-    state.m = beta1 * state.m + (1.0 - beta1) * grads
-    state.v = beta2 * state.v + (1.0 - beta2) * grads * grads
-    m_hat = state.m / (1.0 - beta1 ** step)
-    v_hat = state.v / (1.0 - beta2 ** step)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return new_params, state
-
-
 class Adam:
-    """Stateful convenience wrapper around adam_step for a list of arrays."""
+    """Bias-corrected Adam over a list of parameter arrays. `lr` may be
+    changed between steps (learning-rate decay)."""
 
     def __init__(self, shapes, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -488,13 +433,19 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.states = [AdamState(s) for s in shapes]
+        self.m = [np.zeros(s, dtype=np.float64) for s in shapes]
+        self.v = [np.zeros(s, dtype=np.float64) for s in shapes]
 
     def step(self, params: list, grads: list) -> list:
         self.t += 1
+        b1, b2 = self.beta1, self.beta2
         out = []
-        for p, g, st in zip(params, grads, self.states):
-            new_p, _ = adam_step(p, g, st, self.lr, self.beta1, self.beta2,
-                                 self.eps, self.t)
-            out.append(new_p)
+        for i, (p, g) in enumerate(zip(params, grads)):
+            if p.shape != g.shape or p.shape != self.m[i].shape:
+                raise ShapeMismatchError("Adam: params/grads/state shapes disagree")
+            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
+            m_hat = self.m[i] / (1.0 - b1 ** self.t)
+            v_hat = self.v[i] / (1.0 - b2 ** self.t)
+            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
         return out

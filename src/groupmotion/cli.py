@@ -17,14 +17,13 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
-from .composer import (Composer, ExtensionSegment, OptimizationDiverged,
-                       OptimizerConfig, SceneSpec, SceneStep)
+from .composer import (Composer, CompositionResult, ExtensionSegment,
+                       OptimizationDiverged, OptimizerConfig, SceneSpec,
+                       SceneStep, check_segments)
 from .corpus import CorpusConfig, generate_corpus, load_corpus, save_corpus
 from .diffusion import DiffusionSchedule
 from .metrics import evaluate_runs, write_report_csv
-from .motion import (MotionSequence, NormalizationStats, default_skeleton,
+from .motion import (NormalizationStats, default_skeleton, normalize,
                      read_motion, write_motion)
 from .penalties import PenaltyConfig
 from .priors import AnalyticPrior, MLPPrior, TrainingDiverged, train
@@ -33,6 +32,7 @@ from .scripts import default_vocabulary, label_by_name
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
+PRIOR_KEYS = ("kind", "weights", "n_labels", "hidden")
 
 
 class ConfigError(ValueError):
@@ -88,14 +88,14 @@ def _seeds(args, cfg: dict) -> list:
 
 def _schedule_from(cfg: dict) -> DiffusionSchedule:
     try:
-        return DiffusionSchedule.from_json(cfg.get("schedule", {}))
-    except ValueError as e:
+        return DiffusionSchedule(**cfg.get("schedule", {}))
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"schedule: {e}") from e
 
 
 def _optimizer_from(cfg: dict) -> OptimizerConfig:
     try:
-        return OptimizerConfig.from_json(cfg.get("optimizer", {}))
+        return OptimizerConfig(**cfg.get("optimizer", {}))
     except (TypeError, ValueError) as e:
         raise ConfigError(f"optimizer: {e}") from e
 
@@ -117,6 +117,21 @@ def _label_from(name, ctx: str):
         raise ConfigError(f"{ctx}: {e}") from e
 
 
+def _segments_from(scene: dict) -> tuple:
+    segments = []
+    for i, s in enumerate(scene.get("extension", ())):
+        ctx = f"scene.extension[{i}]"
+        pairs = tuple((a, b, _label_from(name, ctx))
+                      for a, b, name in _require(s, "pairs", ctx))
+        segments.append(ExtensionSegment(
+            window=_require(s, "window", ctx), kept=_require(s, "kept", ctx),
+            pairs=pairs, penalties=_penalties_from(s.get("penalties"), ctx),
+            boundary_frames=s.get("boundary_frames", 25),
+            boundary_weight=s.get("boundary_weight", 1.0),
+            mode=s.get("mode", "noised")))
+    return tuple(segments)
+
+
 def _scene_from(cfg: dict, seed: int) -> SceneSpec:
     scene = _require(cfg, "scene")
     participants = tuple(_require(scene, "participants", "scene"))
@@ -130,20 +145,6 @@ def _scene_from(cfg: dict, seed: int) -> SceneSpec:
             opt_subset=tuple(s.get("opt_subset", ())),
             penalties=_penalties_from(s.get("penalties"),
                                       f"scene.steps[{i}]")))
-    segments = []
-    for i, s in enumerate(scene.get("extension", ())):
-        pairs = tuple(
-            (a, b, _label_from(name, f"scene.extension[{i}]"))
-            for a, b, name in _require(s, "pairs", f"scene.extension[{i}]"))
-        segments.append(ExtensionSegment(
-            window=_require(s, "window", f"scene.extension[{i}]"),
-            kept=_require(s, "kept", f"scene.extension[{i}]"),
-            pairs=pairs,
-            penalties=_penalties_from(s.get("penalties"),
-                                      f"scene.extension[{i}]"),
-            boundary_frames=s.get("boundary_frames", 25),
-            boundary_weight=s.get("boundary_weight", 1.0),
-            mode=s.get("mode", "noised")))
     try:
         return SceneSpec(
             participants=participants,
@@ -151,18 +152,20 @@ def _scene_from(cfg: dict, seed: int) -> SceneSpec:
                                     "scene"),
             first_penalties=_penalties_from(scene.get("first_penalties"),
                                             "scene"),
-            steps=tuple(steps), extension=tuple(segments), seed=seed,
+            steps=tuple(steps), extension=_segments_from(scene), seed=seed,
             n_frames=scene.get("n_frames", 32))
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"scene: {e}") from e
 
 
 def _prior_from(cfg: dict, schedule, stats, skeleton):
     prior_cfg = cfg.get("prior", {"kind": "analytic"})
+    if not isinstance(prior_cfg, dict) or set(prior_cfg) - set(PRIOR_KEYS):
+        raise ConfigError(f"prior: accepted keys are {list(PRIOR_KEYS)}, "
+                          f"got {prior_cfg!r}")
     kind = prior_cfg.get("kind", "analytic")
     if kind == "analytic":
-        return AnalyticPrior(schedule, stats, skeleton,
-                             prior_cfg.get("guidance_scale", 1.0))
+        return AnalyticPrior(schedule, stats, skeleton)
     if kind == "mlp":
         weights = _require(prior_cfg, "weights", "prior")
         if not os.path.isfile(weights):
@@ -236,7 +239,6 @@ def cmd_train(args) -> int:
     out = _prepare_out(args.out, args.overwrite)
     corpus = load_corpus(corpus_dir, skeleton)
     stats = corpus.stats()
-    from .motion import normalize
     pairs = [((normalize(s.seqs[0].frames, stats),
                normalize(s.seqs[1].frames, stats)), s.label)
              for s in corpus.samples]
@@ -260,23 +262,31 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _compose_one(cfg: dict, seed: int, out_dir: str) -> dict:
-    """One seeded composition run; returns its manifest entry."""
+def _composer_from(cfg: dict) -> Composer:
+    """Schedule, stats, prior and optimizer of a run; raises ConfigError."""
     skeleton = default_skeleton()
     schedule = _schedule_from(cfg)
     stats = _stats_from(cfg, skeleton)
     prior = _prior_from(cfg, schedule, stats, skeleton)
-    composer = Composer(prior, schedule, stats, skeleton,
-                        _optimizer_from(cfg), fps=cfg.get("fps", 20.0))
-    spec = _scene_from(cfg, seed)
-    result = composer.compose(spec)
-    run_dir = os.path.join(out_dir, f"seed{seed:05d}")
+    return Composer(prior, schedule, stats, skeleton, _optimizer_from(cfg),
+                    fps=cfg.get("fps", 20.0))
+
+
+def _write_sequences(sequences: dict, run_dir: str) -> list:
     os.makedirs(run_dir, exist_ok=True)
     files = []
-    for pid in sorted(result.sequences):
+    for pid in sorted(sequences):
         fname = f"person{pid}.motion"
-        write_motion(result.sequences[pid], os.path.join(run_dir, fname))
+        write_motion(sequences[pid], os.path.join(run_dir, fname))
         files.append(fname)
+    return files
+
+
+def _compose_one(cfg: dict, seed: int, out_dir: str) -> dict:
+    """One seeded composition run; returns its manifest entry."""
+    result = _composer_from(cfg).compose(_scene_from(cfg, seed))
+    run_dir = os.path.join(out_dir, f"seed{seed:05d}")
+    files = _write_sequences(result.sequences, run_dir)
     with open(os.path.join(run_dir, "loss.csv"), "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["person", "evaluation", "loss"])
@@ -291,11 +301,9 @@ def _compose_one(cfg: dict, seed: int, out_dir: str) -> dict:
 def cmd_compose(args) -> int:
     cfg = _load_config(args.config)
     seeds = _seeds(args, cfg)
-    # validate the scene up front so --dry-run and config errors never sample
+    # validate everything up front so --dry-run and config errors never sample
     spec = _scene_from(cfg, seeds[0])
-    skeleton = default_skeleton()
-    stats = _stats_from(cfg, skeleton)
-    _prior_from(cfg, _schedule_from(cfg), stats, skeleton)
+    _composer_from(cfg)
     if args.dry_run:
         print(f"compose: persons {spec.participants}, first label "
               f"{spec.first_label.name!r}, {len(spec.steps)} additional "
@@ -332,57 +340,49 @@ def cmd_compose(args) -> int:
     return EXIT_OK
 
 
-def cmd_extend(args) -> int:
-    cfg = _load_config(args.config)
-    results_dir = _require(cfg, "results_dir")
+def _load_runs(results_dir: str, skeleton) -> list:
+    """(seed, run dir name, person id -> MotionSequence) per manifest run."""
     if not os.path.isdir(results_dir):
         raise ConfigError(f"results_dir not found: {results_dir}")
     manifest_path = os.path.join(results_dir, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise ConfigError(f"no manifest in {results_dir}")
     with open(manifest_path) as f:
-        prev = json.load(f)
-    scene = _require(cfg, "scene")
-    segments = _scene_from(
-        {"scene": {"participants": [0, 1], "first_label": "approach",
-                   "extension": scene.get("extension", ())}}, 0).extension
+        manifest = json.load(f)
+    runs = []
+    for run in _require(manifest, "runs", manifest_path):
+        run_dir = os.path.join(results_dir, run["dir"])
+        seqs = {}
+        for fname in run["files"]:
+            pid = int(fname[len("person"):-len(".motion")])
+            seqs[pid] = read_motion(os.path.join(run_dir, fname), skeleton)
+        runs.append((run["seed"], run["dir"], seqs))
+    return runs
+
+
+def cmd_extend(args) -> int:
+    cfg = _load_config(args.config)
+    results_dir = _require(cfg, "results_dir")
+    composer = _composer_from(cfg)
+    runs = _load_runs(results_dir, composer.skeleton)
+    try:
+        segments = _segments_from(_require(cfg, "scene"))
+        for _, _, seqs in runs:
+            check_segments(segments, seqs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"scene: {e}") from e
     if not segments:
         raise ConfigError("scene.extension: no segments configured")
     if args.dry_run:
-        print(f"extend: {len(prev['runs'])} run(s), "
-              f"{len(segments)} segment(s)")
+        print(f"extend: {len(runs)} run(s), {len(segments)} segment(s)")
         return EXIT_OK
     out = _prepare_out(args.out, args.overwrite)
-    skeleton = default_skeleton()
-    schedule = _schedule_from(cfg)
-    stats = _stats_from(cfg, skeleton)
-    prior = _prior_from(cfg, schedule, stats, skeleton)
-    composer = Composer(prior, schedule, stats, skeleton,
-                        _optimizer_from(cfg), fps=cfg.get("fps", 20.0))
-    from .composer import CompositionResult
     entries = []
-    try:
-        for run in prev["runs"]:
-            run_dir = os.path.join(results_dir, run["dir"])
-            seqs = {}
-            for fname in run["files"]:
-                pid = int(fname[len("person"):-len(".motion")])
-                seqs[pid] = read_motion(os.path.join(run_dir, fname), skeleton)
-            result = CompositionResult(sequences=seqs, seed=run["seed"])
-            extended = composer.extend(result, segments, run["seed"])
-            new_dir = os.path.join(out, run["dir"])
-            os.makedirs(new_dir, exist_ok=True)
-            files = []
-            for pid in sorted(extended.sequences):
-                fname = f"person{pid}.motion"
-                write_motion(extended.sequences[pid],
-                             os.path.join(new_dir, fname))
-                files.append(fname)
-            entries.append({"seed": run["seed"], "dir": run["dir"],
-                            "files": files})
-    except OptimizationDiverged as e:
-        print(f"error: optimization diverged: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+    for seed, run_dir, seqs in runs:
+        result = CompositionResult(sequences=seqs, seed=seed)
+        extended = composer.extend(result, segments, seed)
+        files = _write_sequences(extended.sequences, os.path.join(out, run_dir))
+        entries.append({"seed": seed, "dir": run_dir, "files": files})
     _write_manifest(out, {
         "command": "extend", "config_hash": _config_hash(cfg),
         "source": results_dir, "runs": entries})
@@ -390,30 +390,10 @@ def cmd_extend(args) -> int:
     return EXIT_OK
 
 
-def _load_runs(results_dir: str, skeleton) -> list:
-    manifest_path = os.path.join(results_dir, "manifest.json")
-    if not os.path.isfile(manifest_path):
-        raise ConfigError(f"no manifest in {results_dir}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
-    runs = []
-    for run in manifest["runs"]:
-        run_dir = os.path.join(results_dir, run["dir"])
-        seqs = {}
-        for fname in run["files"]:
-            pid = int(fname[len("person"):-len(".motion")])
-            seqs[pid] = read_motion(os.path.join(run_dir, fname), skeleton)
-        runs.append(seqs)
-    return runs
-
-
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     results_dir = _require(cfg, "results_dir")
-    if not os.path.isdir(results_dir):
-        raise ConfigError(f"results_dir not found: {results_dir}")
-    skeleton = default_skeleton()
-    runs = _load_runs(results_dir, skeleton)
+    runs = [seqs for _, _, seqs in _load_runs(results_dir, default_skeleton())]
     if args.dry_run:
         print(f"eval: {len(runs)} run(s) from {results_dir}")
         return EXIT_OK

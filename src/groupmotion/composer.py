@@ -40,7 +40,6 @@ class OptimizerConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    grad_clip: float | None = None
     lr_decay: float = 1.0          # multiplicative per step; 1.0 = constant
 
     def __post_init__(self):
@@ -50,12 +49,6 @@ class OptimizerConfig:
             raise ValueError("OptimizerConfig: max_steps must be >= 1")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("OptimizerConfig: lr_decay must be in (0, 1]")
-
-    @classmethod
-    def from_json(cls, d: dict) -> "OptimizerConfig":
-        return cls(**{k: d[k] for k in
-                      ("lr", "max_steps", "early_stop_loss", "beta1", "beta2",
-                       "eps", "grad_clip", "lr_decay") if k in d})
 
 
 @dataclass
@@ -92,6 +85,9 @@ class SceneSpec:
         if len(self.participants) < 2:
             raise ValueError("SceneSpec: need at least two participants")
         generated = set(self.participants[:2])
+        _check_subjects(_default_pair_subjects(self.first_penalties,
+                                               *self.participants[:2]),
+                        generated, "first pair")
         for step in self.steps:
             if step.reference not in generated:
                 raise ValueError(
@@ -99,9 +95,40 @@ class SceneSpec:
                     f"when adding {step.target}")
             if not set(step.opt_subset) <= generated:
                 raise ValueError("SceneSpec: opt_subset contains ungenerated ids")
+            # the step's loss sees only opt_subset and the new person
+            _check_subjects(step.penalties,
+                            set(step.opt_subset) | {step.target},
+                            f"step adding {step.target}")
             generated.add(step.target)
         if set(self.participants) != generated:
             raise ValueError("SceneSpec: steps do not cover the participants")
+        check_segments(self.extension, generated)
+
+
+def _check_subjects(penalties, allowed: set, where: str) -> None:
+    for cfg in penalties:
+        if not cfg.subjects or not set(cfg.subjects) <= allowed:
+            raise ValueError(
+                f"{where}: {cfg.kind} penalty subjects {list(cfg.subjects)} "
+                f"must be non-empty and among {sorted(allowed)}")
+
+
+def check_segments(segments, persons) -> None:
+    """Raise ValueError unless every extension segment fits a scene of
+    `persons`: a window longer than its kept block, each person in at most
+    one pair, and extra penalties acting on persons of every pair."""
+    for si, seg in enumerate(segments):
+        if seg.window <= seg.kept:
+            raise ValueError("extension window must exceed kept frames")
+        covered = [p for pair in seg.pairs for p in pair[:2]]
+        if len(covered) != len(set(covered)):
+            raise ValueError(
+                f"extension segment {si}: a person appears in two pairs")
+        if not set(covered) <= set(persons):
+            raise ValueError(f"extension segment {si}: pairs name persons "
+                             f"outside {sorted(persons)}")
+        for a, b, _ in seg.pairs:
+            _check_subjects(seg.penalties, {a, b}, f"extension segment {si}")
 
 
 @dataclass
@@ -161,10 +188,6 @@ def optimize_noise(objective, x_init: np.ndarray, config: OptimizerConfig):
         if not np.all(np.isfinite(g)):
             raise OptimizationDiverged("gradient became non-finite",
                                        record.breakdowns[-1])
-        if config.grad_clip is not None:
-            gn = np.linalg.norm(g)
-            if gn > config.grad_clip:
-                g = g * (config.grad_clip / gn)
         (x,) = opt.step([x], [g])
         opt.lr *= config.lr_decay
         var, loss, val = evaluate(x)
@@ -181,14 +204,13 @@ class Composer:
     def __init__(self, prior, schedule: DiffusionSchedule,
                  stats: NormalizationStats, skeleton: Skeleton,
                  opt_config: OptimizerConfig | None = None,
-                 fps: float = 20.0, ground_plane_distance: bool = False):
+                 fps: float = 20.0):
         self.prior = prior
         self.schedule = schedule
         self.stats = stats
         self.skeleton = skeleton
         self.opt = opt_config or OptimizerConfig()
         self.fps = fps
-        self.ground_plane = ground_plane_distance
 
     # seeds: one master seed expands to independent substreams per step so
     # adding a person never perturbs earlier draws
@@ -204,10 +226,6 @@ class Composer:
         seq = MotionSequence(self.skeleton, world, fps=self.fps,
                              person_id=person_id)
         return repair_velocities(seq)
-
-    def _loss_fn(self, penalties, world_vars: dict):
-        return aggregate(penalties, world_vars, self.skeleton,
-                         self.ground_plane)
 
     def generate_first_pair(self, spec: SceneSpec):
         """Algorithm: draw both persons' initial noise, optimize the stacked
@@ -227,7 +245,7 @@ class Composer:
                 o1, o2 = ddim_sample(self.prior, self.schedule,
                                      (var[0, :, :], var[1, :, :]), label)
                 world = {p1: self._world(o1), p2: self._world(o2)}
-                return self._loss_fn(pens, world)
+                return aggregate(pens, world, self.skeleton)
 
             xT, rec = optimize_noise(objective, xT, self.opt)
             rec.person = p1
@@ -257,7 +275,7 @@ class Composer:
                                     step.label, mask_seed, target_slot=0)
                 world = dict(fixed_world)
                 world[step.target] = self._world(out)
-                return self._loss_fn(step.penalties, world)
+                return aggregate(step.penalties, world, self.skeleton)
 
             xT, rec = optimize_noise(objective, xT, self.opt)
             rec.person = step.target
@@ -285,15 +303,10 @@ class Composer:
         """Inpainting-based extension; per segment, each listed pair is
         jointly re-sampled over a fresh window whose first `kept` frames are
         clamped to the tail of the current sequences."""
+        check_segments(segments, result.sequences)
         sequences = dict(result.sequences)
         records = list(result.records)
         for si, seg in enumerate(segments):
-            if seg.window <= seg.kept:
-                raise ValueError("extension window must exceed kept frames")
-            covered = [p for pair in seg.pairs for p in pair[:2]]
-            if len(covered) != len(set(covered)):
-                raise ValueError(
-                    f"extension segment {si}: a person appears in two pairs")
             new_tails = {}
             for pi, (a, b, label) in enumerate(seg.pairs):
                 kept_pair = []
@@ -316,14 +329,13 @@ class Composer:
                         params={"window_start": max(seg.kept - 1, 0),
                                 "window_len": seg.boundary_frames}))
 
-                def objective(var, _kept=kept_pair, _a=a, _b=b, _label=label,
-                              _mask=mask, _pens=pens):
+                def objective(var):
                     o1, o2 = inpaint_extend(
                         self.prior, self.schedule,
-                        (var[0, :, :], var[1, :, :]), _kept, _mask, _label,
+                        (var[0, :, :], var[1, :, :]), kept_pair, mask, label,
                         zseed, mode=seg.mode)
-                    world = {_a: self._world(o1), _b: self._world(o2)}
-                    return self._loss_fn(_pens, world)
+                    world = {a: self._world(o1), b: self._world(o2)}
+                    return aggregate(pens, world, self.skeleton)
 
                 best, rec = optimize_noise(objective, xT, self.opt)
                 rec.person = a

@@ -28,13 +28,10 @@ class DiffusionSchedule:
     t_train: int = 1000
     ddim_steps: int = 50
     kind: str = "cosine"        # cosine | linear
-    eta: float = 0.0            # kept for the config surface; only 0 supported
 
     def __post_init__(self):
         if self.ddim_steps > self.t_train:
             raise ValueError("ddim_steps cannot exceed t_train")
-        if self.eta != 0.0:
-            raise ValueError("only deterministic DDIM (eta = 0) is supported")
         if self.kind == "cosine":
             s = 0.008
             t = np.arange(self.t_train + 1, dtype=np.float64)
@@ -47,24 +44,12 @@ class DiffusionSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         self.alpha_bars = np.clip(ab, 1e-8, 1.0)
         self.alpha_bars[0] = 1.0
-        self.betas = 1.0 - self.alpha_bars[1:] / self.alpha_bars[:-1]
         # strided timesteps, descending, always covering t=0 exactly
         taus = np.linspace(0, self.t_train, self.ddim_steps + 1)
         self.taus = np.unique(np.round(taus).astype(int))
 
     def alpha_bar(self, t: int) -> float:
         return float(self.alpha_bars[t])
-
-    def to_json(self) -> dict:
-        return {"t_train": self.t_train, "ddim_steps": self.ddim_steps,
-                "kind": self.kind, "eta": self.eta}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "DiffusionSchedule":
-        return cls(t_train=d.get("t_train", 1000),
-                   ddim_steps=d.get("ddim_steps", 50),
-                   kind=d.get("kind", d.get("schedule_kind", "cosine")),
-                   eta=d.get("eta", 0.0))
 
 
 @dataclass(frozen=True)
@@ -84,15 +69,11 @@ class FrameMask:
         return m
 
 
-def _wrap(x) -> ad.Var:
-    return x if isinstance(x, ad.Var) else ad.constant(np.asarray(x, dtype=np.float64))
-
-
 def forward_noise(x0, t: int, noise, schedule: DiffusionSchedule):
     """q-sample: sqrt(ab_t) x0 + sqrt(1 - ab_t) noise."""
     if not (0 <= t <= schedule.t_train):
         raise ValueError(f"forward_noise: t={t} out of range")
-    x0, noise = _wrap(x0), _wrap(noise)
+    x0, noise = ad.as_var(x0), ad.as_var(noise)
     if x0.shape != noise.shape:
         raise ad.ShapeMismatchError("forward_noise: x0/noise shapes differ")
     ab = schedule.alpha_bar(t)
@@ -104,20 +85,11 @@ def _ddim_step(x, eps, ab_t: float, ab_prev: float) -> ad.Var:
     return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps
 
 
-def ddim_sample(prior, schedule: DiffusionSchedule, x_T_pair, label,
-                truncate_backprop_after: int | None = None):
-    """Deterministic DDIM over both slots. Returns a Var pair (x_0^1, x_0^2).
-
-    `truncate_backprop_after` optionally detaches the state after that many
-    steps from x_T (speed knob; default full unroll).
-    """
-    x1, x2 = _wrap(x_T_pair[0]), _wrap(x_T_pair[1])
+def ddim_sample(prior, schedule: DiffusionSchedule, x_T_pair, label):
+    """Deterministic DDIM over both slots. Returns a Var pair (x_0^1, x_0^2)."""
+    x1, x2 = ad.as_var(x_T_pair[0]), ad.as_var(x_T_pair[1])
     taus = schedule.taus
     for k in range(len(taus) - 1, 0, -1):
-        if truncate_backprop_after is not None and \
-                (len(taus) - 1 - k) == truncate_backprop_after:
-            x1 = ad.constant(x1.value)
-            x2 = ad.constant(x2.value)
         t, t_prev = int(taus[k]), int(taus[k - 1])
         e1, e2 = prior.predict(x1, x2, t, label)
         ab_t, ab_prev = schedule.alpha_bar(t), schedule.alpha_bar(t_prev)
@@ -134,7 +106,7 @@ def masked_sample(prior, schedule: DiffusionSchedule, x_T_target, x0_ref,
     The per-step reference noise is drawn once from `noise_seed`, so the
     map x_T_target -> x_0_target is deterministic during optimization.
     """
-    x = _wrap(x_T_target)
+    x = ad.as_var(x_T_target)
     ref = np.asarray(x0_ref.value if isinstance(x0_ref, ad.Var) else x0_ref,
                      dtype=np.float64)
     if x.shape != ref.shape:
@@ -167,7 +139,7 @@ def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
     """
     if mode not in ("noised", "literal"):
         raise ValueError(f"inpaint_extend: unknown mode {mode!r}")
-    x1, x2 = _wrap(x_T_pair[0]), _wrap(x_T_pair[1])
+    x1, x2 = ad.as_var(x_T_pair[0]), ad.as_var(x_T_pair[1])
     N = x1.shape[0]
     if mask.n_frames != N:
         raise ValueError("inpaint_extend: mask length != window length")
@@ -186,11 +158,12 @@ def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
     free_v = ad.constant(np.broadcast_to(1.0 - m_col, x1.shape).copy())
     rng = np.random.default_rng(noise_seed)
     taus = schedule.taus
+    # literal mode clamps to the clean reference and needs no noise
     zetas = {int(t): (rng.standard_normal(x1.shape), rng.standard_normal(x1.shape))
-             for t in taus[1:]}
+             for t in taus[1:]} if mode == "noised" else {}
 
     def clamp(x, ref, t, z):
-        if mode == "literal" or t == 0:
+        if z is None:
             ref_t = ad.constant(ref)
         else:
             ref_t = forward_noise(ad.constant(ref), t, ad.constant(z), schedule)
@@ -198,7 +171,7 @@ def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
 
     for k in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[k]), int(taus[k - 1])
-        z1, z2 = zetas[t]
+        z1, z2 = zetas.get(t, (None, None))
         x1c = clamp(x1, refs[0], t, z1)
         x2c = clamp(x2, refs[1], t, z2)
         e1, e2 = prior.predict(x1c, x2c, t, label)

@@ -1,7 +1,8 @@
 """Evaluation metrics for multi-person motion.
 
-All metrics operate on world-space MotionSequences and are pure functions;
-summation order is fixed so values match naive loop oracles exactly.
+All metrics operate on world-space MotionSequences and are pure functions.
+They match naive loop oracles to 1e-9 relative; the vectorised penetration
+volume sums in a different order than a loop does.
 Units: meters, frames (accelerations are meters/frame^2), volumes cm^3.
 """
 
@@ -15,14 +16,10 @@ import numpy as np
 from .motion import MotionSequence, facing_direction, joint_acceleration
 
 
-def _root_xyz(seq: MotionSequence) -> np.ndarray:
-    return seq.root_trajectory()
-
-
 def pair_overlaps(seq1: MotionSequence, seq2: MotionSequence,
                   threshold: float = 0.25) -> np.ndarray:
     """Per-frame booleans: root distance below the threshold."""
-    r1, r2 = _root_xyz(seq1), _root_xyz(seq2)
+    r1, r2 = seq1.root_trajectory(), seq2.root_trajectory()
     if r1.shape != r2.shape:
         raise ValueError("pair_overlaps: sequences differ in length")
     d = np.linalg.norm(r1 - r2, axis=1)
@@ -78,15 +75,19 @@ def median_acceleration(seq: MotionSequence) -> float:
     return float(np.median(np.linalg.norm(acc, axis=2)))
 
 
-def sphere_lens_volume(r1: float, r2: float, d: float) -> float:
-    """Intersection volume of two spheres, closed form, input units cubed."""
-    if d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
-        r = min(r1, r2)
-        return 4.0 / 3.0 * np.pi * r**3
-    return (np.pi * (r1 + r2 - d) ** 2 *
-            (d * d + 2.0 * d * (r1 + r2) - 3.0 * (r1 - r2) ** 2) / (12.0 * d))
+def sphere_lens_volume(r1, r2, d):
+    """Intersection volume of two spheres, closed form, input units cubed.
+    Arguments broadcast; scalar inputs give a float."""
+    r1, r2, d = np.broadcast_arrays(*(np.asarray(x, dtype=np.float64)
+                                      for x in (r1, r2, d)))
+    contained = d <= np.abs(r1 - r2)
+    # the lens branch only applies where d > |r1 - r2| >= 0
+    dd = np.where(contained, 1.0, d)
+    lens = (np.pi * (r1 + r2 - d) ** 2 *
+            (d * d + 2.0 * d * (r1 + r2) - 3.0 * (r1 - r2) ** 2) / (12.0 * dd))
+    vol = np.where(contained, 4.0 / 3.0 * np.pi * np.minimum(r1, r2) ** 3, lens)
+    vol = np.where(d >= r1 + r2, 0.0, vol)
+    return float(vol) if vol.ndim == 0 else vol
 
 
 def proxy_penetration_volume(sequences) -> float:
@@ -95,20 +96,13 @@ def proxy_penetration_volume(sequences) -> float:
     seqs = list(sequences.values()) if isinstance(sequences, dict) else list(sequences)
     if len(seqs) < 2:
         return 0.0
-    N = seqs[0].N
-    radii = [np.asarray(s.skeleton.proxy_radii) for s in seqs]
-    pos = [s.joint_positions() for s in seqs]
-    worst = 0.0
-    for n in range(N):
-        total = 0.0
-        for a in range(len(seqs)):
-            for b in range(a + 1, len(seqs)):
-                for i in range(pos[a].shape[1]):
-                    for j in range(pos[b].shape[1]):
-                        d = float(np.linalg.norm(pos[a][n, i] - pos[b][n, j]))
-                        total += sphere_lens_volume(radii[a][i], radii[b][j], d)
-        worst = max(worst, total)
-    return worst * 1e6  # m^3 -> cm^3
+    radii = np.stack([np.asarray(s.skeleton.proxy_radii) for s in seqs])
+    pos = np.stack([s.joint_positions() for s in seqs])      # (P, N, J, 3)
+    a, b = np.triu_indices(len(seqs), 1)
+    d = np.linalg.norm(pos[a][:, :, :, None] - pos[b][:, :, None, :], axis=4)
+    vol = sphere_lens_volume(radii[a][:, None, :, None],
+                             radii[b][:, None, None, :], d)
+    return float(vol.sum(axis=(0, 2, 3)).max(initial=0.0)) * 1e6  # m^3 -> cm^3
 
 
 def pose_diversity(runs) -> float:
@@ -174,7 +168,7 @@ def _run_violations(run, targets: ScenarioTargets,
            "orientation": False}
     out["overlap"] = run_has_overlap(seqs, targets.overlap_threshold)
     for pid, entries in targets.root_targets.items():
-        roots = _root_xyz(seqs[pid])
+        roots = seqs[pid].root_trajectory()
         for frame, tgt in entries:
             if np.linalg.norm(roots[frame] - np.asarray(tgt)) > pos_thr:
                 out["position"] = True

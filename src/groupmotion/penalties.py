@@ -16,42 +16,34 @@ from . import autodiff as ad
 from .motion import Skeleton, glo_slice, rot_slice
 
 
-def _wrap(x) -> ad.Var:
-    return x if isinstance(x, ad.Var) else ad.constant(np.asarray(x, dtype=np.float64))
-
-
 def _roots(frames: ad.Var) -> ad.Var:
     return frames[:, 0:3]
 
 
-def _root_distance(f1: ad.Var, f2: ad.Var, ground_plane: bool) -> ad.Var:
-    d = _roots(f1) - _roots(f2)
-    if ground_plane:
-        d = ad.concat([d[:, 0:1], d[:, 2:3]], axis=1)
-    return ad.norm(d, axis=1)
+def _root_distance(f1: ad.Var, f2: ad.Var) -> ad.Var:
+    return ad.norm(_roots(f1) - _roots(f2), axis=1)
 
 
-def overlap_penalty(target, others, delta: float = 0.30,
-                    ground_plane: bool = False) -> ad.Var:
+def overlap_penalty(target, others, delta: float = 0.30) -> ad.Var:
     """Sum over other persons and frames of max(0, delta - root distance)."""
-    target = _wrap(target)
+    target = ad.as_var(target)
     if not others:
         import warnings
         warnings.warn("overlap_penalty: empty `others`, penalty is 0")
         return ad.constant(0.0)
     total = ad.constant(0.0)
     for other in others:
-        other = _wrap(other)
+        other = ad.as_var(other)
         if other.shape != target.shape:
             raise ad.ShapeMismatchError("overlap_penalty: sequence shapes differ")
-        dist = _root_distance(target, other, ground_plane)
+        dist = _root_distance(target, other)
         total = total + ad.sum_(ad.relu(delta - dist))
     return total
 
 
 def root_penalty(frames, targets, frame_set, delta: float = 0.0) -> ad.Var:
     """Squared-distance hinge to per-frame target root positions."""
-    frames = _wrap(frames)
+    frames = ad.as_var(frames)
     frame_set = np.asarray(frame_set, dtype=int)
     if frame_set.size and (frame_set.min() < 0 or frame_set.max() >= frames.shape[0]):
         raise IndexError("root_penalty: frame set out of range")
@@ -64,7 +56,7 @@ def root_penalty(frames, targets, frame_set, delta: float = 0.0) -> ad.Var:
 def region_penalty(frames, lower, upper, skeleton: Skeleton,
                    joints=None) -> ad.Var:
     """Per-axis box violation averaged over frames and subject joints."""
-    frames = _wrap(frames)
+    frames = ad.as_var(frames)
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
     if np.any(lower > upper):
@@ -85,7 +77,7 @@ def region_penalty(frames, lower, upper, skeleton: Skeleton,
 def facing_directions(frames, skeleton: Skeleton, frame_set) -> ad.Var:
     """(K, 2) unit ground-plane facing directions from the root's 6D
     rotation, via differentiable Gram-Schmidt."""
-    frames = _wrap(frames)
+    frames = ad.as_var(frames)
     frame_set = np.asarray(frame_set, dtype=int)
     rb = rot_slice(skeleton.J).start
     r6 = frames[:, rb:rb + 6][frame_set]
@@ -119,12 +111,12 @@ def orientation_penalty(frames, d_target, frame_set, skeleton: Skeleton,
 
 
 def relative_penalty(frames1, frames2, d_min: float, d_max: float,
-                     frame_set=None, ground_plane: bool = False) -> ad.Var:
+                     frame_set=None) -> ad.Var:
     """Keep root distance within [d_min, d_max] on the given frames."""
     if d_min > d_max:
         raise ValueError("relative_penalty: d_min exceeds d_max")
-    f1, f2 = _wrap(frames1), _wrap(frames2)
-    dist = _root_distance(f1, f2, ground_plane)
+    f1, f2 = ad.as_var(frames1), ad.as_var(frames2)
+    dist = _root_distance(f1, f2)
     if frame_set is not None:
         dist = dist[np.asarray(frame_set, dtype=int)]
     return ad.sum_(ad.relu(d_min - dist)) + ad.sum_(ad.relu(dist - d_max))
@@ -134,7 +126,7 @@ def boundary_penalty(frames, window_start: int, window_len: int,
                      skeleton: Skeleton) -> ad.Var:
     """Mean squared joint acceleration (per joint, per frame) over the
     acceleration frames [window_start, window_start + window_len)."""
-    frames = _wrap(frames)
+    frames = ad.as_var(frames)
     N, J = frames.shape[0], skeleton.J
     if window_len < 3:
         raise ValueError("boundary_penalty: window must span >= 3 frames")
@@ -155,6 +147,8 @@ def boundary_penalty(frames, window_start: int, window_len: int,
 
 
 KINDS = ("overlap", "root", "region", "orientation", "relative", "boundary")
+REQUIRED_PARAMS = {"root": ("targets",), "orientation": ("targets",),
+                   "region": ("lower", "upper"), "relative": ("d_min", "d_max")}
 
 
 @dataclass
@@ -170,6 +164,12 @@ class PenaltyConfig:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.weight < 0:
             raise ValueError("penalty weight must be >= 0")
+        missing = [k for k in REQUIRED_PARAMS.get(self.kind, ())
+                   if k not in self.params]
+        if missing:
+            raise ValueError(f"{self.kind} penalty needs params {missing}")
+        if self.kind == "relative" and len(self.subjects) == 1:
+            raise ValueError("relative penalty needs two subjects")
         for key in ("delta", "d_min", "d_max"):
             if key in self.params and self.params[key] < 0:
                 raise ValueError(f"penalty {key} must be >= 0")
@@ -197,8 +197,7 @@ class LossBreakdown:
         return cls(0.0, {}, {})
 
 
-def evaluate_penalty(cfg: PenaltyConfig, world: dict, skeleton: Skeleton,
-                     ground_plane: bool = False) -> ad.Var:
+def evaluate_penalty(cfg: PenaltyConfig, world: dict, skeleton: Skeleton) -> ad.Var:
     """Dispatch one configured term. `world` maps person id -> (N x D)
     world-space frames (Var for optimized persons, numpy for fixed ones)."""
     p = cfg.params
@@ -208,7 +207,7 @@ def evaluate_penalty(cfg: PenaltyConfig, world: dict, skeleton: Skeleton,
     frames = cfg.frames if cfg.frames is not None else np.arange(N)
     if cfg.kind == "overlap":
         others = [world[i] for i in subjects[1:]]
-        return overlap_penalty(first, others, p.get("delta", 0.30), ground_plane)
+        return overlap_penalty(first, others, p.get("delta", 0.30))
     if cfg.kind == "root":
         return root_penalty(first, p["targets"], frames, p.get("delta", 0.0))
     if cfg.kind == "region":
@@ -219,20 +218,19 @@ def evaluate_penalty(cfg: PenaltyConfig, world: dict, skeleton: Skeleton,
                                    p.get("delta", 0.2))
     if cfg.kind == "relative":
         return relative_penalty(first, world[subjects[1]], p["d_min"],
-                                p["d_max"], cfg.frames, ground_plane)
+                                p["d_max"], cfg.frames)
     if cfg.kind == "boundary":
         return boundary_penalty(first, p.get("window_start", 0),
                                 p.get("window_len", 25), skeleton)
     raise AssertionError(cfg.kind)
 
 
-def aggregate(configs, world: dict, skeleton: Skeleton,
-              ground_plane: bool = False):
+def aggregate(configs, world: dict, skeleton: Skeleton):
     """Weighted sum of all configured terms. Returns (total Var, breakdown)."""
     total = ad.constant(0.0)
     terms, weighted = {}, {}
     for i, cfg in enumerate(configs):
-        term = evaluate_penalty(cfg, world, skeleton, ground_plane)
+        term = evaluate_penalty(cfg, world, skeleton)
         key = (cfg.kind, cfg.subjects, i)
         terms[key] = float(term.value)
         weighted[key] = cfg.weight * float(term.value)

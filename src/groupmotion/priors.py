@@ -42,11 +42,10 @@ class AnalyticPrior:
     """
 
     def __init__(self, schedule: DiffusionSchedule, stats: NormalizationStats,
-                 skeleton: Skeleton, guidance_scale: float = 1.0):
+                 skeleton: Skeleton):
         self.schedule = schedule
         self.stats = stats
         self.skeleton = skeleton
-        self.guidance_scale = guidance_scale
 
     def clean_estimate(self, x1, x2, label: InteractionLabel):
         w1 = denormalize(x1, self.stats)
@@ -60,13 +59,6 @@ class AnalyticPrior:
         denom = 1.0 / np.sqrt(max(1.0 - ab, 1e-12))
         e1 = (x1 - np.sqrt(ab) * mu1) * denom
         e2 = (x2 - np.sqrt(ab) * mu2) * denom
-        if self.guidance_scale != 1.0:
-            # unconditional branch: identity attractor (mu = x)
-            g = self.guidance_scale
-            eu1 = x1 * ((1.0 - np.sqrt(ab)) * denom)
-            eu2 = x2 * ((1.0 - np.sqrt(ab)) * denom)
-            e1 = eu1 + g * (e1 - eu1)
-            e2 = eu2 + g * (e2 - eu2)
         return e1, e2
 
 

@@ -22,7 +22,7 @@ coordinate back to the raw state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,9 +68,6 @@ class LabelSpec:
     sway_cycles: float = 2.0
     circle_sweep: float = 1.6  # radians swept by circle labels
     follow_gap: float = 0.8
-
-    def with_overrides(self, **kw) -> "LabelSpec":
-        return replace(self, **kw)
 
 
 def default_vocabulary() -> list:
@@ -210,14 +207,6 @@ def _ramp_times_vec3(ramp: np.ndarray, vec) -> ad.Var:
     return r * v
 
 
-def _vec3(x, y, z) -> ad.Var:
-    return ad.stack([_scalar(x), _scalar(y), _scalar(z)])
-
-
-def _scalar(x):
-    return x if isinstance(x, ad.Var) else ad.constant(float(x))
-
-
 def _heading_of(delta: ad.Var) -> ad.Var:
     """atan2 heading of a ground-plane displacement (3,) Var, smooth at 0."""
     return ad.atan2(delta[2], delta[0] + 1e-9)
@@ -250,7 +239,7 @@ def _root_rot6d(theta: ad.Var, N: int) -> ad.Var:
 def _drift_curve(params: dict, N: int) -> ad.Var:
     """(N, 3) horizontal drift, eased in so frame 0 stays anchored."""
     dx, dz = params["drift"]
-    vec = _vec3(dx, 0.0, dz)
+    vec = ad.stack([dx, 0.0, dz])
     return _ramp_times_vec3(_ease(N), vec)
 
 
@@ -281,7 +270,7 @@ def _circle_root(params, other_params, spec: LabelSpec, N: int):
     b = other_params["anchor"]
     center = (a + b) * 0.5
     rel = a - center
-    radius = ad.norm(_vec3(rel[0], 0.0, rel[2]), eps=1e-3) + 0.3
+    radius = ad.norm(ad.stack([rel[0], 0.0, rel[2]]), eps=1e-3) + 0.3
     alpha0 = ad.atan2(rel[2], rel[0] + 1e-9)
     sweep = spec.circle_sweep
     alpha = alpha0 + ad.constant(_ease(N) * sweep) * ad.broadcast_to(
@@ -316,14 +305,16 @@ def _follow_root(params, other_params, spec: LabelSpec, N: int, role: int):
     if role == 0:
         # leader walks along its own heading
         theta = _heading_of(other_params["anchor"] - a) + params["psi"]
-        step = _vec3(ad.cos(theta), 0.0, ad.sin(theta)) * (2.0 * params["speed"])
+        step = ad.stack([ad.cos(theta), 0.0, ad.sin(theta)]) * \
+            (2.0 * params["speed"])
         base = ad.broadcast_to(ad.reshape(a, (1, 3)), (N, 3)) + \
             _ramp_times_vec3(_ease(N), step)
         return base, theta
     # follower heads to a point trailing the leader's end position
     lead_base, lead_theta = _follow_root(other_params, params, spec, N, 0)
     lead_end = lead_base[N - 1, :]
-    trail = lead_end - _vec3(ad.cos(lead_theta), 0.0, ad.sin(lead_theta)) * spec.follow_gap
+    trail = lead_end - \
+        ad.stack([ad.cos(lead_theta), 0.0, ad.sin(lead_theta)]) * spec.follow_gap
     base = ad.broadcast_to(ad.reshape(a, (1, 3)), (N, 3)) + \
         _ramp_times_vec3(_ease(N), (trail - a) * params["speed"])
     heading = _heading_of(trail - a) + spec.heading_weight * params["psi"]

@@ -1,5 +1,9 @@
 """Shared fixtures and numerical oracles."""
 
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -36,6 +40,18 @@ def check_gradient(build_loss, x, n_coords=10, seed=0, rtol=1e-4, atol=1e-7,
         got, want = g.flat[c], fd[c]
         err = abs(got - want) / max(abs(want), atol / rtol)
         assert err < rtol, f"coord {c}: reverse {got} vs FD {want} (err {err})"
+
+
+def parallel_map(fn, *iterables):
+    """list(map(fn, *iterables)) over at most two worker processes.
+
+    For the minutes-long acceptance scenarios: every run is deterministic
+    in its own seed, so the results equal a serial map's. Workers are
+    spawned, so `fn` must be a module-level function."""
+    workers = min(2, len(os.sched_getaffinity(0)))
+    ctx = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
+        return list(ex.map(fn, *iterables))
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from groupmotion.motion import (MotionSequence, NormalizationStats,
 from groupmotion.priors import AnalyticPrior
 from groupmotion.scripts import label_by_name
 
-from conftest import check_gradient
+from conftest import check_gradient, parallel_map
 
 
 # -- 1. gradient integrity ----------------------------------------------------
@@ -197,6 +197,7 @@ def _rot2(d, ang):
     return np.array([c * d[0] - s * d[1], s * d[0] + c * d[1]])
 
 
+@pytest.mark.slow
 def test_each_penalty_reduces_its_own_violations(
         skeleton, stats, small_schedule, analytic_prior):
     """24 seeds, penalties added cumulatively (root, overlap, region,
@@ -248,9 +249,13 @@ def test_each_penalty_reduces_its_own_violations(
         return {k: v / len(runs_by_seed) for k, v in acc.items()}
 
     configs = {0: baselines}
-    for k in range(1, 5):
-        configs[k] = {s: _compose_pair(comp, s, penalty_sets[s][:k],
-                                       "close-approach") for s in seeds}
+    jobs = [(k, s) for k in range(1, 5) for s in seeds]
+    runs = parallel_map(_compose_pair, [comp] * len(jobs),
+                        [s for _, s in jobs],
+                        [penalty_sets[s][:k] for k, s in jobs],
+                        ["close-approach"] * len(jobs))
+    for (k, s), run in zip(jobs, runs):
+        configs.setdefault(k, {})[s] = run
     R = {k: rates(v) for k, v in configs.items()}
 
     order = ("position", "overlap", "region", "orientation")
@@ -287,6 +292,7 @@ def _extend_run(comp, skeleton, seed, mode="literal"):
     return trunc, comp.extend(base, [seg], seed)
 
 
+@pytest.mark.slow
 def test_extension_seam_acceleration_bounded(
         skeleton, stats, small_schedule, analytic_prior):
     """50 kept + 190 generated frames over 20 seeds. With the boundary
@@ -295,8 +301,8 @@ def test_extension_seam_acceleration_bounded(
     kept frames are preserved bit-exactly."""
     comp = _composer(skeleton, stats, small_schedule, analytic_prior, EXT_OPT)
     passes = 0
-    for seed in range(20):
-        trunc, ext = _extend_run(comp, skeleton, seed)
+    runs = parallel_map(_extend_run, [comp] * 20, [skeleton] * 20, range(20))
+    for trunc, ext in runs:
         ok = True
         for pid in (1, 2):
             seq = ext.sequences[pid]

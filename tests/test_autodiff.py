@@ -168,33 +168,33 @@ def test_hypothesis_tanh_chain_gradient(vals):
 def test_adam_first_step_is_signed_lr():
     p = np.zeros(4)
     g = np.ones(4)
-    state = ad.AdamState(p.shape)
-    new_p, _ = ad.adam_step(p, g, state, lr=0.003, step=1)
+    (new_p,) = ad.Adam([p.shape], lr=0.003).step([p], [g])
     assert np.all(np.abs((p - new_p) - 0.003 * g / (np.abs(g) + 1e-8)) < 1e-9)
 
 
 def test_adam_zero_gradient_keeps_params():
     p = rand(5, 9)
-    state = ad.AdamState(p.shape)
-    state.m[:] = 0.3
-    state.v[:] = 0.2
-    new_p, state = ad.adam_step(p, np.zeros(5), state, lr=0.01, step=3)
+    opt = ad.Adam([p.shape], lr=0.01)
+    opt.m[0][:] = 0.3
+    opt.v[0][:] = 0.2
+    opt.t = 2
+    (new_p,) = opt.step([p], [np.zeros(5)])
     # with m nonzero from history the params still move; with fresh state
     # and zero grad they must not
-    fresh = ad.AdamState(p.shape)
-    same_p, _ = ad.adam_step(p, np.zeros(5), fresh, lr=0.01, step=1)
+    (same_p,) = ad.Adam([p.shape], lr=0.01).step([p], [np.zeros(5)])
     assert np.array_equal(same_p, p)
-    assert np.all(state.m == 0.3 * 0.9)
+    assert not np.array_equal(new_p, p)
+    assert np.all(opt.m[0] == 0.3 * 0.9)
 
 
 def test_adam_rejects_bad_inputs():
     p = np.zeros(3)
     with pytest.raises(ValueError, match="lr"):
-        ad.adam_step(p, p, ad.AdamState(p.shape), lr=0.0)
+        ad.Adam([p.shape], lr=0.0)
     with pytest.raises(ad.ShapeMismatchError):
-        ad.adam_step(p, np.zeros(4), ad.AdamState(p.shape), lr=0.01)
-    with pytest.raises(ValueError, match="step"):
-        ad.adam_step(p, p, ad.AdamState(p.shape), lr=0.01, step=0)
+        ad.Adam([p.shape], lr=0.01).step([p], [np.zeros(4)])
+    with pytest.raises(ad.ShapeMismatchError):
+        ad.Adam([(4,)], lr=0.01).step([p], [p])
 
 
 def test_adam_100_steps_quadratic():

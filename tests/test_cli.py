@@ -178,6 +178,65 @@ def test_compose_three_person_step(tmp_path):
                              "person3.motion"]
 
 
+def assert_config_error_writes_nothing(tmp_path, capsys, command, cfg):
+    """Exit 2 on --dry-run and on the real run, no traceback, no --out."""
+    out = tmp_path / "out"
+    for extra in (["--dry-run"], []):
+        assert main([command, "--config", cfg, "--out", str(out)]
+                    + extra) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("kind,params,missing", [
+    ("root", {}, "targets"),
+    ("orientation", {"delta": 0.2}, "targets"),
+    ("region", {"lower": [-1, -1, -1]}, "upper"),
+    ("relative", {"d_max": 2.0}, "d_min"),
+])
+def test_compose_penalty_missing_params(tmp_path, capsys, kind, params,
+                                        missing):
+    cfg = compose_config(tmp_path, first_penalties=[
+        {"kind": kind, "subjects": [1], "params": params}])
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "compose", cfg)
+    assert missing in err
+
+
+@pytest.mark.parametrize("scene_extra", [
+    {"first_penalties": [{"kind": "overlap", "subjects": [1, 7]}]},
+    {"participants": [1, 2, 3],
+     "steps": [{"target": 3, "reference": 1, "label": "approach",
+                "opt_subset": [1],
+                "penalties": [{"kind": "overlap", "subjects": [3, 2]}]}]},
+    {"participants": [1, 2, 3],
+     "steps": [{"target": 3, "reference": 1, "label": "approach",
+                "opt_subset": [1], "penalties": [{"kind": "overlap"}]}]},
+], ids=["unknown-person", "not-in-opt-subset", "no-subjects"])
+def test_compose_penalty_subject_not_generated(tmp_path, capsys,
+                                               scene_extra):
+    cfg = compose_config(tmp_path, **scene_extra)
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "compose", cfg)
+    assert "subjects" in err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("optimizer", "grad_clip", 1.0),
+    ("schedule", "eta", 0.0),
+    ("schedule", "schedule_kind", "linear"),
+    ("prior", "guidance_scale", 2.0),
+    ("optimizer", "max_step", 3),          # typo of max_steps
+])
+def test_compose_rejects_unknown_config_keys(tmp_path, capsys, section, key,
+                                             value):
+    payload = json.loads(open(compose_config(tmp_path)).read())
+    payload.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, "unknown.json", payload)
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "compose", cfg)
+    assert key in err
+
+
 # -- train ------------------------------------------------------------------------
 
 
@@ -252,6 +311,26 @@ def test_extend_requires_segments(tmp_path, composed):
         FAST, results_dir=composed, scene={"extension": []}))
     assert main(["extend", "--config", cfg,
                  "--out", str(tmp_path / "ext")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("extra", [
+    {"optimizer": {"max_steps": 5, "grad_clip": 1.0}},
+    {"scene": {"extension": [{"window": 12, "kept": 6,
+                              "pairs": [[1, 2, "approach"]],
+                              "penalties": [{"kind": "overlap",
+                                             "subjects": [1, 3]}]}]}},
+    {"scene": {"extension": [{"window": 12, "kept": 6,
+                              "pairs": [[1, 5, "approach"]]}]}},
+    {"scene": {"extension": [{"window": 12, "kept": 6, "pairs": 5}]}},
+], ids=["unknown-optimizer-key", "penalty-outside-pair", "unknown-person",
+        "pairs-not-a-list"])
+def test_extend_config_errors(tmp_path, capsys, composed, extra):
+    payload = dict(FAST, results_dir=composed,
+                   scene={"extension": [{"window": 12, "kept": 6,
+                                         "pairs": [[1, 2, "approach"]]}]})
+    payload.update(extra)
+    cfg = write_config(tmp_path, "e.json", payload)
+    assert_config_error_writes_nothing(tmp_path, capsys, "extend", cfg)
 
 
 # -- eval and export ---------------------------------------------------------------

@@ -39,17 +39,10 @@ def test_taus_cover_endpoints():
 def test_schedule_validation():
     with pytest.raises(ValueError, match="ddim_steps"):
         DiffusionSchedule(t_train=10, ddim_steps=11)
-    with pytest.raises(ValueError, match="eta"):
+    with pytest.raises(TypeError, match="eta"):
         DiffusionSchedule(eta=0.5)
     with pytest.raises(ValueError, match="kind"):
         DiffusionSchedule(kind="quadratic")
-
-
-def test_schedule_json_round_trip():
-    s = DiffusionSchedule(t_train=128, ddim_steps=16, kind="linear")
-    again = DiffusionSchedule.from_json(s.to_json())
-    assert np.array_equal(again.alpha_bars, s.alpha_bars)
-    assert np.array_equal(again.taus, s.taus)
 
 
 # -- forward noising ----------------------------------------------------------------
@@ -133,16 +126,6 @@ def test_ddim_approach_reduces_root_distance(analytic_prior, small_schedule,
         d = np.linalg.norm(w1[:, :3] - w2[:, :3], axis=1)
         closer += d[-1] < d[0]
     assert closer >= 18
-
-
-def test_ddim_truncated_backprop_detaches(analytic_prior, small_schedule,
-                                          skeleton):
-    lab = label_by_name("approach")
-    x = ad.Var(noise((6, skeleton.D), 9))
-    o1, _ = ddim_sample(analytic_prior, small_schedule, (x, x * 1.0), lab,
-                        truncate_backprop_after=0)
-    (g,) = ad.grad(ad.sum_(o1), [x])
-    assert np.allclose(g, 0.0)
 
 
 # -- masked_sample ----------------------------------------------------------------

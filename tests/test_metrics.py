@@ -1,5 +1,7 @@
 """Metric kernels against counting, loop and Monte-Carlo oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -176,6 +178,29 @@ def test_lens_volume_monotone_in_distance():
     vols = [me.sphere_lens_volume(0.1, 0.08, d)
             for d in np.linspace(0.0, 0.2, 30)]
     assert all(b <= a + 1e-15 for a, b in zip(vols, vols[1:]))
+
+
+def _lens_volume_loop_oracle(r1, r2, d):
+    if d >= r1 + r2:
+        return 0.0
+    if d <= abs(r1 - r2):
+        return 4.0 / 3.0 * np.pi * min(r1, r2) ** 3
+    return (np.pi * (r1 + r2 - d) ** 2 *
+            (d * d + 2.0 * d * (r1 + r2) - 3.0 * (r1 - r2) ** 2) / (12.0 * d))
+
+
+def test_lens_volume_broadcast_matches_branchy_oracle():
+    r1 = np.array([0.1, 0.14, 0.02, 0.1, 0.0])[:, None]
+    r2 = np.array([0.1, 0.07, 0.5])[None, :]
+    d = np.array([0.0, 0.05, 0.12, 0.3])[:, None, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # d = 0 must not divide by zero
+        got = me.sphere_lens_volume(r1, r2, d)
+        scalar = me.sphere_lens_volume(0.1, 0.1, 0.0)
+    assert got.shape == (4, 5, 3) and isinstance(scalar, float)
+    for k, i, j in np.ndindex(got.shape):
+        want = _lens_volume_loop_oracle(r1[i, 0], r2[0, j], d[k, 0, 0])
+        assert got[k, i, j] == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 def test_penetration_volume_disjoint_people(skeleton):

@@ -57,15 +57,6 @@ def test_overlap_matches_loop_oracle(skeleton):
     assert abs(got - want) < 1e-12
 
 
-def test_overlap_ground_plane_ignores_height(skeleton):
-    a = frames_with_root(np.zeros((5, 3)), skeleton)
-    b = frames_with_root(np.tile([0.0, 10.0, 0.0], (5, 1)), skeleton)
-    assert float(pe.overlap_penalty(a, [b], delta=0.3).value) == 0.0
-    assert np.isclose(
-        float(pe.overlap_penalty(a, [b], delta=0.3, ground_plane=True).value),
-        5 * 0.3)
-
-
 def test_overlap_translation_invariance(skeleton):
     a, b = rand_frames(skeleton, seed=3, scale=0.2), \
         rand_frames(skeleton, seed=4, scale=0.2)

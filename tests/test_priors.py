@@ -7,7 +7,7 @@ import pytest
 from groupmotion import autodiff as ad
 from groupmotion.diffusion import DiffusionSchedule
 from groupmotion.motion import normalize
-from groupmotion.priors import AnalyticPrior, MLPPrior, TrainingDiverged, train
+from groupmotion.priors import MLPPrior, TrainingDiverged, train
 from groupmotion.scripts import label_by_name
 
 from conftest import check_gradient
@@ -117,21 +117,6 @@ def test_analytic_gradient_matches_fd(analytic_prior, skeleton):
         return ad.sum_(ad.tanh(e1 * 0.1)) + ad.sum_(ad.tanh(e2 * 0.1))
 
     check_gradient(loss, noise((6, skeleton.D), 11), n_coords=10, rtol=1e-4)
-
-
-def test_guidance_scale_blends(skeleton, stats, small_schedule):
-    lab = label_by_name("approach")
-    base = AnalyticPrior(small_schedule, stats, skeleton, guidance_scale=1.0)
-    off = AnalyticPrior(small_schedule, stats, skeleton, guidance_scale=0.0)
-    x1 = ad.constant(noise((6, skeleton.D), 12))
-    x2 = ad.constant(noise((6, skeleton.D), 13))
-    e1, _ = base.predict(x1, x2, 20, lab)
-    u1, _ = off.predict(x1, x2, 20, lab)
-    # scale 0 reduces to the unconditional (identity attractor) branch
-    ab = small_schedule.alpha_bar(20)
-    expect = x1.value * (1 - np.sqrt(ab)) / np.sqrt(1 - ab)
-    assert np.allclose(u1.value, expect, atol=1e-12)
-    assert not np.allclose(e1.value, u1.value)
 
 
 # -- MLP prior ----------------------------------------------------------------

@@ -85,9 +85,9 @@ class SceneSpec:
         if len(self.participants) < 2:
             raise ValueError("SceneSpec: need at least two participants")
         generated = set(self.participants[:2])
-        _check_subjects(_default_pair_subjects(self.first_penalties,
-                                               *self.participants[:2]),
-                        generated, "first pair")
+        _check_penalties(_default_pair_subjects(self.first_penalties,
+                                                *self.participants[:2]),
+                         generated, self.n_frames, "first pair")
         for step in self.steps:
             if step.reference not in generated:
                 raise ValueError(
@@ -96,28 +96,34 @@ class SceneSpec:
             if not set(step.opt_subset) <= generated:
                 raise ValueError("SceneSpec: opt_subset contains ungenerated ids")
             # the step's loss sees only opt_subset and the new person
-            _check_subjects(step.penalties,
-                            set(step.opt_subset) | {step.target},
-                            f"step adding {step.target}")
+            _check_penalties(step.penalties,
+                             set(step.opt_subset) | {step.target},
+                             self.n_frames, f"step adding {step.target}")
             generated.add(step.target)
         if set(self.participants) != generated:
             raise ValueError("SceneSpec: steps do not cover the participants")
         check_segments(self.extension, generated)
 
 
-def _check_subjects(penalties, allowed: set, where: str) -> None:
+def _check_penalties(penalties, allowed: set, n_frames: int,
+                     where: str) -> None:
     for cfg in penalties:
         if not cfg.subjects or not set(cfg.subjects) <= allowed:
             raise ValueError(
                 f"{where}: {cfg.kind} penalty subjects {list(cfg.subjects)} "
                 f"must be non-empty and among {sorted(allowed)}")
+        cfg.check_frames(n_frames)
 
 
 def check_segments(segments, persons) -> None:
     """Raise ValueError unless every extension segment fits a scene of
-    `persons`: a window longer than its kept block, each person in at most
-    one pair, and extra penalties acting on persons of every pair."""
+    `persons`: at least one kept frame and a window longer than the kept
+    block, each person in at most one pair, extra penalties acting on
+    persons of every pair and fitting the window, and a seam window of at
+    least 3 frames inside the window."""
     for si, seg in enumerate(segments):
+        if seg.kept < 1:
+            raise ValueError(f"extension segment {si}: kept must be >= 1")
         if seg.window <= seg.kept:
             raise ValueError("extension window must exceed kept frames")
         covered = [p for pair in seg.pairs for p in pair[:2]]
@@ -128,7 +134,12 @@ def check_segments(segments, persons) -> None:
             raise ValueError(f"extension segment {si}: pairs name persons "
                              f"outside {sorted(persons)}")
         for a, b, _ in seg.pairs:
-            _check_subjects(seg.penalties, {a, b}, f"extension segment {si}")
+            _check_penalties(seg.penalties, {a, b}, seg.window,
+                             f"extension segment {si}")
+        # the boundary penalty starts one frame before the seam
+        if not 3 <= seg.boundary_frames <= seg.window - seg.kept + 1:
+            raise ValueError(f"extension segment {si}: boundary_frames must "
+                             f"be in [3, window - kept + 1]")
 
 
 @dataclass
@@ -227,6 +238,24 @@ class Composer:
                              person_id=person_id)
         return repair_velocities(seq)
 
+    def _optimize_and_sample(self, sample, persons, pens, xT, fixed=None):
+        """Adam on the noise `xT` against `pens` over `fixed` world frames
+        plus `sample(x)`, one output per person of `persons` (skipped when
+        there are no penalties), then one more sample from the best noise.
+        Returns the output values and the StepRecord of persons[0]."""
+        if pens:
+            def objective(var):
+                world = dict(fixed or {})
+                for pid, out in zip(persons, sample(var)):
+                    world[pid] = self._world(out)
+                return aggregate(pens, world, self.skeleton)
+
+            xT, rec = optimize_noise(objective, xT, self.opt)
+            rec.person = persons[0]
+        else:
+            rec = StepRecord(person=persons[0])
+        return [out.value for out in sample(ad.constant(xT))], rec
+
     def generate_first_pair(self, spec: SceneSpec):
         """Algorithm: draw both persons' initial noise, optimize the stacked
         noise jointly through the coupled sampler, regenerate from the best
@@ -239,22 +268,11 @@ class Composer:
         rng2 = self._substream(spec.seed, 0, p2)
         xT = np.stack([rng1.standard_normal((N, D)),
                        rng2.standard_normal((N, D))])
-        pens = _default_pair_subjects(spec.first_penalties, p1, p2)
-        if pens:
-            def objective(var):
-                o1, o2 = ddim_sample(self.prior, self.schedule,
-                                     (var[0, :, :], var[1, :, :]), label)
-                world = {p1: self._world(o1), p2: self._world(o2)}
-                return aggregate(pens, world, self.skeleton)
-
-            xT, rec = optimize_noise(objective, xT, self.opt)
-            rec.person = p1
-        else:
-            rec = StepRecord(person=p1)
-        f1, f2 = ddim_sample(self.prior, self.schedule,
-                             (ad.constant(xT[0]), ad.constant(xT[1])), label)
-        seqs = {p1: self._to_sequence(f1.value, p1),
-                p2: self._to_sequence(f2.value, p2)}
+        (f1, f2), rec = self._optimize_and_sample(
+            lambda var: ddim_sample(self.prior, self.schedule, var, label),
+            (p1, p2), _default_pair_subjects(spec.first_penalties, p1, p2),
+            xT)
+        seqs = {p1: self._to_sequence(f1, p1), p2: self._to_sequence(f2, p2)}
         return seqs, [rec]
 
     def add_person(self, step: SceneStep, sequences: dict, seed: int):
@@ -266,22 +284,12 @@ class Composer:
         rng = self._substream(seed, 0, step.target)
         xT = rng.standard_normal((N, D))
         mask_seed = int(self._substream(seed, 1, step.target).integers(2**31))
-        fixed_world = {i: sequences[i].frames for i in step.opt_subset}
-
-        rec = StepRecord(person=step.target)
-        if step.penalties:
-            def objective(var):
-                out = masked_sample(self.prior, self.schedule, var, ref_norm,
-                                    step.label, mask_seed, target_slot=0)
-                world = dict(fixed_world)
-                world[step.target] = self._world(out)
-                return aggregate(step.penalties, world, self.skeleton)
-
-            xT, rec = optimize_noise(objective, xT, self.opt)
-            rec.person = step.target
-        out = masked_sample(self.prior, self.schedule, ad.constant(xT),
-                            ref_norm, step.label, mask_seed, target_slot=0)
-        return self._to_sequence(out.value, step.target), rec
+        (out,), rec = self._optimize_and_sample(
+            lambda var: (masked_sample(self.prior, self.schedule, var,
+                                       ref_norm, step.label, mask_seed),),
+            (step.target,), step.penalties, xT,
+            fixed={i: sequences[i].frames for i in step.opt_subset})
+        return self._to_sequence(out, step.target), rec
 
     def compose(self, spec: SceneSpec) -> CompositionResult:
         sequences, records = self.generate_first_pair(spec)
@@ -309,44 +317,30 @@ class Composer:
         for si, seg in enumerate(segments):
             new_tails = {}
             for pi, (a, b, label) in enumerate(seg.pairs):
-                kept_pair = []
-                for pid in (a, b):
-                    tail = sequences[pid].frames[-seg.kept:]
-                    kept_pair.append(normalize(tail, self.stats))
+                kept_pair = [normalize(sequences[pid].frames[-seg.kept:],
+                                       self.stats) for pid in (a, b)]
                 mask = FrameMask(seg.window, seg.kept)
                 rng = self._substream(seed, 2, si, pi)
                 xT = rng.standard_normal((2, seg.window, self.skeleton.D))
                 zseed = int(self._substream(seed, 3, si, pi).integers(2**31))
 
-                pens = list(seg.penalties)
-                for pid in (a, b):
-                    pens.append(PenaltyConfig(
-                        kind="boundary", weight=seg.boundary_weight,
-                        subjects=(pid,),
-                        # start one frame before the seam: the acceleration
-                        # centered on the last kept frame already depends on
-                        # the first generated frame
-                        params={"window_start": max(seg.kept - 1, 0),
-                                "window_len": seg.boundary_frames}))
+                # start one frame before the seam: the acceleration centered
+                # on the last kept frame already depends on the first
+                # generated frame
+                pens = list(seg.penalties) + [PenaltyConfig(
+                    "boundary", seg.boundary_weight, (pid,),
+                    params={"window_start": seg.kept - 1,
+                            "window_len": seg.boundary_frames})
+                    for pid in (a, b)]
 
-                def objective(var):
-                    o1, o2 = inpaint_extend(
-                        self.prior, self.schedule,
-                        (var[0, :, :], var[1, :, :]), kept_pair, mask, label,
-                        zseed, mode=seg.mode)
-                    world = {a: self._world(o1), b: self._world(o2)}
-                    return aggregate(pens, world, self.skeleton)
-
-                best, rec = optimize_noise(objective, xT, self.opt)
-                rec.person = a
+                outs, rec = self._optimize_and_sample(
+                    lambda var: inpaint_extend(
+                        self.prior, self.schedule, var, kept_pair, mask,
+                        label, zseed, mode=seg.mode),
+                    (a, b), pens, xT)
                 records.append(rec)
-                bv = ad.constant(best)
-                o1, o2 = inpaint_extend(self.prior, self.schedule,
-                                        (bv[0, :, :], bv[1, :, :]), kept_pair,
-                                        mask, label, zseed, mode=seg.mode)
-                for pid, out in ((a, o1), (b, o2)):
-                    tail_world = denormalize(out.value, self.stats)
-                    new_tails[pid] = tail_world[seg.kept:]
+                for pid, out in zip((a, b), outs):
+                    new_tails[pid] = self._world(out)[seg.kept:]
             # persons not listed in any pair keep their current sequences
             for pid, tail in new_tails.items():
                 frames = np.concatenate([sequences[pid].frames, tail], axis=0)

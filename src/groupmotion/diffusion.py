@@ -99,9 +99,10 @@ def ddim_sample(prior, schedule: DiffusionSchedule, x_T_pair, label):
 
 
 def masked_sample(prior, schedule: DiffusionSchedule, x_T_target, x0_ref,
-                  label, noise_seed: int, target_slot: int = 0):
-    """Denoise only the target slot; the reference slot is replaced at every
-    step by a forward-noised copy of the clean reference motion.
+                  label, noise_seed: int):
+    """Denoise only the first (target) slot; the second (reference) slot is
+    replaced at every step by a forward-noised copy of the clean reference
+    motion.
 
     The per-step reference noise is drawn once from `noise_seed`, so the
     map x_T_target -> x_0_target is deterministic during optimization.
@@ -119,10 +120,7 @@ def masked_sample(prior, schedule: DiffusionSchedule, x_T_target, x0_ref,
     for k in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[k]), int(taus[k - 1])
         ref_t = forward_noise(ref_c, t, ad.constant(zetas[t]), schedule)
-        if target_slot == 0:
-            e_tgt, _ = prior.predict(x, ref_t, t, label)
-        else:
-            _, e_tgt = prior.predict(ref_t, x, t, label)
+        e_tgt, _ = prior.predict(x, ref_t, t, label)
         x = _ddim_step(x, e_tgt, schedule.alpha_bar(t), schedule.alpha_bar(t_prev))
     return x
 

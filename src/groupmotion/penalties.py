@@ -149,6 +149,7 @@ def boundary_penalty(frames, window_start: int, window_len: int,
 KINDS = ("overlap", "root", "region", "orientation", "relative", "boundary")
 REQUIRED_PARAMS = {"root": ("targets",), "orientation": ("targets",),
                    "region": ("lower", "upper"), "relative": ("d_min", "d_max")}
+TARGET_WIDTH = {"root": 3, "orientation": 2}   # values per target frame
 
 
 @dataclass
@@ -176,6 +177,18 @@ class PenaltyConfig:
         if "d_min" in self.params and "d_max" in self.params and \
                 self.params["d_min"] > self.params["d_max"]:
             raise ValueError("d_min must not exceed d_max")
+
+    def check_frames(self, n_frames: int) -> None:
+        """Raise ValueError unless the frames lie in [0, n_frames) and
+        root/orientation targets hold one point per frame."""
+        frames = np.asarray(range(n_frames) if self.frames is None
+                            else self.frames, dtype=int)
+        if frames.size and (frames.min() < 0 or frames.max() >= n_frames):
+            raise ValueError(f"{self.kind} penalty frames outside "
+                             f"[0, {n_frames})")
+        width = TARGET_WIDTH.get(self.kind)
+        if width and np.size(self.params["targets"]) != width * frames.size:
+            raise ValueError(f"{self.kind} penalty needs one target per frame")
 
     @classmethod
     def from_json(cls, d: dict) -> "PenaltyConfig":

@@ -23,6 +23,7 @@ coordinate back to the raw state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -212,27 +213,22 @@ def _heading_of(delta: ad.Var) -> ad.Var:
     return ad.atan2(delta[2], delta[0] + 1e-9)
 
 
-def _rotate_offsets(offsets: np.ndarray, theta: ad.Var) -> ad.Var:
-    """Rotate (N, 3) local offsets about +y by scalar heading theta.
-
-    Heading frame: forward = (cos t, 0, sin t), left = (sin t, 0, -cos t).
-    """
-    c, s = ad.cos(theta), ad.sin(theta)
-    ox = ad.constant(offsets[:, 0])
-    oy = ad.constant(offsets[:, 1])
-    oz = ad.constant(offsets[:, 2])
+def _rotate_offsets(offsets: np.ndarray, c: ad.Var, s: ad.Var) -> ad.Var:
+    """Rotate (..., 3) local offsets about +y by the heading t whose cos
+    and sin are c and s: forward = (c, 0, s), left = (s, 0, -c)."""
+    ox = ad.constant(offsets[..., 0])
+    oz = ad.constant(offsets[..., 2])
     wx = ox * s + oz * c
-    wy = oy
     wz = ox * (-1.0 * c) + oz * s
-    return ad.stack([wx, wy, wz], axis=1)
+    return ad.stack([wx, offsets[..., 1], wz], axis=-1)
 
 
-def _root_rot6d(theta: ad.Var, N: int) -> ad.Var:
-    """(N, 6) root rotation whose forward axis is (cos t, 0, sin t)."""
+def _root_rot6d(c: ad.Var, s: ad.Var, N: int) -> ad.Var:
+    """(N, 6) root rotation whose forward axis is (c, 0, s)."""
     ones = ad.constant(np.ones(N))
     zeros = ad.constant(np.zeros(N))
-    s = ad.broadcast_to(ad.reshape(ad.sin(theta), (1,)), (N,))
-    c = ad.broadcast_to(ad.reshape(ad.cos(theta), (1,)), (N,))
+    s = ad.broadcast_to(ad.reshape(s, (1,)), (N,))
+    c = ad.broadcast_to(ad.reshape(c, (1,)), (N,))
     return ad.stack([s, zeros, -1.0 * c, zeros, ones, zeros], axis=1)
 
 
@@ -371,39 +367,36 @@ def build_person_script(params: dict, other_params: dict, spec: LabelSpec,
     J = skeleton.J
     root, heading = _root_curve(params, other_params, spec, N, role)
     offsets = _gesture_offsets(spec, N)
+    local = np.stack([offsets[name] for name in skeleton.joint_names[1:]],
+                     axis=1)                    # (N, J-1, 3)
+    c, s = ad.cos(heading), ad.sin(heading)
 
-    joints = [root]
-    for name in skeleton.joint_names[1:]:
-        local = offsets[name]
-        if spec.stationary and name in ("l_foot", "r_foot"):
-            # feet stay planted at the anchor-derived spot; root sway and
-            # drift do not move them
-            anchor = params["anchor"]
-            plant = ad.broadcast_to(ad.reshape(anchor, (1, 3)), (N, 3)) + \
-                _rotate_offsets(local, heading)
-            joints.append(plant)
-        else:
-            joints.append(root + _rotate_offsets(local, heading))
-    glo = ad.concat(joints, axis=1)            # (N, 3J)
+    # each non-root joint sits at its base plus its rotated offset; the base
+    # is the root, except that stationary labels keep their feet planted at
+    # the anchor, so root sway and drift do not move them
+    planted = [spec.stationary and name in ("l_foot", "r_foot")
+               for name in skeleton.joint_names[1:]]
+    root_b = ad.reshape(root, (N, 1, 3))
+    anchor_b = ad.reshape(params["anchor"], (1, 1, 3))
+    base = ad.concat([ad.broadcast_to(anchor_b if p else root_b,
+                                      (N, len(list(run)), 3))
+                      for p, run in groupby(planted)], axis=1)
+    joints = base + _rotate_offsets(local, c, s)
+    glo = ad.concat([root, ad.reshape(joints, (N, 3 * (J - 1)))], axis=1)
 
     # velocities: carrier channels for root and spine, finite differences
     # for the remaining joints
     u, v = params["carriers"]
-    vel_parts = [
+    rest = glo[:, 6:]
+    vel = ad.concat([
         ad.broadcast_to(ad.reshape(u * (1.0 / N), (1, 3)), (N, 3)),
         ad.broadcast_to(ad.reshape(v * (1.0 / N), (1, 3)), (N, 3)),
-    ]
-    for j in range(2, J):
-        p = joints[j]
-        dv = p[1:, :] - p[:-1, :]
-        vel_parts.append(ad.concat([ad.constant(np.zeros((1, 3))), dv], axis=0))
-    vel = ad.concat(vel_parts, axis=1)          # (N, 3J)
+        ad.concat([np.zeros((1, 3 * (J - 2))), rest[1:, :] - rest[:-1, :]],
+                  axis=0),
+    ], axis=1)                                  # (N, 3J)
 
-    rot_parts = [_root_rot6d(heading, N)]
-    ident = np.tile(IDENTITY_ROT6D, (N, 1))
-    for _ in range(1, J):
-        rot_parts.append(ad.constant(ident))
-    rot = ad.concat(rot_parts, axis=1)          # (N, 6J)
+    rot = ad.concat([_root_rot6d(c, s, N),
+                     np.tile(IDENTITY_ROT6D, (N, J - 1))], axis=1)  # (N, 6J)
 
     foot = ad.constant(_foot_contacts(spec, N))  # (N, 4)
     return ad.concat([glo, vel, rot, foot], axis=1)

@@ -221,6 +221,29 @@ def test_compose_penalty_subject_not_generated(tmp_path, capsys,
     assert "subjects" in err
 
 
+@pytest.mark.parametrize("scene_extra", [
+    {"first_penalties": [{"kind": "root", "subjects": [1], "frames": [40],
+                          "params": {"targets": [0.0, 0.9, 0.0]}}]},
+    {"first_penalties": [{"kind": "relative", "subjects": [1, 2],
+                          "frames": [-1],
+                          "params": {"d_min": 0.5, "d_max": 3.0}}]},
+    {"first_penalties": [{"kind": "root", "subjects": [1],
+                          "params": {"targets": [0.0, 0.9, 0.0]}}]},
+    {"first_penalties": [{"kind": "orientation", "subjects": [2],
+                          "frames": [3, 11], "params": {"targets": [1, 0]}}]},
+    {"participants": [1, 2, 3],
+     "steps": [{"target": 3, "reference": 1, "label": "approach",
+                "opt_subset": [1],
+                "penalties": [{"kind": "root", "subjects": [3],
+                               "frames": [12],
+                               "params": {"targets": [0.0, 0.9, 0.0]}}]}]},
+], ids=["root-frame-beyond-scene", "negative-frame", "one-target-all-frames",
+        "orientation-target-count", "step-frame-beyond-scene"])
+def test_compose_penalty_frames_checked(tmp_path, capsys, scene_extra):
+    cfg = compose_config(tmp_path, **scene_extra)
+    assert_config_error_writes_nothing(tmp_path, capsys, "compose", cfg)
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("optimizer", "grad_clip", 1.0),
     ("schedule", "eta", 0.0),
@@ -322,11 +345,26 @@ def test_extend_requires_segments(tmp_path, composed):
     {"scene": {"extension": [{"window": 12, "kept": 6,
                               "pairs": [[1, 5, "approach"]]}]}},
     {"scene": {"extension": [{"window": 12, "kept": 6, "pairs": 5}]}},
+    {"scene": {"extension": [{"window": 12, "kept": 0, "boundary_frames": 4,
+                              "pairs": [[1, 2, "approach"]]}]}},
+    {"scene": {"extension": [{"window": 12, "kept": 6, "boundary_frames": 2,
+                              "pairs": [[1, 2, "approach"]]}]}},
+    {"scene": {"extension": [{"window": 20, "kept": 5, "boundary_frames": 40,
+                              "pairs": [[1, 2, "approach"]]}]}},
+    {"scene": {"extension": [{"window": 12, "kept": 6, "boundary_frames": 4,
+                              "pairs": [[1, 2, "approach"]],
+                              "penalties": [{"kind": "relative",
+                                             "subjects": [1, 2],
+                                             "frames": [12],
+                                             "params": {"d_min": 0.5,
+                                                        "d_max": 3.0}}]}]}},
 ], ids=["unknown-optimizer-key", "penalty-outside-pair", "unknown-person",
-        "pairs-not-a-list"])
+        "pairs-not-a-list", "kept-zero", "seam-too-short",
+        "seam-beyond-window", "penalty-frame-beyond-window"])
 def test_extend_config_errors(tmp_path, capsys, composed, extra):
     payload = dict(FAST, results_dir=composed,
                    scene={"extension": [{"window": 12, "kept": 6,
+                                         "boundary_frames": 4,
                                          "pairs": [[1, 2, "approach"]]}]})
     payload.update(extra)
     cfg = write_config(tmp_path, "e.json", payload)

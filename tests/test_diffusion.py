@@ -151,17 +151,6 @@ def test_masked_deterministic_given_seed(analytic_prior, small_schedule,
     assert not np.array_equal(a.value, c.value)
 
 
-def test_masked_target_slot_selects(analytic_prior, small_schedule, skeleton):
-    ref = noise((8, skeleton.D), 14)
-    xT = noise((8, skeleton.D), 15)
-    lab = label_by_name("follow")  # asymmetric: slots are distinguishable
-    a = masked_sample(analytic_prior, small_schedule, xT, ref, lab, 3,
-                      target_slot=0)
-    b = masked_sample(analytic_prior, small_schedule, xT, ref, lab, 3,
-                      target_slot=1)
-    assert not np.allclose(a.value, b.value)
-
-
 def test_masked_shape_mismatch(analytic_prior, small_schedule, skeleton):
     with pytest.raises(ad.ShapeMismatchError):
         masked_sample(analytic_prior, small_schedule,

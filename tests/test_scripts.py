@@ -159,3 +159,46 @@ def test_carriers_reencoded_in_velocity_channels(skeleton):
     s = sc.build_person_script(p, p, spec, skeleton, w.shape[0], role=0)
     u_out = s.value[:, vb:vb + 3].sum(axis=0)
     assert np.allclose(u_out, u_in, atol=1e-9)
+
+
+def loop_oracle_script(params, other_params, spec, skeleton, N, role):
+    """build_person_script rebuilt joint by joint in plain numpy from the
+    root curve and the gesture offsets."""
+    root, heading = sc._root_curve(params, other_params, spec, N, role)
+    root = root.value
+    c, s = np.cos(heading.value), np.sin(heading.value)
+    offsets = sc._gesture_offsets(spec, N)
+    joints = [root]
+    for name in skeleton.joint_names[1:]:
+        o = offsets[name]
+        rotated = np.stack([o[:, 0] * s + o[:, 2] * c, o[:, 1],
+                            o[:, 0] * (-1.0 * c) + o[:, 2] * s], axis=1)
+        planted = spec.stationary and name in ("l_foot", "r_foot")
+        base = params["anchor"].value if planted else root
+        joints.append(base + rotated)
+    u, v = (x.value for x in params["carriers"])
+    vel = [np.tile(u * (1.0 / N), (N, 1)), np.tile(v * (1.0 / N), (N, 1))]
+    for p in joints[2:]:
+        vel.append(np.concatenate([np.zeros((1, 3)), p[1:] - p[:-1]]))
+    root_rot = np.stack([np.full(N, s), np.zeros(N), np.full(N, -1.0 * c),
+                         np.zeros(N), np.ones(N), np.zeros(N)], axis=1)
+    rot = [root_rot] + [np.tile(sc.IDENTITY_ROT6D, (N, 1))] * (skeleton.J - 1)
+    return np.concatenate(joints + vel + rot +
+                          [sc._foot_contacts(spec, N)], axis=1)
+
+
+@pytest.mark.parametrize("name", [s.name for s in sc.default_vocabulary()])
+def test_script_matches_per_joint_loop_oracle(name, skeleton):
+    """The whole-skeleton builder is bit-identical to the per-joint loop,
+    for both roles and for the planted feet of stationary labels."""
+    spec = sc.label_by_name(name).spec
+    N = 20
+    rng = np.random.default_rng(16)
+    w1, w2 = (rng.standard_normal((N, skeleton.D)) for _ in range(2))
+    w2[0, :3] += [2.0, 0.0, 0.5]
+    p1 = sc.extract_params(ad.constant(w1), skeleton, spec)
+    p2 = sc.extract_params(ad.constant(w2), skeleton, spec)
+    for role, (p, q) in enumerate(((p1, p2), (p2, p1))):
+        got = sc.build_person_script(p, q, spec, skeleton, N, role).value
+        want = loop_oracle_script(p, q, spec, skeleton, N, role)
+        assert np.array_equal(got, want), (name, role)

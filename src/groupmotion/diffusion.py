@@ -11,11 +11,13 @@ Three samplers share one step rule:
                         existing sequences
 
 All samplers run on autodiff Vars, so any scalar of their output can be
-differentiated with respect to the initial noise.
+differentiated with respect to the initial noise. Each step predicts and
+steps the pair as one (2, N, D) state, stacked along a leading person axis.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +87,31 @@ def _ddim_step(x, eps, ab_t: float, ab_prev: float) -> ad.Var:
     return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps
 
 
+def _stacked(pair) -> ad.Var:
+    """A (x1, x2) tuple or a stacked array or Var as one (2, N, D) Var."""
+    return ad.stack(pair) if isinstance(pair, (tuple, list)) else ad.as_var(pair)
+
+
+@functools.lru_cache(maxsize=2)
+def _step_noise(noise_seed: int, n_steps: int, shape: tuple) -> np.ndarray:
+    """(n_steps, *shape) standard-normal noise from `noise_seed`, row k - 1
+    for the k-th smallest DDIM timestep. Drawn once per seed and shared,
+    read-only, by every evaluation of an optimisation."""
+    z = np.random.default_rng(noise_seed).standard_normal((n_steps,) + shape)
+    z.flags.writeable = False
+    return z
+
+
 def ddim_sample(prior, schedule: DiffusionSchedule, x_T_pair, label):
-    """Deterministic DDIM over both slots. Returns a Var pair (x_0^1, x_0^2)."""
-    x1, x2 = ad.as_var(x_T_pair[0]), ad.as_var(x_T_pair[1])
+    """Deterministic DDIM over both slots, given as a (x1, x2) tuple or one
+    stacked (2, N, D) Var. Returns a Var pair (x_0^1, x_0^2)."""
+    x = _stacked(x_T_pair)
     taus = schedule.taus
     for k in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[k]), int(taus[k - 1])
-        e1, e2 = prior.predict(x1, x2, t, label)
-        ab_t, ab_prev = schedule.alpha_bar(t), schedule.alpha_bar(t_prev)
-        x1 = _ddim_step(x1, e1, ab_t, ab_prev)
-        x2 = _ddim_step(x2, e2, ab_t, ab_prev)
-    return x1, x2
+        eps = prior.predict(x, t, label)
+        x = _ddim_step(x, eps, schedule.alpha_bar(t), schedule.alpha_bar(t_prev))
+    return x[0], x[1]
 
 
 def masked_sample(prior, schedule: DiffusionSchedule, x_T_target, x0_ref,
@@ -113,23 +129,25 @@ def masked_sample(prior, schedule: DiffusionSchedule, x_T_target, x0_ref,
     if x.shape != ref.shape:
         raise ad.ShapeMismatchError(
             f"masked_sample: target {x.shape} vs reference {ref.shape}")
-    rng = np.random.default_rng(noise_seed)
     taus = schedule.taus
-    zetas = {int(t): rng.standard_normal(ref.shape) for t in taus[1:]}
+    zetas = _step_noise(noise_seed, len(taus) - 1, ref.shape)
     ref_c = ad.constant(ref)
     for k in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[k]), int(taus[k - 1])
-        ref_t = forward_noise(ref_c, t, ad.constant(zetas[t]), schedule)
-        e_tgt, _ = prior.predict(x, ref_t, t, label)
-        x = _ddim_step(x, e_tgt, schedule.alpha_bar(t), schedule.alpha_bar(t_prev))
+        ref_t = forward_noise(ref_c, t, ad.constant(zetas[k - 1]), schedule)
+        pair = ad.stack([x, ref_t])
+        eps = prior.predict(pair, t, label)
+        x = _ddim_step(pair, eps, schedule.alpha_bar(t),
+                       schedule.alpha_bar(t_prev))[0]
     return x
 
 
 def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
                    mask: FrameMask, label, noise_seed: int,
                    mode: str = "noised"):
-    """Extend a pair: denoise both slots while clamping the kept initial
-    frames to the reference content at every step.
+    """Extend a pair, given as a (x1, x2) tuple or one stacked (2, N, D)
+    Var: denoise both slots while clamping the kept initial frames to the
+    reference content at every step. Returns a Var pair (x_0^1, x_0^2).
 
     mode 'noised' (default) clamps to a forward-noised copy at each t;
     mode 'literal' clamps to the clean reference. In both modes the final
@@ -137,46 +155,31 @@ def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
     """
     if mode not in ("noised", "literal"):
         raise ValueError(f"inpaint_extend: unknown mode {mode!r}")
-    x1, x2 = ad.as_var(x_T_pair[0]), ad.as_var(x_T_pair[1])
-    N = x1.shape[0]
+    x = _stacked(x_T_pair)
+    N = x.shape[1]
     if mask.n_frames != N:
         raise ValueError("inpaint_extend: mask length != window length")
     if mask.kept >= N:
         raise ValueError("inpaint_extend: kept frames must be fewer than the window")
-    refs = []
-    for kept, x in zip(kept_pair, (x1, x2)):
-        kept = np.asarray(kept, dtype=np.float64)
-        if kept.shape != (mask.kept, x.shape[1]):
-            raise ad.ShapeMismatchError("inpaint_extend: kept block shape mismatch")
-        full = np.zeros(x.shape)
-        full[: mask.kept] = kept
-        refs.append(full)
-    m_col = mask.m[:, None]
-    keep_v = ad.constant(np.broadcast_to(m_col, x1.shape).copy())
-    free_v = ad.constant(np.broadcast_to(1.0 - m_col, x1.shape).copy())
-    rng = np.random.default_rng(noise_seed)
+    kept = [np.asarray(k, dtype=np.float64) for k in kept_pair]
+    if len(kept) != x.shape[0] or \
+            any(k.shape != (mask.kept, x.shape[2]) for k in kept):
+        raise ad.ShapeMismatchError("inpaint_extend: kept block shape mismatch")
+    ref = np.zeros(x.shape)
+    ref[:, : mask.kept] = kept
+    m = np.broadcast_to(mask.m[None, :, None], x.shape)
+    keep_v, free_v, ref_c = (ad.constant(a) for a in (m.copy(), 1.0 - m, ref))
     taus = schedule.taus
     # literal mode clamps to the clean reference and needs no noise
-    zetas = {int(t): (rng.standard_normal(x1.shape), rng.standard_normal(x1.shape))
-             for t in taus[1:]} if mode == "noised" else {}
-
-    def clamp(x, ref, t, z):
-        if z is None:
-            ref_t = ad.constant(ref)
-        else:
-            ref_t = forward_noise(ad.constant(ref), t, ad.constant(z), schedule)
-        return keep_v * ref_t + free_v * x
-
+    zetas = _step_noise(noise_seed, len(taus) - 1, x.shape) \
+        if mode == "noised" else None
     for k in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[k]), int(taus[k - 1])
-        z1, z2 = zetas.get(t, (None, None))
-        x1c = clamp(x1, refs[0], t, z1)
-        x2c = clamp(x2, refs[1], t, z2)
-        e1, e2 = prior.predict(x1c, x2c, t, label)
-        ab_t, ab_prev = schedule.alpha_bar(t), schedule.alpha_bar(t_prev)
-        x1 = _ddim_step(x1c, e1, ab_t, ab_prev)
-        x2 = _ddim_step(x2c, e2, ab_t, ab_prev)
+        ref_t = ref_c if zetas is None else \
+            forward_noise(ref_c, t, ad.constant(zetas[k - 1]), schedule)
+        x = keep_v * ref_t + free_v * x
+        eps = prior.predict(x, t, label)
+        x = _ddim_step(x, eps, schedule.alpha_bar(t), schedule.alpha_bar(t_prev))
     # final overwrite at t=0: kept frames equal the reference exactly
-    x1 = clamp(x1, refs[0], 0, None)
-    x2 = clamp(x2, refs[1], 0, None)
-    return x1, x2
+    x = keep_v * ref_c + free_v * x
+    return x[0], x[1]

@@ -177,6 +177,13 @@ class PenaltyConfig:
         if "d_min" in self.params and "d_max" in self.params and \
                 self.params["d_min"] > self.params["d_max"]:
             raise ValueError("d_min must not exceed d_max")
+        p = self.params
+        if self.kind == "region" and np.any(np.asarray(p["lower"], float) >
+                                            np.asarray(p["upper"], float)):
+            raise ValueError("region penalty lower bound exceeds upper bound")
+        if self.kind == "orientation" and np.size(p["targets"]) % 2 == 0 and \
+                np.any(np.hypot(*np.reshape(p["targets"], (-1, 2)).T) < 1e-9):
+            raise ValueError("orientation penalty targets must be nonzero")
 
     def check_frames(self, n_frames: int) -> None:
         """Raise ValueError unless the frames lie in [0, n_frames) and

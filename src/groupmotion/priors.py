@@ -1,8 +1,8 @@
 """Pluggable two-person denoisers.
 
-A denoiser exposes ``predict(x1, x2, t, label) -> (eps1, eps2)`` on
-normalized (N x D) autodiff Vars and must be deterministic and
-shape-preserving. Two concrete priors ship:
+A denoiser exposes ``predict(x, t, label) -> eps`` on the pair stacked
+along a leading person axis: a normalized (2, N, D) autodiff Var in, a
+(2, N, D) Var out. It must be deterministic. Two concrete priors ship:
 
 * ``AnalyticPrior`` - closed-form attractor toward the label's scripted
   motion family; every downstream acceptance run uses it because it is
@@ -27,10 +27,8 @@ from .scripts import InteractionLabel, build_pair_scripts
 class ZeroPrior:
     """Predicts eps = 0; useful for closed-form sampler checks."""
 
-    def predict(self, x1, x2, t, label):
-        z1 = ad.constant(np.zeros(x1.shape))
-        z2 = ad.constant(np.zeros(x2.shape))
-        return z1, z2
+    def predict(self, x, t, label):
+        return ad.constant(np.zeros(x.shape))
 
 
 class AnalyticPrior:
@@ -47,19 +45,16 @@ class AnalyticPrior:
         self.stats = stats
         self.skeleton = skeleton
 
-    def clean_estimate(self, x1, x2, label: InteractionLabel):
-        w1 = denormalize(x1, self.stats)
-        w2 = denormalize(x2, self.stats)
-        s1, s2 = build_pair_scripts(w1, w2, label.spec, self.skeleton)
-        return normalize(s1, self.stats), normalize(s2, self.stats)
+    def clean_estimate(self, x, label: InteractionLabel):
+        w = denormalize(x, self.stats)
+        return normalize(build_pair_scripts(w, label.spec, self.skeleton),
+                         self.stats)
 
-    def predict(self, x1, x2, t: int, label: InteractionLabel):
-        mu1, mu2 = self.clean_estimate(x1, x2, label)
+    def predict(self, x, t: int, label: InteractionLabel):
+        mu = self.clean_estimate(x, label)
         ab = self.schedule.alpha_bar(t)
         denom = 1.0 / np.sqrt(max(1.0 - ab, 1e-12))
-        e1 = (x1 - np.sqrt(ab) * mu1) * denom
-        e2 = (x2 - np.sqrt(ab) * mu2) * denom
-        return e1, e2
+        return (x - np.sqrt(ab) * mu) * denom
 
 
 # -- tiny learned denoiser ----------------------------------------------------
@@ -148,9 +143,9 @@ class MLPPrior:
         e2 = self._forward_one(x2, pooled1, t, label, w)
         return e1, e2
 
-    def predict(self, x1, x2, t: int, label):
+    def predict(self, x, t: int, label):
         w = {k: ad.constant(v) for k, v in self.weights.items()}
-        return self.predict_with_weights(x1, x2, t, label, w)
+        return ad.stack(self.predict_with_weights(x[0], x[1], t, label, w))
 
 
 class TrainingDiverged(RuntimeError):

@@ -124,9 +124,22 @@ def label_by_name(name: str, vocabulary=None) -> InteractionLabel:
 
 # -- parameter extraction ----------------------------------------------------
 
+# per-person values indexed by _SWAP give each person its partner's values
+_SWAP = np.array([1, 0])
+
+
+def _widen(x: ad.Var, shape: tuple) -> ad.Var:
+    """Per-person values (P, *tail) broadcast to (P, *shape), where `shape`
+    ends in tail, by an explicit reshape and broadcast_to: the tape
+    broadcasts scalars only."""
+    mid = (1,) * (len(shape) + 1 - x.ndim)
+    return ad.broadcast_to(ad.reshape(x, x.shape[:1] + mid + x.shape[1:]),
+                           x.shape[:1] + shape)
+
 
 def extract_params(w, skeleton: Skeleton, spec: LabelSpec) -> dict:
-    """Read script parameters from one person's world-space state (N x D Var).
+    """Read script parameters from stacked world-space states, a (P, N, D)
+    Var; every parameter keeps the leading person axis.
 
     Anchors come straight from the frame-0 root position; the soft
     parameters come from per-channel frame sums of the root and spine
@@ -138,57 +151,50 @@ def extract_params(w, skeleton: Skeleton, spec: LabelSpec) -> dict:
     # anchor height is pinned: the family lives on the ground plane, so a
     # noisy y at frame 0 must decay instead of passing through as a fixed
     # point of the denoiser
-    anchor = ad.stack([w[0, g0], ad.constant(ROOT_HEIGHT), w[0, g0 + 2]])
-    u = ad.sum_(w[:, vb:vb + 3], axis=0)          # root velocity carriers
-    v = ad.sum_(w[:, vb + 3:vb + 6], axis=0)      # spine velocity carriers
-    drift_x = spec.drift_max * ad.tanh(spec.drift_gain * u[0])
-    drift_z = spec.drift_max * ad.tanh(spec.drift_gain * u[2])
-    speed = ad.exp(spec.speed_log_max * ad.tanh(u[1]))
-    psi = spec.heading_max * ad.tanh(spec.heading_gain * v[0])
-    phase = np.pi * ad.tanh(spec.heading_gain * v[2])
+    anchor = ad.stack([w[:, 0, g0], np.full(w.shape[0], ROOT_HEIGHT),
+                       w[:, 0, g0 + 2]], axis=1)
+    u = ad.sum_(w[:, :, vb:vb + 3], axis=1)       # root velocity carriers
+    v = ad.sum_(w[:, :, vb + 3:vb + 6], axis=1)   # spine velocity carriers
+    drift_x = spec.drift_max * ad.tanh(spec.drift_gain * u[:, 0])
+    drift_z = spec.drift_max * ad.tanh(spec.drift_gain * u[:, 2])
+    speed = ad.exp(spec.speed_log_max * ad.tanh(u[:, 1]))
+    psi = spec.heading_max * ad.tanh(spec.heading_gain * v[:, 0])
     return {
         "anchor": anchor,
         "drift": (drift_x, drift_z),
         "speed": speed,
         "psi": psi,
-        "phase": phase,
         # raw carrier sums, re-encoded by the builder so extraction is
         # exact on scripted motion
         "carriers": (u, v),
     }
 
 
-def _inv_squash(value: float, bound: float, gain: float = 1.0) -> float:
-    """Carrier value whose tanh squashing reproduces `value`."""
-    ratio = np.clip(value / bound, -0.999999, 0.999999)
-    return float(np.arctanh(ratio) / gain)
+def _inv_squash(value, bound: float, gain: float = 1.0):
+    """Carrier values whose tanh squashing reproduces `value`."""
+    return np.arctanh(np.clip(value / bound, -0.999999, 0.999999)) / gain
 
 
-def params_from_values(spec: LabelSpec, anchor, drift=(0.0, 0.0), speed=1.0,
-                       psi=0.0, phase=0.0) -> dict:
-    """Wrap plain numbers (corpus ground truth) into the params structure.
-
-    Carriers are set to the inverse of the extraction squashing, so the
-    built script is an exact fixed point of extract_params."""
-    anchor = np.asarray(anchor, dtype=np.float64)
-    u = np.array([
-        _inv_squash(float(drift[0]), spec.drift_max, spec.drift_gain),
-        _inv_squash(float(np.log(speed)), spec.speed_log_max),
-        _inv_squash(float(drift[1]), spec.drift_max, spec.drift_gain),
-    ])
-    v = np.array([
-        _inv_squash(float(psi), spec.heading_max, spec.heading_gain),
-        0.0,
-        _inv_squash(float(phase), np.pi, spec.heading_gain),
-    ])
-    return {
-        "anchor": ad.constant(anchor),
-        "drift": (ad.constant(float(drift[0])), ad.constant(float(drift[1]))),
-        "speed": ad.constant(float(speed)),
-        "psi": ad.constant(float(psi)),
-        "phase": ad.constant(float(phase)),
-        "carriers": (ad.constant(u), ad.constant(v)),
-    }
+def params_from_values(spec: LabelSpec, values) -> dict:
+    """Stack plain numbers (corpus ground truth), one dict of `anchor`,
+    `drift`, `speed`, `psi` and `phase` per person, into params. Carriers
+    are set to the inverse of the extraction squashing, so the built script
+    is an exact fixed point of extract_params; no script reads the phase."""
+    rows = [dict({"drift": (0.0, 0.0), "speed": 1.0, "psi": 0.0,
+                  "phase": 0.0}, **v) for v in values]
+    anchor, drift, speed, psi, phase = (
+        np.array([np.asarray(r[k], dtype=np.float64) for r in rows])
+        for k in ("anchor", "drift", "speed", "psi", "phase"))
+    u = np.stack([_inv_squash(drift[:, 0], spec.drift_max, spec.drift_gain),
+                  _inv_squash(np.log(speed), spec.speed_log_max),
+                  _inv_squash(drift[:, 1], spec.drift_max, spec.drift_gain)],
+                 axis=1)
+    v = np.stack([_inv_squash(psi, spec.heading_max, spec.heading_gain),
+                  np.zeros(len(rows)),
+                  _inv_squash(phase, np.pi, spec.heading_gain)], axis=1)
+    c = ad.constant
+    return {"anchor": c(anchor), "drift": (c(drift[:, 0]), c(drift[:, 1])),
+            "speed": c(speed), "psi": c(psi), "carriers": (c(u), c(v))}
 
 
 # -- small geometry helpers on Vars ------------------------------------------
@@ -201,89 +207,84 @@ def _ease(N: int) -> np.ndarray:
 
 
 def _ramp_times_vec3(ramp: np.ndarray, vec) -> ad.Var:
-    """(N,) numpy ramp x (3,) Var -> (N, 3) Var."""
-    N = ramp.shape[0]
-    r = ad.broadcast_to(ad.reshape(ad.constant(ramp), (N, 1)), (N, 3))
-    v = ad.broadcast_to(ad.reshape(vec, (1, 3)), (N, 3))
-    return r * v
+    """(N,) numpy ramp x (P, 3) Var -> (P, N, 3) Var."""
+    r = ad.constant(np.broadcast_to(ramp[:, None], (vec.shape[0],) +
+                                    (ramp.shape[0], 3)))
+    return r * _widen(vec, (ramp.shape[0], 3))
 
 
 def _heading_of(delta: ad.Var) -> ad.Var:
-    """atan2 heading of a ground-plane displacement (3,) Var, smooth at 0."""
-    return ad.atan2(delta[2], delta[0] + 1e-9)
+    """atan2 heading of ground-plane displacements (P, 3), smooth at 0."""
+    return ad.atan2(delta[:, 2], delta[:, 0] + 1e-9)
 
 
 def _rotate_offsets(offsets: np.ndarray, c: ad.Var, s: ad.Var) -> ad.Var:
-    """Rotate (..., 3) local offsets about +y by the heading t whose cos
-    and sin are c and s: forward = (c, 0, s), left = (s, 0, -c)."""
-    ox = ad.constant(offsets[..., 0])
-    oz = ad.constant(offsets[..., 2])
-    wx = ox * s + oz * c
-    wz = ox * (-1.0 * c) + oz * s
-    return ad.stack([wx, offsets[..., 1], wz], axis=-1)
+    """Rotate (N, K, 3) local offsets about +y by each person's heading t,
+    whose cos and sin are the (P,) c and s: forward = (c, 0, s),
+    left = (s, 0, -c). Returns (P, N, K, 3)."""
+    local = offsets.shape[:-1]
+    ox, oy, oz = (np.broadcast_to(offsets[..., i], c.shape + local)
+                  for i in range(3))
+    ox, oz = ad.constant(ox), ad.constant(oz)
+    # one widening per product: each reduces its own gradient, as the
+    # single-person scalar products did
+    wx = ox * _widen(s, local) + oz * _widen(c, local)
+    wz = ox * _widen(-1.0 * c, local) + oz * _widen(s, local)
+    return ad.stack([wx, oy, wz], axis=-1)
 
 
 def _root_rot6d(c: ad.Var, s: ad.Var, N: int) -> ad.Var:
-    """(N, 6) root rotation whose forward axis is (c, 0, s)."""
-    ones = ad.constant(np.ones(N))
-    zeros = ad.constant(np.zeros(N))
-    s = ad.broadcast_to(ad.reshape(s, (1,)), (N,))
-    c = ad.broadcast_to(ad.reshape(c, (1,)), (N,))
-    return ad.stack([s, zeros, -1.0 * c, zeros, ones, zeros], axis=1)
-
-
-def _drift_curve(params: dict, N: int) -> ad.Var:
-    """(N, 3) horizontal drift, eased in so frame 0 stays anchored."""
-    dx, dz = params["drift"]
-    vec = ad.stack([dx, 0.0, dz])
-    return _ramp_times_vec3(_ease(N), vec)
-
-
-def _soft_cap(x: ad.Var, cap: float) -> ad.Var:
-    """Smooth min(x, cap) for x >= 0."""
-    return cap * ad.tanh(x * (1.0 / cap))
+    """(P, N, 6) root rotations whose forward axes are (c, 0, s)."""
+    ones, zeros = np.ones(c.shape + (N,)), np.zeros(c.shape + (N,))
+    s, c = _widen(s, (N,)), _widen(c, (N,))
+    return ad.stack([s, zeros, -1.0 * c, zeros, ones, zeros], axis=2)
 
 
 # -- root curve per label kind ------------------------------------------------
+# Each returns the (P, N, 3) root path and the (P,) heading of both persons
+# of a pair; partner values come from indexing by _SWAP.
 
 
-def _approach_root(params, other_params, spec: LabelSpec, N: int):
+def _approach_root(params, spec: LabelSpec, N: int):
     a = params["anchor"]
-    b = other_params["anchor"]
-    mid = (a + b) * 0.5
+    mid = (a + a[_SWAP]) * 0.5
     to_mid = mid - a
-    dist = ad.norm(to_mid, eps=1e-6)
-    unit = to_mid / dist
-    walk = _soft_cap(ad.relu(dist - 0.5 * spec.gap), spec.walk_span) * params["speed"]
-    target_step = _ramp_times_vec3(_ease(N), unit * walk)
-    base = ad.broadcast_to(ad.reshape(a, (1, 3)), (N, 3)) + target_step
+    dist = ad.norm(to_mid, axis=1, eps=1e-6)
+    unit = to_mid / _widen(dist, (3,))
+    # walked distance: a smooth min(dist - gap / 2, walk_span), times speed
+    walk = spec.walk_span * ad.tanh(ad.relu(dist - 0.5 * spec.gap) * (
+        1.0 / spec.walk_span)) * params["speed"]
+    target_step = _ramp_times_vec3(_ease(N), unit * _widen(walk, (3,)))
+    base = _widen(a, (N, 3)) + target_step
     heading = _heading_of(to_mid) + spec.heading_weight * params["psi"]
     return base, heading
 
 
-def _circle_root(params, other_params, spec: LabelSpec, N: int):
+def _circle_root(params, spec: LabelSpec, N: int):
     a = params["anchor"]
-    b = other_params["anchor"]
-    center = (a + b) * 0.5
+    P = a.shape[0]
+    center = (a + a[_SWAP]) * 0.5
     rel = a - center
-    radius = ad.norm(ad.stack([rel[0], 0.0, rel[2]]), eps=1e-3) + 0.3
-    alpha0 = ad.atan2(rel[2], rel[0] + 1e-9)
+    radius = ad.norm(ad.stack([rel[:, 0], np.zeros(P), rel[:, 2]], axis=1),
+                     axis=1, eps=1e-3) + 0.3
+    alpha0 = ad.atan2(rel[:, 2], rel[:, 0] + 1e-9)
     sweep = spec.circle_sweep
-    alpha = alpha0 + ad.constant(_ease(N) * sweep) * ad.broadcast_to(
-        ad.reshape(params["speed"], (1,)), (N,))
-    cx = center[0] + radius * ad.cos(alpha)
-    cz = center[2] + radius * ad.sin(alpha)
-    cy = ad.broadcast_to(ad.reshape(a[1], (1,)), (N,))
-    base = ad.stack([cx, cy, cz], axis=1)
+    alpha = _widen(alpha0, (N,)) + \
+        ad.constant(np.broadcast_to(_ease(N) * sweep, (P, N))) * \
+        _widen(params["speed"], (N,))
+    radius = _widen(radius, (N,))
+    cx = _widen(center[:, 0], (N,)) + radius * ad.cos(alpha)
+    cz = _widen(center[:, 2], (N,)) + radius * ad.sin(alpha)
+    cy = _widen(a[:, 1], (N,))
+    base = ad.stack([cx, cy, cz], axis=2)
     # tangent heading plus user offset
     heading = alpha0 + 0.5 * sweep + np.pi / 2.0 + spec.heading_weight * params["psi"]
     return base, heading
 
 
-def _talk_root(params, other_params, spec: LabelSpec, N: int):
+def _talk_root(params, spec: LabelSpec, N: int):
     a = params["anchor"]
-    b = other_params["anchor"]
-    base = ad.broadcast_to(ad.reshape(a, (1, 3)), (N, 3))
+    base = _widen(a, (N, 3))
     if spec.sway_amp > 0.0:
         # circular sway through the anchor: constant-magnitude acceleration,
         # zero offset at frame 0 so the anchor stays extractable
@@ -291,44 +292,44 @@ def _talk_root(params, other_params, spec: LabelSpec, N: int):
         sway = np.zeros((N, 3))
         sway[:, 0] = spec.sway_amp * np.sin(phase)
         sway[:, 2] = spec.sway_amp * (1.0 - np.cos(phase))
-        base = base + ad.constant(sway)
-    heading = _heading_of(b - a) + spec.heading_weight * params["psi"]
+        base = base + ad.constant(np.broadcast_to(sway, base.shape))
+    heading = _heading_of(a[_SWAP] - a) + spec.heading_weight * params["psi"]
     return base, heading
 
 
-def _follow_root(params, other_params, spec: LabelSpec, N: int, role: int):
+def _follow_root(params, spec: LabelSpec, N: int):
+    """Person 0 leads, person 1 follows. Both paths are built for both
+    rows; row 0 keeps the leader path and row 1 the follower path."""
     a = params["anchor"]
-    if role == 0:
-        # leader walks along its own heading
-        theta = _heading_of(other_params["anchor"] - a) + params["psi"]
-        step = ad.stack([ad.cos(theta), 0.0, ad.sin(theta)]) * \
-            (2.0 * params["speed"])
-        base = ad.broadcast_to(ad.reshape(a, (1, 3)), (N, 3)) + \
-            _ramp_times_vec3(_ease(N), step)
-        return base, theta
-    # follower heads to a point trailing the leader's end position
-    lead_base, lead_theta = _follow_root(other_params, params, spec, N, 0)
-    lead_end = lead_base[N - 1, :]
-    trail = lead_end - \
-        ad.stack([ad.cos(lead_theta), 0.0, ad.sin(lead_theta)]) * spec.follow_gap
-    base = ad.broadcast_to(ad.reshape(a, (1, 3)), (N, 3)) + \
-        _ramp_times_vec3(_ease(N), (trail - a) * params["speed"])
+    speed = _widen(params["speed"], (3,))
+    # the leader walks along its own heading
+    theta = _heading_of(a[_SWAP] - a) + params["psi"]
+    forward = ad.stack([ad.cos(theta), np.zeros(theta.shape), ad.sin(theta)],
+                       axis=1)
+    lead_base = _widen(a, (N, 3)) + \
+        _ramp_times_vec3(_ease(N), forward * (2.0 * speed))
+    # the follower heads to a point trailing its leader's end position
+    trail = (lead_base[:, N - 1, :] - forward * spec.follow_gap)[_SWAP]
+    base = _widen(a, (N, 3)) + _ramp_times_vec3(_ease(N), (trail - a) * speed)
     heading = _heading_of(trail - a) + spec.heading_weight * params["psi"]
-    return base, heading
+    return (ad.concat([lead_base[:1], base[1:]], axis=0),
+            ad.concat([theta[:1], heading[1:]], axis=0))
 
 
-def _root_curve(params, other_params, spec: LabelSpec, N: int, role: int):
-    if spec.kind == "approach":
-        base, heading = _approach_root(params, other_params, spec, N)
-    elif spec.kind == "circle":
-        base, heading = _circle_root(params, other_params, spec, N)
-    elif spec.kind in ("talk", "pose"):
-        base, heading = _talk_root(params, other_params, spec, N)
-    elif spec.kind == "follow":
-        base, heading = _follow_root(params, other_params, spec, N, role)
-    else:
+_ROOT_CURVES = {"approach": _approach_root, "circle": _circle_root,
+                "talk": _talk_root, "pose": _talk_root,
+                "follow": _follow_root}
+
+
+def _root_curve(params, spec: LabelSpec, N: int):
+    """The kind's root path plus the horizontal drift, eased in so frame 0
+    stays anchored, and the heading."""
+    if spec.kind not in _ROOT_CURVES:
         raise ValueError(f"unknown script kind {spec.kind!r}")
-    return base + _drift_curve(params, N), heading
+    base, heading = _ROOT_CURVES[spec.kind](params, spec, N)
+    dx, dz = params["drift"]
+    drift = ad.stack([dx, np.zeros(dx.shape), dz], axis=1)
+    return base + _ramp_times_vec3(_ease(N), drift), heading
 
 
 # -- full pose assembly --------------------------------------------------------
@@ -361,11 +362,12 @@ def _foot_contacts(spec: LabelSpec, N: int) -> np.ndarray:
     return np.stack([left, left, right, right], axis=1)
 
 
-def build_person_script(params: dict, other_params: dict, spec: LabelSpec,
-                        skeleton: Skeleton, N: int, role: int) -> ad.Var:
-    """One person's scripted (N, D) world-space frames as a Var."""
+def build_scripts(params: dict, spec: LabelSpec, skeleton: Skeleton,
+                  N: int) -> ad.Var:
+    """Both persons' scripted (P, N, D) world-space frames as one Var."""
     J = skeleton.J
-    root, heading = _root_curve(params, other_params, spec, N, role)
+    P = params["anchor"].shape[0]
+    root, heading = _root_curve(params, spec, N)
     offsets = _gesture_offsets(spec, N)
     local = np.stack([offsets[name] for name in skeleton.joint_names[1:]],
                      axis=1)                    # (N, J-1, 3)
@@ -376,48 +378,41 @@ def build_person_script(params: dict, other_params: dict, spec: LabelSpec,
     # the anchor, so root sway and drift do not move them
     planted = [spec.stationary and name in ("l_foot", "r_foot")
                for name in skeleton.joint_names[1:]]
-    root_b = ad.reshape(root, (N, 1, 3))
-    anchor_b = ad.reshape(params["anchor"], (1, 1, 3))
+    root_b = ad.reshape(root, (P, N, 1, 3))
+    anchor_b = ad.reshape(params["anchor"], (P, 1, 1, 3))
     base = ad.concat([ad.broadcast_to(anchor_b if p else root_b,
-                                      (N, len(list(run)), 3))
-                      for p, run in groupby(planted)], axis=1)
+                                      (P, N, len(list(run)), 3))
+                      for p, run in groupby(planted)], axis=2)
     joints = base + _rotate_offsets(local, c, s)
-    glo = ad.concat([root, ad.reshape(joints, (N, 3 * (J - 1)))], axis=1)
+    glo = ad.concat([root, ad.reshape(joints, (P, N, 3 * (J - 1)))], axis=2)
 
     # velocities: carrier channels for root and spine, finite differences
     # for the remaining joints
     u, v = params["carriers"]
-    rest = glo[:, 6:]
+    rest = glo[:, :, 6:]
     vel = ad.concat([
-        ad.broadcast_to(ad.reshape(u * (1.0 / N), (1, 3)), (N, 3)),
-        ad.broadcast_to(ad.reshape(v * (1.0 / N), (1, 3)), (N, 3)),
-        ad.concat([np.zeros((1, 3 * (J - 2))), rest[1:, :] - rest[:-1, :]],
-                  axis=0),
-    ], axis=1)                                  # (N, 3J)
+        _widen(u * (1.0 / N), (N, 3)),
+        _widen(v * (1.0 / N), (N, 3)),
+        ad.concat([np.zeros((P, 1, 3 * (J - 2))),
+                   rest[:, 1:, :] - rest[:, :-1, :]], axis=1),
+    ], axis=2)                                  # (P, N, 3J)
 
     rot = ad.concat([_root_rot6d(c, s, N),
-                     np.tile(IDENTITY_ROT6D, (N, J - 1))], axis=1)  # (N, 6J)
+                     np.tile(IDENTITY_ROT6D, (P, N, J - 1))], axis=2)
 
-    foot = ad.constant(_foot_contacts(spec, N))  # (N, 4)
-    return ad.concat([glo, vel, rot, foot], axis=1)
+    foot = np.broadcast_to(_foot_contacts(spec, N), (P, N, 4))
+    return ad.concat([glo, vel, rot, foot], axis=2)
 
 
-def build_pair_scripts(w1: ad.Var, w2: ad.Var, spec: LabelSpec,
-                       skeleton: Skeleton):
-    """Scripted clean estimate for both slots from world-space states."""
-    N = w1.shape[0]
-    p1 = extract_params(w1, skeleton, spec)
-    p2 = extract_params(w2, skeleton, spec)
-    s1 = build_person_script(p1, p2, spec, skeleton, N, role=0)
-    s2 = build_person_script(p2, p1, spec, skeleton, N, role=1)
-    return s1, s2
+def build_pair_scripts(w: ad.Var, spec: LabelSpec, skeleton: Skeleton):
+    """Scripted clean estimate of both persons from their stacked (2, N, D)
+    world-space states."""
+    return build_scripts(extract_params(w, skeleton, spec), spec, skeleton,
+                         w.shape[1])
 
 
 def build_pair_from_values(values1: dict, values2: dict, spec: LabelSpec,
                            skeleton: Skeleton, N: int):
     """Numpy script pair from explicit parameter values (corpus path)."""
-    p1 = params_from_values(spec, **values1)
-    p2 = params_from_values(spec, **values2)
-    s1 = build_person_script(p1, p2, spec, skeleton, N, role=0)
-    s2 = build_person_script(p2, p1, spec, skeleton, N, role=1)
-    return s1.value, s2.value
+    return tuple(build_scripts(params_from_values(spec, (values1, values2)),
+                               spec, skeleton, N).value)

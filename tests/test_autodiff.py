@@ -162,6 +162,41 @@ def test_hypothesis_tanh_chain_gradient(vals):
                    n_coords=len(vals), rtol=1e-4, h=1e-6)
 
 
+# ops that carry a leading person axis through the stacked pair state
+
+dims = st.integers(min_value=1, max_value=4)
+seeds = st.integers(min_value=0, max_value=2**16)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda P: st.permutations(range(P))), dims, dims, seeds)
+def test_hypothesis_take_leading_permutation_gradient(perm, n, k, seed):
+    P = len(perm)
+    w = ad.constant(rand((P, n, k), seed + 1))
+    check_gradient(lambda v: ad.sum_(ad.tanh(v[np.array(perm)]) * w),
+                   rand((P, n, k), seed), n_coords=P * n * k, rtol=1e-4,
+                   h=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims, dims, dims, seeds)
+def test_hypothesis_broadcast_person_rows_gradient(P, n, k, seed):
+    w = ad.constant(rand((P, n, k), seed + 1))
+    check_gradient(
+        lambda v: ad.sum_(ad.tanh(ad.broadcast_to(v, (P, n, k)) * w)),
+        rand((P, 1, k), seed), n_coords=P * k, rtol=1e-4, h=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims, dims, dims, st.integers(min_value=1, max_value=2), seeds)
+def test_hypothesis_sum_inner_axis_gradient(P, n, k, axis, seed):
+    w = ad.constant(rand((P, k) if axis == 1 else (P, n), seed + 1))
+    check_gradient(lambda v: ad.sum_(ad.sin(ad.sum_(v, axis=axis)) * w),
+                   rand((P, n, k), seed), n_coords=P * n * k, rtol=1e-4,
+                   h=1e-6)
+
+
 # -- Adam ------------------------------------------------------------------------
 
 

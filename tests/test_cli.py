@@ -244,6 +244,17 @@ def test_compose_penalty_frames_checked(tmp_path, capsys, scene_extra):
     assert_config_error_writes_nothing(tmp_path, capsys, "compose", cfg)
 
 
+@pytest.mark.parametrize("params", [
+    {"kind": "orientation", "subjects": [1], "frames": [11],
+     "params": {"targets": [0, 0]}},
+    {"kind": "region", "subjects": [2],
+     "params": {"lower": [-1, 0, 1], "upper": [1, 2, 0]}},
+], ids=["orientation-zero-target", "region-lower-above-upper"])
+def test_compose_penalty_bad_values(tmp_path, capsys, params):
+    cfg = compose_config(tmp_path, first_penalties=[params])
+    assert_config_error_writes_nothing(tmp_path, capsys, "compose", cfg)
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("optimizer", "grad_clip", 1.0),
     ("schedule", "eta", 0.0),

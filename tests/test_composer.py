@@ -277,9 +277,9 @@ class RecordingPrior:
         self.inner = inner
         self.labels = []
 
-    def predict(self, x1, x2, t, label):
+    def predict(self, x, t, label):
         self.labels.append(label.name)
-        return self.inner.predict(x1, x2, t, label)
+        return self.inner.predict(x, t, label)
 
 
 def test_extend_appends_frames_and_preserves_prefix(analytic_prior,

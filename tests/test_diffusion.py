@@ -196,6 +196,19 @@ def test_inpaint_rejects_full_mask(analytic_prior, small_schedule, skeleton):
                        FrameMask(12, 12), label_by_name("approach"), 0)
 
 
+@pytest.mark.parametrize("kept", [
+    [np.zeros((2, 8))],                       # one block for two persons
+    [np.zeros((2, 8)), np.zeros((3, 8))],     # block longer than kept
+], ids=["one-block", "wrong-length"])
+def test_inpaint_rejects_bad_kept_blocks(analytic_prior, small_schedule,
+                                         skeleton, kept):
+    kept = [np.zeros(k.shape[:1] + (skeleton.D,)) for k in kept]
+    with pytest.raises(ad.ShapeMismatchError, match="kept block"):
+        inpaint_extend(analytic_prior, small_schedule,
+                       (np.zeros((8, skeleton.D)),) * 2, kept,
+                       FrameMask(8, 2), label_by_name("approach"), 0)
+
+
 def test_inpaint_bad_mode(analytic_prior, small_schedule, skeleton):
     with pytest.raises(ValueError, match="mode"):
         inpaint_extend(analytic_prior, small_schedule,
@@ -209,3 +222,68 @@ def test_frame_mask_contract():
     assert np.array_equal(m.m, [1, 1, 0, 0, 0, 0])
     with pytest.raises(ValueError):
         FrameMask(4, 5)
+
+
+# -- the pair as one stacked state ------------------------------------------------
+
+
+PAIR_SAMPLERS = {
+    "ddim": lambda prior, sch, pair, kept, lab: ddim_sample(
+        prior, sch, pair, lab),
+    "inpaint-noised": lambda prior, sch, pair, kept, lab: inpaint_extend(
+        prior, sch, pair, kept, FrameMask(12, 4), lab, 3, mode="noised"),
+    "inpaint-literal": lambda prior, sch, pair, kept, lab: inpaint_extend(
+        prior, sch, pair, kept, FrameMask(12, 4), lab, 3, mode="literal"),
+}
+
+
+@pytest.mark.parametrize("name", PAIR_SAMPLERS)
+@pytest.mark.parametrize("label", ["circle-together", "follow"])
+def test_pair_as_tuple_or_stacked_var(name, label, analytic_prior,
+                                      small_schedule, skeleton):
+    """A (x1, x2) tuple and one stacked (2, N, D) Var give bit-identical
+    outputs and gradients."""
+    xT = noise((2, 12, skeleton.D), 30)
+    kept = [noise((4, skeleton.D), s) * 0.2 for s in (31, 32)]
+    lab = label_by_name(label)
+    results = []
+    for as_tuple in (False, True):
+        var = ad.Var(xT)
+        pair = (var[0], var[1]) if as_tuple else var
+        o1, o2 = PAIR_SAMPLERS[name](analytic_prior, small_schedule, pair,
+                                     kept, lab)
+        (g,) = ad.grad(ad.sum_(ad.tanh(o1 * o2)) + ad.sum_(o1), [var])
+        results.append((o1.value, o2.value, g))
+    for a, b in zip(*results):
+        assert np.array_equal(a, b), name
+
+
+def test_masked_target_as_var_or_stacked_row(analytic_prior, small_schedule,
+                                             skeleton):
+    """The target as its own Var or as row 0 of a stacked Var gives
+    bit-identical outputs and gradients."""
+    xT = noise((2, 12, skeleton.D), 33)
+    ref = noise((12, skeleton.D), 34) * 0.3
+    lab = label_by_name("face-and-talk")
+    v = ad.Var(xT[0])
+    out = masked_sample(analytic_prior, small_schedule, v, ref, lab, 5)
+    (g,) = ad.grad(ad.sum_(ad.tanh(out)), [v])
+    stacked = ad.Var(xT)
+    out_s = masked_sample(analytic_prior, small_schedule, stacked[0], ref,
+                          lab, 5)
+    (g_s,) = ad.grad(ad.sum_(ad.tanh(out_s)), [stacked])
+    assert np.array_equal(out.value, out_s.value)
+    assert np.array_equal(g, g_s[0])
+    assert not g_s[1].any()
+
+
+def test_step_noise_drawn_once_in_step_order():
+    """The samplers' per-step noise is one draw per step from the seed, in
+    ascending timestep order, cached and read-only."""
+    from groupmotion.diffusion import _step_noise
+    rng = np.random.default_rng(11)
+    want = [rng.standard_normal((2, 3, 4)) for _ in range(5)]
+    z = _step_noise(11, 5, (2, 3, 4))
+    assert np.array_equal(z, np.stack(want))
+    assert _step_noise(11, 5, (2, 3, 4)) is z
+    assert not z.flags.writeable

@@ -33,14 +33,13 @@ def test_conformance_shapes_and_determinism(analytic_prior, mlp_prior,
                                             skeleton):
     lab = label_by_name("approach")
     for name, prior in priors_under_test(analytic_prior, mlp_prior):
-        x1 = ad.constant(noise((10, skeleton.D), 1))
-        x2 = ad.constant(noise((10, skeleton.D), 2))
-        e1, e2 = prior.predict(x1, x2, 25, lab)
-        assert e1.shape == x1.shape and e2.shape == x2.shape, name
-        f1, f2 = prior.predict(x1, x2, 25, lab)
-        assert np.array_equal(e1.value, f1.value), name
-        assert np.array_equal(e2.value, f2.value), name
-        assert np.isfinite(e1.value).all() and np.isfinite(e2.value).all()
+        x = ad.constant(np.stack([noise((10, skeleton.D), 1),
+                                  noise((10, skeleton.D), 2)]))
+        e = prior.predict(x, 25, lab)
+        assert e.shape == x.shape, name
+        f = prior.predict(x, 25, lab)
+        assert np.array_equal(e.value, f.value), name
+        assert np.isfinite(e.value).all()
 
 
 def test_conformance_differentiable(analytic_prior, mlp_prior, skeleton):
@@ -48,8 +47,8 @@ def test_conformance_differentiable(analytic_prior, mlp_prior, skeleton):
     for name, prior in priors_under_test(analytic_prior, mlp_prior):
         x1 = ad.Var(noise((6, skeleton.D), 3))
         x2 = ad.constant(noise((6, skeleton.D), 4))
-        e1, e2 = prior.predict(x1, x2, 10, lab)
-        (g,) = ad.grad(ad.sum_(e1) + ad.sum_(e2), [x1])
+        e = prior.predict(ad.stack([x1, x2]), 10, lab)
+        (g,) = ad.grad(ad.sum_(e[0]) + ad.sum_(e[1]), [x1])
         assert np.isfinite(g).all() and np.abs(g).max() > 0, name
 
 
@@ -58,12 +57,12 @@ def test_conformance_symmetry_swap(analytic_prior, mlp_prior, skeleton):
     lab = label_by_name("approach")
     assert lab.spec.symmetric
     for name, prior in priors_under_test(analytic_prior, mlp_prior):
-        a = ad.constant(noise((8, skeleton.D), 5))
-        b = ad.constant(noise((8, skeleton.D), 6))
-        e1, e2 = prior.predict(a, b, 15, lab)
-        f2, f1 = prior.predict(b, a, 15, lab)
-        assert np.allclose(e1.value, f1.value, atol=1e-12), name
-        assert np.allclose(e2.value, f2.value, atol=1e-12), name
+        a = noise((8, skeleton.D), 5)
+        b = noise((8, skeleton.D), 6)
+        e1, e2 = prior.predict(ad.constant(np.stack([a, b])), 15, lab).value
+        f2, f1 = prior.predict(ad.constant(np.stack([b, a])), 15, lab).value
+        assert np.allclose(e1, f1, atol=1e-12), name
+        assert np.allclose(e2, f2, atol=1e-12), name
 
 
 # -- analytic prior ------------------------------------------------------------
@@ -72,16 +71,17 @@ def test_conformance_symmetry_swap(analytic_prior, mlp_prior, skeleton):
 def test_analytic_implied_x0_equals_clean_estimate(analytic_prior, skeleton,
                                                    small_schedule):
     lab = label_by_name("approach")
-    x1 = ad.constant(noise((10, skeleton.D), 7))
-    x2 = ad.constant(noise((10, skeleton.D), 8))
+    x = ad.constant(np.stack([noise((10, skeleton.D), 7),
+                              noise((10, skeleton.D), 8)]))
+    x1, x2 = x.value
     for t in (5, 25, 50):
-        e1, e2 = analytic_prior.predict(x1, x2, t, lab)
-        mu1, mu2 = analytic_prior.clean_estimate(x1, x2, lab)
+        e1, e2 = analytic_prior.predict(x, t, lab).value
+        mu1, mu2 = analytic_prior.clean_estimate(x, lab).value
         ab = small_schedule.alpha_bar(t)
-        x0_1 = (x1.value - np.sqrt(1 - ab) * e1.value) / np.sqrt(ab)
-        x0_2 = (x2.value - np.sqrt(1 - ab) * e2.value) / np.sqrt(ab)
-        assert np.allclose(x0_1, mu1.value, atol=1e-9)
-        assert np.allclose(x0_2, mu2.value, atol=1e-9)
+        x0_1 = (x1 - np.sqrt(1 - ab) * e1) / np.sqrt(ab)
+        x0_2 = (x2 - np.sqrt(1 - ab) * e2) / np.sqrt(ab)
+        assert np.allclose(x0_1, mu1, atol=1e-9)
+        assert np.allclose(x0_2, mu2, atol=1e-9)
 
 
 def test_analytic_manifold_fixed_point(analytic_prior, skeleton, stats,
@@ -93,19 +93,19 @@ def test_analytic_manifold_fixed_point(analytic_prior, skeleton, stats,
         {"anchor": np.array([0.0, ROOT_HEIGHT, 0.0]), "drift": (0.1, -0.05)},
         {"anchor": np.array([2.0, ROOT_HEIGHT, 1.0]), "speed": 1.1},
         lab.spec, skeleton, 12)
-    x1 = ad.constant(normalize(f1, stats))
-    x2 = ad.constant(normalize(f2, stats))
-    mu1, mu2 = analytic_prior.clean_estimate(x1, x2, lab)
-    assert np.abs(mu1.value - x1.value).max() < 1e-9
-    assert np.abs(mu2.value - x2.value).max() < 1e-9
+    x1, x2 = normalize(f1, stats), normalize(f2, stats)
+    mu1, mu2 = analytic_prior.clean_estimate(
+        ad.constant(np.stack([x1, x2])), lab).value
+    assert np.abs(mu1 - x1).max() < 1e-9
+    assert np.abs(mu2 - x2).max() < 1e-9
 
 
 def test_analytic_unknown_label_rejected(analytic_prior, skeleton):
     from groupmotion.scripts import InteractionLabel, LabelSpec
     bad = InteractionLabel(0, (LabelSpec("weird", "spiral"),))
-    x = ad.constant(noise((6, skeleton.D), 9))
+    x = noise((6, skeleton.D), 9)
     with pytest.raises(ValueError, match="spiral"):
-        analytic_prior.predict(x, x, 10, bad)
+        analytic_prior.predict(ad.constant(np.stack([x, x])), 10, bad)
 
 
 def test_analytic_gradient_matches_fd(analytic_prior, skeleton):
@@ -113,8 +113,8 @@ def test_analytic_gradient_matches_fd(analytic_prior, skeleton):
     other = ad.constant(noise((6, skeleton.D), 10))
 
     def loss(v):
-        e1, e2 = analytic_prior.predict(v, other, 20, lab)
-        return ad.sum_(ad.tanh(e1 * 0.1)) + ad.sum_(ad.tanh(e2 * 0.1))
+        e = analytic_prior.predict(ad.stack([v, other]), 20, lab)
+        return ad.sum_(ad.tanh(e[0] * 0.1)) + ad.sum_(ad.tanh(e[1] * 0.1))
 
     check_gradient(loss, noise((6, skeleton.D), 11), n_coords=10, rtol=1e-4)
 

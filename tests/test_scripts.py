@@ -50,27 +50,27 @@ def test_script_shapes_and_finiteness(name, skeleton):
 def test_script_is_fixed_point_of_extraction(name, skeleton):
     """Rebuilding from extracted parameters reproduces the script."""
     (f1, f2), _, spec = scripted_pair(name, skeleton, seed=3)
-    s1, s2 = sc.build_pair_scripts(ad.constant(f1), ad.constant(f2),
-                                   spec, skeleton)
-    assert np.allclose(s1.value, f1, atol=1e-9)
-    assert np.allclose(s2.value, f2, atol=1e-9)
+    s1, s2 = sc.build_pair_scripts(ad.constant(np.stack([f1, f2])),
+                                   spec, skeleton).value
+    assert np.allclose(s1, f1, atol=1e-9)
+    assert np.allclose(s2, f2, atol=1e-9)
 
 
 def test_extraction_recovers_generating_values(skeleton):
     (f1, _), (v1, _), spec = scripted_pair("approach", skeleton, seed=4)
-    p = sc.extract_params(ad.constant(f1), skeleton, spec)
-    assert abs(float(p["drift"][0].value) - v1["drift"][0]) < 1e-9
-    assert abs(float(p["drift"][1].value) - v1["drift"][1]) < 1e-9
-    assert abs(float(p["speed"].value) - v1["speed"]) < 1e-9
-    assert abs(float(p["psi"].value) - v1["psi"]) < 1e-9
+    p = sc.extract_params(ad.constant(f1[None]), skeleton, spec)
+    assert abs(float(p["drift"][0].value[0]) - v1["drift"][0]) < 1e-9
+    assert abs(float(p["drift"][1].value[0]) - v1["drift"][1]) < 1e-9
+    assert abs(float(p["speed"].value[0]) - v1["speed"]) < 1e-9
+    assert abs(float(p["psi"].value[0]) - v1["psi"]) < 1e-9
 
 
 def test_anchor_extraction_pins_height(skeleton):
     (f1, _), (v1, _), spec = scripted_pair("approach", skeleton, seed=5)
     w = f1.copy()
     w[0, 1] = 7.5  # corrupt frame-0 root height
-    p = sc.extract_params(ad.constant(w), skeleton, spec)
-    anchor = p["anchor"].value
+    p = sc.extract_params(ad.constant(w[None]), skeleton, spec)
+    anchor = p["anchor"].value[0]
     assert np.allclose(anchor[[0, 2]], v1["anchor"][[0, 2]])
     assert anchor[1] == sc.ROOT_HEIGHT
 
@@ -126,12 +126,12 @@ def test_follow_is_asymmetric(skeleton):
 
 def test_symmetric_label_swap(skeleton):
     (f1, f2), _, spec = scripted_pair("approach", skeleton, seed=11)
-    s1, s2 = sc.build_pair_scripts(ad.constant(f1), ad.constant(f2),
-                                   spec, skeleton)
-    t2, t1 = sc.build_pair_scripts(ad.constant(f2), ad.constant(f1),
-                                   spec, skeleton)
-    assert np.allclose(s1.value, t1.value, atol=1e-12)
-    assert np.allclose(s2.value, t2.value, atol=1e-12)
+    s1, s2 = sc.build_pair_scripts(ad.constant(np.stack([f1, f2])),
+                                   spec, skeleton).value
+    t2, t1 = sc.build_pair_scripts(ad.constant(np.stack([f2, f1])),
+                                   spec, skeleton).value
+    assert np.allclose(s1, t1, atol=1e-12)
+    assert np.allclose(s2, t2, atol=1e-12)
 
 
 def test_script_gradient_matches_finite_differences(skeleton):
@@ -139,8 +139,8 @@ def test_script_gradient_matches_finite_differences(skeleton):
     w2 = ad.constant(f2)
 
     def loss(v):
-        s1, s2 = sc.build_pair_scripts(v, w2, spec, skeleton)
-        return ad.sum_(s1 * s1) + ad.sum_(ad.tanh(s2))
+        s = sc.build_pair_scripts(ad.stack([v, w2]), spec, skeleton)
+        return ad.sum_(s[0] * s[0]) + ad.sum_(ad.tanh(s[1]))
 
     x = f1 + 0.01 * np.random.default_rng(13).standard_normal(f1.shape)
     check_gradient(loss, x, n_coords=10, rtol=1e-4, h=1e-6)
@@ -155,18 +155,19 @@ def test_carriers_reencoded_in_velocity_channels(skeleton):
     rng = np.random.default_rng(15)
     w[:, vb:vb + 6] += rng.standard_normal((w.shape[0], 6)) * 0.01
     u_in = w[:, vb:vb + 3].sum(axis=0)
-    p = sc.extract_params(ad.constant(w), skeleton, spec)
-    s = sc.build_person_script(p, p, spec, skeleton, w.shape[0], role=0)
-    u_out = s.value[:, vb:vb + 3].sum(axis=0)
+    # a pair of two identical persons: each is its own partner
+    p = sc.extract_params(ad.constant(np.stack([w, w])), skeleton, spec)
+    s = sc.build_scripts(p, spec, skeleton, w.shape[0])
+    u_out = s.value[0, :, vb:vb + 3].sum(axis=0)
     assert np.allclose(u_out, u_in, atol=1e-9)
 
 
-def loop_oracle_script(params, other_params, spec, skeleton, N, role):
-    """build_person_script rebuilt joint by joint in plain numpy from the
-    root curve and the gesture offsets."""
-    root, heading = sc._root_curve(params, other_params, spec, N, role)
-    root = root.value
-    c, s = np.cos(heading.value), np.sin(heading.value)
+def loop_oracle_script(params, row, spec, skeleton, N):
+    """Row `row` of build_scripts rebuilt joint by joint in plain numpy from
+    the stacked root curve and the gesture offsets."""
+    root, heading = sc._root_curve(params, spec, N)
+    root = root.value[row]
+    c, s = np.cos(heading.value)[row], np.sin(heading.value)[row]
     offsets = sc._gesture_offsets(spec, N)
     joints = [root]
     for name in skeleton.joint_names[1:]:
@@ -174,9 +175,9 @@ def loop_oracle_script(params, other_params, spec, skeleton, N, role):
         rotated = np.stack([o[:, 0] * s + o[:, 2] * c, o[:, 1],
                             o[:, 0] * (-1.0 * c) + o[:, 2] * s], axis=1)
         planted = spec.stationary and name in ("l_foot", "r_foot")
-        base = params["anchor"].value if planted else root
+        base = params["anchor"].value[row] if planted else root
         joints.append(base + rotated)
-    u, v = (x.value for x in params["carriers"])
+    u, v = (x.value[row] for x in params["carriers"])
     vel = [np.tile(u * (1.0 / N), (N, 1)), np.tile(v * (1.0 / N), (N, 1))]
     for p in joints[2:]:
         vel.append(np.concatenate([np.zeros((1, 3)), p[1:] - p[:-1]]))
@@ -189,16 +190,16 @@ def loop_oracle_script(params, other_params, spec, skeleton, N, role):
 
 @pytest.mark.parametrize("name", [s.name for s in sc.default_vocabulary()])
 def test_script_matches_per_joint_loop_oracle(name, skeleton):
-    """The whole-skeleton builder is bit-identical to the per-joint loop,
-    for both roles and for the planted feet of stationary labels."""
+    """The stacked whole-skeleton builder is bit-identical to the per-joint
+    loop, for both rows (leader and follower of `follow`) and for the
+    planted feet of stationary labels."""
     spec = sc.label_by_name(name).spec
     N = 20
     rng = np.random.default_rng(16)
-    w1, w2 = (rng.standard_normal((N, skeleton.D)) for _ in range(2))
-    w2[0, :3] += [2.0, 0.0, 0.5]
-    p1 = sc.extract_params(ad.constant(w1), skeleton, spec)
-    p2 = sc.extract_params(ad.constant(w2), skeleton, spec)
-    for role, (p, q) in enumerate(((p1, p2), (p2, p1))):
-        got = sc.build_person_script(p, q, spec, skeleton, N, role).value
-        want = loop_oracle_script(p, q, spec, skeleton, N, role)
-        assert np.array_equal(got, want), (name, role)
+    w = rng.standard_normal((2, N, skeleton.D))
+    w[1, 0, :3] += [2.0, 0.0, 0.5]
+    p = sc.extract_params(ad.constant(w), skeleton, spec)
+    got = sc.build_scripts(p, spec, skeleton, N).value
+    for row in (0, 1):
+        want = loop_oracle_script(p, row, spec, skeleton, N)
+        assert np.array_equal(got[row], want), (name, row)

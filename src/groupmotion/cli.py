@@ -33,6 +33,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 PRIOR_KEYS = ("kind", "weights", "n_labels", "hidden")
+SCENE_KEYS = ("participants", "first_label", "first_penalties", "steps",
+              "extension", "n_frames")
+STEP_KEYS = ("target", "reference", "label", "opt_subset", "penalties")
+SEGMENT_KEYS = ("window", "kept", "pairs", "penalties", "boundary_frames",
+                "boundary_weight", "mode")
 
 
 class ConfigError(ValueError):
@@ -60,6 +65,13 @@ def _require(cfg: dict, key: str, ctx: str = "config"):
     if key not in cfg:
         raise ConfigError(f"{ctx}: missing required field {key!r}")
     return cfg[key]
+
+
+def _check_keys(cfg, keys, ctx: str) -> None:
+    """Reject a section that is not an object or holds an unknown key."""
+    if not isinstance(cfg, dict) or set(cfg) - set(keys):
+        raise ConfigError(f"{ctx}: accepted keys are {list(keys)}, "
+                          f"got {cfg!r}")
 
 
 def _prepare_out(out, overwrite: bool) -> str:
@@ -121,6 +133,7 @@ def _segments_from(scene: dict) -> tuple:
     segments = []
     for i, s in enumerate(scene.get("extension", ())):
         ctx = f"scene.extension[{i}]"
+        _check_keys(s, SEGMENT_KEYS, ctx)
         pairs = tuple((a, b, _label_from(name, ctx))
                       for a, b, name in _require(s, "pairs", ctx))
         segments.append(ExtensionSegment(
@@ -134,9 +147,11 @@ def _segments_from(scene: dict) -> tuple:
 
 def _scene_from(cfg: dict, seed: int) -> SceneSpec:
     scene = _require(cfg, "scene")
+    _check_keys(scene, SCENE_KEYS, "scene")
     participants = tuple(_require(scene, "participants", "scene"))
     steps = []
     for i, s in enumerate(scene.get("steps", ())):
+        _check_keys(s, STEP_KEYS, f"scene.steps[{i}]")
         steps.append(SceneStep(
             target=_require(s, "target", f"scene.steps[{i}]"),
             reference=_require(s, "reference", f"scene.steps[{i}]"),
@@ -160,9 +175,7 @@ def _scene_from(cfg: dict, seed: int) -> SceneSpec:
 
 def _prior_from(cfg: dict, schedule, stats, skeleton):
     prior_cfg = cfg.get("prior", {"kind": "analytic"})
-    if not isinstance(prior_cfg, dict) or set(prior_cfg) - set(PRIOR_KEYS):
-        raise ConfigError(f"prior: accepted keys are {list(PRIOR_KEYS)}, "
-                          f"got {prior_cfg!r}")
+    _check_keys(prior_cfg, PRIOR_KEYS, "prior")
     kind = prior_cfg.get("kind", "analytic")
     if kind == "analytic":
         return AnalyticPrior(schedule, stats, skeleton)
@@ -366,7 +379,9 @@ def cmd_extend(args) -> int:
     composer = _composer_from(cfg)
     runs = _load_runs(results_dir, composer.skeleton)
     try:
-        segments = _segments_from(_require(cfg, "scene"))
+        scene = _require(cfg, "scene")
+        _check_keys(scene, SCENE_KEYS, "scene")
+        segments = _segments_from(scene)
         for _, _, seqs in runs:
             check_segments(segments, seqs)
     except (TypeError, ValueError) as e:

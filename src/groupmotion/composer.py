@@ -2,9 +2,9 @@
 
 Pipeline, per scene:
 
-1. first pair: joint sample, then per-person noise refinement against the
-   partner's original motion, then joint regeneration from both refined
-   noises;
+1. first pair: optimize both persons' initial noise jointly, as one
+   stacked (2, N, D) state, through the unrolled DDIM sampler against the
+   first-pair penalties, then sample the pair from the best iterate;
 2. each additional person: optimize its initial noise so the masked
    conditional sample (reference slot pinned) minimizes the configured
    penalties against the chosen set of already-generated persons;
@@ -122,6 +122,9 @@ def check_segments(segments, persons) -> None:
     persons of every pair and fitting the window, and a seam window of at
     least 3 frames inside the window."""
     for si, seg in enumerate(segments):
+        if seg.mode not in ("noised", "literal"):
+            raise ValueError(f"extension segment {si}: unknown mode "
+                             f"{seg.mode!r}")
         if seg.kept < 1:
             raise ValueError(f"extension segment {si}: kept must be >= 1")
         if seg.window <= seg.kept:

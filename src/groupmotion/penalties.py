@@ -146,7 +146,13 @@ def boundary_penalty(frames, window_start: int, window_len: int,
 # -- configuration & aggregation ----------------------------------------------
 
 
-KINDS = ("overlap", "root", "region", "orientation", "relative", "boundary")
+# the params each kind reads; any other key is rejected
+PARAMS = {"overlap": ("delta",), "root": ("targets", "delta"),
+          "region": ("lower", "upper", "joints"),
+          "orientation": ("targets", "delta"), "relative": ("d_min", "d_max"),
+          "boundary": ("window_start", "window_len")}
+KINDS = tuple(PARAMS)
+JSON_KEYS = ("kind", "weight", "subjects", "frames", "params")
 REQUIRED_PARAMS = {"root": ("targets",), "orientation": ("targets",),
                    "region": ("lower", "upper"), "relative": ("d_min", "d_max")}
 TARGET_WIDTH = {"root": 3, "orientation": 2}   # values per target frame
@@ -165,6 +171,12 @@ class PenaltyConfig:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.weight < 0:
             raise ValueError("penalty weight must be >= 0")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"{self.kind} penalty params must be an object")
+        unknown = sorted(set(self.params) - set(PARAMS[self.kind]))
+        if unknown:
+            raise ValueError(f"{self.kind} penalty params {unknown} unknown; "
+                             f"accepted are {list(PARAMS[self.kind])}")
         missing = [k for k in REQUIRED_PARAMS.get(self.kind, ())
                    if k not in self.params]
         if missing:
@@ -199,6 +211,9 @@ class PenaltyConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "PenaltyConfig":
+        if not isinstance(d, dict) or set(d) - set(JSON_KEYS):
+            raise ValueError(f"penalty accepted keys are {list(JSON_KEYS)}, "
+                             f"got {d!r}")
         frames = d.get("frames")
         return cls(kind=d["kind"], weight=d.get("weight", 1.0),
                    subjects=tuple(d.get("subjects", ())),

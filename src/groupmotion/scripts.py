@@ -16,19 +16,21 @@ on scripted motion and smooth everywhere else. Velocity channels of clean
 final outputs are rewritten to finite differences afterwards, so carriers
 never leak into delivered motion files.
 
-Everything is built from autodiff ops; gradients flow from any scripted
-coordinate back to the raw state.
+The builder runs in numpy. `build_pair_scripts` records one tape node per
+call, whose hand-written backward pass maps the adjoint of the scripted
+frames back to the raw state, so gradients flow from any scripted
+coordinate to the state at the cost of a few reductions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from functools import lru_cache
 
 import numpy as np
 
 from . import autodiff as ad
-from .motion import Skeleton, glo_slice, vel_slice
+from .motion import Skeleton, foot_slice, glo_slice, rot_slice, vel_slice
 
 GROUND_FOOT_Y = 0.02
 ROOT_HEIGHT = 0.88
@@ -122,52 +124,53 @@ def label_by_name(name: str, vocabulary=None) -> InteractionLabel:
     raise KeyError(f"unknown interaction label {name!r}")
 
 
-# -- parameter extraction ----------------------------------------------------
+# -- the builder ----------------------------------------------------------------
+# Three numpy stages: extraction, the root curve and the pose assembly. Each
+# returns its values and a vector-Jacobian function (vjp); the one tape node
+# of build_pair_scripts chains the three in reverse. Param adjoints travel
+# as one dict with the keys of the params.
 
 # per-person values indexed by _SWAP give each person its partner's values
 _SWAP = np.array([1, 0])
 
 
-def _widen(x: ad.Var, shape: tuple) -> ad.Var:
-    """Per-person values (P, *tail) broadcast to (P, *shape), where `shape`
-    ends in tail, by an explicit reshape and broadcast_to: the tape
-    broadcasts scalars only."""
-    mid = (1,) * (len(shape) + 1 - x.ndim)
-    return ad.broadcast_to(ad.reshape(x, x.shape[:1] + mid + x.shape[1:]),
-                           x.shape[:1] + shape)
-
-
-def extract_params(w, skeleton: Skeleton, spec: LabelSpec) -> dict:
-    """Read script parameters from stacked world-space states, a (P, N, D)
-    Var; every parameter keeps the leading person axis.
+def _extract(w: np.ndarray, skeleton: Skeleton, spec: LabelSpec):
+    """Script parameters of stacked (P, N, D) world-space states, each with
+    the leading person axis, and the vjp from their adjoints to the states'.
 
     Anchors come straight from the frame-0 root position; the soft
     parameters come from per-channel frame sums of the root and spine
     velocity channels, squashed through tanh to their label bounds.
     """
-    J = skeleton.J
-    vb = vel_slice(J).start
-    g0 = glo_slice(J).start
+    P, vb, g0 = w.shape[0], vel_slice(skeleton.J).start, glo_slice(skeleton.J).start
     # anchor height is pinned: the family lives on the ground plane, so a
     # noisy y at frame 0 must decay instead of passing through as a fixed
     # point of the denoiser
-    anchor = ad.stack([w[:, 0, g0], np.full(w.shape[0], ROOT_HEIGHT),
-                       w[:, 0, g0 + 2]], axis=1)
-    u = ad.sum_(w[:, :, vb:vb + 3], axis=1)       # root velocity carriers
-    v = ad.sum_(w[:, :, vb + 3:vb + 6], axis=1)   # spine velocity carriers
-    drift_x = spec.drift_max * ad.tanh(spec.drift_gain * u[:, 0])
-    drift_z = spec.drift_max * ad.tanh(spec.drift_gain * u[:, 2])
-    speed = ad.exp(spec.speed_log_max * ad.tanh(u[:, 1]))
-    psi = spec.heading_max * ad.tanh(spec.heading_gain * v[:, 0])
-    return {
-        "anchor": anchor,
-        "drift": (drift_x, drift_z),
-        "speed": speed,
-        "psi": psi,
-        # raw carrier sums, re-encoded by the builder so extraction is
-        # exact on scripted motion
-        "carriers": (u, v),
-    }
+    anchor = np.stack([w[:, 0, g0], np.full(P, ROOT_HEIGHT), w[:, 0, g0 + 2]],
+                      axis=1)
+    # raw carrier sums of the root and spine velocity channels, re-encoded
+    # by the builder so extraction is exact on scripted motion
+    u = np.sum(w[:, :, vb:vb + 3], axis=1)
+    v = np.sum(w[:, :, vb + 3:vb + 6], axis=1)
+    tx, tz = np.tanh(spec.drift_gain * u[:, 0]), np.tanh(spec.drift_gain * u[:, 2])
+    ts, tp = np.tanh(u[:, 1]), np.tanh(spec.heading_gain * v[:, 0])
+    p = {"anchor": anchor, "u": u, "v": v,
+         "drift": np.stack([spec.drift_max * tx, np.zeros(P),
+                            spec.drift_max * tz], axis=1),
+         "speed": np.exp(spec.speed_log_max * ts), "psi": spec.heading_max * tp}
+
+    def vjp(g):
+        gu, gv, gain = g["u"], g["v"], spec.drift_max * spec.drift_gain
+        gu[:, 0] += g["drift"][:, 0] * gain * (1.0 - tx * tx)
+        gu[:, 2] += g["drift"][:, 2] * gain * (1.0 - tz * tz)
+        gu[:, 1] += g["speed"] * p["speed"] * spec.speed_log_max * (1.0 - ts * ts)
+        gv[:, 0] += g["psi"] * spec.heading_max * spec.heading_gain * (1.0 - tp * tp)
+        gw = np.zeros(w.shape)
+        gw[:, 0, [g0, g0 + 2]] = g["anchor"][:, [0, 2]]
+        gw[:, :, vb:vb + 6] = np.concatenate([gu, gv], axis=1)[:, None, :]
+        return gw
+
+    return p, vjp
 
 
 def _inv_squash(value, bound: float, gain: float = 1.0):
@@ -179,141 +182,192 @@ def params_from_values(spec: LabelSpec, values) -> dict:
     """Stack plain numbers (corpus ground truth), one dict of `anchor`,
     `drift`, `speed`, `psi` and `phase` per person, into params. Carriers
     are set to the inverse of the extraction squashing, so the built script
-    is an exact fixed point of extract_params; no script reads the phase."""
+    is an exact fixed point of extraction; no script reads the phase."""
     rows = [dict({"drift": (0.0, 0.0), "speed": 1.0, "psi": 0.0,
                   "phase": 0.0}, **v) for v in values]
     anchor, drift, speed, psi, phase = (
         np.array([np.asarray(r[k], dtype=np.float64) for r in rows])
         for k in ("anchor", "drift", "speed", "psi", "phase"))
+    zeros = np.zeros(len(rows))
     u = np.stack([_inv_squash(drift[:, 0], spec.drift_max, spec.drift_gain),
                   _inv_squash(np.log(speed), spec.speed_log_max),
                   _inv_squash(drift[:, 1], spec.drift_max, spec.drift_gain)],
                  axis=1)
-    v = np.stack([_inv_squash(psi, spec.heading_max, spec.heading_gain),
-                  np.zeros(len(rows)),
+    v = np.stack([_inv_squash(psi, spec.heading_max, spec.heading_gain), zeros,
                   _inv_squash(phase, np.pi, spec.heading_gain)], axis=1)
-    c = ad.constant
-    return {"anchor": c(anchor), "drift": (c(drift[:, 0]), c(drift[:, 1])),
-            "speed": c(speed), "psi": c(psi), "carriers": (c(u), c(v))}
+    return {"anchor": anchor, "speed": speed, "psi": psi, "u": u, "v": v,
+            "drift": np.stack([drift[:, 0], zeros, drift[:, 1]], axis=1)}
 
 
-# -- small geometry helpers on Vars ------------------------------------------
-
-
-def _ease(N: int) -> np.ndarray:
-    """Smoothstep ramp 0 -> 1 with zero end-point slope."""
+@lru_cache(maxsize=32)
+def _constants(spec: LabelSpec, skeleton: Skeleton, N: int) -> dict:
+    """Read-only script constants of (spec, N), built on first use: the
+    `ease` ramp, the root `sway`, the non-root joints' local offsets as
+    (N, J-1) blocks `ox`, `oy` and `oz`, their `planted` mask and the
+    (N, 4) `foot` contacts."""
     s = np.linspace(0.0, 1.0, N)
-    return 3.0 * s**2 - 2.0 * s**3
-
-
-def _ramp_times_vec3(ramp: np.ndarray, vec) -> ad.Var:
-    """(N,) numpy ramp x (P, 3) Var -> (P, N, 3) Var."""
-    r = ad.constant(np.broadcast_to(ramp[:, None], (vec.shape[0],) +
-                                    (ramp.shape[0], 3)))
-    return r * _widen(vec, (ramp.shape[0], 3))
-
-
-def _heading_of(delta: ad.Var) -> ad.Var:
-    """atan2 heading of ground-plane displacements (P, 3), smooth at 0."""
-    return ad.atan2(delta[:, 2], delta[:, 0] + 1e-9)
-
-
-def _rotate_offsets(offsets: np.ndarray, c: ad.Var, s: ad.Var) -> ad.Var:
-    """Rotate (N, K, 3) local offsets about +y by each person's heading t,
-    whose cos and sin are the (P,) c and s: forward = (c, 0, s),
-    left = (s, 0, -c). Returns (P, N, K, 3)."""
-    local = offsets.shape[:-1]
-    ox, oy, oz = (np.broadcast_to(offsets[..., i], c.shape + local)
-                  for i in range(3))
-    ox, oz = ad.constant(ox), ad.constant(oz)
-    # one widening per product: each reduces its own gradient, as the
-    # single-person scalar products did
-    wx = ox * _widen(s, local) + oz * _widen(c, local)
-    wz = ox * _widen(-1.0 * c, local) + oz * _widen(s, local)
-    return ad.stack([wx, oy, wz], axis=-1)
-
-
-def _root_rot6d(c: ad.Var, s: ad.Var, N: int) -> ad.Var:
-    """(P, N, 6) root rotations whose forward axes are (c, 0, s)."""
-    ones, zeros = np.ones(c.shape + (N,)), np.zeros(c.shape + (N,))
-    s, c = _widen(s, (N,)), _widen(c, (N,))
-    return ad.stack([s, zeros, -1.0 * c, zeros, ones, zeros], axis=2)
+    # smoothstep ease with zero end-point slope; circular sway through the
+    # anchor with constant-magnitude acceleration and zero offset at frame 0
+    # so the anchor stays extractable
+    phase = np.linspace(0, 2 * np.pi * spec.sway_cycles, N)
+    k = {"ease": 3.0 * s**2 - 2.0 * s**3, "sway": np.zeros((N, 3))}
+    k["sway"][:, 0] = spec.sway_amp * np.sin(phase)
+    k["sway"][:, 2] = spec.sway_amp * (1.0 - np.cos(phase))
+    off = {name: np.tile(np.asarray(o, dtype=np.float64), (N, 1))
+           for name, o in _BASE_OFFSETS.items()}
+    t = np.linspace(0.0, 2 * np.pi * spec.gesture_cycles, N)
+    for name, shift in (("l_hand", 0.0), ("r_hand", np.pi)):
+        off[name][:, 1] += spec.gesture_amp * np.sin(t + shift)
+        off[name][:, 2] += 0.5 * spec.gesture_amp * np.cos(t + shift)
+        off[name][:, 1] += 0.45 if spec.kind == "pose" else 0.0
+    names = skeleton.joint_names[1:]
+    for i, axis in enumerate(("ox", "oy", "oz")):
+        k[axis] = np.stack([off[name][:, i] for name in names], axis=1)
+    # stationary labels keep feet planted at the anchor, out of reach of
+    # root sway and drift; walkers get an alternating square-ish gait
+    k["planted"] = np.array([spec.stationary and name in ("l_foot", "r_foot")
+                             for name in names])
+    t = np.linspace(0.0, 2 * np.pi * 2.0, N)
+    left, right = (np.sin(t) > -0.2) * 1.0, (np.sin(t + np.pi) > -0.2) * 1.0
+    k["foot"] = np.ones((N, 4)) if spec.stationary else \
+        np.stack([left, left, right, right], axis=1)
+    for a in k.values():
+        a.flags.writeable = False
+    return k
 
 
 # -- root curve per label kind ------------------------------------------------
 # Each returns the (P, N, 3) root path and the (P,) heading of both persons
-# of a pair; partner values come from indexing by _SWAP.
+# of a pair, and a vjp(g_base, g_heading, g) that adds to the param
+# adjoints in g; partner values come from indexing by _SWAP.
 
 
-def _approach_root(params, spec: LabelSpec, N: int):
-    a = params["anchor"]
-    mid = (a + a[_SWAP]) * 0.5
-    to_mid = mid - a
-    dist = ad.norm(to_mid, axis=1, eps=1e-6)
-    unit = to_mid / _widen(dist, (3,))
+def _heading(d: np.ndarray):
+    """atan2 heading of ground-plane displacements (P, 3), smooth at 0, and
+    its vjp to the displacements."""
+    y, x = d[:, 2], d[:, 0] + 1e-9
+
+    def vjp(g):
+        k = g / (y * y + x * x)
+        return np.stack([-k * y, np.zeros_like(k), k * x], axis=1)
+
+    return np.arctan2(y, x), vjp
+
+
+def _approach_root(p, spec: LabelSpec, k: dict):
+    a, speed, ease = p["anchor"], p["speed"], k["ease"]
+    to_mid = (a + a[_SWAP]) * 0.5 - a
+    dist = np.sqrt(np.sum(to_mid * to_mid, axis=1) + 1e-6 * 1e-6)
+    inv = 1.0 / dist
+    unit = to_mid * inv[:, None]
     # walked distance: a smooth min(dist - gap / 2, walk_span), times speed
-    walk = spec.walk_span * ad.tanh(ad.relu(dist - 0.5 * spec.gap) * (
-        1.0 / spec.walk_span)) * params["speed"]
-    target_step = _ramp_times_vec3(_ease(N), unit * _widen(walk, (3,)))
-    base = _widen(a, (N, 3)) + target_step
-    heading = _heading_of(to_mid) + spec.heading_weight * params["psi"]
-    return base, heading
+    over = dist - 0.5 * spec.gap
+    th = np.tanh(np.where(over > 0.0, over, 0.0) * (1.0 / spec.walk_span))
+    walk = spec.walk_span * th * speed
+    base = a[:, None, :] + ease[:, None] * (unit * walk[:, None])[:, None, :]
+    head, head_vjp = _heading(to_mid)
+
+    def vjp(gb, gh, g):
+        gstep = np.tensordot(ease, gb, axes=(0, 1))
+        gunit, gwalk = gstep * walk[:, None], np.sum(gstep * unit, axis=1)
+        g["speed"] += gwalk * spec.walk_span * th
+        g["psi"] += spec.heading_weight * gh
+        gdist = gwalk * speed * (1.0 - th * th) * (over > 0.0) - \
+            np.sum(gunit * to_mid, axis=1) * inv * inv
+        gmid = gunit * inv[:, None] + (gdist * inv)[:, None] * to_mid + \
+            head_vjp(gh)
+        g["anchor"] += np.sum(gb, axis=1) + 0.5 * (gmid[_SWAP] - gmid)
+
+    return base, head + spec.heading_weight * p["psi"], vjp
 
 
-def _circle_root(params, spec: LabelSpec, N: int):
-    a = params["anchor"]
-    P = a.shape[0]
+def _circle_root(p, spec: LabelSpec, k: dict):
+    a, speed, P = p["anchor"], p["speed"], p["anchor"].shape[0]
     center = (a + a[_SWAP]) * 0.5
     rel = a - center
-    radius = ad.norm(ad.stack([rel[:, 0], np.zeros(P), rel[:, 2]], axis=1),
-                     axis=1, eps=1e-3) + 0.3
-    alpha0 = ad.atan2(rel[:, 2], rel[:, 0] + 1e-9)
-    sweep = spec.circle_sweep
-    alpha = _widen(alpha0, (N,)) + \
-        ad.constant(np.broadcast_to(_ease(N) * sweep, (P, N))) * \
-        _widen(params["speed"], (N,))
-    radius = _widen(radius, (N,))
-    cx = _widen(center[:, 0], (N,)) + radius * ad.cos(alpha)
-    cz = _widen(center[:, 2], (N,)) + radius * ad.sin(alpha)
-    cy = _widen(a[:, 1], (N,))
-    base = ad.stack([cx, cy, cz], axis=2)
+    flat = np.stack([rel[:, 0], np.zeros(P), rel[:, 2]], axis=1)
+    r0 = np.sqrt(np.sum(flat * flat, axis=1) + 1e-3 * 1e-3)
+    radius = r0 + 0.3
+    alpha0, alpha0_vjp = _heading(rel)
+    sweep = k["ease"] * spec.circle_sweep
+    alpha = alpha0[:, None] + sweep * speed[:, None]
+    cos, sin = np.cos(alpha), np.sin(alpha)
+    base = np.stack([center[:, 0:1] + radius[:, None] * cos,
+                     np.broadcast_to(a[:, 1:2], cos.shape),
+                     center[:, 2:3] + radius[:, None] * sin], axis=2)
     # tangent heading plus user offset
-    heading = alpha0 + 0.5 * sweep + np.pi / 2.0 + spec.heading_weight * params["psi"]
-    return base, heading
+    heading = alpha0 + 0.5 * spec.circle_sweep + np.pi / 2.0 + \
+        spec.heading_weight * p["psi"]
+
+    def vjp(gb, gh, g):
+        gx, gz = gb[:, :, 0], gb[:, :, 2]
+        galpha = radius[:, None] * (gz * cos - gx * sin)
+        g["speed"] += galpha @ sweep
+        g["psi"] += spec.heading_weight * gh
+        grel = alpha0_vjp(np.sum(galpha, axis=1) + gh) + \
+            (np.sum(gx * cos + gz * sin, axis=1) / r0)[:, None] * flat
+        gcenter = np.stack([np.sum(gx, axis=1), np.zeros(P),
+                            np.sum(gz, axis=1)], axis=1) - grel
+        g["anchor"] += grel + 0.5 * (gcenter + gcenter[_SWAP])
+
+    return base, heading, vjp
 
 
-def _talk_root(params, spec: LabelSpec, N: int):
-    a = params["anchor"]
-    base = _widen(a, (N, 3))
+def _talk_root(p, spec: LabelSpec, k: dict):
+    a = p["anchor"]
+    base = np.broadcast_to(a[:, None, :], (a.shape[0],) + k["sway"].shape)
     if spec.sway_amp > 0.0:
-        # circular sway through the anchor: constant-magnitude acceleration,
-        # zero offset at frame 0 so the anchor stays extractable
-        phase = np.linspace(0, 2 * np.pi * spec.sway_cycles, N)
-        sway = np.zeros((N, 3))
-        sway[:, 0] = spec.sway_amp * np.sin(phase)
-        sway[:, 2] = spec.sway_amp * (1.0 - np.cos(phase))
-        base = base + ad.constant(np.broadcast_to(sway, base.shape))
-    heading = _heading_of(a[_SWAP] - a) + spec.heading_weight * params["psi"]
-    return base, heading
+        base = base + k["sway"]
+    head, head_vjp = _heading(a[_SWAP] - a)
+
+    def vjp(gb, gh, g):
+        gd = head_vjp(gh)
+        g["anchor"] += np.sum(gb, axis=1) + gd[_SWAP] - gd
+        g["psi"] += spec.heading_weight * gh
+
+    return base, head + spec.heading_weight * p["psi"], vjp
 
 
-def _follow_root(params, spec: LabelSpec, N: int):
+_LEADER = np.array([1.0, 0.0])
+
+
+def _follow_root(p, spec: LabelSpec, k: dict):
     """Person 0 leads, person 1 follows. Both paths are built for both
-    rows; row 0 keeps the leader path and row 1 the follower path."""
-    a = params["anchor"]
-    speed = _widen(params["speed"], (3,))
+    rows; row 0 keeps the leader path and row 1 the follower path, and
+    their adjoints are routed the same way."""
+    a, speed, ease, P = p["anchor"], p["speed"], k["ease"], p["anchor"].shape[0]
     # the leader walks along its own heading
-    theta = _heading_of(a[_SWAP] - a) + params["psi"]
-    forward = ad.stack([ad.cos(theta), np.zeros(theta.shape), ad.sin(theta)],
-                       axis=1)
-    lead_base = _widen(a, (N, 3)) + \
-        _ramp_times_vec3(_ease(N), forward * (2.0 * speed))
+    theta, theta_vjp = _heading(a[_SWAP] - a)
+    theta = theta + p["psi"]
+    ct, st = np.cos(theta), np.sin(theta)
+    forward = np.stack([ct, np.zeros(P), st], axis=1)
+    lead = a[:, None, :] + \
+        ease[:, None] * (forward * (2.0 * speed[:, None]))[:, None, :]
     # the follower heads to a point trailing its leader's end position
-    trail = (lead_base[:, N - 1, :] - forward * spec.follow_gap)[_SWAP]
-    base = _widen(a, (N, 3)) + _ramp_times_vec3(_ease(N), (trail - a) * speed)
-    heading = _heading_of(trail - a) + spec.heading_weight * params["psi"]
-    return (ad.concat([lead_base[:1], base[1:]], axis=0),
-            ad.concat([theta[:1], heading[1:]], axis=0))
+    trail = (lead[:, -1, :] - forward * spec.follow_gap)[_SWAP]
+    to_trail = trail - a
+    base = a[:, None, :] + ease[:, None] * (to_trail * speed[:, None])[:, None, :]
+    head, head_vjp = _heading(to_trail)
+    head = head + spec.heading_weight * p["psi"]
+
+    def vjp(gb, gh, g):
+        glead, gbase = gb * _LEADER[:, None, None], gb * _LEADER[::-1, None, None]
+        gtheta, ghead = gh * _LEADER, gh * _LEADER[::-1]
+        gstep = np.tensordot(ease, gbase, axes=(0, 1))
+        g["speed"] += np.sum(gstep * to_trail, axis=1)
+        g["psi"] += spec.heading_weight * ghead
+        gtrail = gstep * speed[:, None] + head_vjp(ghead)
+        glead[:, -1, :] += gtrail[_SWAP]
+        gstep = np.tensordot(ease, glead, axes=(0, 1))
+        g["speed"] += 2.0 * np.sum(gstep * forward, axis=1)
+        gfwd = gstep * (2.0 * speed[:, None]) - spec.follow_gap * gtrail[_SWAP]
+        gtheta = gtheta + gfwd[:, 2] * ct - gfwd[:, 0] * st
+        g["psi"] += gtheta
+        gd = theta_vjp(gtheta)
+        g["anchor"] += np.sum(gbase + glead, axis=1) - gtrail + gd[_SWAP] - gd
+
+    return (np.concatenate([lead[:1], base[1:]]),
+            np.concatenate([theta[:1], head[1:]]), vjp)
 
 
 _ROOT_CURVES = {"approach": _approach_root, "circle": _circle_root,
@@ -321,98 +375,94 @@ _ROOT_CURVES = {"approach": _approach_root, "circle": _circle_root,
                 "follow": _follow_root}
 
 
-def _root_curve(params, spec: LabelSpec, N: int):
-    """The kind's root path plus the horizontal drift, eased in so frame 0
-    stays anchored, and the heading."""
-    if spec.kind not in _ROOT_CURVES:
-        raise ValueError(f"unknown script kind {spec.kind!r}")
-    base, heading = _ROOT_CURVES[spec.kind](params, spec, N)
-    dx, dz = params["drift"]
-    drift = ad.stack([dx, np.zeros(dx.shape), dz], axis=1)
-    return base + _ramp_times_vec3(_ease(N), drift), heading
-
-
 # -- full pose assembly --------------------------------------------------------
 
 
-def _gesture_offsets(spec: LabelSpec, N: int) -> dict:
-    """Per-joint (N, 3) local-space offset modulation, numpy constants."""
-    out = {name: np.tile(np.asarray(off, dtype=np.float64), (N, 1))
-           for name, off in _BASE_OFFSETS.items()}
-    if spec.gesture_amp > 0.0:
-        t = np.linspace(0.0, 2 * np.pi * spec.gesture_cycles, N)
-        out["l_hand"][:, 1] += spec.gesture_amp * np.sin(t)
-        out["r_hand"][:, 1] += spec.gesture_amp * np.sin(t + np.pi)
-        out["l_hand"][:, 2] += 0.5 * spec.gesture_amp * np.cos(t)
-        out["r_hand"][:, 2] += 0.5 * spec.gesture_amp * np.cos(t + np.pi)
-    if spec.kind == "pose":
-        out["l_hand"][:, 1] += 0.45
-        out["r_hand"][:, 1] += 0.45
-    return out
-
-
-def _foot_contacts(spec: LabelSpec, N: int) -> np.ndarray:
-    """(N, 4) contact features; stationary labels keep feet planted."""
-    if spec.stationary:
-        return np.ones((N, 4))
-    # alternating square-ish gait, half-overlapped
-    t = np.linspace(0.0, 2 * np.pi * 2.0, N)
-    left = (np.sin(t) > -0.2).astype(np.float64)
-    right = (np.sin(t + np.pi) > -0.2).astype(np.float64)
-    return np.stack([left, left, right, right], axis=1)
-
-
-def build_scripts(params: dict, spec: LabelSpec, skeleton: Skeleton,
-                  N: int) -> ad.Var:
-    """Both persons' scripted (P, N, D) world-space frames as one Var."""
-    J = skeleton.J
-    P = params["anchor"].shape[0]
-    root, heading = _root_curve(params, spec, N)
-    offsets = _gesture_offsets(spec, N)
-    local = np.stack([offsets[name] for name in skeleton.joint_names[1:]],
-                     axis=1)                    # (N, J-1, 3)
-    c, s = ad.cos(heading), ad.sin(heading)
-
-    # each non-root joint sits at its base plus its rotated offset; the base
-    # is the root, except that stationary labels keep their feet planted at
-    # the anchor, so root sway and drift do not move them
-    planted = [spec.stationary and name in ("l_foot", "r_foot")
-               for name in skeleton.joint_names[1:]]
-    root_b = ad.reshape(root, (P, N, 1, 3))
-    anchor_b = ad.reshape(params["anchor"], (P, 1, 1, 3))
-    base = ad.concat([ad.broadcast_to(anchor_b if p else root_b,
-                                      (P, N, len(list(run)), 3))
-                      for p, run in groupby(planted)], axis=2)
-    joints = base + _rotate_offsets(local, c, s)
-    glo = ad.concat([root, ad.reshape(joints, (P, N, 3 * (J - 1)))], axis=2)
-
+def _assemble(p, root, heading, skeleton: Skeleton, k: dict):
+    """Both persons' (P, N, D) frames from the root path and the heading,
+    and the vjp from their adjoint to the root's, the heading's and the
+    anchors' and carriers' ones. Contacts and the constant rotations get
+    no adjoint."""
+    J, (P, N), planted = skeleton.J, root.shape[:2], k["planted"]
+    vb, rb, fb = (vel_slice(J).start, rot_slice(J).start, foot_slice(J).start)
+    c, s = np.cos(heading), np.sin(heading)
+    cb, sb = c[:, None, None], s[:, None, None]
+    ox, oy, oz = k["ox"], k["oy"], k["oz"]
+    # each non-root joint sits at its base, the root or for planted feet
+    # the anchor, plus its offset rotated about +y by the heading:
+    # forward = (c, 0, s), left = (s, 0, -c)
+    base = np.where(planted[:, None], p["anchor"][:, None, None, :],
+                    root[:, :, None, :])
+    joints = base + np.stack([ox * sb + oz * cb, np.broadcast_to(oy, (P,) + oy.shape),
+                              ox * (-1.0 * cb) + oz * sb], axis=-1)
+    out = np.empty((P, N, skeleton.D))
+    out[:, :, :3] = root
+    out[:, :, 3:vb] = joints.reshape(P, N, 3 * (J - 1))
     # velocities: carrier channels for root and spine, finite differences
     # for the remaining joints
-    u, v = params["carriers"]
-    rest = glo[:, :, 6:]
-    vel = ad.concat([
-        _widen(u * (1.0 / N), (N, 3)),
-        _widen(v * (1.0 / N), (N, 3)),
-        ad.concat([np.zeros((P, 1, 3 * (J - 2))),
-                   rest[:, 1:, :] - rest[:, :-1, :]], axis=1),
-    ], axis=2)                                  # (P, N, 3J)
+    out[:, :, vb:vb + 3] = (p["u"] * (1.0 / N))[:, None, :]
+    out[:, :, vb + 3:vb + 6] = (p["v"] * (1.0 / N))[:, None, :]
+    out[:, 0, vb + 6:rb] = 0.0
+    out[:, 1:, vb + 6:rb] = out[:, 1:, 6:vb] - out[:, :-1, 6:vb]
+    # root rotation (s, 0, -c, 0, 1, 0), identity for the other joints
+    out[:, :, rb:fb] = np.tile(IDENTITY_ROT6D, J)
+    out[:, :, rb] = s[:, None]
+    out[:, :, rb + 2] = (-1.0 * c)[:, None]
+    out[:, :, fb:] = k["foot"]
 
-    rot = ad.concat([_root_rot6d(c, s, N),
-                     np.tile(IDENTITY_ROT6D, (P, N, J - 1))], axis=2)
+    def vjp(G):
+        Gg = G[:, :, :vb].copy()
+        # a finite difference's adjoint is a difference of adjoints
+        Gg[:, 1:, 6:] += G[:, 1:, vb + 6:rb]
+        Gg[:, :-1, 6:] -= G[:, 1:, vb + 6:rb]
+        Gj = Gg[:, :, 3:].reshape(P, N, J - 1, 3)
+        Gx, Gz = Gj[..., 0], Gj[..., 2]
+        Grot = np.sum(G[:, :, rb:rb + 3], axis=1)
+        g_s = np.sum(Gx * ox + Gz * oz, axis=(1, 2)) + Grot[:, 0]
+        g_c = np.sum(Gx * oz - Gz * ox, axis=(1, 2)) - Grot[:, 2]
+        gcarrier = np.sum(G[:, :, vb:vb + 6], axis=1) * (1.0 / N)
+        g = {"anchor": np.sum(Gj[:, :, planted], axis=(1, 2)),
+             "u": gcarrier[:, :3], "v": gcarrier[:, 3:],
+             "drift": np.zeros((P, 3)), "speed": np.zeros(P), "psi": np.zeros(P)}
+        g_root = Gg[:, :, :3] + np.sum(Gj[:, :, ~planted], axis=2)
+        return g_root, c * g_s - s * g_c, g
 
-    foot = np.broadcast_to(_foot_contacts(spec, N), (P, N, 4))
-    return ad.concat([glo, vel, rot, foot], axis=2)
+    return out, vjp
 
 
-def build_pair_scripts(w: ad.Var, spec: LabelSpec, skeleton: Skeleton):
+def _script(p, spec: LabelSpec, skeleton: Skeleton, N: int):
+    """The (P, N, D) scripted frames of params `p`: the kind's root curve
+    plus the horizontal drift, eased in so frame 0 stays anchored, dressed
+    in the pose. Returns them and the vjp from their adjoint to the
+    params'."""
+    if spec.kind not in _ROOT_CURVES:
+        raise ValueError(f"unknown script kind {spec.kind!r}")
+    k = _constants(spec, skeleton, N)
+    base, heading, curve_vjp = _ROOT_CURVES[spec.kind](p, spec, k)
+    root = base + k["ease"][:, None] * p["drift"][:, None, :]
+    out, assemble_vjp = _assemble(p, root, heading, skeleton, k)
+
+    def vjp(G):
+        g_root, g_heading, g = assemble_vjp(G)
+        g["drift"] += np.tensordot(k["ease"], g_root, axes=(0, 1))
+        curve_vjp(g_root, g_heading, g)
+        return g
+
+    return out, vjp
+
+
+def build_pair_scripts(w, spec: LabelSpec, skeleton: Skeleton) -> ad.Var:
     """Scripted clean estimate of both persons from their stacked (2, N, D)
-    world-space states."""
-    return build_scripts(extract_params(w, skeleton, spec), spec, skeleton,
-                         w.shape[1])
+    world-space states, recorded as one tape node: its backward maps the
+    (2, N, D) adjoint to the states' by reductions."""
+    w = ad.as_var(w)
+    p, extract_vjp = _extract(w.value, skeleton, spec)
+    out, script_vjp = _script(p, spec, skeleton, w.shape[1])
+    return ad.Var(out, (w,), lambda G: (extract_vjp(script_vjp(G)),))
 
 
 def build_pair_from_values(values1: dict, values2: dict, spec: LabelSpec,
                            skeleton: Skeleton, N: int):
     """Numpy script pair from explicit parameter values (corpus path)."""
-    return tuple(build_scripts(params_from_values(spec, (values1, values2)),
-                               spec, skeleton, N).value)
+    p = params_from_values(spec, (values1, values2))
+    return tuple(_script(p, spec, skeleton, N)[0])

@@ -197,6 +197,91 @@ def test_hypothesis_sum_inner_axis_gradient(P, n, k, axis, seed):
                    h=1e-6)
 
 
+# the remaining ops the penalties and samplers use, against finite differences
+
+nonzero = st.floats(min_value=-3.0, max_value=3.0).filter(lambda c: abs(c) > 0.1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims, dims, nonzero, seeds)
+def test_hypothesis_mul_div_scalar_gradient(n, k, c, seed):
+    """Var by Python scalar, both ways round, and scalar by Var."""
+    w = ad.constant(rand((n, k), seed + 1))
+    check_gradient(
+        lambda v: ad.sum_(ad.tanh(v * c + c * v - v / c) * w) +
+        ad.sum_(c / (v * v + 1.0)), rand((n, k), seed), n_coords=n * k,
+        rtol=1e-4, h=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims, dims, seeds)
+def test_hypothesis_scalar_var_broadcast_gradient(n, k, seed):
+    """A 0-d Var times and divided into an array: its gradient is the sum
+    over the broadcast."""
+    m = ad.constant(rand((n, k), seed))
+    check_gradient(lambda v: ad.sum_(ad.tanh(m * v) + m / (v * v + 1.0)),
+                   np.array(rand((), seed + 1)), n_coords=1, rtol=1e-4,
+                   h=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.floats(min_value=0.3, max_value=3.0),
+                          st.floats(min_value=-3.0, max_value=3.0)),
+                min_size=1, max_size=6))
+def test_hypothesis_atan2_gradient(polar):
+    """Points away from the origin and from the branch cut at +-pi."""
+    r, t = np.array(polar).T
+    check_gradient(lambda v: ad.sum_(ad.atan2(v[0], v[1])),
+                   np.stack([r * np.sin(t), r * np.cos(t)]),
+                   n_coords=2 * len(polar), rtol=1e-4, h=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims, dims, st.integers(min_value=0, max_value=1), seeds)
+def test_hypothesis_concat_stack_gradient(n, k, axis, seed):
+    """Each part's slice of the adjoint goes back to it, constants too."""
+    const = rand((n, k), seed + 2)
+
+    def loss(v):
+        cat = ad.concat([v * 2.0, ad.tanh(v), const], axis=axis)
+        stk = ad.stack([ad.sin(v), const, v * v], axis=axis)
+        return ad.sum_(cat * ad.constant(rand(cat.shape, seed + 3))) + \
+            ad.sum_(stk * ad.constant(rand(stk.shape, seed + 4)))
+
+    check_gradient(loss, rand((n, k), seed), n_coords=n * k, rtol=1e-4,
+                   h=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(min_value=-3.0, max_value=3.0).filter(
+    lambda x: abs(x) > 1e-2), min_size=1, max_size=8), seeds)
+def test_hypothesis_relu_away_from_kink_gradient(vals, seed):
+    w = ad.constant(rand(len(vals), seed))
+    check_gradient(lambda v: ad.sum_(ad.relu(v) * w), np.array(vals),
+                   n_coords=len(vals), rtol=1e-4, h=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims, st.floats(min_value=-2.5, max_value=3.0), seeds)
+def test_hypothesis_powi_gradient(n, p, seed):
+    """Real powers of a positive base."""
+    check_gradient(lambda v: ad.sum_(ad.powi(v * v + 0.5, p)),
+                   rand(n, seed), n_coords=n, rtol=1e-4, h=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims, dims, st.integers(min_value=0, max_value=1),
+       st.floats(min_value=1e-3, max_value=1.0), st.booleans(), seeds)
+def test_hypothesis_norm_eps_gradient(n, k, axis, eps, zero_row, seed):
+    """Smoothed norms, a zero row (gradient 0 there) included."""
+    x = rand((n, k), seed)
+    if zero_row:
+        x[0] = 0.0
+    w = ad.constant(rand(n if axis == 1 else k, seed + 1))
+    check_gradient(lambda v: ad.sum_(ad.norm(v, axis=axis, eps=eps) * w), x,
+                   n_coords=n * k, rtol=1e-4, h=1e-6)
+
+
 # -- Adam ------------------------------------------------------------------------
 
 

@@ -271,6 +271,42 @@ def test_compose_rejects_unknown_config_keys(tmp_path, capsys, section, key,
     assert key in err
 
 
+SEGMENT = {"window": 12, "kept": 6, "boundary_frames": 4,
+           "pairs": [[1, 2, "approach"]]}
+
+
+@pytest.mark.parametrize("scene_extra,key", [
+    ({"n_frame": 12}, "n_frame"),
+    ({"first_penalty": [{"kind": "overlap"}]}, "first_penalty"),
+    ({"first_penalties": [{"kind": "overlap", "wieght": 5,
+                           "params": {"delta": 0.3}}]}, "wieght"),
+    ({"first_penalties": [{"kind": "overlap", "params": {"detla": 0.3}}]},
+     "detla"),
+    ({"first_penalties": [{"kind": "root", "subjects": [1], "frames": [11],
+                           "params": {"targets": [0.0, 0.9, 0.0],
+                                      "d_max": 1.0}}]}, "d_max"),
+    ({"participants": [1, 2, 3],
+      "steps": [{"target": 3, "reference": 1, "label": "approach",
+                 "opt_subset": [1], "penalty": []}]}, "penalty"),
+    ({"extension": [dict(SEGMENT, kep=3)]}, "kep"),
+    ({"extension": [dict(SEGMENT, mode="bogus")]}, "bogus"),
+    ({"participants": [1, 2, 3],
+      "steps": [{"target": 3, "reference": 1, "label": "approach",
+                 "opt_subset": [1],
+                 "penalties": [{"kind": "overlap", "subjects": [3, 1],
+                                "params": 0.3}]}]}, "params"),
+], ids=["scene-key", "scene-key-typo", "penalty-key", "params-key",
+        "params-of-another-kind", "step-key", "segment-key",
+        "segment-mode", "params-not-an-object"])
+def test_compose_rejects_unknown_scene_keys(tmp_path, capsys, scene_extra,
+                                            key):
+    """Every level of the scene is strict: scene, step, extension segment,
+    penalty and each kind's params, plus the segment's mode."""
+    cfg = compose_config(tmp_path, **scene_extra)
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "compose", cfg)
+    assert key in err
+
+
 # -- train ------------------------------------------------------------------------
 
 
@@ -369,9 +405,16 @@ def test_extend_requires_segments(tmp_path, composed):
                                              "frames": [12],
                                              "params": {"d_min": 0.5,
                                                         "d_max": 3.0}}]}]}},
+    {"scene": {"extension": [dict(SEGMENT, mode="bogus")]}},
+    {"scene": {"extension": [dict(SEGMENT, windows=12)]}},
+    {"scene": {"extension": [SEGMENT], "extensions": []}},
+    {"scene": {"extension": [dict(SEGMENT, penalties=[
+        {"kind": "boundary", "subjects": [1],
+         "params": {"window_lenght": 4}}])]}},
 ], ids=["unknown-optimizer-key", "penalty-outside-pair", "unknown-person",
         "pairs-not-a-list", "kept-zero", "seam-too-short",
-        "seam-beyond-window", "penalty-frame-beyond-window"])
+        "seam-beyond-window", "penalty-frame-beyond-window", "unknown-mode",
+        "unknown-segment-key", "unknown-scene-key", "unknown-params-key"])
 def test_extend_config_errors(tmp_path, capsys, composed, extra):
     payload = dict(FAST, results_dir=composed,
                    scene={"extension": [{"window": 12, "kept": 6,

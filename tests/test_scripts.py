@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from groupmotion import autodiff as ad
 from groupmotion import scripts as sc
 from groupmotion.motion import facing_direction, MotionSequence, repair_velocities
 
-from conftest import check_gradient
+import tape_scripts as tape
+from conftest import check_gradient, finite_difference
+
+LABELS = [s.name for s in sc.default_vocabulary()]
 
 
 def scripted_pair(name, skeleton, N=24, seed=0):
@@ -58,19 +64,19 @@ def test_script_is_fixed_point_of_extraction(name, skeleton):
 
 def test_extraction_recovers_generating_values(skeleton):
     (f1, _), (v1, _), spec = scripted_pair("approach", skeleton, seed=4)
-    p = sc.extract_params(ad.constant(f1[None]), skeleton, spec)
-    assert abs(float(p["drift"][0].value[0]) - v1["drift"][0]) < 1e-9
-    assert abs(float(p["drift"][1].value[0]) - v1["drift"][1]) < 1e-9
-    assert abs(float(p["speed"].value[0]) - v1["speed"]) < 1e-9
-    assert abs(float(p["psi"].value[0]) - v1["psi"]) < 1e-9
+    p, _ = sc._extract(f1[None], skeleton, spec)
+    assert abs(p["drift"][0, 0] - v1["drift"][0]) < 1e-9
+    assert abs(p["drift"][0, 2] - v1["drift"][1]) < 1e-9
+    assert abs(p["speed"][0] - v1["speed"]) < 1e-9
+    assert abs(p["psi"][0] - v1["psi"]) < 1e-9
 
 
 def test_anchor_extraction_pins_height(skeleton):
     (f1, _), (v1, _), spec = scripted_pair("approach", skeleton, seed=5)
     w = f1.copy()
     w[0, 1] = 7.5  # corrupt frame-0 root height
-    p = sc.extract_params(ad.constant(w[None]), skeleton, spec)
-    anchor = p["anchor"].value[0]
+    p, _ = sc._extract(w[None], skeleton, spec)
+    anchor = p["anchor"][0]
     assert np.allclose(anchor[[0, 2]], v1["anchor"][[0, 2]])
     assert anchor[1] == sc.ROOT_HEIGHT
 
@@ -156,19 +162,18 @@ def test_carriers_reencoded_in_velocity_channels(skeleton):
     w[:, vb:vb + 6] += rng.standard_normal((w.shape[0], 6)) * 0.01
     u_in = w[:, vb:vb + 3].sum(axis=0)
     # a pair of two identical persons: each is its own partner
-    p = sc.extract_params(ad.constant(np.stack([w, w])), skeleton, spec)
-    s = sc.build_scripts(p, spec, skeleton, w.shape[0])
+    s = sc.build_pair_scripts(ad.constant(np.stack([w, w])), spec, skeleton)
     u_out = s.value[0, :, vb:vb + 3].sum(axis=0)
     assert np.allclose(u_out, u_in, atol=1e-9)
 
 
 def loop_oracle_script(params, row, spec, skeleton, N):
-    """Row `row` of build_scripts rebuilt joint by joint in plain numpy from
-    the stacked root curve and the gesture offsets."""
-    root, heading = sc._root_curve(params, spec, N)
+    """Row `row` of the scripted pair rebuilt joint by joint in plain numpy
+    from the tape oracle's stacked root curve and the gesture offsets."""
+    root, heading = tape._root_curve(params, spec, N)
     root = root.value[row]
     c, s = np.cos(heading.value)[row], np.sin(heading.value)[row]
-    offsets = sc._gesture_offsets(spec, N)
+    offsets = tape._gesture_offsets(spec, N)
     joints = [root]
     for name in skeleton.joint_names[1:]:
         o = offsets[name]
@@ -185,10 +190,10 @@ def loop_oracle_script(params, row, spec, skeleton, N):
                          np.zeros(N), np.ones(N), np.zeros(N)], axis=1)
     rot = [root_rot] + [np.tile(sc.IDENTITY_ROT6D, (N, 1))] * (skeleton.J - 1)
     return np.concatenate(joints + vel + rot +
-                          [sc._foot_contacts(spec, N)], axis=1)
+                          [tape._foot_contacts(spec, N)], axis=1)
 
 
-@pytest.mark.parametrize("name", [s.name for s in sc.default_vocabulary()])
+@pytest.mark.parametrize("name", LABELS)
 def test_script_matches_per_joint_loop_oracle(name, skeleton):
     """The stacked whole-skeleton builder is bit-identical to the per-joint
     loop, for both rows (leader and follower of `follow`) and for the
@@ -198,8 +203,129 @@ def test_script_matches_per_joint_loop_oracle(name, skeleton):
     rng = np.random.default_rng(16)
     w = rng.standard_normal((2, N, skeleton.D))
     w[1, 0, :3] += [2.0, 0.0, 0.5]
-    p = sc.extract_params(ad.constant(w), skeleton, spec)
-    got = sc.build_scripts(p, spec, skeleton, N).value
+    p = tape.extract_params(ad.constant(w), skeleton, spec)
+    got = sc.build_pair_scripts(ad.constant(w), spec, skeleton).value
     for row in (0, 1):
         want = loop_oracle_script(p, row, spec, skeleton, N)
         assert np.array_equal(got[row], want), (name, row)
+
+
+# -- the hand-written backward against the tape oracle -------------------------
+
+
+def noisy_pair(skeleton, N, seed, sep=2.0, angle=0.3, carriers=None):
+    """Random stacked world states whose frame-0 anchors lie `sep` apart on
+    the ground plane; `carriers` (2, 6) sets the carrier channel sums."""
+    rng = np.random.default_rng(seed)
+    w = rng.standard_normal((2, N, skeleton.D))
+    w[1, 0, [0, 2]] = w[0, 0, [0, 2]] + sep * np.array([np.cos(angle),
+                                                       np.sin(angle)])
+    if carriers is not None:
+        vb = 3 * skeleton.J
+        w[:, :, vb:vb + 6] += (np.asarray(carriers) -
+                               w[:, :, vb:vb + 6].sum(axis=1))[:, None, :] / N
+    return w
+
+
+def both_builders(w, spec, skeleton, seed=0):
+    """Values and gradients of a random linear functional of the scripted
+    pair, from the one-node builder and from the tape oracle."""
+    weights = np.random.default_rng(seed).standard_normal(w.shape)
+    out = []
+    for build in (sc.build_pair_scripts, tape.build_pair_scripts):
+        x = ad.Var(w)
+        s = build(x, spec, skeleton)
+        (g,) = ad.grad(ad.sum_(s * ad.constant(weights)), [x])
+        out.append((s.value, g))
+    return out
+
+
+def assert_gradients_agree(got, want, rtol=1e-12):
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N", [12, 32, 240])
+@pytest.mark.parametrize("name", LABELS)
+def test_builder_matches_tape_oracle(name, N, skeleton):
+    """Forward bit-identical, both rows; gradient to 1e-12 of its largest
+    magnitude."""
+    spec = sc.label_by_name(name).spec
+    w = noisy_pair(skeleton, N, seed=N)
+    (got, g_got), (want, g_want) = both_builders(w, spec, skeleton, seed=N)
+    assert np.array_equal(got, want)
+    assert_gradients_agree(g_got, g_want)
+
+
+@pytest.mark.parametrize("name", LABELS)
+def test_values_builder_matches_tape_oracle(name, skeleton):
+    (f1, f2), values, spec = scripted_pair(name, skeleton, N=32, seed=17)
+    want = tape.build_pair_from_values(*values, spec, skeleton, 32)
+    assert np.array_equal(f1, want[0]) and np.array_equal(f2, want[1])
+
+
+def test_builder_records_one_tape_node(skeleton, monkeypatch):
+    """The whole builder is one Var whose only parent is the state."""
+    created = []
+    init = ad.Var.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
+
+    x = ad.Var(noisy_pair(skeleton, 12, seed=0))
+    monkeypatch.setattr(ad.Var, "__init__", counting_init)
+    out = sc.build_pair_scripts(x, sc.label_by_name("follow").spec, skeleton)
+    monkeypatch.undo()
+    assert created == [out] and out.parents == (x,)
+
+
+separations = st.one_of(st.just(0.0), st.floats(min_value=0.05, max_value=4.0))
+carrier_sums = st.lists(st.floats(min_value=-3.0, max_value=3.0),
+                        min_size=12, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(LABELS), st.integers(min_value=2, max_value=16),
+       separations, st.floats(min_value=-np.pi, max_value=np.pi),
+       carrier_sums, st.integers(min_value=0, max_value=2**16))
+def test_hypothesis_builder_matches_tape_oracle(skeleton, name, N, sep, angle,
+                                                carriers, seed):
+    """Coincident anchors (sep 0) included: the oracle and the hand-written
+    backward take the same smoothed paths there."""
+    spec = sc.label_by_name(name).spec
+    w = noisy_pair(skeleton, N, seed, sep, angle,
+                   np.reshape(carriers, (2, 6)))
+    (got, g_got), (want, g_want) = both_builders(w, spec, skeleton, seed)
+    assert np.array_equal(got, want)
+    assert_gradients_agree(g_got, g_want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LABELS), st.integers(min_value=2, max_value=16),
+       st.floats(min_value=0.2, max_value=4.0),
+       st.floats(min_value=-np.pi, max_value=np.pi),
+       carrier_sums, st.integers(min_value=0, max_value=2**16))
+def test_hypothesis_builder_gradient_matches_finite_differences(
+        skeleton, name, N, sep, angle, carriers, seed):
+    """Central differences on the coordinates the script reads: the frame-0
+    root x/z and the carrier channels of one frame."""
+    spec = sc.label_by_name(name).spec
+    assume(abs(sep - spec.gap) > 1e-3)     # the walk's hinge
+    w = noisy_pair(skeleton, N, seed, sep, angle,
+                   np.reshape(carriers, (2, 6)))
+    weights = np.random.default_rng(seed).standard_normal(w.shape)
+
+    def f(a):
+        return float(np.sum(sc.build_pair_scripts(ad.Var(a), spec,
+                                                  skeleton).value * weights))
+
+    x = ad.Var(w)
+    (g,) = ad.grad(ad.sum_(sc.build_pair_scripts(x, spec, skeleton) *
+                           ad.constant(weights)), [x])
+    vb, frame = 3 * skeleton.J, seed % N
+    coords = [np.ravel_multi_index((row, n, ch), w.shape) for row in (0, 1)
+              for n, ch in [(0, 0), (0, 2)] + [(frame, vb + i) for i in range(6)]]
+    fd = finite_difference(f, w, coords, h=1e-6)
+    scale = np.abs(g).max()
+    for c in coords:
+        assert abs(g.flat[c] - fd[c]) <= 1e-5 * max(scale, 1.0), c

@@ -10,7 +10,10 @@ operand that needs none.
 
 Broadcasting is deliberately restricted to scalar-with-array. Any other
 shape mismatch raises, because silent broadcasting is the easiest way to
-get a wrong gradient without noticing.
+get a wrong gradient without noticing. That rule binds Var operands only:
+a hand-written node, ``Var(value, parents, backward)``, may broadcast
+constant numpy scales against a parent whose shape equals its value's,
+as long as its backward returns one adjoint of each parent's shape.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from .diffusion import DiffusionSchedule
 from .metrics import evaluate_runs, write_report_csv
 from .motion import (NormalizationStats, default_skeleton, normalize,
                      read_motion, write_motion)
-from .penalties import PenaltyConfig
+from .penalties import PenaltyConfig, region_joints
 from .priors import AnalyticPrior, MLPPrior, TrainingDiverged, train
 from .scripts import default_vocabulary, label_by_name
 
@@ -83,6 +83,18 @@ def _prepare_out(out, overwrite: bool) -> str:
     return out
 
 
+def _diverged(out, e) -> int:
+    """Write diverged.json (the error and the last loss breakdown, if any)
+    into `out` for post-mortem; returns the numeric-error exit code."""
+    b = getattr(e, "breakdown", None)
+    with open(os.path.join(out, "diverged.json"), "w") as f:
+        json.dump({"error": str(e), "breakdown": None if b is None else {
+            "total": b.total,
+            "terms": {str(k): v for k, v in b.terms.items()}}}, f)
+    print(f"numeric error: {e}", file=sys.stderr)
+    return EXIT_RUNTIME
+
+
 def _write_manifest(out, payload: dict) -> None:
     with open(os.path.join(out, "manifest.json"), "w") as f:
         json.dump(payload, f, indent=1, sort_keys=True)
@@ -117,6 +129,9 @@ def _penalties_from(items, ctx: str) -> tuple:
     for i, d in enumerate(items or ()):
         try:
             out.append(PenaltyConfig.from_json(d))
+            if out[-1].kind == "region":
+                region_joints(out[-1].params.get("joints"),
+                              default_skeleton().J)
         except (KeyError, ValueError) as e:
             raise ConfigError(f"{ctx}: penalty {i}: {e}") from e
     return tuple(out)
@@ -258,8 +273,11 @@ def cmd_train(args) -> int:
     prior = MLPPrior(schedule, skeleton.D,
                      n_labels=len(default_vocabulary()),
                      hidden=cfg.get("hidden", 64), seed=seed)
-    curve = train(prior, pairs, schedule, epochs, lr=cfg.get("lr", 1e-3),
-                  seed=seed)
+    try:
+        curve = train(prior, pairs, schedule, epochs,
+                      lr=cfg.get("lr", 1e-3), seed=seed)
+    except TrainingDiverged as e:
+        return _diverged(out, e)
     prior.save_weights(os.path.join(out, "weights.npz"))
     with open(os.path.join(out, "stats.json"), "w") as f:
         json.dump(stats.to_json(), f)
@@ -337,15 +355,7 @@ def cmd_compose(args) -> int:
                 entries = list(ex.map(_compose_one, [cfg] * len(seeds),
                                       seeds, [out] * len(seeds)))
     except OptimizationDiverged as e:
-        # retain a partial dump for post-mortem, then signal a numeric error
-        with open(os.path.join(out, "diverged.json"), "w") as f:
-            json.dump({"error": str(e),
-                       "breakdown": None if e.breakdown is None else {
-                           "total": e.breakdown.total,
-                           "terms": {str(k): v for k, v
-                                     in e.breakdown.terms.items()}}}, f)
-        print(f"error: optimization diverged: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return _diverged(out, e)
     _write_manifest(out, {
         "command": "compose", "config_hash": _config_hash(cfg),
         "seeds": seeds, "runs": entries})
@@ -395,7 +405,10 @@ def cmd_extend(args) -> int:
     entries = []
     for seed, run_dir, seqs in runs:
         result = CompositionResult(sequences=seqs, seed=seed)
-        extended = composer.extend(result, segments, seed)
+        try:
+            extended = composer.extend(result, segments, seed)
+        except OptimizationDiverged as e:
+            return _diverged(out, e)
         files = _write_sequences(extended.sequences, os.path.join(out, run_dir))
         entries.append({"seed": seed, "dir": run_dir, "files": files})
     _write_manifest(out, {

@@ -13,6 +13,8 @@ Three samplers share one step rule:
 All samplers run on autodiff Vars, so any scalar of their output can be
 differentiated with respect to the initial noise. Each step predicts and
 steps the pair as one (2, N, D) state, stacked along a leading person axis.
+The DDIM step and the inpainting clamp are one tape node each; constant
+references are forward-noised in numpy and put nothing on the tape.
 """
 
 from __future__ import annotations
@@ -72,19 +74,29 @@ class FrameMask:
 
 
 def forward_noise(x0, t: int, noise, schedule: DiffusionSchedule):
-    """q-sample: sqrt(ab_t) x0 + sqrt(1 - ab_t) noise."""
+    """q-sample: sqrt(ab_t) x0 + sqrt(1 - ab_t) noise; an array from two
+    arrays, else a Var."""
     if not (0 <= t <= schedule.t_train):
         raise ValueError(f"forward_noise: t={t} out of range")
-    x0, noise = ad.as_var(x0), ad.as_var(noise)
-    if x0.shape != noise.shape:
+    if np.shape(x0) != np.shape(noise):
         raise ad.ShapeMismatchError("forward_noise: x0/noise shapes differ")
+    if isinstance(noise, ad.Var):     # array + Var would make an object array
+        x0 = ad.as_var(x0)
     ab = schedule.alpha_bar(t)
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
 
 
-def _ddim_step(x, eps, ab_t: float, ab_prev: float) -> ad.Var:
-    x0_hat = (x - np.sqrt(1.0 - ab_t) * eps) * (1.0 / np.sqrt(ab_t))
-    return np.sqrt(ab_prev) * x0_hat + np.sqrt(1.0 - ab_prev) * eps
+def _ddim_step(x: ad.Var, eps: ad.Var, ab_t: float, ab_prev: float) -> ad.Var:
+    """c * x0_hat + d * eps, x0_hat = (x - a * eps) * b, as one tape node."""
+    a, b = np.sqrt(1.0 - ab_t), 1.0 / np.sqrt(ab_t)
+    c, d = np.sqrt(ab_prev), np.sqrt(1.0 - ab_prev)
+
+    def backward(g):
+        gx = (c * g) * b
+        return gx, (-gx) * a + d * g
+
+    return ad.Var(c * ((x.value - a * eps.value) * b) + d * eps.value,
+                  (x, eps), backward)
 
 
 def _stacked(pair) -> ad.Var:
@@ -131,11 +143,9 @@ def masked_sample(prior, schedule: DiffusionSchedule, x_T_target, x0_ref,
             f"masked_sample: target {x.shape} vs reference {ref.shape}")
     taus = schedule.taus
     zetas = _step_noise(noise_seed, len(taus) - 1, ref.shape)
-    ref_c = ad.constant(ref)
     for k in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[k]), int(taus[k - 1])
-        ref_t = forward_noise(ref_c, t, ad.constant(zetas[k - 1]), schedule)
-        pair = ad.stack([x, ref_t])
+        pair = ad.stack([x, forward_noise(ref, t, zetas[k - 1], schedule)])
         eps = prior.predict(pair, t, label)
         x = _ddim_step(pair, eps, schedule.alpha_bar(t),
                        schedule.alpha_bar(t_prev))[0]
@@ -167,19 +177,23 @@ def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
         raise ad.ShapeMismatchError("inpaint_extend: kept block shape mismatch")
     ref = np.zeros(x.shape)
     ref[:, : mask.kept] = kept
-    m = np.broadcast_to(mask.m[None, :, None], x.shape)
-    keep_v, free_v, ref_c = (ad.constant(a) for a in (m.copy(), 1.0 - m, ref))
+    keep = np.broadcast_to(mask.m[None, :, None], x.shape)
+    free = 1.0 - keep
+
+    def clamp(x, ref_t):     # keep * ref_t + free * x as one tape node
+        return ad.Var(keep * ref_t + free * x.value, (x,),
+                      lambda g: (g * free,))
+
     taus = schedule.taus
     # literal mode clamps to the clean reference and needs no noise
     zetas = _step_noise(noise_seed, len(taus) - 1, x.shape) \
         if mode == "noised" else None
     for k in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[k]), int(taus[k - 1])
-        ref_t = ref_c if zetas is None else \
-            forward_noise(ref_c, t, ad.constant(zetas[k - 1]), schedule)
-        x = keep_v * ref_t + free_v * x
+        x = clamp(x, ref if zetas is None else
+                  forward_noise(ref, t, zetas[k - 1], schedule))
         eps = prior.predict(x, t, label)
         x = _ddim_step(x, eps, schedule.alpha_bar(t), schedule.alpha_bar(t_prev))
     # final overwrite at t=0: kept frames equal the reference exactly
-    x = keep_v * ref_c + free_v * x
+    x = clamp(x, ref)
     return x[0], x[1]

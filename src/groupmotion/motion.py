@@ -278,26 +278,25 @@ class NormalizationStats:
 
 
 def normalize(frames, stats: NormalizationStats):
-    """(x - mean) / std. Works on numpy arrays and autodiff Vars."""
-    if isinstance(frames, ad.Var):
-        mu = ad.broadcast_to(ad.constant(stats.mean), frames.shape)
-        sd = ad.broadcast_to(ad.constant(stats.std), frames.shape)
-        return (frames - mu) / sd
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[-1] != stats.D:
+    """(x - mean) / std over the last axis. On an autodiff Var it is one
+    tape node, value (x - mean) * (1 / std), backward g * (1 / std)."""
+    if np.shape(frames)[-1] != stats.D:
         raise ValueError("normalize: dimension mismatch")
-    return (frames - stats.mean) / stats.std
+    if isinstance(frames, ad.Var):
+        inv = 1.0 / stats.std
+        return ad.Var((frames.value - stats.mean) * inv, (frames,),
+                      lambda g: (g * inv,))
+    return (np.asarray(frames, dtype=np.float64) - stats.mean) / stats.std
 
 
 def denormalize(frames, stats: NormalizationStats):
-    if isinstance(frames, ad.Var):
-        mu = ad.broadcast_to(ad.constant(stats.mean), frames.shape)
-        sd = ad.broadcast_to(ad.constant(stats.std), frames.shape)
-        return frames * sd + mu
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.shape[-1] != stats.D:
+    """x * std + mean; on an autodiff Var one node, backward g * std."""
+    if np.shape(frames)[-1] != stats.D:
         raise ValueError("denormalize: dimension mismatch")
-    return frames * stats.std + stats.mean
+    if isinstance(frames, ad.Var):
+        return ad.Var(frames.value * stats.std + stats.mean, (frames,),
+                      lambda g: (g * stats.std,))
+    return np.asarray(frames, dtype=np.float64) * stats.std + stats.mean
 
 
 # -- motion file format ------------------------------------------------------

@@ -53,6 +53,19 @@ def root_penalty(frames, targets, frame_set, delta: float = 0.0) -> ad.Var:
     return ad.sum_(ad.relu(sq - delta))
 
 
+def region_joints(joints, J: int) -> list:
+    """All J joint ids if `joints` is None, else `joints`, which must be a
+    non-empty list of distinct ints in [0, J)."""
+    if joints is None:
+        return list(range(J))
+    if not (isinstance(joints, (list, tuple)) and joints and all(
+            type(j) is int and 0 <= j < J for j in joints)
+            and len(set(joints)) == len(joints)):
+        raise ValueError(f"region penalty joints must be a non-empty list of "
+                         f"distinct joint ids in [0, {J}), got {joints!r}")
+    return list(joints)
+
+
 def region_penalty(frames, lower, upper, skeleton: Skeleton,
                    joints=None) -> ad.Var:
     """Per-axis box violation averaged over frames and subject joints."""
@@ -61,16 +74,15 @@ def region_penalty(frames, lower, upper, skeleton: Skeleton,
     upper = np.asarray(upper, dtype=np.float64)
     if np.any(lower > upper):
         raise ValueError("region_penalty: lower bound exceeds upper bound")
-    joints = list(range(skeleton.J)) if joints is None else list(joints)
-    if not joints:
-        raise ValueError("region_penalty: empty joint set")
-    N = frames.shape[0]
-    total = ad.constant(0.0)
-    for j in joints:
-        p = frames[:, 3 * j:3 * j + 3]
-        low = ad.broadcast_to(ad.constant(lower.reshape(1, 3)), (N, 3))
-        up = ad.broadcast_to(ad.constant(upper.reshape(1, 3)), (N, 3))
-        total = total + ad.sum_(ad.relu(low - p)) + ad.sum_(ad.relu(p - up))
+    J, N = skeleton.J, frames.shape[0]
+    joints = region_joints(joints, J)
+    # (N * J, 3) positions, row n * J + j; keep the chosen joints' rows
+    p = ad.reshape(frames[:, glo_slice(J)], (N * J, 3))
+    if len(joints) < J:
+        p = p[(np.arange(N)[:, None] * J + joints).ravel()]
+    low = ad.constant(np.broadcast_to(lower, p.shape))
+    up = ad.constant(np.broadcast_to(upper, p.shape))
+    total = ad.sum_(ad.relu(low - p)) + ad.sum_(ad.relu(p - up))
     return total * (1.0 / (N * len(joints)))
 
 

@@ -37,6 +37,9 @@ class AnalyticPrior:
 
     The implied clean estimate (x_t - sqrt(1-ab) eps) / sqrt(ab) therefore
     equals mu_c(x_t) identically.
+
+    On the tape one prediction is four nodes: denormalize, the script
+    builder, normalize, and eps with a hand-written backward.
     """
 
     def __init__(self, schedule: DiffusionSchedule, stats: NormalizationStats,
@@ -53,8 +56,13 @@ class AnalyticPrior:
     def predict(self, x, t: int, label: InteractionLabel):
         mu = self.clean_estimate(x, label)
         ab = self.schedule.alpha_bar(t)
-        denom = 1.0 / np.sqrt(max(1.0 - ab, 1e-12))
-        return (x - np.sqrt(ab) * mu) * denom
+        c, denom = np.sqrt(ab), 1.0 / np.sqrt(max(1.0 - ab, 1e-12))
+
+        def backward(g):
+            gx = g * denom
+            return gx, (-gx) * c
+
+        return ad.Var((x.value - c * mu.value) * denom, (x, mu), backward)
 
 
 # -- tiny learned denoiser ----------------------------------------------------
@@ -175,7 +183,7 @@ def train(prior: MLPPrior, pairs, schedule: DiffusionSchedule, epochs: int,
             xt2 = forward_noise(x0_2, t, n2, schedule)
             w = {k: ad.Var(prior.weights[k]) for k in keys}
             e1, e2 = prior.predict_with_weights(
-                ad.constant(xt1.value), ad.constant(xt2.value), t, label, w)
+                ad.constant(xt1), ad.constant(xt2), t, label, w)
             r1 = e1 - ad.constant(n1)
             r2 = e2 - ad.constant(n2)
             loss = (ad.mean(r1 * r1) + ad.mean(r2 * r2)) * 0.5

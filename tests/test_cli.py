@@ -271,6 +271,40 @@ def test_compose_rejects_unknown_config_keys(tmp_path, capsys, section, key,
     assert key in err
 
 
+@pytest.mark.parametrize("joints", [[9], [-1], [], [0.5], "spine", [2, 2]],
+                         ids=["beyond-skeleton", "negative", "empty", "float",
+                              "string", "repeated"])
+def test_compose_region_joints_checked(tmp_path, capsys, joints):
+    """A region penalty's joints must be a non-empty list of distinct joint
+    ids of the 8-joint skeleton."""
+    cfg = compose_config(tmp_path, first_penalties=[
+        {"kind": "region", "subjects": [2],
+         "params": {"lower": [-5, -1, -5], "upper": [5, 3, 5],
+                    "joints": joints}}])
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "compose", cfg)
+    assert "joints" in err
+
+
+def assert_diverged_dump(tmp_path, capsys, command, cfg):
+    """Exit 3 with diverged.json in --out and no traceback."""
+    out = tmp_path / "diverged"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error:") and "Traceback" not in err
+    with open(out / "diverged.json") as f:
+        dump = json.load(f)
+    assert "non-finite" in dump["error"]
+    return dump
+
+
+def test_compose_divergence_writes_dump(tmp_path, capsys):
+    cfg = compose_config(tmp_path, first_penalties=[
+        {"kind": "root", "subjects": [1], "frames": [11],
+         "params": {"targets": [[1e200, 0, 0]]}}])
+    dump = assert_diverged_dump(tmp_path, capsys, "compose", cfg)
+    assert dump["breakdown"] is not None
+
+
 SEGMENT = {"window": 12, "kept": 6, "boundary_frames": 4,
            "pairs": [[1, 2, "approach"]]}
 
@@ -335,6 +369,18 @@ def test_train_writes_weights_and_curve(tmp_path):
     cfg2 = write_config(tmp_path, "c2.json", compose_cfg)
     assert main(["compose", "--config", cfg2, "--out",
                  str(tmp_path / "mlpruns"), "--seed", "1"]) == EXIT_OK
+
+
+def test_train_divergence_writes_dump(tmp_path, capsys):
+    corpus_cfg = write_config(tmp_path, "c.json",
+                              {"labels": ["approach"], "samples_per_label": 1,
+                               "n_frames": 8})
+    corpus_dir = str(tmp_path / "corpus")
+    assert main(["corpus", "--config", corpus_cfg,
+                 "--out", corpus_dir]) == EXIT_OK
+    cfg = write_config(tmp_path, "t.json", dict(
+        FAST, corpus_dir=corpus_dir, epochs=2, hidden=8, lr=1e300))
+    assert_diverged_dump(tmp_path, capsys, "train", cfg)
 
 
 def test_train_missing_corpus_dir(tmp_path):
@@ -423,6 +469,13 @@ def test_extend_config_errors(tmp_path, capsys, composed, extra):
     payload.update(extra)
     cfg = write_config(tmp_path, "e.json", payload)
     assert_config_error_writes_nothing(tmp_path, capsys, "extend", cfg)
+
+
+def test_extend_divergence_writes_dump(tmp_path, capsys, composed):
+    cfg = write_config(tmp_path, "e.json", dict(
+        FAST, optimizer={"max_steps": 5, "lr": 1e300}, results_dir=composed,
+        scene={"extension": [SEGMENT]}))
+    assert_diverged_dump(tmp_path, capsys, "extend", cfg)
 
 
 # -- eval and export ---------------------------------------------------------------

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from groupmotion import autodiff as ad
+from groupmotion import diffusion
 from groupmotion.diffusion import (DiffusionSchedule, FrameMask, ddim_sample,
                                    forward_noise, inpaint_extend,
                                    masked_sample)
 from groupmotion.priors import AnalyticPrior, ZeroPrior
 from groupmotion.scripts import label_by_name
 
+import tape_samplers as tape
 from conftest import check_gradient
 
 
@@ -51,14 +53,14 @@ def test_schedule_validation():
 def test_forward_noise_t0_identity(small_schedule):
     x0 = noise((4, 6), 1)
     out = forward_noise(x0, 0, np.zeros_like(x0), small_schedule)
-    assert np.allclose(out.value, x0)
+    assert np.allclose(out, x0)
 
 
 def test_forward_noise_zero_signal(small_schedule):
     z = noise((4, 6), 2)
     t = small_schedule.t_train
     out = forward_noise(np.zeros((4, 6)), t, z, small_schedule)
-    assert np.allclose(out.value, np.sqrt(1 - small_schedule.alpha_bar(t)) * z)
+    assert np.allclose(out, np.sqrt(1 - small_schedule.alpha_bar(t)) * z)
 
 
 def test_forward_noise_inversion_round_trip(small_schedule):
@@ -67,7 +69,7 @@ def test_forward_noise_inversion_round_trip(small_schedule):
     z = noise((3, 5), 4)
     t = 30
     ab = small_schedule.alpha_bar(t)
-    xt = forward_noise(x0, t, z, small_schedule).value
+    xt = forward_noise(x0, t, z, small_schedule)
     back = (xt - np.sqrt(1 - ab) * z) / np.sqrt(ab)
     assert np.allclose(back, x0, atol=1e-9)
 
@@ -287,3 +289,85 @@ def test_step_noise_drawn_once_in_step_order():
     assert np.array_equal(z, np.stack(want))
     assert _step_noise(11, 5, (2, 3, 4)) is z
     assert not z.flags.writeable
+
+
+# -- one-node stages against the op-by-op tape oracle ------------------------------
+
+
+ORACLE_SAMPLERS = {
+    "ddim": lambda m, prior, sch, v, kept, ref, lab: m.ddim_sample(
+        prior, sch, v, lab),
+    "masked": lambda m, prior, sch, v, kept, ref, lab: (m.masked_sample(
+        prior, sch, v[0], ref, lab, 5),),
+    "inpaint-noised": lambda m, prior, sch, v, kept, ref, lab: m.inpaint_extend(
+        prior, sch, v, kept, FrameMask(v.shape[1], 4), lab, 3, mode="noised"),
+    "inpaint-literal": lambda m, prior, sch, v, kept, ref, lab: m.inpaint_extend(
+        prior, sch, v, kept, FrameMask(v.shape[1], 4), lab, 3, mode="literal"),
+}
+
+
+@pytest.mark.parametrize("N", [12, 32, 240])
+@pytest.mark.parametrize("label", ["approach", "follow", "circle-together",
+                                   "animated-talk"])
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+def test_sampler_matches_tape_oracle(name, label, N, small_schedule, stats,
+                                     skeleton):
+    """Outputs and gradients of the fused samplers are bit-identical to the
+    op-by-op tape forms."""
+    rng = np.random.default_rng(N)
+    xT = rng.standard_normal((2, N, skeleton.D))
+    kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
+    ref = rng.standard_normal((N, skeleton.D)) * 0.3
+    weights = rng.standard_normal((N, skeleton.D))
+    results = []
+    for module, prior_cls in ((diffusion, AnalyticPrior),
+                              (tape, tape.TapeAnalyticPrior)):
+        v = ad.Var(xT)
+        outs = ORACLE_SAMPLERS[name](module, prior_cls(small_schedule, stats,
+                                                       skeleton),
+                                     small_schedule, v, kept, ref,
+                                     label_by_name(label))
+        loss = ad.sum_(ad.tanh(outs[0] * ad.constant(weights)))
+        for o in outs[1:]:
+            loss = loss + ad.sum_(outs[0] * o)
+        (g,) = ad.grad(loss, [v])
+        results.append([o.value for o in outs] + [g])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def test_ddim_step_records_five_nodes(stats, skeleton, monkeypatch):
+    """One step with the analytic prior is five Vars: denormalize, the
+    script builder, normalize, eps and the DDIM step."""
+    schedule = DiffusionSchedule(t_train=50, ddim_steps=1)
+    prior = AnalyticPrior(schedule, stats, skeleton)
+    x = ad.Var(noise((2, 12, skeleton.D), 40))
+    created = []
+    init = ad.Var.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Var, "__init__", counting_init)
+    o1, o2 = ddim_sample(prior, schedule, x, label_by_name("follow"))
+    monkeypatch.undo()
+    # the step's five nodes, then the two rows of the result
+    assert len(created) == 7 and created[5:] == [o1, o2]
+    assert o1.parents == (created[4],) and created[4].parents[0] is x
+
+
+def test_forward_noise_arrays_or_vars(small_schedule):
+    """Two arrays give an array; a Var in either slot gives a Var with the
+    same value, differentiable in that slot."""
+    x0, z = noise((3, 4), 41), noise((3, 4), 42)
+    want = forward_noise(x0, 20, z, small_schedule)
+    assert type(want) is np.ndarray
+    ab = small_schedule.alpha_bar(20)
+    for slot, scale in ((0, np.sqrt(ab)), (1, np.sqrt(1.0 - ab))):
+        args = [x0, z]
+        args[slot] = v = ad.Var(args[slot])
+        out = forward_noise(args[0], 20, args[1], small_schedule)
+        (g,) = ad.grad(ad.sum_(out), [v])
+        assert np.array_equal(out.value, want)
+        assert np.array_equal(g, np.full((3, 4), scale))

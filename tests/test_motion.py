@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groupmotion import autodiff as ad
 from groupmotion import motion as mo
+
+import tape_samplers as tape
+from conftest import check_gradient
 
 
 def make_seq(skeleton, N=10, seed=0):
@@ -197,6 +203,42 @@ def test_normalize_batch_moments(skeleton):
     z = mo.normalize(x, stats)
     assert np.abs(z.mean(axis=0)).max() < 1e-6
     assert np.abs(z.std(axis=0) - 1.0).max() < 1e-3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=2),
+       st.integers(min_value=1, max_value=6),
+       st.integers(min_value=1, max_value=5),
+       st.sampled_from(["normalize", "denormalize"]),
+       st.integers(min_value=0, max_value=2**16))
+def test_hypothesis_normalize_on_var_gradient(P, N, D, name, seed):
+    """normalize and denormalize on a (P, N, D) Var: one node each, whose
+    backward matches central differences and whose value and gradient
+    equal the op-by-op tape form bit for bit."""
+    rng = np.random.default_rng(seed)
+    stats = mo.NormalizationStats(rng.standard_normal(D),
+                                  rng.uniform(0.1, 3.0, D))
+    w = ad.constant(rng.standard_normal((P, N, D)))
+    x = rng.standard_normal((P, N, D))
+    fused, oracle = getattr(mo, name), getattr(tape, name)
+    check_gradient(lambda v: ad.sum_(ad.tanh(fused(v, stats)) * w), x,
+                   n_coords=P * N * D, rtol=1e-5, h=1e-6)
+    results = []
+    for f in (fused, oracle):
+        v = ad.Var(x)
+        out = f(v, stats)
+        (g,) = ad.grad(ad.sum_(ad.tanh(out) * w), [v])
+        results.append((out.value, g))
+    v = ad.Var(x)
+    assert fused(v, stats).parents == (v,)
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def test_normalize_checks_width_on_var(stats):
+    for f in (mo.normalize, mo.denormalize):
+        with pytest.raises(ValueError, match="dimension"):
+            f(ad.Var(np.zeros((2, 3, stats.D + 1))), stats)
 
 
 def test_std_underflow_rejected(skeleton):

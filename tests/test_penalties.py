@@ -126,6 +126,37 @@ def test_region_matches_loop_oracle(skeleton):
     assert abs(got - want) < 1e-12
 
 
+@pytest.mark.parametrize("joints", [None, [5, 1, 6], [1, 2, 3, 4, 5, 6, 7]],
+                         ids=["all", "subset", "all-but-root"])
+def test_region_value_and_gradient_match_joint_loop(skeleton, joints):
+    """The one-pass penalty against a per-joint numpy loop: value to 1e-12
+    relative, gradient exactly."""
+    f = rand_frames(skeleton, N=7, seed=5)
+    lower, upper = np.array([-0.5, -0.2, -0.4]), np.array([0.3, 0.6, 0.2])
+    x = ad.Var(f)
+    val = pe.region_penalty(x, lower, upper, skeleton, joints)
+    (got_g,) = ad.grad(val, [x])
+    chosen = range(skeleton.J) if joints is None else joints
+    scale = 1.0 / (7 * len(chosen))
+    want, want_g = 0.0, np.zeros_like(f)
+    for j in chosen:
+        p = f[:, 3 * j:3 * j + 3]
+        want += np.sum(np.maximum(0.0, lower - p) + np.maximum(0.0, p - upper))
+        want_g[:, 3 * j:3 * j + 3] = scale * (1.0 * (p > upper) -
+                                              1.0 * (p < lower))
+    want *= scale
+    assert abs(float(val.value) - want) <= 1e-12 * abs(want)
+    assert np.array_equal(got_g, want_g)
+
+
+@pytest.mark.parametrize("joints", [[8], [-1], [], [0.5], "spine", [2, 2],
+                                    [True]])
+def test_region_joints_validation(skeleton, joints):
+    with pytest.raises(ValueError, match="joints"):
+        pe.region_penalty(rand_frames(skeleton, N=4), [0, 0, 0], [1, 1, 1],
+                          skeleton, joints)
+
+
 def test_region_validation(skeleton):
     f = rand_frames(skeleton, N=4, seed=6)
     with pytest.raises(ValueError, match="bound"):

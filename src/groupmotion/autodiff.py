@@ -427,21 +427,19 @@ class Adam:
     """Bias-corrected Adam over a list of parameter arrays. `lr` may be
     changed between steps (learning-rate decay)."""
 
-    def __init__(self, shapes, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, shapes, lr: float):
         if lr <= 0:
             raise ValueError(f"Adam: lr must be positive, got {lr}")
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros(s, dtype=np.float64) for s in shapes]
         self.v = [np.zeros(s, dtype=np.float64) for s in shapes]
 
     def step(self, params: list, grads: list) -> list:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         out = []
         for i, (p, g) in enumerate(zip(params, grads)):
             if p.shape != g.shape or p.shape != self.m[i].shape:
@@ -450,5 +448,5 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / (1.0 - b1 ** self.t)
             v_hat = self.v[i] / (1.0 - b2 ** self.t)
-            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps))
+            out.append(p - self.lr * m_hat / (np.sqrt(v_hat) + self.EPS))
         return out

@@ -13,6 +13,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,12 +28,12 @@ from .motion import (NormalizationStats, default_skeleton, normalize,
                      read_motion, write_motion)
 from .penalties import PenaltyConfig, region_joints
 from .priors import AnalyticPrior, MLPPrior, TrainingDiverged, train
-from .scripts import default_vocabulary, label_by_name
+from .scripts import VOCABULARY, label_by_name
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-PRIOR_KEYS = ("kind", "weights", "n_labels", "hidden")
+PRIOR_KEYS = ("kind", "weights")
 SCENE_KEYS = ("participants", "first_label", "first_penalties", "steps",
               "extension", "n_frames")
 STEP_KEYS = ("target", "reference", "label", "opt_subset", "penalties")
@@ -83,14 +84,19 @@ def _prepare_out(out, overwrite: bool) -> str:
     return out
 
 
+def _json_float(v: float):
+    """`v`, or the string "inf", "-inf" or "nan", which strict JSON holds."""
+    return v if math.isfinite(v) else str(v)
+
+
 def _diverged(out, e) -> int:
     """Write diverged.json (the error and the last loss breakdown, if any)
     into `out` for post-mortem; returns the numeric-error exit code."""
     b = getattr(e, "breakdown", None)
     with open(os.path.join(out, "diverged.json"), "w") as f:
         json.dump({"error": str(e), "breakdown": None if b is None else {
-            "total": b.total,
-            "terms": {str(k): v for k, v in b.terms.items()}}}, f)
+            "total": _json_float(b.total),
+            "terms": {str(k): _json_float(v) for k, v in b.terms.items()}}}, f)
     print(f"numeric error: {e}", file=sys.stderr)
     return EXIT_RUNTIME
 
@@ -198,10 +204,14 @@ def _prior_from(cfg: dict, schedule, stats, skeleton):
         weights = _require(prior_cfg, "weights", "prior")
         if not os.path.isfile(weights):
             raise ConfigError(f"prior: weights file not found: {weights}")
-        n_labels = prior_cfg.get("n_labels", len(default_vocabulary()))
-        prior = MLPPrior(schedule, skeleton.D, n_labels,
-                         hidden=prior_cfg.get("hidden", 64))
-        prior.load_weights(weights)
+        try:
+            prior = MLPPrior.load(weights, schedule)
+        except (KeyError, ValueError) as e:     # not an npz, or entries missing
+            raise ConfigError(f"prior: weights file unreadable: {e}") from e
+        if (prior.D, prior.n_labels) != (skeleton.D, len(VOCABULARY)):
+            raise ConfigError(f"prior: weights file has D={prior.D}, n_labels="
+                              f"{prior.n_labels}; need {skeleton.D}, "
+                              f"{len(VOCABULARY)}")
         return prior
     raise ConfigError(f"prior: unknown kind {kind!r}")
 
@@ -270,8 +280,7 @@ def cmd_train(args) -> int:
     pairs = [((normalize(s.seqs[0].frames, stats),
                normalize(s.seqs[1].frames, stats)), s.label)
              for s in corpus.samples]
-    prior = MLPPrior(schedule, skeleton.D,
-                     n_labels=len(default_vocabulary()),
+    prior = MLPPrior(schedule, skeleton.D, n_labels=len(VOCABULARY),
                      hidden=cfg.get("hidden", 64), seed=seed)
     try:
         curve = train(prior, pairs, schedule, epochs,
@@ -506,12 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
         p.add_argument("--seed", help="seed or comma-separated seed list")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers across seeds")
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print the plan without writing")
         p.add_argument("--overwrite", action="store_true",
                        help="allow writing into a non-empty directory")
+        if name == "compose":
+            p.add_argument("--jobs", type=int, default=1,
+                           help="parallel workers across seeds")
     return parser
 
 

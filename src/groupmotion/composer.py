@@ -37,9 +37,6 @@ class OptimizerConfig:
     lr: float = 0.003
     max_steps: int = 100
     early_stop_loss: float = 1e-6
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr_decay: float = 1.0          # multiplicative per step; 1.0 = constant
 
     def __post_init__(self):
@@ -179,8 +176,7 @@ def optimize_noise(objective, x_init: np.ndarray, config: OptimizerConfig):
     t0 = time.perf_counter()
     x = np.array(x_init, dtype=np.float64)
     best_x = x.copy()
-    opt = ad.Adam([x.shape], lr=config.lr, beta1=config.beta1,
-                  beta2=config.beta2, eps=config.eps)
+    opt = ad.Adam([x.shape], lr=config.lr)
 
     def evaluate(arr):
         var = ad.Var(arr)
@@ -217,13 +213,12 @@ class Composer:
 
     def __init__(self, prior, schedule: DiffusionSchedule,
                  stats: NormalizationStats, skeleton: Skeleton,
-                 opt_config: OptimizerConfig | None = None,
-                 fps: float = 20.0):
+                 opt_config: OptimizerConfig, fps: float = 20.0):
         self.prior = prior
         self.schedule = schedule
         self.stats = stats
         self.skeleton = skeleton
-        self.opt = opt_config or OptimizerConfig()
+        self.opt = opt_config
         self.fps = fps
 
     # seeds: one master seed expands to independent substreams per step so
@@ -347,8 +342,8 @@ class Composer:
             # persons not listed in any pair keep their current sequences
             for pid, tail in new_tails.items():
                 frames = np.concatenate([sequences[pid].frames, tail], axis=0)
-                seq = MotionSequence(self.skeleton, frames, fps=self.fps,
-                                     person_id=pid)
+                seq = MotionSequence(self.skeleton, frames,
+                                     fps=sequences[pid].fps, person_id=pid)
                 sequences[pid] = repair_velocities(seq)
         return CompositionResult(sequences=sequences, records=records,
                                  seed=result.seed)

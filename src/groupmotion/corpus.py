@@ -113,9 +113,7 @@ def save_corpus(corpus: SyntheticCorpus, out_dir: str) -> None:
         json.dump(manifest, f, indent=1, sort_keys=True)
 
 
-def load_corpus(in_dir: str,
-                skeleton: Skeleton | None = None) -> SyntheticCorpus:
-    skeleton = skeleton or default_skeleton()
+def load_corpus(in_dir: str, skeleton: Skeleton) -> SyntheticCorpus:
     with open(os.path.join(in_dir, "manifest.json")) as f:
         manifest = json.load(f)
     corpus = SyntheticCorpus(skeleton=skeleton, fps=manifest["fps"])

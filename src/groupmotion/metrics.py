@@ -15,6 +15,13 @@ import numpy as np
 
 from .motion import MotionSequence, facing_direction, joint_acceleration
 
+CONTACT_HEIGHT = 0.05        # a foot in contact is lower than this, meters
+CONTACT_FLAG = 0.5           # and its contact feature exceeds this
+# a run violates a target that it misses by more than these
+POS_THRESHOLD = 0.20         # meters from a root target
+REGION_THRESHOLD = 0.10      # meters outside a region
+ORIENT_THRESHOLD_DEG = 20.0  # degrees from a facing target
+
 
 def pair_overlaps(seq1: MotionSequence, seq2: MotionSequence,
                   threshold: float = 0.25) -> np.ndarray:
@@ -43,12 +50,11 @@ def overlap_rate(runs, threshold: float = 0.25) -> float:
     return sum(run_has_overlap(r, threshold) for r in runs) / len(runs)
 
 
-def foot_skate(seq: MotionSequence, h_contact: float = 0.05,
-               flag_threshold: float = 0.5) -> float:
+def foot_skate(seq: MotionSequence) -> float:
     """Mean horizontal foot displacement per frame over contact frames.
 
-    A foot is in contact at frame n when its height is below `h_contact`
-    and its contact flag exceeds `flag_threshold`. Displacement is measured
+    A foot is in contact at frame n when its height is below CONTACT_HEIGHT
+    and its contact flag exceeds CONTACT_FLAG. Displacement is measured
     from the previous frame; frame 0 never counts. Returns 0 when no foot
     is ever in contact.
     """
@@ -57,7 +63,7 @@ def foot_skate(seq: MotionSequence, h_contact: float = 0.05,
     slides = []
     for fi, j in enumerate(seq.skeleton.foot_joint_ids):
         for n in range(1, seq.N):
-            if p[n, j, 1] < h_contact and flags[n, fi] > flag_threshold:
+            if p[n, j, 1] < CONTACT_HEIGHT and flags[n, fi] > CONTACT_FLAG:
                 dx = p[n, j, 0] - p[n - 1, j, 0]
                 dz = p[n, j, 2] - p[n - 1, j, 2]
                 slides.append(np.hypot(dx, dz))
@@ -135,7 +141,6 @@ class ScenarioTargets:
     # person -> (lower xyz, upper xyz, joint ids or None)
     orientations: dict = field(default_factory=dict)
     # person -> list of (frame, unit xz direction)
-    overlap_threshold: float = 0.25
 
 
 @dataclass
@@ -144,9 +149,6 @@ class ViolationReport:
     overlap_rate: float
     region_viol_rate: float
     orient_err_rate: float
-    pos_threshold: float = 0.20
-    region_threshold: float = 0.10
-    orient_threshold_deg: float = 20.0
 
     def __post_init__(self):
         for r in (self.pos_err_rate, self.overlap_rate,
@@ -160,17 +162,15 @@ class ViolationReport:
                 "orientation": self.orient_err_rate}
 
 
-def _run_violations(run, targets: ScenarioTargets,
-                    pos_thr: float, region_thr: float,
-                    orient_deg: float) -> dict:
+def _run_violations(run, targets: ScenarioTargets) -> dict:
     seqs = run if isinstance(run, dict) else dict(enumerate(run))
     out = {"position": False, "overlap": False, "region": False,
            "orientation": False}
-    out["overlap"] = run_has_overlap(seqs, targets.overlap_threshold)
+    out["overlap"] = run_has_overlap(seqs)
     for pid, entries in targets.root_targets.items():
         roots = seqs[pid].root_trajectory()
         for frame, tgt in entries:
-            if np.linalg.norm(roots[frame] - np.asarray(tgt)) > pos_thr:
+            if np.linalg.norm(roots[frame] - np.asarray(tgt)) > POS_THRESHOLD:
                 out["position"] = True
     for pid, (lower, upper, joints) in targets.regions.items():
         p = seqs[pid].joint_positions()
@@ -179,9 +179,9 @@ def _run_violations(run, targets: ScenarioTargets,
         for j in joints:
             excess = np.maximum(lower - p[:, j, :], 0.0) + \
                 np.maximum(p[:, j, :] - upper, 0.0)
-            if np.linalg.norm(excess, axis=1).max() > region_thr:
+            if np.linalg.norm(excess, axis=1).max() > REGION_THRESHOLD:
                 out["region"] = True
-    cos_thr = np.cos(np.deg2rad(orient_deg))
+    cos_thr = np.cos(np.deg2rad(ORIENT_THRESHOLD_DEG))
     for pid, entries in targets.orientations.items():
         for frame, d_tgt in entries:
             d_tgt = np.asarray(d_tgt, dtype=np.float64)
@@ -192,24 +192,18 @@ def _run_violations(run, targets: ScenarioTargets,
     return out
 
 
-def ablation_violations(runs, targets: ScenarioTargets,
-                        pos_threshold: float = 0.20,
-                        region_threshold: float = 0.10,
-                        orient_threshold_deg: float = 20.0) -> ViolationReport:
+def ablation_violations(runs, targets: ScenarioTargets) -> ViolationReport:
     """Per-run violation booleans aggregated to rates."""
     if not runs:
         raise ValueError("ablation_violations: need at least one run")
     counts = {"position": 0, "overlap": 0, "region": 0, "orientation": 0}
     for run in runs:
-        v = _run_violations(run, targets, pos_threshold, region_threshold,
-                            orient_threshold_deg)
+        v = _run_violations(run, targets)
         for k in counts:
             counts[k] += bool(v[k])
     n = len(runs)
     return ViolationReport(counts["position"] / n, counts["overlap"] / n,
-                           counts["region"] / n, counts["orientation"] / n,
-                           pos_threshold, region_threshold,
-                           orient_threshold_deg)
+                           counts["region"] / n, counts["orientation"] / n)
 
 
 # -- pairwise decomposition & reporting ----------------------------------------

@@ -8,13 +8,16 @@ Positions and velocities are world-space meters (y up, xz ground plane),
 velocities in meters/frame. Rotations use the continuous 6D representation
 (first two columns of the rotation matrix). The 4 contact features map to
 ``Skeleton.foot_joint_ids``.
+
+Facing is defined once, by the tape Gram-Schmidt ``facing_directions``;
+``facing_direction`` reads its value for the metrics.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,23 +162,6 @@ def root_position(seq: MotionSequence, n: int) -> np.ndarray:
     return seq.joint_positions()[n, 0, :]
 
 
-def gram_schmidt_6d(r6: np.ndarray) -> np.ndarray:
-    """6D rotation -> 3x3 orthonormal right-handed matrix (columns)."""
-    r6 = np.asarray(r6, dtype=np.float64)
-    a, b = r6[:3], r6[3:]
-    na = np.linalg.norm(a)
-    if na < 1e-12:
-        raise ValueError("gram_schmidt_6d: degenerate first axis")
-    c1 = a / na
-    b2 = b - np.dot(b, c1) * c1
-    nb = np.linalg.norm(b2)
-    if nb < 1e-12:
-        raise ValueError("gram_schmidt_6d: degenerate second axis")
-    c2 = b2 / nb
-    c3 = np.cross(c1, c2)
-    return np.stack([c1, c2, c3], axis=1)
-
-
 def rotation_to_6d(R: np.ndarray) -> np.ndarray:
     return np.concatenate([R[:, 0], R[:, 1]])
 
@@ -189,22 +175,45 @@ def yaw_rotation(theta: float) -> np.ndarray:
                      [-c, 0.0, s]])
 
 
+def _unit_rows(v: ad.Var) -> ad.Var:
+    """Each row of the (K, m) Var over its norm, smoothed by eps 1e-9."""
+    n = ad.norm(v, axis=1, eps=1e-9)
+    return v / ad.broadcast_to(ad.reshape(n, (v.shape[0], 1)), v.shape)
+
+
+def _ground_forward(frames, skeleton: Skeleton, frame_set) -> ad.Var:
+    """(K, 2) ground-plane (x, z) part of the root's forward axis, not
+    normalised, by differentiable Gram-Schmidt of its 6D rotation."""
+    rb = rot_slice(skeleton.J).start
+    r6 = ad.as_var(frames)[:, rb:rb + 6][np.asarray(frame_set, dtype=int)]
+    a, b = r6[:, 0:3], r6[:, 3:6]
+    c1 = _unit_rows(a)
+    dot = ad.sum_(b * c1, axis=1)
+    c2 = _unit_rows(
+        b - ad.broadcast_to(ad.reshape(dot, (r6.shape[0], 1)), b.shape) * c1)
+    # forward axis = c1 x c2; only its ground-plane (x, z) components matter
+    fx = c1[:, 1] * c2[:, 2] - c1[:, 2] * c2[:, 1]
+    fz = c1[:, 0] * c2[:, 1] - c1[:, 1] * c2[:, 0]
+    return ad.stack([fx, fz], axis=1)
+
+
+def facing_directions(frames, skeleton: Skeleton, frame_set) -> ad.Var:
+    """(K, 2) unit ground-plane facing directions at the frames of
+    `frame_set`, from the root's 6D rotation."""
+    return _unit_rows(_ground_forward(frames, skeleton, frame_set))
+
+
 def facing_direction(seq: MotionSequence, n: int) -> np.ndarray:
-    """Unit ground-plane (x, z) facing direction at frame n, from the root's
-    6D rotation. Degenerate projections fall back to the previous frame."""
+    """Unit ground-plane (x, z) facing direction at frame n, the value of
+    `facing_directions`. A frame whose forward axis projects onto the ground
+    shorter than 1e-6 falls back to the previous frame."""
     if not (0 <= n < seq.N):
         raise IndexError(f"facing_direction: frame {n} out of range")
-    rots = seq.joint_rotations()
-    for k in range(n, -1, -1):
-        R = gram_schmidt_6d(rots[k, 0])
-        fwd = R[:, 2]
-        d = np.array([fwd[0], fwd[2]])
-        nd = np.linalg.norm(d)
-        if nd >= 1e-6:
-            return d / nd
-        if k == 0:
-            raise ValueError("facing_direction: degenerate at frame 0, no fallback")
-    raise AssertionError("unreachable")
+    d = _ground_forward(seq.frames, seq.skeleton, np.arange(n, -1, -1))
+    ok = np.flatnonzero(np.linalg.norm(d.value, axis=1) >= 1e-6)
+    if not ok.size:
+        raise ValueError("facing_direction: degenerate at frame 0, no fallback")
+    return _unit_rows(d[ok[:1]]).value[0]
 
 
 def joint_acceleration(seq: MotionSequence) -> np.ndarray:
@@ -232,6 +241,7 @@ def repair_velocities(seq: MotionSequence) -> MotionSequence:
 
 @dataclass
 class NormalizationStats:
+    MIN_STD = 1e-6           # floor of a std estimated by from_frames
     mean: np.ndarray
     std: np.ndarray
 
@@ -248,9 +258,9 @@ class NormalizationStats:
         return self.mean.shape[0]
 
     @classmethod
-    def from_frames(cls, frames: np.ndarray, min_std: float = 1e-6):
+    def from_frames(cls, frames: np.ndarray):
         frames = np.asarray(frames, dtype=np.float64).reshape(-1, frames.shape[-1])
-        return cls(frames.mean(axis=0), np.maximum(frames.std(axis=0), min_std))
+        return cls(frames.mean(axis=0), np.maximum(frames.std(axis=0), cls.MIN_STD))
 
     @classmethod
     def reference(cls, skeleton: Skeleton):
@@ -321,7 +331,7 @@ def write_motion(seq: MotionSequence, path) -> None:
         f.write(buf.getvalue())
 
 
-def read_motion(path, skeleton: Skeleton | None = None) -> MotionSequence:
+def read_motion(path, skeleton: Skeleton) -> MotionSequence:
     with open(path) as f:
         header = json.loads(f.readline())
         if header.get("version") != MOTION_FORMAT_VERSION:
@@ -334,8 +344,6 @@ def read_motion(path, skeleton: Skeleton | None = None) -> MotionSequence:
     frames = np.stack(rows)
     if frames.shape[0] != header["N"]:
         raise ValueError("read_motion: frame count disagrees with header")
-    if skeleton is None:
-        skeleton = default_skeleton()
     if header["J"] != skeleton.J or list(skeleton.joint_names) != header["joint_names"]:
         raise ValueError("read_motion: skeleton does not match file header")
     return MotionSequence(skeleton, frames, fps=header["fps"],

@@ -3,7 +3,8 @@
 All penalties are hinge-style: nonnegative, exactly zero when the
 constraint is satisfied, with zero subgradient at the kink so satisfied
 constraints stay inert. Inputs are (N x D) frame arrays (autodiff Vars or
-numpy); distances are meters, so thresholds carry physical units.
+numpy); distances are meters, so thresholds carry physical units. Facing
+comes from ``motion.facing_directions``, the definition the metrics score.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .motion import Skeleton, glo_slice, rot_slice
+from .motion import Skeleton, facing_directions, glo_slice
 
 
 def _roots(frames: ad.Var) -> ad.Var:
@@ -84,28 +85,6 @@ def region_penalty(frames, lower, upper, skeleton: Skeleton,
     up = ad.constant(np.broadcast_to(upper, p.shape))
     total = ad.sum_(ad.relu(low - p)) + ad.sum_(ad.relu(p - up))
     return total * (1.0 / (N * len(joints)))
-
-
-def facing_directions(frames, skeleton: Skeleton, frame_set) -> ad.Var:
-    """(K, 2) unit ground-plane facing directions from the root's 6D
-    rotation, via differentiable Gram-Schmidt."""
-    frames = ad.as_var(frames)
-    frame_set = np.asarray(frame_set, dtype=int)
-    rb = rot_slice(skeleton.J).start
-    r6 = frames[:, rb:rb + 6][frame_set]
-    a, b = r6[:, 0:3], r6[:, 3:6]
-    na = ad.norm(a, axis=1, eps=1e-9)
-    c1 = a / ad.broadcast_to(ad.reshape(na, (len(frame_set), 1)), a.shape)
-    dot = ad.sum_(b * c1, axis=1)
-    b2 = b - ad.broadcast_to(ad.reshape(dot, (len(frame_set), 1)), b.shape) * c1
-    nb = ad.norm(b2, axis=1, eps=1e-9)
-    c2 = b2 / ad.broadcast_to(ad.reshape(nb, (len(frame_set), 1)), b2.shape)
-    # forward axis = c1 x c2; only its ground-plane (x, z) components matter
-    fx = c1[:, 1] * c2[:, 2] - c1[:, 2] * c2[:, 1]
-    fz = c1[:, 0] * c2[:, 1] - c1[:, 1] * c2[:, 0]
-    d = ad.stack([fx, fz], axis=1)
-    nd = ad.norm(d, axis=1, eps=1e-9)
-    return d / ad.broadcast_to(ad.reshape(nd, (len(frame_set), 1)), d.shape)
 
 
 def orientation_penalty(frames, d_target, frame_set, skeleton: Skeleton,

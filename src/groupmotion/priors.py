@@ -114,15 +114,14 @@ class MLPPrior:
         np.savez(path, meta=np.frombuffer(meta.encode(), dtype=np.uint8),
                  **self.weights)
 
-    def load_weights(self, path) -> None:
+    @classmethod
+    def load(cls, path, schedule: DiffusionSchedule) -> "MLPPrior":
+        """The prior of a `save_weights` file, sized by its meta entry."""
         data = np.load(path)
         meta = json.loads(bytes(data["meta"]).decode())
-        if meta["D"] != self.D or meta["hidden"] != self.hidden or \
-                meta["n_labels"] != self.n_labels:
-            raise ValueError(
-                f"weight file dims {meta} do not match prior "
-                f"(D={self.D}, hidden={self.hidden}, n_labels={self.n_labels})")
-        self.weights = {k: np.array(data[k]) for k in self.weights}
+        prior = cls(schedule, meta["D"], meta["n_labels"], meta["hidden"])
+        prior.weights = {k: np.array(data[k]) for k in prior.weights}
+        return prior
 
     def _forward_one(self, x, pooled_partner, t: int, label, w: dict):
         N = x.shape[0]

@@ -24,7 +24,7 @@ coordinate to the state at the cost of a few reductions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -98,29 +98,30 @@ def default_vocabulary() -> list:
     ]
 
 
+VOCABULARY = tuple(default_vocabulary())
+
+
 @dataclass(frozen=True)
 class InteractionLabel:
-    label_id: int
-    vocabulary: tuple = field(default_factory=lambda: tuple(default_vocabulary()))
+    label_id: int                # index into VOCABULARY
 
     def __post_init__(self):
-        if not (0 <= self.label_id < len(self.vocabulary)):
+        if not (0 <= self.label_id < len(VOCABULARY)):
             raise ValueError(f"label_id {self.label_id} outside vocabulary")
 
     @property
     def spec(self) -> LabelSpec:
-        return self.vocabulary[self.label_id]
+        return VOCABULARY[self.label_id]
 
     @property
     def name(self) -> str:
         return self.spec.name
 
 
-def label_by_name(name: str, vocabulary=None) -> InteractionLabel:
-    vocab = tuple(vocabulary) if vocabulary is not None else tuple(default_vocabulary())
-    for i, spec in enumerate(vocab):
+def label_by_name(name: str) -> InteractionLabel:
+    for i, spec in enumerate(VOCABULARY):
         if spec.name == name:
-            return InteractionLabel(i, vocab)
+            return InteractionLabel(i)
     raise KeyError(f"unknown interaction label {name!r}")
 
 

@@ -42,6 +42,20 @@ def check_gradient(build_loss, x, n_coords=10, seed=0, rtol=1e-4, atol=1e-7,
         assert err < rtol, f"coord {c}: reverse {got} vs FD {want} (err {err})"
 
 
+def gs_facing(frame, skeleton):
+    """Numpy oracle of the facing direction of one frame: Gram-Schmidt of
+    the root's 6D rotation, forward axis c1 x c2 projected onto (x, z)."""
+    from groupmotion.motion import rot_slice
+    r6 = frame[rot_slice(skeleton.J).start:rot_slice(skeleton.J).start + 6]
+    a, b = r6[:3], r6[3:]
+    c1 = a / np.linalg.norm(a)
+    b2 = b - (b @ c1) * c1
+    c2 = b2 / np.linalg.norm(b2)
+    f = np.cross(c1, c2)
+    d = np.array([f[0], f[2]])
+    return d / np.linalg.norm(d)
+
+
 def parallel_map(fn, *iterables):
     """list(map(fn, *iterables)) over at most two worker processes.
 

@@ -29,7 +29,7 @@ from groupmotion.motion import (MotionSequence, NormalizationStats,
 from groupmotion.priors import AnalyticPrior
 from groupmotion.scripts import label_by_name
 
-from conftest import check_gradient, parallel_map
+from conftest import check_gradient, gs_facing, parallel_map
 
 
 # -- 1. gradient integrity ----------------------------------------------------
@@ -508,18 +508,6 @@ def test_penetration_volume_matches_loop_oracle(skeleton):
             worst * 1e6, rel=1e-12)
 
 
-def _gs_facing(frame, skeleton):
-    from groupmotion.motion import rot_slice
-    r6 = frame[rot_slice(skeleton.J).start:rot_slice(skeleton.J).start + 6]
-    a, b = r6[:3], r6[3:]
-    c1 = a / np.linalg.norm(a)
-    b2 = b - (b @ c1) * c1
-    c2 = b2 / np.linalg.norm(b2)
-    f = np.cross(c1, c2)
-    d = np.array([f[0], f[2]])
-    return d / np.linalg.norm(d)
-
-
 def test_penalty_kernels_match_numpy_oracles(skeleton):
     rng = np.random.default_rng(75)
     N = 6
@@ -554,7 +542,7 @@ def test_penalty_kernels_match_numpy_oracles(skeleton):
 
         dirs = rng.standard_normal((3, 2))
         unit = dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-        want = sum(max(0.0, 1.0 - _gs_facing(f1[n], skeleton) @ unit[k] - 0.2)
+        want = sum(max(0.0, 1.0 - gs_facing(f1[n], skeleton) @ unit[k] - 0.2)
                    for k, n in enumerate(frame_set))
         got = float(pe.orientation_penalty(v1, dirs, frame_set,
                                            skeleton).value)

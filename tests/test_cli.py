@@ -261,6 +261,11 @@ def test_compose_penalty_bad_values(tmp_path, capsys, params):
     ("schedule", "schedule_kind", "linear"),
     ("prior", "guidance_scale", 2.0),
     ("optimizer", "max_step", 3),          # typo of max_steps
+    ("optimizer", "beta1", 0.9),           # Adam's constants are fixed
+    ("optimizer", "beta2", 0.999),
+    ("optimizer", "eps", 1e-8),
+    ("prior", "hidden", 8),                # read from the weights file
+    ("prior", "n_labels", 7),
 ])
 def test_compose_rejects_unknown_config_keys(tmp_path, capsys, section, key,
                                              value):
@@ -285,6 +290,10 @@ def test_compose_region_joints_checked(tmp_path, capsys, joints):
     assert "joints" in err
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 def assert_diverged_dump(tmp_path, capsys, command, cfg):
     """Exit 3 with diverged.json in --out and no traceback."""
     out = tmp_path / "diverged"
@@ -292,7 +301,7 @@ def assert_diverged_dump(tmp_path, capsys, command, cfg):
     err = capsys.readouterr().err
     assert err.startswith("numeric error:") and "Traceback" not in err
     with open(out / "diverged.json") as f:
-        dump = json.load(f)
+        dump = json.load(f, parse_constant=_reject_constant)
     assert "non-finite" in dump["error"]
     return dump
 
@@ -302,7 +311,9 @@ def test_compose_divergence_writes_dump(tmp_path, capsys):
         {"kind": "root", "subjects": [1], "frames": [11],
          "params": {"targets": [[1e200, 0, 0]]}}])
     dump = assert_diverged_dump(tmp_path, capsys, "compose", cfg)
-    assert dump["breakdown"] is not None
+    # non-finite values are written as strings, which strict JSON holds
+    assert dump["breakdown"]["total"] == "inf"
+    assert list(dump["breakdown"]["terms"].values()) == ["inf"]
 
 
 SEGMENT = {"window": 12, "kept": 6, "boundary_frames": 4,
@@ -362,13 +373,28 @@ def test_train_writes_weights_and_curve(tmp_path):
     assert rows[0] == ["evaluation", "loss"] and len(rows) > 1
     # the trained model must be loadable for composition
     compose_cfg = json.loads(open(compose_config(tmp_path)).read())
+    # its dimensions (hidden=8 here) come from the weights file alone
     compose_cfg["prior"] = {"kind": "mlp",
-                            "weights": os.path.join(out, "weights.npz"),
-                            "hidden": 8}
+                            "weights": os.path.join(out, "weights.npz")}
     compose_cfg["stats"] = os.path.join(out, "stats.json")
     cfg2 = write_config(tmp_path, "c2.json", compose_cfg)
     assert main(["compose", "--config", cfg2, "--out",
                  str(tmp_path / "mlpruns"), "--seed", "1"]) == EXIT_OK
+
+
+def test_compose_unreadable_weights_file(tmp_path, capsys):
+    """A weights file that is not an npz, or lacks the meta entry or a
+    weight array, is a config error rather than a traceback."""
+    junk, no_meta = tmp_path / "junk.npz", tmp_path / "no_meta.npz"
+    junk.write_text("not an archive")
+    np.savez(no_meta, W1=np.zeros(3))
+    for path in (junk, no_meta):
+        payload = json.loads(open(compose_config(tmp_path)).read())
+        payload["prior"] = {"kind": "mlp", "weights": str(path)}
+        cfg = write_config(tmp_path, "w.json", payload)
+        err = assert_config_error_writes_nothing(tmp_path, capsys, "compose",
+                                                 cfg)
+        assert "weights file unreadable" in err
 
 
 def test_train_divergence_writes_dump(tmp_path, capsys):
@@ -420,6 +446,24 @@ def test_extend_adds_window_minus_kept_frames(tmp_path, composed):
         J = skeleton.J
         assert np.allclose(after.frames[:before.N, :3 * J],
                            before.frames[:, :3 * J], atol=1e-9)
+
+
+def test_extend_keeps_each_sequence_fps(tmp_path):
+    """A run composed at 30 fps stays at 30 fps when an extend config sets
+    no fps of its own."""
+    payload = json.loads(open(compose_config(tmp_path)).read())
+    cfg = write_config(tmp_path, "c30.json", dict(payload, fps=30))
+    base = str(tmp_path / "base30")
+    assert main(["compose", "--config", cfg, "--out", base,
+                 "--seed", "2"]) == EXIT_OK
+    ext_cfg = write_config(tmp_path, "e.json", dict(
+        FAST, results_dir=base, scene={"extension": [SEGMENT]}))
+    out = str(tmp_path / "ext")
+    assert main(["extend", "--config", ext_cfg, "--out", out]) == EXIT_OK
+    for d in (base, out):
+        for pid in (1, 2):
+            path = os.path.join(d, "seed00002", f"person{pid}.motion")
+            assert read_motion(path, default_skeleton()).fps == 30.0
 
 
 def test_extend_requires_segments(tmp_path, composed):
@@ -523,14 +567,21 @@ def test_export_missing_input(tmp_path):
 # -- generic flag handling -----------------------------------------------------------
 
 
-def test_all_subcommands_accept_standard_flags():
+def test_all_subcommands_accept_standard_flags(capsys):
+    """Every command takes the standard flags; only compose, which fans its
+    seeds out over workers, takes --jobs."""
     from groupmotion.cli import build_parser
     parser = build_parser()
     for name in ("corpus", "train", "compose", "extend", "eval", "export"):
         args = parser.parse_args([name, "--config", "c", "--out", "o",
-                                  "--seed", "1", "--jobs", "2",
-                                  "--dry-run", "--overwrite"])
-        assert args.command == name and args.jobs == 2 and args.dry_run
+                                  "--seed", "1", "--dry-run", "--overwrite"])
+        assert args.command == name and args.dry_run and args.overwrite
+        if name == "compose":
+            assert parser.parse_args([name, "--jobs", "2"]).jobs == 2
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "--jobs", "2"])
+            assert "--jobs" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -9,7 +9,7 @@ from groupmotion import autodiff as ad
 from groupmotion import motion as mo
 
 import tape_samplers as tape
-from conftest import check_gradient
+from conftest import check_gradient, gs_facing
 
 
 def make_seq(skeleton, N=10, seed=0):
@@ -122,6 +122,54 @@ def test_facing_degenerate_frame0_errors(skeleton):
     frames[:, rb:rb + 6] = mo.rotation_to_6d(R)
     with pytest.raises(ValueError, match="frame 0"):
         mo.facing_direction(mo.MotionSequence(skeleton, frames), 0)
+
+
+def _with_root_6d(skeleton, r6_per_frame):
+    """Rest frames whose root rotation is the given 6D vector per frame."""
+    frames = rest_seq(skeleton, len(r6_per_frame)).frames.copy()
+    rb = mo.rot_slice(skeleton.J).start
+    frames[:, rb:rb + 6] = r6_per_frame
+    return mo.MotionSequence(skeleton, frames)
+
+
+@pytest.mark.parametrize("fx,falls_back", [(1e-7, True), (1e-5, False)])
+def test_facing_short_ground_projection_falls_back(skeleton, fx, falls_back):
+    """A forward axis whose ground projection is shorter than 1e-6 (before
+    normalising) takes the previous frame's facing."""
+    fy = np.sqrt(1.0 - fx * fx)
+    # c1 = +z, c2 = f x c1, so c1 x c2 = f = (fx, fy, 0)
+    tilted = np.array([0.0, 0.0, 1.0, fy, -fx, 0.0])
+    yawed = mo.rotation_to_6d(mo.yaw_rotation(0.3))
+    seq = _with_root_6d(skeleton, [yawed, tilted])
+    want = [np.cos(0.3), np.sin(0.3)] if falls_back else [1.0, 0.0]
+    assert np.allclose(mo.facing_direction(seq, 1), want, atol=1e-6)
+
+
+def test_facing_zero_first_axis_falls_back(skeleton):
+    """A zero first 6D axis has a zero ground projection on the smoothed
+    chain, so it falls back like any other degenerate frame."""
+    yawed = mo.rotation_to_6d(mo.yaw_rotation(-1.1))
+    seq = _with_root_6d(skeleton, [yawed, [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]])
+    assert np.array_equal(mo.facing_direction(seq, 1),
+                          mo.facing_direction(seq, 0))
+
+
+def _random_rotations(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 2] *= -1.0       # proper rotations only
+    return q
+
+
+def test_facing_directions_match_gs_oracle(skeleton):
+    rng = np.random.default_rng(21)
+    R = _random_rotations(rng, 40)
+    seq = _with_root_6d(skeleton, [mo.rotation_to_6d(r) for r in R])
+    got = mo.facing_directions(seq.frames, skeleton, range(seq.N)).value
+    want = [gs_facing(f, skeleton) for f in seq.frames]
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    for n in (0, 17, 39):
+        assert np.array_equal(mo.facing_direction(seq, n), got[n])
 
 
 # -- acceleration --------------------------------------------------------------
@@ -295,12 +343,21 @@ def test_motion_file_skeleton_mismatch(skeleton, tmp_path):
 # -- 6D rotations --------------------------------------------------------------
 
 
-def test_gram_schmidt_orthonormal_right_handed():
+def test_gram_schmidt_orthonormal_right_handed(skeleton):
+    """The facing of any 6D vector is the ground projection of the third
+    column of the right-handed orthonormal frame whose first two columns
+    span, in order, the vector's two axes (a sign-fixed complete QR)."""
     rng = np.random.default_rng(13)
-    for _ in range(25):
-        R = mo.gram_schmidt_6d(rng.standard_normal(6))
-        assert np.allclose(R.T @ R, np.eye(3), atol=1e-6)
-        assert np.linalg.det(R) > 0.999
+    r6 = rng.standard_normal((25, 6))
+    d = mo.facing_directions(_with_root_6d(skeleton, r6).frames, skeleton,
+                             range(25)).value
+    for k in range(25):
+        q, r = np.linalg.qr(r6[k].reshape(2, 3).T, mode="complete")
+        q[:, :2] *= np.sign(np.diag(r))
+        if np.linalg.det(q) < 0:
+            q[:, 2] *= -1.0
+        want = q[[0, 2], 2] / np.hypot(q[0, 2], q[2, 2])
+        assert np.allclose(d[k], want, atol=1e-9)
 
 
 def test_yaw_rotation_forward_axis():

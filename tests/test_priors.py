@@ -104,9 +104,13 @@ def test_analytic_manifold_fixed_point(analytic_prior, skeleton, stats,
     assert np.abs(mu2 - x2).max() < 1e-9
 
 
-def test_analytic_unknown_label_rejected(analytic_prior, skeleton):
+def test_analytic_unknown_label_rejected(analytic_prior, skeleton,
+                                        monkeypatch):
+    from groupmotion import scripts
     from groupmotion.scripts import InteractionLabel, LabelSpec
-    bad = InteractionLabel(0, (LabelSpec("weird", "spiral"),))
+    monkeypatch.setattr(scripts, "VOCABULARY", scripts.VOCABULARY +
+                        (LabelSpec("weird", "spiral"),))
+    bad = InteractionLabel(len(scripts.VOCABULARY) - 1)
     x = noise((6, skeleton.D), 9)
     with pytest.raises(ValueError, match="spiral"):
         analytic_prior.predict(ad.constant(np.stack([x, x])), 10, bad)
@@ -164,22 +168,41 @@ def test_hypothesis_analytic_predict_gradient(small_schedule, stats, skeleton,
 # -- MLP prior ----------------------------------------------------------------
 
 
-def test_mlp_weight_round_trip(mlp_prior, tmp_path, small_schedule, skeleton):
+def test_mlp_weight_round_trip(mlp_prior, tmp_path, small_schedule):
+    """`load` restores the weights and the dimensions the file records."""
     path = tmp_path / "w.npz"
     mlp_prior.save_weights(path)
-    other = MLPPrior(small_schedule, skeleton.D, n_labels=6, hidden=16, seed=9)
-    other.load_weights(path)
+    other = MLPPrior.load(path, small_schedule)
+    assert (other.D, other.n_labels, other.hidden) == \
+        (mlp_prior.D, mlp_prior.n_labels, mlp_prior.hidden)
+    assert other.schedule is small_schedule
+    assert other.weights.keys() == mlp_prior.weights.keys()
     for k in mlp_prior.weights:
         assert np.array_equal(other.weights[k], mlp_prior.weights[k])
 
 
-def test_mlp_weight_dim_mismatch(mlp_prior, tmp_path, small_schedule,
-                                 skeleton):
-    path = tmp_path / "w.npz"
-    mlp_prior.save_weights(path)
-    wrong = MLPPrior(small_schedule, skeleton.D, n_labels=6, hidden=32)
-    with pytest.raises(ValueError, match="dims"):
-        wrong.load_weights(path)
+def test_mlp_weight_dim_mismatch(tmp_path, capsys, small_schedule, skeleton):
+    """A weights file whose D is not the skeleton's, or whose label count is
+    not the vocabulary's, is a config error (exit 2) before --out exists."""
+    import json
+    from groupmotion.cli import EXIT_CONFIG, main
+    n = len(default_vocabulary())
+    for dD, n_labels in ((4, n), (0, n - 1)):
+        path = tmp_path / f"w{dD}-{n_labels}.npz"
+        MLPPrior(small_schedule, skeleton.D + dD, n_labels,
+                 hidden=8).save_weights(path)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "schedule": {"t_train": 50, "ddim_steps": 5},
+            "prior": {"kind": "mlp", "weights": str(path)},
+            "scene": {"participants": [1, 2], "first_label": "approach",
+                      "n_frames": 12}}))
+        out = tmp_path / "out"
+        for extra in (["--dry-run"], []):
+            assert main(["compose", "--config", str(cfg), "--out", str(out)]
+                        + extra) == EXIT_CONFIG
+            assert "weights file" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def _training_pairs(skeleton, stats, n=4, N=8):

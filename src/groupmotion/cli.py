@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 
 from .composer import (Composer, CompositionResult, ExtensionSegment,
                        OptimizationDiverged, OptimizerConfig, SceneSpec,
@@ -34,11 +35,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 PRIOR_KEYS = ("kind", "weights")
-SCENE_KEYS = ("participants", "first_label", "first_penalties", "steps",
-              "extension", "n_frames")
-STEP_KEYS = ("target", "reference", "label", "opt_subset", "penalties")
-SEGMENT_KEYS = ("window", "kept", "pairs", "penalties", "boundary_frames",
-                "boundary_weight", "mode")
+# the top-level keys each command reads; any other key is a config error
+RUN_KEYS = ("schedule", "optimizer", "prior", "stats", "fps")
+CONFIG_KEYS = {
+    "corpus": tuple(f.name for f in fields(CorpusConfig) if f.name != "seed"),
+    "train": ("corpus_dir", "schedule", "epochs", "hidden", "lr"),
+    "compose": RUN_KEYS + ("scene",),
+    "extend": RUN_KEYS + ("results_dir", "scene"),
+    "eval": ("results_dir", "overlap_threshold"),
+    "export": ("inputs",),
+}
 
 
 class ConfigError(ValueError):
@@ -70,9 +76,18 @@ def _require(cfg: dict, key: str, ctx: str = "config"):
 
 def _check_keys(cfg, keys, ctx: str) -> None:
     """Reject a section that is not an object or holds an unknown key."""
-    if not isinstance(cfg, dict) or set(cfg) - set(keys):
-        raise ConfigError(f"{ctx}: accepted keys are {list(keys)}, "
-                          f"got {cfg!r}")
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{ctx}: expected an object, got {cfg!r}")
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ConfigError(f"{ctx}: unknown keys {unknown}; accepted are "
+                          f"{list(keys)}")
+
+
+def _given(cfg: dict, *keys) -> dict:
+    """The entries of `keys` that `cfg` sets, so that an unset one keeps
+    the default of the function it is passed to."""
+    return {k: cfg[k] for k in keys if k in cfg}
 
 
 def _prepare_out(out, overwrite: bool) -> str:
@@ -106,96 +121,67 @@ def _write_manifest(out, payload: dict) -> None:
         json.dump(payload, f, indent=1, sort_keys=True)
 
 
-def _seeds(args, cfg: dict) -> list:
-    if args.seed is not None:
-        return [int(s) for s in str(args.seed).split(",")]
-    seeds = cfg.get("seeds", [cfg.get("seed", 0)])
-    return [int(s) for s in seeds]
+def _seed_list(text: str) -> list:
+    """`--seed`: one seed or a comma-separated list of distinct seeds."""
+    parts = text.split(",")
+    if not all(p.isdecimal() for p in parts) or \
+            len(set(map(int, parts))) < len(parts):
+        raise argparse.ArgumentTypeError(
+            f"need distinct integers >= 0, comma-separated; got {text!r}")
+    return [int(p) for p in parts]
 
 
 # -- config -> domain objects --------------------------------------------------
 
 
-def _schedule_from(cfg: dict) -> DiffusionSchedule:
+def _build(cls, section, ctx: str, **given):
+    """`cls(**section, **given)` for the dataclass `cls` that owns the
+    config object `section`, after `_parsed` has turned its JSON values into
+    the objects `cls` takes. A key that is not a field of `cls`, a missing
+    one or a value that `cls` rejects is a ConfigError naming `ctx`."""
+    _check_keys(section, [f.name for f in fields(cls) if f.name not in given],
+                ctx)
     try:
-        return DiffusionSchedule(**cfg.get("schedule", {}))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"schedule: {e}") from e
-
-
-def _optimizer_from(cfg: dict) -> OptimizerConfig:
-    try:
-        return OptimizerConfig(**cfg.get("optimizer", {}))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"optimizer: {e}") from e
-
-
-def _penalties_from(items, ctx: str) -> tuple:
-    out = []
-    for i, d in enumerate(items or ()):
-        try:
-            out.append(PenaltyConfig.from_json(d))
-            if out[-1].kind == "region":
-                region_joints(out[-1].params.get("joints"),
-                              default_skeleton().J)
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"{ctx}: penalty {i}: {e}") from e
-    return tuple(out)
-
-
-def _label_from(name, ctx: str):
-    try:
-        return label_by_name(name)
-    except KeyError as e:
+        return cls(**{k: _parsed(k, v, ctx) for k, v in section.items()},
+                   **given)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError) as e:     # KeyError: a label name
         raise ConfigError(f"{ctx}: {e}") from e
 
 
-def _segments_from(scene: dict) -> tuple:
-    segments = []
-    for i, s in enumerate(scene.get("extension", ())):
-        ctx = f"scene.extension[{i}]"
-        _check_keys(s, SEGMENT_KEYS, ctx)
-        pairs = tuple((a, b, _label_from(name, ctx))
-                      for a, b, name in _require(s, "pairs", ctx))
-        segments.append(ExtensionSegment(
-            window=_require(s, "window", ctx), kept=_require(s, "kept", ctx),
-            pairs=pairs, penalties=_penalties_from(s.get("penalties"), ctx),
-            boundary_frames=s.get("boundary_frames", 25),
-            boundary_weight=s.get("boundary_weight", 1.0),
-            mode=s.get("mode", "noised")))
-    return tuple(segments)
+def _parsed(key: str, value, ctx: str):
+    """The object a section's JSON `value` under `key` stands for: labels
+    for label names, tuples of person ids, and PenaltyConfig, SceneStep and
+    ExtensionSegment tuples."""
+    if key in ("label", "first_label"):
+        return label_by_name(value)
+    if key in ("penalties", "first_penalties"):
+        pens = _items(PenaltyConfig, value, f"{ctx}.{key}")
+        for p in pens:
+            if p.kind == "region":
+                region_joints(p.params.get("joints"), default_skeleton().J)
+        return pens
+    if key in ("participants", "opt_subset"):
+        return tuple(value)
+    if key == "pairs":
+        return tuple((a, b, label_by_name(name)) for a, b, name in value)
+    if key == "steps":
+        return _items(SceneStep, value, f"{ctx}.steps")
+    if key == "extension":
+        return _items(ExtensionSegment, value, f"{ctx}.extension")
+    return value
 
 
-def _scene_from(cfg: dict, seed: int) -> SceneSpec:
-    scene = _require(cfg, "scene")
-    _check_keys(scene, SCENE_KEYS, "scene")
-    participants = tuple(_require(scene, "participants", "scene"))
-    steps = []
-    for i, s in enumerate(scene.get("steps", ())):
-        _check_keys(s, STEP_KEYS, f"scene.steps[{i}]")
-        steps.append(SceneStep(
-            target=_require(s, "target", f"scene.steps[{i}]"),
-            reference=_require(s, "reference", f"scene.steps[{i}]"),
-            label=_label_from(_require(s, "label", f"scene.steps[{i}]"),
-                              f"scene.steps[{i}]"),
-            opt_subset=tuple(s.get("opt_subset", ())),
-            penalties=_penalties_from(s.get("penalties"),
-                                      f"scene.steps[{i}]")))
-    try:
-        return SceneSpec(
-            participants=participants,
-            first_label=_label_from(_require(scene, "first_label", "scene"),
-                                    "scene"),
-            first_penalties=_penalties_from(scene.get("first_penalties"),
-                                            "scene"),
-            steps=tuple(steps), extension=_segments_from(scene), seed=seed,
-            n_frames=scene.get("n_frames", 32))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"scene: {e}") from e
+def _items(cls, items, ctx: str) -> tuple:
+    """A list of config objects, each built by `_build(cls, ...)`."""
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"{ctx}: expected a list, got {items!r}")
+    return tuple(_build(cls, s, f"{ctx}[{i}]") for i, s in enumerate(items))
 
 
 def _prior_from(cfg: dict, schedule, stats, skeleton):
-    prior_cfg = cfg.get("prior", {"kind": "analytic"})
+    prior_cfg = cfg.get("prior", {})
     _check_keys(prior_cfg, PRIOR_KEYS, "prior")
     kind = prior_cfg.get("kind", "analytic")
     if kind == "analytic":
@@ -229,17 +215,8 @@ def _stats_from(cfg: dict, skeleton) -> NormalizationStats:
 # -- subcommands ----------------------------------------------------------------
 
 
-def cmd_corpus(args) -> int:
-    cfg = _load_config(args.config)
-    try:
-        corpus_cfg = CorpusConfig(
-            labels=tuple(cfg.get("labels", CorpusConfig.labels)),
-            samples_per_label=cfg.get("samples_per_label", 8),
-            n_frames=cfg.get("n_frames", 32),
-            fps=cfg.get("fps", 20.0),
-            seed=_seeds(args, cfg)[0])
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+def cmd_corpus(args, cfg: dict) -> int:
+    corpus_cfg = _build(CorpusConfig, cfg, "config", seed=args.seed[0])
     if args.dry_run:
         print(f"corpus: {len(corpus_cfg.labels)} labels x "
               f"{corpus_cfg.samples_per_label} samples, "
@@ -262,15 +239,20 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_train(args, cfg: dict) -> int:
     corpus_dir = _require(cfg, "corpus_dir")
     if not os.path.isdir(corpus_dir):
         raise ConfigError(f"corpus_dir not found: {corpus_dir}")
-    schedule = _schedule_from(cfg)
+    schedule = _build(DiffusionSchedule, cfg.get("schedule", {}), "schedule")
+    for key, least in (("epochs", 0), ("hidden", 1)):
+        if key in cfg and (type(cfg[key]) is not int or cfg[key] < least):
+            raise ConfigError(f"{key} must be an int >= {least}, "
+                              f"got {cfg[key]!r}")
+    if "lr" in cfg and not (type(cfg["lr"]) in (int, float) and cfg["lr"] > 0):
+        raise ConfigError(f"lr must be a number > 0, got {cfg['lr']!r}")
     skeleton = default_skeleton()
     epochs = cfg.get("epochs", 5)
-    seed = _seeds(args, cfg)[0]
+    seed = args.seed[0]
     if args.dry_run:
         print(f"train: corpus {corpus_dir}, {epochs} epochs, seed {seed}")
         return EXIT_OK
@@ -281,10 +263,10 @@ def cmd_train(args) -> int:
                normalize(s.seqs[1].frames, stats)), s.label)
              for s in corpus.samples]
     prior = MLPPrior(schedule, skeleton.D, n_labels=len(VOCABULARY),
-                     hidden=cfg.get("hidden", 64), seed=seed)
+                     seed=seed, **_given(cfg, "hidden"))
     try:
-        curve = train(prior, pairs, schedule, epochs,
-                      lr=cfg.get("lr", 1e-3), seed=seed)
+        curve = train(prior, pairs, schedule, epochs, seed=seed,
+                      **_given(cfg, "lr"))
     except TrainingDiverged as e:
         return _diverged(out, e)
     prior.save_weights(os.path.join(out, "weights.npz"))
@@ -305,11 +287,12 @@ def cmd_train(args) -> int:
 def _composer_from(cfg: dict) -> Composer:
     """Schedule, stats, prior and optimizer of a run; raises ConfigError."""
     skeleton = default_skeleton()
-    schedule = _schedule_from(cfg)
+    schedule = _build(DiffusionSchedule, cfg.get("schedule", {}), "schedule")
     stats = _stats_from(cfg, skeleton)
     prior = _prior_from(cfg, schedule, stats, skeleton)
-    return Composer(prior, schedule, stats, skeleton, _optimizer_from(cfg),
-                    fps=cfg.get("fps", 20.0))
+    opt = _build(OptimizerConfig, cfg.get("optimizer", {}), "optimizer")
+    return Composer(prior, schedule, stats, skeleton, opt,
+                    **_given(cfg, "fps"))
 
 
 def _write_sequences(sequences: dict, run_dir: str) -> list:
@@ -324,7 +307,8 @@ def _write_sequences(sequences: dict, run_dir: str) -> list:
 
 def _compose_one(cfg: dict, seed: int, out_dir: str) -> dict:
     """One seeded composition run; returns its manifest entry."""
-    result = _composer_from(cfg).compose(_scene_from(cfg, seed))
+    spec = _build(SceneSpec, cfg["scene"], "scene", seed=seed)
+    result = _composer_from(cfg).compose(spec)
     run_dir = os.path.join(out_dir, f"seed{seed:05d}")
     files = _write_sequences(result.sequences, run_dir)
     with open(os.path.join(run_dir, "loss.csv"), "w", newline="") as f:
@@ -338,11 +322,10 @@ def _compose_one(cfg: dict, seed: int, out_dir: str) -> dict:
                              for r in result.records if r.losses}}
 
 
-def cmd_compose(args) -> int:
-    cfg = _load_config(args.config)
-    seeds = _seeds(args, cfg)
+def cmd_compose(args, cfg: dict) -> int:
+    seeds = args.seed
     # validate everything up front so --dry-run and config errors never sample
-    spec = _scene_from(cfg, seeds[0])
+    spec = _build(SceneSpec, _require(cfg, "scene"), "scene", seed=seeds[0])
     _composer_from(cfg)
     if args.dry_run:
         print(f"compose: persons {spec.participants}, first label "
@@ -392,15 +375,15 @@ def _load_runs(results_dir: str, skeleton) -> list:
     return runs
 
 
-def cmd_extend(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_extend(args, cfg: dict) -> int:
     results_dir = _require(cfg, "results_dir")
     composer = _composer_from(cfg)
     runs = _load_runs(results_dir, composer.skeleton)
+    scene = _require(cfg, "scene")
+    _check_keys(scene, ("extension",), "scene")
+    segments = _items(ExtensionSegment, scene.get("extension", ()),
+                      "scene.extension")
     try:
-        scene = _require(cfg, "scene")
-        _check_keys(scene, SCENE_KEYS, "scene")
-        segments = _segments_from(scene)
         for _, _, seqs in runs:
             check_segments(segments, seqs)
     except (TypeError, ValueError) as e:
@@ -427,15 +410,14 @@ def cmd_extend(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_eval(args, cfg: dict) -> int:
     results_dir = _require(cfg, "results_dir")
     runs = [seqs for _, _, seqs in _load_runs(results_dir, default_skeleton())]
     if args.dry_run:
         print(f"eval: {len(runs)} run(s) from {results_dir}")
         return EXIT_OK
     out = _prepare_out(args.out, args.overwrite)
-    report = evaluate_runs(runs, cfg.get("overlap_threshold", 0.25))
+    report = evaluate_runs(runs, **_given(cfg, "overlap_threshold"))
     write_report_csv(report, os.path.join(out, "metrics.csv"))
     _write_manifest(out, {
         "command": "eval", "config_hash": _config_hash(cfg),
@@ -451,8 +433,7 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_export(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_export(args, cfg: dict) -> int:
     inputs = _require(cfg, "inputs")
     paths = []
     for item in inputs:
@@ -503,6 +484,7 @@ COMMANDS = {
     "eval": cmd_eval,
     "export": cmd_export,
 }
+SEEDED = ("corpus", "train", "compose")   # the commands that draw samples
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -514,11 +496,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", help="seed or comma-separated seed list")
         p.add_argument("--dry-run", action="store_true",
                        help="validate and print the plan without writing")
         p.add_argument("--overwrite", action="store_true",
                        help="allow writing into a non-empty directory")
+        if name in SEEDED:
+            p.add_argument("--seed", type=_seed_list, default=[0],
+                           help="seed or comma-separated list of seeds")
         if name == "compose":
             p.add_argument("--jobs", type=int, default=1,
                            help="parallel workers across seeds")
@@ -528,7 +512,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        cfg = _load_config(args.config)
+        _check_keys(cfg, CONFIG_KEYS[args.command], "config")
+        return COMMANDS[args.command](args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -28,7 +28,7 @@ from .diffusion import DiffusionSchedule, FrameMask, ddim_sample, \
     inpaint_extend, masked_sample
 from .motion import MotionSequence, NormalizationStats, Skeleton, denormalize, \
     normalize, repair_velocities
-from .penalties import PenaltyConfig, aggregate
+from .penalties import SUBJECTS, PenaltyConfig, aggregate
 from .scripts import InteractionLabel
 
 
@@ -61,7 +61,7 @@ class SceneStep:
 class ExtensionSegment:
     window: int                    # frames in the new window
     kept: int                      # leading frames clamped to the references
-    pairs: tuple = ()              # (person_a, person_b, InteractionLabel)
+    pairs: tuple                   # (person_a, person_b, InteractionLabel)
     penalties: tuple = ()          # extra penalties besides the boundary term
     boundary_frames: int = 25
     boundary_weight: float = 1.0
@@ -356,7 +356,7 @@ def _default_pair_subjects(pens, p1, p2):
     for cfg in pens:
         if cfg.subjects:
             out.append(cfg)
-        elif cfg.kind in ("overlap", "relative"):
+        elif SUBJECTS[cfg.kind][0] == 2:
             out.append(PenaltyConfig(cfg.kind, cfg.weight, (p1, p2),
                                      cfg.frames, cfg.params))
         else:

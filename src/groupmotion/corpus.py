@@ -50,8 +50,11 @@ class CorpusConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.samples_per_label < 1 or self.n_frames < 4:
-            raise ValueError("CorpusConfig: need >=1 sample and >=4 frames")
+        for key, least in (("samples_per_label", 1), ("n_frames", 4)):
+            value = getattr(self, key)
+            if type(value) is not int or value < least:
+                raise ValueError(f"CorpusConfig: {key} must be an int >= "
+                                 f"{least}, got {value!r}")
         known = {s.name for s in default_vocabulary()}
         unknown = [l for l in self.labels if l not in known]
         if unknown:

@@ -143,10 +143,12 @@ PARAMS = {"overlap": ("delta",), "root": ("targets", "delta"),
           "orientation": ("targets", "delta"), "relative": ("d_min", "d_max"),
           "boundary": ("window_start", "window_len")}
 KINDS = tuple(PARAMS)
-JSON_KEYS = ("kind", "weight", "subjects", "frames", "params")
 REQUIRED_PARAMS = {"root": ("targets",), "orientation": ("targets",),
                    "region": ("lower", "upper"), "relative": ("d_min", "d_max")}
 TARGET_WIDTH = {"root": 3, "orientation": 2}   # values per target frame
+# (least, most) subjects per kind; None is no upper bound
+SUBJECTS = {"overlap": (2, None), "relative": (2, 2), "root": (1, 1),
+            "region": (1, 1), "orientation": (1, 1), "boundary": (1, 1)}
 
 
 @dataclass
@@ -158,6 +160,10 @@ class PenaltyConfig:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        # JSON lists become the tuple and int array the terms read
+        self.subjects = tuple(self.subjects)
+        if self.frames is not None:
+            self.frames = np.asarray(self.frames, dtype=int)
         if self.kind not in KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if self.weight < 0:
@@ -172,8 +178,12 @@ class PenaltyConfig:
                    if k not in self.params]
         if missing:
             raise ValueError(f"{self.kind} penalty needs params {missing}")
-        if self.kind == "relative" and len(self.subjects) == 1:
-            raise ValueError("relative penalty needs two subjects")
+        least, most = SUBJECTS[self.kind]
+        n = len(self.subjects)
+        if n and (n < least or n > (most or n) or len(set(self.subjects)) < n):
+            raise ValueError(f"{self.kind} penalty needs {least}"
+                             f"{'' if most else '+'} distinct subjects, got "
+                             f"{list(self.subjects)}")
         for key in ("delta", "d_min", "d_max"):
             if key in self.params and self.params[key] < 0:
                 raise ValueError(f"penalty {key} must be >= 0")
@@ -199,17 +209,6 @@ class PenaltyConfig:
         width = TARGET_WIDTH.get(self.kind)
         if width and np.size(self.params["targets"]) != width * frames.size:
             raise ValueError(f"{self.kind} penalty needs one target per frame")
-
-    @classmethod
-    def from_json(cls, d: dict) -> "PenaltyConfig":
-        if not isinstance(d, dict) or set(d) - set(JSON_KEYS):
-            raise ValueError(f"penalty accepted keys are {list(JSON_KEYS)}, "
-                             f"got {d!r}")
-        frames = d.get("frames")
-        return cls(kind=d["kind"], weight=d.get("weight", 1.0),
-                   subjects=tuple(d.get("subjects", ())),
-                   frames=None if frames is None else np.asarray(frames, dtype=int),
-                   params=d.get("params", {}))
 
 
 @dataclass

@@ -48,6 +48,10 @@ _BASE_OFFSETS = {
 }
 
 IDENTITY_ROT6D = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
+HEADING_MAX = 1.2      # bound on the heading offset psi, radians
+GESTURE_CYCLES = 1.5   # hand oscillations per script
+CIRCLE_SWEEP = 1.6     # radians swept by circle labels
+FOLLOW_GAP = 0.8       # meters the follower ends behind its leader
 
 
 @dataclass(frozen=True)
@@ -55,22 +59,21 @@ class LabelSpec:
     """One vocabulary entry: label semantics plus script constants."""
     name: str
     kind: str                  # approach | circle | talk | pose | follow
-    symmetric: bool = True
     stationary: bool = False
     gap: float = 0.7           # target final root separation (approach)
     walk_span: float = 4.0     # soft cap on walk distance, meters
     drift_max: float = 1.5     # bound on per-person horizontal drift
     drift_gain: float = 1.0    # tanh steepness of drift extraction
     speed_log_max: float = 0.35
-    heading_max: float = 1.2   # bound on heading offset, radians
-    heading_gain: float = 1.0
     heading_weight: float = 1.0  # how strongly psi perturbs the heading
     gesture_amp: float = 0.0   # hand oscillation amplitude, meters
-    gesture_cycles: float = 1.5
     sway_amp: float = 0.0      # lateral root sway for stationary labels
     sway_cycles: float = 2.0
-    circle_sweep: float = 1.6  # radians swept by circle labels
-    follow_gap: float = 0.8
+
+    @property
+    def symmetric(self) -> bool:
+        """Swapping the persons swaps the script; only follow has roles."""
+        return self.kind != "follow"
 
 
 def default_vocabulary() -> list:
@@ -83,7 +86,7 @@ def default_vocabulary() -> list:
                   gesture_amp=0.10, sway_amp=0.03, heading_weight=0.2),
         LabelSpec("pose-pair", "pose", stationary=True, drift_max=0.2,
                   gesture_amp=0.06, heading_weight=0.4),
-        LabelSpec("follow", "follow", symmetric=False, gesture_amp=0.04),
+        LabelSpec("follow", "follow", gesture_amp=0.04),
         # near-collision family: near-exact walk (huge cap, tight speed
         # range) ends at a 10 cm gap; the drift channels remain the escape
         # route for separation
@@ -154,18 +157,18 @@ def _extract(w: np.ndarray, skeleton: Skeleton, spec: LabelSpec):
     u = np.sum(w[:, :, vb:vb + 3], axis=1)
     v = np.sum(w[:, :, vb + 3:vb + 6], axis=1)
     tx, tz = np.tanh(spec.drift_gain * u[:, 0]), np.tanh(spec.drift_gain * u[:, 2])
-    ts, tp = np.tanh(u[:, 1]), np.tanh(spec.heading_gain * v[:, 0])
+    ts, tp = np.tanh(u[:, 1]), np.tanh(v[:, 0])
     p = {"anchor": anchor, "u": u, "v": v,
          "drift": np.stack([spec.drift_max * tx, np.zeros(P),
                             spec.drift_max * tz], axis=1),
-         "speed": np.exp(spec.speed_log_max * ts), "psi": spec.heading_max * tp}
+         "speed": np.exp(spec.speed_log_max * ts), "psi": HEADING_MAX * tp}
 
     def vjp(g):
         gu, gv, gain = g["u"], g["v"], spec.drift_max * spec.drift_gain
         gu[:, 0] += g["drift"][:, 0] * gain * (1.0 - tx * tx)
         gu[:, 2] += g["drift"][:, 2] * gain * (1.0 - tz * tz)
         gu[:, 1] += g["speed"] * p["speed"] * spec.speed_log_max * (1.0 - ts * ts)
-        gv[:, 0] += g["psi"] * spec.heading_max * spec.heading_gain * (1.0 - tp * tp)
+        gv[:, 0] += g["psi"] * HEADING_MAX * (1.0 - tp * tp)
         gw = np.zeros(w.shape)
         gw[:, 0, [g0, g0 + 2]] = g["anchor"][:, [0, 2]]
         gw[:, :, vb:vb + 6] = np.concatenate([gu, gv], axis=1)[:, None, :]
@@ -194,8 +197,8 @@ def params_from_values(spec: LabelSpec, values) -> dict:
                   _inv_squash(np.log(speed), spec.speed_log_max),
                   _inv_squash(drift[:, 1], spec.drift_max, spec.drift_gain)],
                  axis=1)
-    v = np.stack([_inv_squash(psi, spec.heading_max, spec.heading_gain), zeros,
-                  _inv_squash(phase, np.pi, spec.heading_gain)], axis=1)
+    v = np.stack([_inv_squash(psi, HEADING_MAX), zeros,
+                  _inv_squash(phase, np.pi)], axis=1)
     return {"anchor": anchor, "speed": speed, "psi": psi, "u": u, "v": v,
             "drift": np.stack([drift[:, 0], zeros, drift[:, 1]], axis=1)}
 
@@ -216,7 +219,7 @@ def _constants(spec: LabelSpec, skeleton: Skeleton, N: int) -> dict:
     k["sway"][:, 2] = spec.sway_amp * (1.0 - np.cos(phase))
     off = {name: np.tile(np.asarray(o, dtype=np.float64), (N, 1))
            for name, o in _BASE_OFFSETS.items()}
-    t = np.linspace(0.0, 2 * np.pi * spec.gesture_cycles, N)
+    t = np.linspace(0.0, 2 * np.pi * GESTURE_CYCLES, N)
     for name, shift in (("l_hand", 0.0), ("r_hand", np.pi)):
         off[name][:, 1] += spec.gesture_amp * np.sin(t + shift)
         off[name][:, 2] += 0.5 * spec.gesture_amp * np.cos(t + shift)
@@ -290,14 +293,14 @@ def _circle_root(p, spec: LabelSpec, k: dict):
     r0 = np.sqrt(np.sum(flat * flat, axis=1) + 1e-3 * 1e-3)
     radius = r0 + 0.3
     alpha0, alpha0_vjp = _heading(rel)
-    sweep = k["ease"] * spec.circle_sweep
+    sweep = k["ease"] * CIRCLE_SWEEP
     alpha = alpha0[:, None] + sweep * speed[:, None]
     cos, sin = np.cos(alpha), np.sin(alpha)
     base = np.stack([center[:, 0:1] + radius[:, None] * cos,
                      np.broadcast_to(a[:, 1:2], cos.shape),
                      center[:, 2:3] + radius[:, None] * sin], axis=2)
     # tangent heading plus user offset
-    heading = alpha0 + 0.5 * spec.circle_sweep + np.pi / 2.0 + \
+    heading = alpha0 + 0.5 * CIRCLE_SWEEP + np.pi / 2.0 + \
         spec.heading_weight * p["psi"]
 
     def vjp(gb, gh, g):
@@ -345,7 +348,7 @@ def _follow_root(p, spec: LabelSpec, k: dict):
     lead = a[:, None, :] + \
         ease[:, None] * (forward * (2.0 * speed[:, None]))[:, None, :]
     # the follower heads to a point trailing its leader's end position
-    trail = (lead[:, -1, :] - forward * spec.follow_gap)[_SWAP]
+    trail = (lead[:, -1, :] - forward * FOLLOW_GAP)[_SWAP]
     to_trail = trail - a
     base = a[:, None, :] + ease[:, None] * (to_trail * speed[:, None])[:, None, :]
     head, head_vjp = _heading(to_trail)
@@ -361,7 +364,7 @@ def _follow_root(p, spec: LabelSpec, k: dict):
         glead[:, -1, :] += gtrail[_SWAP]
         gstep = np.tensordot(ease, glead, axes=(0, 1))
         g["speed"] += 2.0 * np.sum(gstep * forward, axis=1)
-        gfwd = gstep * (2.0 * speed[:, None]) - spec.follow_gap * gtrail[_SWAP]
+        gfwd = gstep * (2.0 * speed[:, None]) - FOLLOW_GAP * gtrail[_SWAP]
         gtheta = gtheta + gfwd[:, 2] * ct - gfwd[:, 0] * st
         g["psi"] += gtheta
         gd = theta_vjp(gtheta)

@@ -16,8 +16,9 @@ import numpy as np
 
 from groupmotion import autodiff as ad
 from groupmotion.motion import Skeleton, glo_slice, vel_slice
-from groupmotion.scripts import (IDENTITY_ROT6D, ROOT_HEIGHT, LabelSpec,
-                                 _BASE_OFFSETS, _inv_squash)
+from groupmotion.scripts import (CIRCLE_SWEEP, FOLLOW_GAP, GESTURE_CYCLES,
+                                 HEADING_MAX, IDENTITY_ROT6D, ROOT_HEIGHT,
+                                 LabelSpec, _BASE_OFFSETS, _inv_squash)
 
 # per-person values indexed by _SWAP give each person its partner's values
 _SWAP = np.array([1, 0])
@@ -53,7 +54,7 @@ def extract_params(w, skeleton: Skeleton, spec: LabelSpec) -> dict:
     drift_x = spec.drift_max * ad.tanh(spec.drift_gain * u[:, 0])
     drift_z = spec.drift_max * ad.tanh(spec.drift_gain * u[:, 2])
     speed = ad.exp(spec.speed_log_max * ad.tanh(u[:, 1]))
-    psi = spec.heading_max * ad.tanh(spec.heading_gain * v[:, 0])
+    psi = HEADING_MAX * ad.tanh(v[:, 0])
     return {
         "anchor": anchor,
         "drift": (drift_x, drift_z),
@@ -79,9 +80,8 @@ def params_from_values(spec: LabelSpec, values) -> dict:
                   _inv_squash(np.log(speed), spec.speed_log_max),
                   _inv_squash(drift[:, 1], spec.drift_max, spec.drift_gain)],
                  axis=1)
-    v = np.stack([_inv_squash(psi, spec.heading_max, spec.heading_gain),
-                  np.zeros(len(rows)),
-                  _inv_squash(phase, np.pi, spec.heading_gain)], axis=1)
+    v = np.stack([_inv_squash(psi, HEADING_MAX), np.zeros(len(rows)),
+                  _inv_squash(phase, np.pi)], axis=1)
     c = ad.constant
     return {"anchor": c(anchor), "drift": (c(drift[:, 0]), c(drift[:, 1])),
             "speed": c(speed), "psi": c(psi), "carriers": (c(u), c(v))}
@@ -158,7 +158,7 @@ def _circle_root(params, spec: LabelSpec, N: int):
     radius = ad.norm(ad.stack([rel[:, 0], np.zeros(P), rel[:, 2]], axis=1),
                      axis=1, eps=1e-3) + 0.3
     alpha0 = ad.atan2(rel[:, 2], rel[:, 0] + 1e-9)
-    sweep = spec.circle_sweep
+    sweep = CIRCLE_SWEEP
     alpha = _widen(alpha0, (N,)) + \
         ad.constant(np.broadcast_to(_ease(N) * sweep, (P, N))) * \
         _widen(params["speed"], (N,))
@@ -199,7 +199,7 @@ def _follow_root(params, spec: LabelSpec, N: int):
     lead_base = _widen(a, (N, 3)) + \
         _ramp_times_vec3(_ease(N), forward * (2.0 * speed))
     # the follower heads to a point trailing its leader's end position
-    trail = (lead_base[:, N - 1, :] - forward * spec.follow_gap)[_SWAP]
+    trail = (lead_base[:, N - 1, :] - forward * FOLLOW_GAP)[_SWAP]
     base = _widen(a, (N, 3)) + _ramp_times_vec3(_ease(N), (trail - a) * speed)
     heading = _heading_of(trail - a) + spec.heading_weight * params["psi"]
     return (ad.concat([lead_base[:1], base[1:]], axis=0),
@@ -230,7 +230,7 @@ def _gesture_offsets(spec: LabelSpec, N: int) -> dict:
     out = {name: np.tile(np.asarray(off, dtype=np.float64), (N, 1))
            for name, off in _BASE_OFFSETS.items()}
     if spec.gesture_amp > 0.0:
-        t = np.linspace(0.0, 2 * np.pi * spec.gesture_cycles, N)
+        t = np.linspace(0.0, 2 * np.pi * GESTURE_CYCLES, N)
         out["l_hand"][:, 1] += spec.gesture_amp * np.sin(t)
         out["r_hand"][:, 1] += spec.gesture_amp * np.sin(t + np.pi)
         out["l_hand"][:, 2] += 0.5 * spec.gesture_amp * np.cos(t)

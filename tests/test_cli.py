@@ -21,13 +21,14 @@ FAST = {"schedule": {"t_train": 50, "ddim_steps": 5},
         "optimizer": {"max_steps": 5}}
 
 
+SCENE = {"participants": [1, 2], "first_label": "approach", "n_frames": 12,
+         "first_penalties": [{"kind": "overlap", "weight": 1.0,
+                              "params": {"delta": 0.3}}]}
+
+
 def compose_config(tmp_path, name="compose.json", **scene_extra):
-    scene = {"participants": [1, 2], "first_label": "approach",
-             "n_frames": 12,
-             "first_penalties": [{"kind": "overlap", "weight": 1.0,
-                                  "params": {"delta": 0.3}}]}
-    scene.update(scene_extra)
-    return write_config(tmp_path, name, dict(FAST, scene=scene))
+    return write_config(tmp_path, name,
+                        dict(FAST, scene=dict(SCENE, **scene_extra)))
 
 
 def read_manifest(out):
@@ -213,7 +214,12 @@ def test_compose_penalty_missing_params(tmp_path, capsys, kind, params,
     {"participants": [1, 2, 3],
      "steps": [{"target": 3, "reference": 1, "label": "approach",
                 "opt_subset": [1], "penalties": [{"kind": "overlap"}]}]},
-], ids=["unknown-person", "not-in-opt-subset", "no-subjects"])
+    # a one-person kind names one person, overlap at least two
+    {"first_penalties": [{"kind": "root", "subjects": [1, 2], "frames": [11],
+                          "params": {"targets": [0.0, 0.9, 0.0]}}]},
+    {"first_penalties": [{"kind": "overlap", "subjects": [1]}]},
+], ids=["unknown-person", "not-in-opt-subset", "no-subjects",
+        "root-two-subjects", "overlap-one-subject"])
 def test_compose_penalty_subject_not_generated(tmp_path, capsys,
                                                scene_extra):
     cfg = compose_config(tmp_path, **scene_extra)
@@ -363,7 +369,7 @@ def test_train_writes_weights_and_curve(tmp_path):
     assert main(["corpus", "--config", corpus_cfg,
                  "--out", corpus_dir]) == EXIT_OK
     train_cfg = write_config(tmp_path, "t.json", dict(
-        FAST, corpus_dir=corpus_dir, epochs=2, hidden=8))
+        schedule=FAST["schedule"], corpus_dir=corpus_dir, epochs=2, hidden=8))
     out = str(tmp_path / "model")
     assert main(["train", "--config", train_cfg, "--out", out]) == EXIT_OK
     for fname in ("weights.npz", "stats.json", "loss.csv", "manifest.json"):
@@ -405,7 +411,8 @@ def test_train_divergence_writes_dump(tmp_path, capsys):
     assert main(["corpus", "--config", corpus_cfg,
                  "--out", corpus_dir]) == EXIT_OK
     cfg = write_config(tmp_path, "t.json", dict(
-        FAST, corpus_dir=corpus_dir, epochs=2, hidden=8, lr=1e300))
+        schedule=FAST["schedule"], corpus_dir=corpus_dir, epochs=2, hidden=8,
+        lr=1e300))
     assert_diverged_dump(tmp_path, capsys, "train", cfg)
 
 
@@ -501,10 +508,17 @@ def test_extend_requires_segments(tmp_path, composed):
     {"scene": {"extension": [dict(SEGMENT, penalties=[
         {"kind": "boundary", "subjects": [1],
          "params": {"window_lenght": 4}}])]}},
+    {"optimiser": {"max_steps": 5}},
+    # an extend scene reads only its extension
+    {"scene": {"extension": [SEGMENT], "participants": [1, 2]}},
+    {"scene": {"extension": [{"window": 12, "kept": 6}]}},
+    {"scene": {"extension": 5}},
 ], ids=["unknown-optimizer-key", "penalty-outside-pair", "unknown-person",
         "pairs-not-a-list", "kept-zero", "seam-too-short",
         "seam-beyond-window", "penalty-frame-beyond-window", "unknown-mode",
-        "unknown-segment-key", "unknown-scene-key", "unknown-params-key"])
+        "unknown-segment-key", "unknown-scene-key", "unknown-params-key",
+        "top-level-key", "scene-key-of-compose", "pairs-missing",
+        "extension-not-a-list"])
 def test_extend_config_errors(tmp_path, capsys, composed, extra):
     payload = dict(FAST, results_dir=composed,
                    scene={"extension": [{"window": 12, "kept": 6,
@@ -568,14 +582,21 @@ def test_export_missing_input(tmp_path):
 
 
 def test_all_subcommands_accept_standard_flags(capsys):
-    """Every command takes the standard flags; only compose, which fans its
-    seeds out over workers, takes --jobs."""
+    """Every command takes the standard flags; only corpus, train and
+    compose, which draw samples, take --seed, and only compose, which fans
+    its seeds out over workers, takes --jobs."""
     from groupmotion.cli import build_parser
     parser = build_parser()
     for name in ("corpus", "train", "compose", "extend", "eval", "export"):
         args = parser.parse_args([name, "--config", "c", "--out", "o",
-                                  "--seed", "1", "--dry-run", "--overwrite"])
+                                  "--dry-run", "--overwrite"])
         assert args.command == name and args.dry_run and args.overwrite
+        if name in ("corpus", "train", "compose"):
+            assert parser.parse_args([name, "--seed", "1,4"]).seed == [1, 4]
+        else:
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "--seed", "1"])
+            assert "--seed" in capsys.readouterr().err
         if name == "compose":
             assert parser.parse_args([name, "--jobs", "2"]).jobs == 2
         else:
@@ -590,3 +611,44 @@ def test_seed_flag_overrides_config(tmp_path):
     assert main(["compose", "--config", cfg, "--out", out,
                  "--seed", "11"]) == EXIT_OK
     assert read_manifest(out)["seeds"] == [11]
+
+
+@pytest.mark.parametrize("seed", ["1,x", "3,3", "-1", ""],
+                         ids=["not-an-int", "repeated", "negative", "empty"])
+def test_seed_flag_rejects_bad_lists(tmp_path, capsys, seed):
+    """A bad --seed exits 2 through argparse, before --out exists."""
+    cfg, out = compose_config(tmp_path), tmp_path / "out"
+    for extra in (["--dry-run"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["compose", "--config", cfg, "--out", str(out),
+                  "--seed", seed] + extra)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "argument --seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    ("corpus", {"samples_per_lable": 1}, "samples_per_lable"),
+    ("corpus", {"samples_per_label": "3"}, "samples_per_label"),
+    ("corpus", {"seed": 3}, "seed"),
+    ("train", {"corpus_dir": ".", "epoch": 1}, "epoch"),
+    ("train", {"corpus_dir": ".", "epochs": "2"}, "epochs"),
+    ("train", {"corpus_dir": ".", "hidden": 0}, "hidden"),
+    ("train", {"corpus_dir": ".", "lr": 0}, "lr"),
+    ("train", {"corpus_dir": ".", "optimizer": {"lr": 0.1}}, "optimizer"),
+    ("compose", dict(FAST, scene=SCENE, optimiser={"lr": 0.1}), "optimiser"),
+    ("compose", dict(FAST, scene=SCENE, seeds=[1, 2]), "seeds"),
+    ("eval", {"results_dir": ".", "overlap_treshold": 0.2},
+     "overlap_treshold"),
+    ("export", {"input": ["."]}, "input"),
+] + [(command, [1, 2], "object") for command in
+     ("corpus", "train", "compose", "extend", "eval", "export")])
+def test_config_errors_before_any_output(tmp_path, capsys, command, payload,
+                                         key):
+    """Each command reads a fixed set of top-level keys: a typo, a key of
+    another command, a value of the wrong type or range, or a config that
+    is not an object exits 2 before --out is created."""
+    cfg = write_config(tmp_path, "bad.json", payload)
+    err = assert_config_error_writes_nothing(tmp_path, capsys, command, cfg)
+    assert key in err

@@ -333,11 +333,14 @@ def test_penalty_config_validation():
 
 
 def test_penalty_config_json():
-    cfg = pe.PenaltyConfig.from_json(
-        {"kind": "root", "weight": 2.0, "subjects": [1],
-         "frames": [0, 3], "params": {"targets": [[0, 0, 0], [1, 1, 1]]}})
+    """A penalty's JSON object is its keyword arguments; lists become the
+    subjects tuple and the int frames array."""
+    cfg = pe.PenaltyConfig(**{
+        "kind": "root", "weight": 2.0, "subjects": [1],
+        "frames": [0, 3], "params": {"targets": [[0, 0, 0], [1, 1, 1]]}})
     assert cfg.kind == "root" and cfg.weight == 2.0
     assert np.array_equal(cfg.frames, [0, 3])
+    assert cfg.subjects == (1,) and cfg.frames.dtype == int
 
 
 def test_aggregate_single_term_weight_one(skeleton):

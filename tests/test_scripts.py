@@ -25,9 +25,10 @@ def scripted_pair(name, skeleton, N=24, seed=0):
     v1 = {"anchor": a1,
           "drift": rng.uniform(-0.7, 0.7, 2) * spec.drift_max,
           "speed": float(np.exp(rng.uniform(-0.7, 0.7) * spec.speed_log_max)),
-          "psi": float(rng.uniform(-0.7, 0.7) * spec.heading_max),
+          "psi": float(rng.uniform(-0.7, 0.7) * sc.HEADING_MAX),
           "phase": float(rng.uniform(-1, 1))}
-    v2 = dict(v1, anchor=a2, psi=float(rng.uniform(-0.7, 0.7) * spec.heading_max))
+    v2 = dict(v1, anchor=a2,
+              psi=float(rng.uniform(-0.7, 0.7) * sc.HEADING_MAX))
     return sc.build_pair_from_values(v1, v2, spec, skeleton, N), (v1, v2), spec
 
 

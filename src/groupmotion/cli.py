@@ -90,6 +90,17 @@ def _given(cfg: dict, *keys) -> dict:
     return {k: cfg[k] for k in keys if k in cfg}
 
 
+def _positive(cfg: dict, *keys) -> dict:
+    """`_given(cfg, *keys)`, each value checked to be a positive finite
+    number."""
+    given = _given(cfg, *keys)
+    for key, v in given.items():
+        if type(v) not in (int, float) or not 0 < v < math.inf:
+            raise ConfigError(f"{key} must be a positive finite number, "
+                              f"got {v!r}")
+    return given
+
+
 def _prepare_out(out, overwrite: bool) -> str:
     if out is None:
         raise ConfigError("--out is required")
@@ -248,8 +259,7 @@ def cmd_train(args, cfg: dict) -> int:
         if key in cfg and (type(cfg[key]) is not int or cfg[key] < least):
             raise ConfigError(f"{key} must be an int >= {least}, "
                               f"got {cfg[key]!r}")
-    if "lr" in cfg and not (type(cfg["lr"]) in (int, float) and cfg["lr"] > 0):
-        raise ConfigError(f"lr must be a number > 0, got {cfg['lr']!r}")
+    lr = _positive(cfg, "lr")
     skeleton = default_skeleton()
     epochs = cfg.get("epochs", 5)
     seed = args.seed[0]
@@ -265,8 +275,7 @@ def cmd_train(args, cfg: dict) -> int:
     prior = MLPPrior(schedule, skeleton.D, n_labels=len(VOCABULARY),
                      seed=seed, **_given(cfg, "hidden"))
     try:
-        curve = train(prior, pairs, schedule, epochs, seed=seed,
-                      **_given(cfg, "lr"))
+        curve = train(prior, pairs, schedule, epochs, seed=seed, **lr)
     except TrainingDiverged as e:
         return _diverged(out, e)
     prior.save_weights(os.path.join(out, "weights.npz"))
@@ -292,7 +301,7 @@ def _composer_from(cfg: dict) -> Composer:
     prior = _prior_from(cfg, schedule, stats, skeleton)
     opt = _build(OptimizerConfig, cfg.get("optimizer", {}), "optimizer")
     return Composer(prior, schedule, stats, skeleton, opt,
-                    **_given(cfg, "fps"))
+                    **_positive(cfg, "fps"))
 
 
 def _write_sequences(sequences: dict, run_dir: str) -> list:
@@ -412,12 +421,13 @@ def cmd_extend(args, cfg: dict) -> int:
 
 def cmd_eval(args, cfg: dict) -> int:
     results_dir = _require(cfg, "results_dir")
+    threshold = _positive(cfg, "overlap_threshold")
     runs = [seqs for _, _, seqs in _load_runs(results_dir, default_skeleton())]
     if args.dry_run:
         print(f"eval: {len(runs)} run(s) from {results_dir}")
         return EXIT_OK
     out = _prepare_out(args.out, args.overwrite)
-    report = evaluate_runs(runs, **_given(cfg, "overlap_threshold"))
+    report = evaluate_runs(runs, **threshold)
     write_report_csv(report, os.path.join(out, "metrics.csv"))
     _write_manifest(out, {
         "command": "eval", "config_hash": _config_hash(cfg),
@@ -457,15 +467,11 @@ def cmd_export(args, cfg: dict) -> int:
         w.writerow(["file", "person", "frame", "joint", "x", "y", "z"])
         for path in paths:
             seq = read_motion(path, skeleton)
-            p = seq.joint_positions()
             base = os.path.basename(path)
-            for n in range(seq.N):
-                for j in range(skeleton.J):
-                    w.writerow([base, seq.person_id, n,
-                                skeleton.joint_names[j],
-                                repr(float(p[n, j, 0])),
-                                repr(float(p[n, j, 1])),
-                                repr(float(p[n, j, 2]))])
+            for n, frame in enumerate(seq.joint_positions().tolist()):
+                for name, xyz in zip(skeleton.joint_names, frame):
+                    w.writerow([base, seq.person_id, n, name,
+                                *map(repr, xyz)])
     _write_manifest(out, {"command": "export",
                           "config_hash": _config_hash(cfg),
                           "n_files": len(paths)})

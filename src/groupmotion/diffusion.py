@@ -11,10 +11,13 @@ Three samplers share one step rule:
                         existing sequences
 
 All samplers run on autodiff Vars, so any scalar of their output can be
-differentiated with respect to the initial noise. Each step predicts and
-steps the pair as one (2, N, D) state, stacked along a leading person axis.
-The DDIM step and the inpainting clamp are one tape node each; constant
-references are forward-noised in numpy and put nothing on the tape.
+differentiated with respect to the initial noise. Each step asks the prior
+for the clean estimate x0_hat of the pair, stacked as one (2, N, D) state
+along a leading person axis, and steps in clean-estimate form,
+x_prev = alpha_t x + beta_t x0_hat, with no round trip through eps. The
+DDIM step and the inpainting clamp are one tape node each, so a step with
+the analytic prior is two nodes; constant references are forward-noised in
+numpy and put nothing on the tape.
 """
 
 from __future__ import annotations
@@ -86,17 +89,13 @@ def forward_noise(x0, t: int, noise, schedule: DiffusionSchedule):
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
 
 
-def _ddim_step(x: ad.Var, eps: ad.Var, ab_t: float, ab_prev: float) -> ad.Var:
-    """c * x0_hat + d * eps, x0_hat = (x - a * eps) * b, as one tape node."""
-    a, b = np.sqrt(1.0 - ab_t), 1.0 / np.sqrt(ab_t)
-    c, d = np.sqrt(ab_prev), np.sqrt(1.0 - ab_prev)
-
-    def backward(g):
-        gx = (c * g) * b
-        return gx, (-gx) * a + d * g
-
-    return ad.Var(c * ((x.value - a * eps.value) * b) + d * eps.value,
-                  (x, eps), backward)
+def _ddim_step(x: ad.Var, x0: ad.Var, ab_t: float, ab_prev: float) -> ad.Var:
+    """alpha * x + beta * x0 as one tape node: the eta = 0 DDIM update
+    written from the clean estimate x0 (Song et al. 2021, eq. 12)."""
+    alpha = np.sqrt(1.0 - ab_prev) / np.sqrt(max(1.0 - ab_t, 1e-12))
+    beta = np.sqrt(ab_prev) - alpha * np.sqrt(ab_t)
+    return ad.Var(alpha * x.value + beta * x0.value, (x, x0),
+                  lambda g: (alpha * g, beta * g))
 
 
 def _stacked(pair) -> ad.Var:
@@ -121,8 +120,8 @@ def ddim_sample(prior, schedule: DiffusionSchedule, x_T_pair, label):
     taus = schedule.taus
     for k in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[k]), int(taus[k - 1])
-        eps = prior.predict(x, t, label)
-        x = _ddim_step(x, eps, schedule.alpha_bar(t), schedule.alpha_bar(t_prev))
+        x0 = prior.clean_estimate(x, t, label)
+        x = _ddim_step(x, x0, schedule.alpha_bar(t), schedule.alpha_bar(t_prev))
     return x[0], x[1]
 
 
@@ -146,9 +145,9 @@ def masked_sample(prior, schedule: DiffusionSchedule, x_T_target, x0_ref,
     for k in range(len(taus) - 1, 0, -1):
         t, t_prev = int(taus[k]), int(taus[k - 1])
         pair = ad.stack([x, forward_noise(ref, t, zetas[k - 1], schedule)])
-        eps = prior.predict(pair, t, label)
-        x = _ddim_step(pair, eps, schedule.alpha_bar(t),
-                       schedule.alpha_bar(t_prev))[0]
+        x0 = prior.clean_estimate(pair, t, label)
+        x = _ddim_step(x, x0[0], schedule.alpha_bar(t),
+                       schedule.alpha_bar(t_prev))
     return x
 
 
@@ -192,8 +191,8 @@ def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
         t, t_prev = int(taus[k]), int(taus[k - 1])
         x = clamp(x, ref if zetas is None else
                   forward_noise(ref, t, zetas[k - 1], schedule))
-        eps = prior.predict(x, t, label)
-        x = _ddim_step(x, eps, schedule.alpha_bar(t), schedule.alpha_bar(t_prev))
+        x0 = prior.clean_estimate(x, t, label)
+        x = _ddim_step(x, x0, schedule.alpha_bar(t), schedule.alpha_bar(t_prev))
     # final overwrite at t=0: kept frames equal the reference exactly
     x = clamp(x, ref)
     return x[0], x[1]

@@ -25,11 +25,11 @@ ORIENT_THRESHOLD_DEG = 20.0  # degrees from a facing target
 
 def pair_overlaps(seq1: MotionSequence, seq2: MotionSequence,
                   threshold: float = 0.25) -> np.ndarray:
-    """Per-frame booleans: root distance below the threshold."""
-    r1, r2 = seq1.root_trajectory(), seq2.root_trajectory()
-    if r1.shape != r2.shape:
-        raise ValueError("pair_overlaps: sequences differ in length")
-    d = np.linalg.norm(r1 - r2, axis=1)
+    """Per-frame booleans: root distance below the threshold, over the
+    frames both sequences have (both start at frame 0)."""
+    n = min(seq1.N, seq2.N)
+    d = np.linalg.norm(seq1.root_trajectory()[:n] - seq2.root_trajectory()[:n],
+                       axis=1)
     return d < threshold
 
 
@@ -98,16 +98,22 @@ def sphere_lens_volume(r1, r2, d):
 
 def proxy_penetration_volume(sequences) -> float:
     """Max over frames of the summed cross-person joint-sphere intersection
-    volume, in cm^3. Spheres use the skeleton's per-joint proxy radii."""
+    volume, in cm^3. Spheres use the skeleton's per-joint proxy radii. A
+    pair counts at the frames both persons have (all start at frame 0)."""
     seqs = list(sequences.values()) if isinstance(sequences, dict) else list(sequences)
     if len(seqs) < 2:
         return 0.0
     radii = np.stack([np.asarray(s.skeleton.proxy_radii) for s in seqs])
-    pos = np.stack([s.joint_positions() for s in seqs])      # (P, N, J, 3)
+    N = max(s.N for s in seqs)
+    pos = np.zeros((len(seqs), N, seqs[0].skeleton.J, 3))   # (P, N, J, 3)
+    has = np.zeros((len(seqs), N), dtype=bool)
+    for i, s in enumerate(seqs):
+        pos[i, :s.N], has[i, :s.N] = s.joint_positions(), True
     a, b = np.triu_indices(len(seqs), 1)
     d = np.linalg.norm(pos[a][:, :, :, None] - pos[b][:, :, None, :], axis=4)
-    vol = sphere_lens_volume(radii[a][:, None, :, None],
-                             radii[b][:, None, None, :], d)
+    vol = np.where((has[a] & has[b])[:, :, None, None],
+                   sphere_lens_volume(radii[a][:, None, :, None],
+                                      radii[b][:, None, None, :], d), 0.0)
     return float(vol.sum(axis=(0, 2, 3)).max(initial=0.0)) * 1e6  # m^3 -> cm^3
 
 

@@ -325,8 +325,8 @@ def write_motion(seq: MotionSequence, path) -> None:
     }
     buf = io.StringIO()
     buf.write(json.dumps(header) + "\n")
-    for row in seq.frames:
-        buf.write(" ".join(repr(float(v)) for v in row) + "\n")
+    for row in seq.frames.tolist():
+        buf.write(" ".join(map(repr, row)) + "\n")
     with open(path, "w") as f:
         f.write(buf.getvalue())
 
@@ -336,12 +336,9 @@ def read_motion(path, skeleton: Skeleton) -> MotionSequence:
         header = json.loads(f.readline())
         if header.get("version") != MOTION_FORMAT_VERSION:
             raise ValueError(f"read_motion: unsupported version {header.get('version')}")
-        rows = [
-            np.array([float(tok) for tok in line.split()])
-            for line in f
-            if line.strip()
-        ]
-    frames = np.stack(rows)
+        # a ragged row makes numpy raise ValueError
+        frames = np.array([line.split() for line in f if line.strip()],
+                          dtype=np.float64)
     if frames.shape[0] != header["N"]:
         raise ValueError("read_motion: frame count disagrees with header")
     if header["J"] != skeleton.J or list(skeleton.joint_names) != header["joint_names"]:

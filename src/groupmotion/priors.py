@@ -1,8 +1,10 @@
 """Pluggable two-person denoisers.
 
-A denoiser exposes ``predict(x, t, label) -> eps`` on the pair stacked
-along a leading person axis: a normalized (2, N, D) autodiff Var in, a
-(2, N, D) Var out. It must be deterministic. Two concrete priors ship:
+A denoiser exposes ``clean_estimate(x, t, label) -> x0_hat`` on the pair
+stacked along a leading person axis: a normalized (2, N, D) autodiff Var
+in, a (2, N, D) Var out. The samplers step from it directly. It also
+exposes ``predict(x, t, label) -> eps``, the same estimate as noise. It
+must be deterministic. Two concrete priors ship:
 
 * ``AnalyticPrior`` - closed-form attractor toward the label's scripted
   motion family; every downstream acceptance run uses it because it is
@@ -20,26 +22,37 @@ import numpy as np
 
 from . import autodiff as ad
 from .diffusion import DiffusionSchedule, forward_noise
-from .motion import NormalizationStats, Skeleton, denormalize, normalize
-from .scripts import InteractionLabel, build_pair_scripts
+from .motion import NormalizationStats, Skeleton, denormalize
+from .scripts import InteractionLabel, pair_scripts
 
 
-class ZeroPrior:
+class EpsPrior:
+    """A prior that predicts eps; its clean estimate is derived from it as
+    x0_hat = (x_t - sqrt(1 - ab_t) eps) / sqrt(ab_t)."""
+
+    def clean_estimate(self, x, t: int, label):
+        ab = self.schedule.alpha_bar(t)
+        eps = self.predict(x, t, label)
+        return (x - np.sqrt(1.0 - ab) * eps) * (1.0 / np.sqrt(ab))
+
+
+class ZeroPrior(EpsPrior):
     """Predicts eps = 0; useful for closed-form sampler checks."""
+
+    def __init__(self, schedule: DiffusionSchedule):
+        self.schedule = schedule
 
     def predict(self, x, t, label):
         return ad.constant(np.zeros(x.shape))
 
 
 class AnalyticPrior:
-    """eps_hat = (x_t - sqrt(ab_t) * mu_c(x_t)) / sqrt(1 - ab_t), where
-    mu_c maps the current state onto the label's scripted motion manifold.
+    """The clean estimate mu_c(x_t) maps the current state onto the label's
+    scripted motion manifold, whatever t; eps_hat = (x_t - sqrt(ab_t) mu_c)
+    / sqrt(1 - ab_t) is its noise form.
 
-    The implied clean estimate (x_t - sqrt(1-ab) eps) / sqrt(ab) therefore
-    equals mu_c(x_t) identically.
-
-    On the tape one prediction is four nodes: denormalize, the script
-    builder, normalize, and eps with a hand-written backward.
+    On the tape one clean estimate is one node: denormalize, the script
+    builder and normalize in numpy, with a hand-written backward.
     """
 
     def __init__(self, schedule: DiffusionSchedule, stats: NormalizationStats,
@@ -48,21 +61,17 @@ class AnalyticPrior:
         self.stats = stats
         self.skeleton = skeleton
 
-    def clean_estimate(self, x, label: InteractionLabel):
-        w = denormalize(x, self.stats)
-        return normalize(build_pair_scripts(w, label.spec, self.skeleton),
-                         self.stats)
+    def clean_estimate(self, x, t: int, label: InteractionLabel):
+        x, std, inv = ad.as_var(x), self.stats.std, 1.0 / self.stats.std
+        s, vjp = pair_scripts(denormalize(x.value, self.stats), label.spec,
+                              self.skeleton)
+        return ad.Var((s - self.stats.mean) * inv, (x,),
+                      lambda g: (vjp(g * inv) * std,))
 
     def predict(self, x, t: int, label: InteractionLabel):
-        mu = self.clean_estimate(x, label)
         ab = self.schedule.alpha_bar(t)
-        c, denom = np.sqrt(ab), 1.0 / np.sqrt(max(1.0 - ab, 1e-12))
-
-        def backward(g):
-            gx = g * denom
-            return gx, (-gx) * c
-
-        return ad.Var((x.value - c * mu.value) * denom, (x, mu), backward)
+        mu = self.clean_estimate(x, t, label)
+        return (x - np.sqrt(ab) * mu) * (1.0 / np.sqrt(max(1.0 - ab, 1e-12)))
 
 
 # -- tiny learned denoiser ----------------------------------------------------
@@ -74,7 +83,7 @@ def timestep_embedding(t: int, t_train: int, dim: int = 8) -> np.ndarray:
     return np.concatenate([np.sin(phase), np.cos(phase)])
 
 
-class MLPPrior:
+class MLPPrior(EpsPrior):
     """Per-frame MLP with shared weights across persons and a pooled
     partner-feature exchange; sinusoidal timestep and learned label
     embeddings are appended to each frame's input."""

@@ -16,10 +16,11 @@ on scripted motion and smooth everywhere else. Velocity channels of clean
 final outputs are rewritten to finite differences afterwards, so carriers
 never leak into delivered motion files.
 
-The builder runs in numpy. `build_pair_scripts` records one tape node per
-call, whose hand-written backward pass maps the adjoint of the scripted
-frames back to the raw state, so gradients flow from any scripted
-coordinate to the state at the cost of a few reductions.
+The builder runs in numpy: `pair_scripts` returns the scripted frames and
+a hand-written backward pass that maps their adjoint back to the raw
+state at the cost of a few reductions. `build_pair_scripts` records it as
+one tape node; the analytic prior folds it into its one clean-estimate
+node.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ def label_by_name(name: str) -> InteractionLabel:
 
 # -- the builder ----------------------------------------------------------------
 # Three numpy stages: extraction, the root curve and the pose assembly. Each
-# returns its values and a vector-Jacobian function (vjp); the one tape node
-# of build_pair_scripts chains the three in reverse. Param adjoints travel
-# as one dict with the keys of the params.
+# returns its values and a vector-Jacobian function (vjp); pair_scripts
+# chains the three in reverse. Param adjoints travel as one dict with the
+# keys of the params.
 
 # per-person values indexed by _SWAP give each person its partner's values
 _SWAP = np.array([1, 0])
@@ -455,14 +456,21 @@ def _script(p, spec: LabelSpec, skeleton: Skeleton, N: int):
     return out, vjp
 
 
-def build_pair_scripts(w, spec: LabelSpec, skeleton: Skeleton) -> ad.Var:
+def pair_scripts(w: np.ndarray, spec: LabelSpec, skeleton: Skeleton):
     """Scripted clean estimate of both persons from their stacked (2, N, D)
-    world-space states, recorded as one tape node: its backward maps the
-    (2, N, D) adjoint to the states' by reductions."""
-    w = ad.as_var(w)
-    p, extract_vjp = _extract(w.value, skeleton, spec)
+    world-space states in numpy, and the vjp from its adjoint to the
+    states', made of reductions."""
+    p, extract_vjp = _extract(w, skeleton, spec)
     out, script_vjp = _script(p, spec, skeleton, w.shape[1])
-    return ad.Var(out, (w,), lambda G: (extract_vjp(script_vjp(G)),))
+    return out, lambda G: extract_vjp(script_vjp(G))
+
+
+def build_pair_scripts(w, spec: LabelSpec, skeleton: Skeleton) -> ad.Var:
+    """`pair_scripts` of a stacked (2, N, D) Var, recorded as one tape
+    node."""
+    w = ad.as_var(w)
+    out, vjp = pair_scripts(w.value, spec, skeleton)
+    return ad.Var(out, (w,), lambda G: (vjp(G),))
 
 
 def build_pair_from_values(values1: dict, values2: dict, spec: LabelSpec,

@@ -1,14 +1,17 @@
 """End-to-end command-line pipeline: file outputs, determinism, exit codes."""
 
 import csv
+import itertools
 import json
 import os
 
 import numpy as np
 import pytest
 
-from groupmotion.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from groupmotion.motion import default_skeleton, read_motion
+from groupmotion import metrics as me
+from groupmotion.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _load_runs,
+                             main)
+from groupmotion.motion import MotionSequence, default_skeleton, read_motion
 
 
 def write_config(tmp_path, name, payload):
@@ -473,6 +476,19 @@ def test_extend_keeps_each_sequence_fps(tmp_path):
             assert read_motion(path, default_skeleton()).fps == 30.0
 
 
+@pytest.mark.parametrize("value", ["x", 0, -20, float("inf")],
+                         ids=["string", "zero", "negative", "infinite"])
+@pytest.mark.parametrize("command", ["compose", "extend"])
+def test_fps_checked(tmp_path, capsys, composed, command, value):
+    """fps must be a positive finite number."""
+    scene = SCENE if command == "compose" else {"extension": [SEGMENT]}
+    extra = {} if command == "compose" else {"results_dir": composed}
+    cfg = write_config(tmp_path, "c.json",
+                       dict(FAST, fps=value, scene=scene, **extra))
+    err = assert_config_error_writes_nothing(tmp_path, capsys, command, cfg)
+    assert "fps" in err
+
+
 def test_extend_requires_segments(tmp_path, composed):
     cfg = write_config(tmp_path, "e.json", dict(
         FAST, results_dir=composed, scene={"extension": []}))
@@ -531,9 +547,26 @@ def test_extend_config_errors(tmp_path, capsys, composed, extra):
 
 def test_extend_divergence_writes_dump(tmp_path, capsys, composed):
     cfg = write_config(tmp_path, "e.json", dict(
+        FAST, optimizer={"max_steps": 5}, results_dir=composed,
+        scene={"extension": [dict(SEGMENT, penalties=[
+            {"kind": "root", "subjects": [1], "frames": [11],
+             "params": {"targets": [[1e200, 0, 0]]}}])]}))
+    dump = assert_diverged_dump(tmp_path, capsys, "extend", cfg)
+    assert dump["breakdown"]["total"] == "inf"
+
+
+def test_extend_huge_lr_stays_finite(tmp_path, composed):
+    """An lr of 1e300 throws the noise far out, but each sampler step ends
+    on the bounded clean estimate, so the extension stays finite."""
+    cfg = write_config(tmp_path, "e.json", dict(
         FAST, optimizer={"max_steps": 5, "lr": 1e300}, results_dir=composed,
         scene={"extension": [SEGMENT]}))
-    assert_diverged_dump(tmp_path, capsys, "extend", cfg)
+    out = str(tmp_path / "ext")
+    assert main(["extend", "--config", cfg, "--out", out]) == EXIT_OK
+    for pid in (1, 2):
+        path = os.path.join(out, "seed00002", f"person{pid}.motion")
+        seq = read_motion(path, default_skeleton())
+        assert seq.N == 18 and np.isfinite(seq.frames).all()
 
 
 # -- eval and export ---------------------------------------------------------------
@@ -550,6 +583,73 @@ def test_eval_reports_metrics(tmp_path, composed, capsys):
     assert rows[-1][0] == "aggregate"
     manifest = read_manifest(out)
     assert 0.0 <= manifest["overlap_rate"] <= 1.0
+
+
+@pytest.mark.parametrize("value", ["x", 0, -1.0, float("inf")],
+                         ids=["string", "zero", "negative", "infinite"])
+def test_eval_overlap_threshold_checked(tmp_path, capsys, composed, value):
+    """overlap_threshold must be a positive finite number."""
+    cfg = write_config(tmp_path, "ev.json", {"results_dir": composed,
+                                             "overlap_threshold": value})
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "eval", cfg)
+    assert "overlap_threshold" in err
+
+
+# a near-collision first pair, left unpenalised so that it overlaps
+THREE = {"participants": [1, 2, 3], "first_label": "close-approach",
+         "first_penalties": [],
+         "steps": [{"target": 3, "reference": 1, "label": "approach",
+                    "opt_subset": [1, 2]}]}
+
+
+def cut(seq, frames):
+    return MotionSequence(seq.skeleton, seq.frames[frames], seq.fps,
+                          seq.person_id)
+
+
+def assert_eval_on_common_frames(tmp_path, results_dir, lengths):
+    """`eval` of a run whose persons have the given lengths reports each
+    pair's overlap over the frames both have, and the penetration volume
+    of each frame summed over the persons present at that frame."""
+    (_, _, seqs), = _load_runs(results_dir, default_skeleton())
+    assert {p: s.N for p, s in seqs.items()} == lengths
+    overlap = any(
+        me.run_has_overlap([cut(seqs[a], slice(n)), cut(seqs[b], slice(n))])
+        for a, b in itertools.combinations(seqs, 2)
+        for n in [min(seqs[a].N, seqs[b].N)])
+    pen_vol = max(me.proxy_penetration_volume(
+        [cut(s, [n, n]) for s in seqs.values() if s.N > n])
+        for n in range(max(lengths.values())))
+    cfg = write_config(tmp_path, "ev.json", {"results_dir": results_dir})
+    out = str(tmp_path / "eval")
+    assert main(["eval", "--config", cfg, "--out", out]) == EXIT_OK
+    with open(os.path.join(out, "metrics.csv")) as f:
+        row = next(csv.DictReader(f))
+    assert float(row["overlap"]) == float(overlap)
+    assert float(row["pen_vol"]) == pytest.approx(pen_vol, rel=1e-9, abs=0.0)
+
+
+def test_eval_compose_with_partial_extension(tmp_path):
+    """A three-person compose whose extension covers persons 1 and 2
+    leaves person 3 shorter; eval compares each pair over common frames."""
+    cfg = compose_config(tmp_path, extension=[SEGMENT], **THREE)
+    out = str(tmp_path / "runs")
+    assert main(["compose", "--config", cfg, "--out", out,
+                 "--seed", "5"]) == EXIT_OK
+    assert_eval_on_common_frames(tmp_path, out, {1: 18, 2: 18, 3: 12})
+
+
+def test_eval_after_chained_partial_extensions(tmp_path):
+    """Extending pair [1, 2] and then pair [2, 3] leaves three lengths."""
+    base = str(tmp_path / "base")
+    assert main(["compose", "--config", compose_config(tmp_path, **THREE),
+                 "--out", base, "--seed", "5"]) == EXIT_OK
+    cfg = write_config(tmp_path, "e.json", dict(
+        FAST, results_dir=base, scene={"extension": [
+            SEGMENT, dict(SEGMENT, pairs=[[2, 3, "approach"]])]}))
+    out = str(tmp_path / "ext")
+    assert main(["extend", "--config", cfg, "--out", out]) == EXIT_OK
+    assert_eval_on_common_frames(tmp_path, out, {1: 18, 2: 24, 3: 18})
 
 
 def test_export_round_trips_positions(tmp_path, composed):

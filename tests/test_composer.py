@@ -83,7 +83,7 @@ def test_zero_prior_root_projection_oracle(stats, skeleton, small_schedule):
     optimizing a root penalty is a solvable quadratic: the optimized output
     root must land on the target."""
     lab = label_by_name("approach")
-    prior = ZeroPrior()
+    prior = ZeroPrior(small_schedule)
     N = 6
     rng = np.random.default_rng(1)
     xT0 = rng.standard_normal((N, skeleton.D)) * 0.1
@@ -277,9 +277,9 @@ class RecordingPrior:
         self.inner = inner
         self.labels = []
 
-    def predict(self, x, t, label):
+    def clean_estimate(self, x, t, label):
         self.labels.append(label.name)
-        return self.inner.predict(x, t, label)
+        return self.inner.clean_estimate(x, t, label)
 
 
 def test_extend_appends_frames_and_preserves_prefix(analytic_prior,

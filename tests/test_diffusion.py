@@ -87,8 +87,8 @@ def test_forward_noise_range_and_shape_errors(small_schedule):
 def test_zero_prior_closed_form(small_schedule):
     """eps = 0 everywhere collapses the sampler to x_0 = x_T / sqrt(ab_T)."""
     xT1, xT2 = noise((6, 10), 5), noise((6, 10), 6)
-    o1, o2 = ddim_sample(ZeroPrior(), small_schedule, (xT1, xT2),
-                         label_by_name("approach"))
+    o1, o2 = ddim_sample(ZeroPrior(small_schedule), small_schedule,
+                         (xT1, xT2), label_by_name("approach"))
     abT = small_schedule.alpha_bar(small_schedule.t_train)
     assert np.allclose(o1.value, xT1 / np.sqrt(abT), atol=1e-9)
     assert np.allclose(o2.value, xT2 / np.sqrt(abT), atol=1e-9)
@@ -100,8 +100,8 @@ def test_zero_prior_strided_equals_full_steps():
     lab = label_by_name("approach")
     full = DiffusionSchedule(t_train=40, ddim_steps=40)
     strided = DiffusionSchedule(t_train=40, ddim_steps=8)
-    a, _ = ddim_sample(ZeroPrior(), full, (xT, xT), lab)
-    b, _ = ddim_sample(ZeroPrior(), strided, (xT, xT), lab)
+    a, _ = ddim_sample(ZeroPrior(full), full, (xT, xT), lab)
+    b, _ = ddim_sample(ZeroPrior(strided), strided, (xT, xT), lab)
     assert np.allclose(a.value, b.value, atol=1e-9)
 
 
@@ -295,50 +295,76 @@ def test_step_noise_drawn_once_in_step_order():
 
 
 ORACLE_SAMPLERS = {
-    "ddim": lambda m, prior, sch, v, kept, ref, lab: m.ddim_sample(
-        prior, sch, v, lab),
-    "masked": lambda m, prior, sch, v, kept, ref, lab: (m.masked_sample(
-        prior, sch, v[0], ref, lab, 5),),
-    "inpaint-noised": lambda m, prior, sch, v, kept, ref, lab: m.inpaint_extend(
-        prior, sch, v, kept, FrameMask(v.shape[1], 4), lab, 3, mode="noised"),
-    "inpaint-literal": lambda m, prior, sch, v, kept, ref, lab: m.inpaint_extend(
-        prior, sch, v, kept, FrameMask(v.shape[1], 4), lab, 3, mode="literal"),
+    "ddim": lambda m, prior, sch, v, kept, ref, lab, **kw: m.ddim_sample(
+        prior, sch, v, lab, **kw),
+    "masked": lambda m, prior, sch, v, kept, ref, lab, **kw: (m.masked_sample(
+        prior, sch, v[0], ref, lab, 5, **kw),),
+    "inpaint-noised": lambda m, prior, sch, v, kept, ref, lab, **kw:
+        m.inpaint_extend(prior, sch, v, kept, FrameMask(v.shape[1], 4), lab,
+                         3, mode="noised", **kw),
+    "inpaint-literal": lambda m, prior, sch, v, kept, ref, lab, **kw:
+        m.inpaint_extend(prior, sch, v, kept, FrameMask(v.shape[1], 4), lab,
+                         3, mode="literal", **kw),
 }
 
+ORACLE_LABELS = ["approach", "follow", "circle-together", "animated-talk"]
 
-@pytest.mark.parametrize("N", [12, 32, 240])
-@pytest.mark.parametrize("label", ["approach", "follow", "circle-together",
-                                   "animated-talk"])
-@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
-def test_sampler_matches_tape_oracle(name, label, N, small_schedule, stats,
-                                     skeleton):
-    """Outputs and gradients of the fused samplers are bit-identical to the
-    op-by-op tape forms."""
+
+def sampler_results(name, label, N, schedule, stats, skeleton, step):
+    """Outputs of sampler `name` and the gradient of one loss of them, as a
+    list for the package and one for its tape form stepping by `step`."""
     rng = np.random.default_rng(N)
     xT = rng.standard_normal((2, N, skeleton.D))
     kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
     ref = rng.standard_normal((N, skeleton.D)) * 0.3
     weights = rng.standard_normal((N, skeleton.D))
     results = []
-    for module, prior_cls in ((diffusion, AnalyticPrior),
-                              (tape, tape.TapeAnalyticPrior)):
+    for module, prior_cls, kw in ((diffusion, AnalyticPrior, {}),
+                                  (tape, tape.TapeAnalyticPrior,
+                                   {"step": step})):
         v = ad.Var(xT)
-        outs = ORACLE_SAMPLERS[name](module, prior_cls(small_schedule, stats,
+        outs = ORACLE_SAMPLERS[name](module, prior_cls(schedule, stats,
                                                        skeleton),
-                                     small_schedule, v, kept, ref,
-                                     label_by_name(label))
+                                     schedule, v, kept, ref,
+                                     label_by_name(label), **kw)
         loss = ad.sum_(ad.tanh(outs[0] * ad.constant(weights)))
         for o in outs[1:]:
             loss = loss + ad.sum_(outs[0] * o)
         (g,) = ad.grad(loss, [v])
         results.append([o.value for o in outs] + [g])
-    for got, want in zip(*results):
-        assert np.array_equal(got, want)
+    return results
 
 
-def test_ddim_step_records_five_nodes(stats, skeleton, monkeypatch):
-    """One step with the analytic prior is five Vars: denormalize, the
-    script builder, normalize, eps and the DDIM step."""
+@pytest.mark.parametrize("N", [12, 32, 240])
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+def test_sampler_matches_tape_oracle(name, label, N, small_schedule, stats,
+                                     skeleton):
+    """Outputs and gradients of the fused samplers are bit-identical to the
+    op-by-op tape forms of the clean-estimate step."""
+    got, want = sampler_results(name, label, N, small_schedule, stats,
+                                skeleton, tape.x0_step)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("N", [12, 32, 240])
+@pytest.mark.parametrize("label", ORACLE_LABELS)
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+def test_sampler_near_eps_form(name, label, N, small_schedule, stats,
+                               skeleton):
+    """Stepping from the clean estimate moves outputs and gradients of the
+    eps round trip it replaced by rounding only: within 1e-11 of each
+    array's largest magnitude."""
+    got, want = sampler_results(name, label, N, small_schedule, stats,
+                                skeleton, tape.eps_step)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
+
+
+def test_ddim_step_records_two_nodes(stats, skeleton, monkeypatch):
+    """One step with the analytic prior is two Vars: the clean estimate and
+    the DDIM step."""
     schedule = DiffusionSchedule(t_train=50, ddim_steps=1)
     prior = AnalyticPrior(schedule, stats, skeleton)
     x = ad.Var(noise((2, 12, skeleton.D), 40))
@@ -352,9 +378,11 @@ def test_ddim_step_records_five_nodes(stats, skeleton, monkeypatch):
     monkeypatch.setattr(ad.Var, "__init__", counting_init)
     o1, o2 = ddim_sample(prior, schedule, x, label_by_name("follow"))
     monkeypatch.undo()
-    # the step's five nodes, then the two rows of the result
-    assert len(created) == 7 and created[5:] == [o1, o2]
-    assert o1.parents == (created[4],) and created[4].parents[0] is x
+    # the step's two nodes, then the two rows of the result
+    x0, step = created[:2]
+    assert len(created) == 4 and created[2:] == [o1, o2]
+    assert x0.parents == (x,) and step.parents == (x, x0)
+    assert o1.parents == (step,)
 
 
 def test_forward_noise_arrays_or_vars(small_schedule):

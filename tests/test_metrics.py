@@ -225,6 +225,22 @@ def test_penetration_volume_max_over_frames(skeleton):
     assert np.isclose(got, want * 1e6)
 
 
+def test_pair_metrics_over_common_frames(skeleton):
+    """Persons of different lengths are compared over the frames both have:
+    b (4 frames) coincides with a (6 frames) at frames 0-3, and c meets a
+    only at frames 4 and 5, where b has no frames to count."""
+    a = seq_with_roots(np.zeros((6, 3)), skeleton)
+    b = seq_with_roots(np.zeros((4, 3)), skeleton)
+    far = a.translated([5.0, 0.0, 0.0])
+    c = MotionSequence(skeleton, np.concatenate([far.frames[:4],
+                                                 a.frames[4:]]))
+    assert me.pair_overlaps(a, b).tolist() == [True] * 4
+    assert me.pair_overlaps(c, b).tolist() == [False] * 4
+    one_pair = me.proxy_penetration_volume({1: a, 2: a})
+    assert one_pair > 0.0
+    assert me.proxy_penetration_volume({1: a, 2: b, 3: c}) == one_pair
+
+
 def test_penetration_translation_and_yaw_invariance(skeleton):
     a = random_seq(skeleton, N=5, seed=5, scale=0.2)
     b = random_seq(skeleton, N=5, seed=6, scale=0.2)

@@ -331,6 +331,25 @@ def test_motion_file_version_check(skeleton, tmp_path):
         mo.read_motion(path, skeleton)
 
 
+def test_motion_file_ragged_row(skeleton, tmp_path):
+    path = tmp_path / "a.motion"
+    mo.write_motion(make_seq(skeleton), path)
+    lines = path.read_text().splitlines()
+    lines[2] = lines[2].rsplit(" ", 1)[0]       # one value short
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        mo.read_motion(path, skeleton)
+
+
+def test_motion_file_frame_count_check(skeleton, tmp_path):
+    path = tmp_path / "a.motion"
+    mo.write_motion(make_seq(skeleton), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(ValueError, match="frame count"):
+        mo.read_motion(path, skeleton)
+
+
 def test_motion_file_skeleton_mismatch(skeleton, tmp_path):
     path = tmp_path / "a.motion"
     mo.write_motion(make_seq(skeleton), path)

@@ -39,11 +39,12 @@ def test_conformance_shapes_and_determinism(analytic_prior, mlp_prior,
     for name, prior in priors_under_test(analytic_prior, mlp_prior):
         x = ad.constant(np.stack([noise((10, skeleton.D), 1),
                                   noise((10, skeleton.D), 2)]))
-        e = prior.predict(x, 25, lab)
-        assert e.shape == x.shape, name
-        f = prior.predict(x, 25, lab)
-        assert np.array_equal(e.value, f.value), name
-        assert np.isfinite(e.value).all()
+        for estimate in (prior.predict, prior.clean_estimate):
+            e = estimate(x, 25, lab)
+            assert e.shape == x.shape, name
+            f = estimate(x, 25, lab)
+            assert np.array_equal(e.value, f.value), name
+            assert np.isfinite(e.value).all()
 
 
 def test_conformance_differentiable(analytic_prior, mlp_prior, skeleton):
@@ -80,7 +81,7 @@ def test_analytic_implied_x0_equals_clean_estimate(analytic_prior, skeleton,
     x1, x2 = x.value
     for t in (5, 25, 50):
         e1, e2 = analytic_prior.predict(x, t, lab).value
-        mu1, mu2 = analytic_prior.clean_estimate(x, lab).value
+        mu1, mu2 = analytic_prior.clean_estimate(x, t, lab).value
         ab = small_schedule.alpha_bar(t)
         x0_1 = (x1 - np.sqrt(1 - ab) * e1) / np.sqrt(ab)
         x0_2 = (x2 - np.sqrt(1 - ab) * e2) / np.sqrt(ab)
@@ -99,7 +100,7 @@ def test_analytic_manifold_fixed_point(analytic_prior, skeleton, stats,
         lab.spec, skeleton, 12)
     x1, x2 = normalize(f1, stats), normalize(f2, stats)
     mu1, mu2 = analytic_prior.clean_estimate(
-        ad.constant(np.stack([x1, x2])), lab).value
+        ad.constant(np.stack([x1, x2])), 10, lab).value
     assert np.abs(mu1 - x1).max() < 1e-9
     assert np.abs(mu2 - x2).max() < 1e-9
 
@@ -134,8 +135,9 @@ def test_analytic_gradient_matches_fd(analytic_prior, skeleton):
        st.integers(min_value=0, max_value=2**16))
 def test_hypothesis_analytic_predict_gradient(small_schedule, stats, skeleton,
                                               name, N, t, seed):
-    """eps on a stacked Var: its hand-written backward matches central
-    differences, and value and gradient equal the op-by-op tape form."""
+    """eps on a stacked Var, through the one-node clean estimate: its
+    backward matches central differences, and value and gradient equal the
+    op-by-op tape form."""
     rng = np.random.default_rng(seed)
     lab = label_by_name(name)
     x = rng.standard_normal((2, N, skeleton.D))

@@ -80,17 +80,8 @@ class Var:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __pow__(self, p):
-        return powi(self, p)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -140,67 +131,12 @@ def mul(a, b) -> Var:
     return Var(a.value * b.value, (a, b), backward)
 
 
-def div(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    _check_elementwise("div", a.value, b.value)
-    inv = 1.0 / b.value
-
-    def backward(g):
-        return (
-            _sum_to(g * inv, a) if a.requires_grad else None,
-            _sum_to(-g * a.value * inv * inv, b) if b.requires_grad else None,
-        )
-
-    return Var(a.value * inv, (a, b), backward)
-
-
-def powi(a, p: float) -> Var:
-    a = as_var(a)
-    p = float(p)
-
-    def backward(g):
-        return (g * p * np.power(a.value, p - 1.0),)
-
-    return Var(np.power(a.value, p), (a,), backward)
-
-
 def _sum_to(g: np.ndarray, parent: Var):
     """g summed down to the parent's shape (inverse of the scalar broadcast,
     the only one _check_elementwise allows); None if it needs no gradient."""
     if not parent.requires_grad:
         return None
     return g if g.shape == parent.value.shape else np.sum(g)
-
-
-def relu(a) -> Var:
-    """max(0, a); subgradient at 0 is 0 (satisfied hinge stays inert)."""
-    a = as_var(a)
-    mask = a.value > 0.0
-
-    def backward(g):
-        return (g * mask,)
-
-    return Var(np.where(mask, a.value, 0.0), (a,), backward)
-
-
-def sqrt(a) -> Var:
-    a = as_var(a)
-    out_val = np.sqrt(a.value)
-
-    def backward(g):
-        return (g * 0.5 / out_val,)
-
-    return Var(out_val, (a,), backward)
-
-
-def exp(a) -> Var:
-    a = as_var(a)
-    out_val = np.exp(a.value)
-
-    def backward(g):
-        return (g * out_val,)
-
-    return Var(out_val, (a,), backward)
 
 
 def tanh(a) -> Var:
@@ -211,38 +147,6 @@ def tanh(a) -> Var:
         return (g * (1.0 - out_val * out_val),)
 
     return Var(out_val, (a,), backward)
-
-
-def sin(a) -> Var:
-    a = as_var(a)
-
-    def backward(g):
-        return (g * np.cos(a.value),)
-
-    return Var(np.sin(a.value), (a,), backward)
-
-
-def cos(a) -> Var:
-    a = as_var(a)
-
-    def backward(g):
-        return (-g * np.sin(a.value),)
-
-    return Var(np.cos(a.value), (a,), backward)
-
-
-def atan2(y, x) -> Var:
-    y, x = as_var(y), as_var(x)
-    _check_elementwise("atan2", y.value, x.value)
-    denom = y.value * y.value + x.value * x.value
-
-    def backward(g):
-        return (
-            _sum_to(g * x.value / denom, y) if y.requires_grad else None,
-            _sum_to(-g * y.value / denom, x) if x.requires_grad else None,
-        )
-
-    return Var(np.arctan2(y.value, x.value), (y, x), backward)
 
 
 # -- reductions / structural ops ------------------------------------------
@@ -354,15 +258,6 @@ def broadcast_to(a, shape) -> Var:
         return (gg.reshape(old),)
 
     return Var(out_val, (a,), backward)
-
-
-def norm(a, axis=None, eps: float = 0.0) -> Var:
-    """Euclidean norm; `eps` smooths the origin when differentiability there
-    matters (scripted direction fields)."""
-    sq = sum_(a * a, axis=axis)
-    if eps:
-        sq = sq + eps * eps
-    return sqrt(sq)
 
 
 # -- backward pass ---------------------------------------------------------

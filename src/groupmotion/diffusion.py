@@ -77,14 +77,11 @@ class FrameMask:
 
 
 def forward_noise(x0, t: int, noise, schedule: DiffusionSchedule):
-    """q-sample: sqrt(ab_t) x0 + sqrt(1 - ab_t) noise; an array from two
-    arrays, else a Var."""
+    """q-sample of arrays: sqrt(ab_t) x0 + sqrt(1 - ab_t) noise."""
     if not (0 <= t <= schedule.t_train):
         raise ValueError(f"forward_noise: t={t} out of range")
     if np.shape(x0) != np.shape(noise):
         raise ad.ShapeMismatchError("forward_noise: x0/noise shapes differ")
-    if isinstance(noise, ad.Var):     # array + Var would make an object array
-        x0 = ad.as_var(x0)
     ab = schedule.alpha_bar(t)
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
 

@@ -269,12 +269,13 @@ def evaluate_runs(runs, overlap_threshold: float = 0.25) -> MetricReport:
 
 
 def write_report_csv(report: MetricReport, path) -> None:
-    """One row per run plus an aggregate row."""
+    """One row per run plus an aggregate row. `diversity` scores the set of
+    runs, so only the aggregate row has a value in its column."""
     cols = ["run", "overlap", "foot_skate", "max_acc", "pen_vol"]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(cols)
+        w.writerow(cols + ["diversity"])
         for row in report.per_run:
-            w.writerow([row[c] for c in cols])
+            w.writerow([row[c] for c in cols] + [""])
         w.writerow(["aggregate", report.overlap_rate, report.foot_skate,
-                    report.max_acc, report.proxy_pen_vol])
+                    report.max_acc, report.proxy_pen_vol, report.diversity])

@@ -9,8 +9,9 @@ velocities in meters/frame. Rotations use the continuous 6D representation
 (first two columns of the rotation matrix). The 4 contact features map to
 ``Skeleton.foot_joint_ids``.
 
-Facing is defined once, by the tape Gram-Schmidt ``facing_directions``;
-``facing_direction`` reads its value for the metrics.
+Facing is defined once, by the numpy Gram-Schmidt ``facing_gram_schmidt``
+beside its vjp: ``facing_direction`` reads it for the metrics, and the
+orientation penalty's tape node for its value and backward.
 """
 
 from __future__ import annotations
@@ -175,45 +176,60 @@ def yaw_rotation(theta: float) -> np.ndarray:
                      [-c, 0.0, s]])
 
 
-def _unit_rows(v: ad.Var) -> ad.Var:
-    """Each row of the (K, m) Var over its norm, smoothed by eps 1e-9."""
-    n = ad.norm(v, axis=1, eps=1e-9)
-    return v / ad.broadcast_to(ad.reshape(n, (v.shape[0], 1)), v.shape)
+def _unit_rows(v: np.ndarray):
+    """(v / n, n): each row of the (K, m) array over its norm n, smoothed
+    by eps 1e-9 as n = sqrt(|v|^2 + eps * eps)."""
+    n = np.sqrt(np.sum(v * v, axis=1) + 1e-9 * 1e-9)
+    return v * (1.0 / n)[:, None], n
 
 
-def _ground_forward(frames, skeleton: Skeleton, frame_set) -> ad.Var:
-    """(K, 2) ground-plane (x, z) part of the root's forward axis, not
-    normalised, by differentiable Gram-Schmidt of its 6D rotation."""
-    rb = rot_slice(skeleton.J).start
-    r6 = ad.as_var(frames)[:, rb:rb + 6][np.asarray(frame_set, dtype=int)]
+def _unit_rows_vjp(g, v, n):
+    """Adjoint of v from the adjoint g of v / n, in the tape's arithmetic."""
+    inv = (1.0 / n)[:, None]
+    gn = np.sum(-g * v * inv * inv, axis=1) * 0.5 / n
+    gv = gn[:, None] * v
+    return g * inv + gv + gv
+
+
+def facing_gram_schmidt(r6: np.ndarray):
+    """Gram-Schmidt of (K, 6) root 6D rotations (a, b): c1 = a / |a|, c2 the
+    unit part of b orthogonal to c1, forward axis c1 x c2. Returns the
+    forward axis's (K, 2) ground-plane (x, z) part f, its unit rows d, and
+    the vjp taking an adjoint of d to one of r6."""
     a, b = r6[:, 0:3], r6[:, 3:6]
-    c1 = _unit_rows(a)
-    dot = ad.sum_(b * c1, axis=1)
-    c2 = _unit_rows(
-        b - ad.broadcast_to(ad.reshape(dot, (r6.shape[0], 1)), b.shape) * c1)
-    # forward axis = c1 x c2; only its ground-plane (x, z) components matter
-    fx = c1[:, 1] * c2[:, 2] - c1[:, 2] * c2[:, 1]
-    fz = c1[:, 0] * c2[:, 1] - c1[:, 1] * c2[:, 0]
-    return ad.stack([fx, fz], axis=1)
+    c1, n1 = _unit_rows(a)
+    dot = np.sum(b * c1, axis=1)
+    w = b - dot[:, None] * c1
+    c2, n2 = _unit_rows(w)
+    f = np.stack([c1[:, 1] * c2[:, 2] - c1[:, 2] * c2[:, 1],
+                  c1[:, 0] * c2[:, 1] - c1[:, 1] * c2[:, 0]], axis=1)
+    d, nf = _unit_rows(f)
 
+    def vjp(g):
+        gf = np.zeros_like(c1)
+        gf[:, 0::2] = _unit_rows_vjp(g, f, nf)
+        gc1, gc2 = np.cross(c2, gf), np.cross(gf, c1)
+        gw = _unit_rows_vjp(gc2, w, n2)
+        gdot = -np.sum(gw * c1, axis=1)[:, None]
+        gc1 = gc1 - dot[:, None] * gw + gdot * b
+        return np.concatenate([_unit_rows_vjp(gc1, a, n1), gw + gdot * c1],
+                              axis=1)
 
-def facing_directions(frames, skeleton: Skeleton, frame_set) -> ad.Var:
-    """(K, 2) unit ground-plane facing directions at the frames of
-    `frame_set`, from the root's 6D rotation."""
-    return _unit_rows(_ground_forward(frames, skeleton, frame_set))
+    return f, d, vjp
 
 
 def facing_direction(seq: MotionSequence, n: int) -> np.ndarray:
-    """Unit ground-plane (x, z) facing direction at frame n, the value of
-    `facing_directions`. A frame whose forward axis projects onto the ground
-    shorter than 1e-6 falls back to the previous frame."""
+    """Unit ground-plane (x, z) facing direction at frame n, from
+    `facing_gram_schmidt`. A frame whose forward axis projects onto the
+    ground shorter than 1e-6 falls back to the previous frame."""
     if not (0 <= n < seq.N):
         raise IndexError(f"facing_direction: frame {n} out of range")
-    d = _ground_forward(seq.frames, seq.skeleton, np.arange(n, -1, -1))
-    ok = np.flatnonzero(np.linalg.norm(d.value, axis=1) >= 1e-6)
+    rb = rot_slice(seq.skeleton.J).start
+    f, d, _ = facing_gram_schmidt(seq.frames[n::-1, rb:rb + 6])
+    ok = np.flatnonzero(np.linalg.norm(f, axis=1) >= 1e-6)
     if not ok.size:
         raise ValueError("facing_direction: degenerate at frame 0, no fallback")
-    return _unit_rows(d[ok[:1]]).value[0]
+    return d[ok[0]]
 
 
 def joint_acceleration(seq: MotionSequence) -> np.ndarray:
@@ -287,15 +303,10 @@ class NormalizationStats:
         return cls(np.array(d["mean"]), np.array(d["std"]))
 
 
-def normalize(frames, stats: NormalizationStats):
-    """(x - mean) / std over the last axis. On an autodiff Var it is one
-    tape node, value (x - mean) * (1 / std), backward g * (1 / std)."""
+def normalize(frames, stats: NormalizationStats) -> np.ndarray:
+    """(x - mean) / std over the last axis of an array."""
     if np.shape(frames)[-1] != stats.D:
         raise ValueError("normalize: dimension mismatch")
-    if isinstance(frames, ad.Var):
-        inv = 1.0 / stats.std
-        return ad.Var((frames.value - stats.mean) * inv, (frames,),
-                      lambda g: (g * inv,))
     return (np.asarray(frames, dtype=np.float64) - stats.mean) / stats.std
 
 

@@ -3,55 +3,110 @@
 All penalties are hinge-style: nonnegative, exactly zero when the
 constraint is satisfied, with zero subgradient at the kink so satisfied
 constraints stay inert. Inputs are (N x D) frame arrays (autodiff Vars or
-numpy); distances are meters, so thresholds carry physical units. Facing
-comes from ``motion.facing_directions``, the definition the metrics score.
+numpy); distances are meters, so thresholds carry physical units.
+
+Each term is one tape node, its value computed in numpy and its backward
+written by hand; a numpy (fixed) subject is no parent and gets no adjoint.
+Facing comes from ``motion.facing_gram_schmidt``, the definition the
+metrics score, whose vjp is the orientation term's backward.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .motion import Skeleton, facing_directions, glo_slice
+from .motion import Skeleton, facing_gram_schmidt, glo_slice, rot_slice
 
 
-def _roots(frames: ad.Var) -> ad.Var:
-    return frames[:, 0:3]
+def _node(value, subjects, backward) -> ad.Var:
+    """`value` as one tape node whose parents are the Vars among `subjects`
+    that need a gradient; backward(g) returns one adjoint per subject, and
+    the others' are dropped. With no such Var the term is a constant."""
+    need = [isinstance(s, ad.Var) and s.requires_grad for s in subjects]
+    if not any(need):
+        return ad.constant(value)
+    return ad.Var(value, [s for s, n in zip(subjects, need) if n],
+                  lambda g: [a for a, n in zip(backward(g), need) if n])
 
 
-def _root_distance(f1: ad.Var, f2: ad.Var) -> ad.Var:
-    return ad.norm(_roots(f1) - _roots(f2), axis=1)
+def _value(frames) -> np.ndarray:
+    return frames.value if isinstance(frames, ad.Var) else \
+        np.asarray(frames, dtype=np.float64)
+
+
+def _hinge(h):
+    """max(0, h) and its mask: the subgradient is 0 at the kink."""
+    mask = h > 0.0
+    return np.where(mask, h, 0.0), mask
+
+
+def _root_distance(f1, f2):
+    """Root differences (N, 3) of two frame arrays and their lengths."""
+    if f1.shape != f2.shape:
+        raise ad.ShapeMismatchError("penalty: sequence shapes differ")
+    d = f1[:, 0:3] - f2[:, 0:3]
+    return d, np.sqrt(np.sum(d * d, axis=1))
+
+
+def _scatter(shape, index, block) -> np.ndarray:
+    """Zeros of `shape` with `block` added at `index`, whose frames may
+    repeat."""
+    out = np.zeros(shape)
+    np.add.at(out, index, block)
+    return out
+
+
+def _distance_adjoint(slope, d, dist, shape) -> np.ndarray:
+    """Adjoint of the first subject's frames from the adjoint `slope` of
+    the root distances. At distance 0 the direction is undefined and the
+    subgradient is 0."""
+    s = np.divide(slope * 0.5, dist, out=np.zeros_like(dist), where=dist > 0)
+    g = np.zeros(shape)
+    g[:, 0:3] = s[:, None] * d * 2.0
+    return g
 
 
 def overlap_penalty(target, others, delta: float = 0.30) -> ad.Var:
     """Sum over other persons and frames of max(0, delta - root distance)."""
-    target = ad.as_var(target)
     if not others:
-        import warnings
         warnings.warn("overlap_penalty: empty `others`, penalty is 0")
         return ad.constant(0.0)
-    total = ad.constant(0.0)
-    for other in others:
-        other = ad.as_var(other)
-        if other.shape != target.shape:
-            raise ad.ShapeMismatchError("overlap_penalty: sequence shapes differ")
-        dist = _root_distance(target, other)
-        total = total + ad.sum_(ad.relu(delta - dist))
-    return total
+    subjects = [target, *others]
+    x = [_value(s) for s in subjects]
+    total, rows = np.asarray(0.0), []
+    for other in x[1:]:
+        d, dist = _root_distance(x[0], other)
+        h, mask = _hinge(delta - dist)
+        total = total + np.sum(h)
+        rows.append((d, dist, mask))
+
+    def backward(g):
+        gs = [_distance_adjoint(-(g * mask), d, dist, x[0].shape)
+              for d, dist, mask in rows]
+        return [sum(gs)] + [-gi for gi in gs]
+
+    return _node(total, subjects, backward)
 
 
 def root_penalty(frames, targets, frame_set, delta: float = 0.0) -> ad.Var:
     """Squared-distance hinge to per-frame target root positions."""
-    frames = ad.as_var(frames)
+    x = _value(frames)
     frame_set = np.asarray(frame_set, dtype=int)
-    if frame_set.size and (frame_set.min() < 0 or frame_set.max() >= frames.shape[0]):
+    if frame_set.size and (frame_set.min() < 0 or frame_set.max() >= x.shape[0]):
         raise IndexError("root_penalty: frame set out of range")
     targets = np.asarray(targets, dtype=np.float64).reshape(len(frame_set), 3)
-    d = _roots(frames)[frame_set] - ad.constant(targets)
-    sq = ad.sum_(d * d, axis=1)
-    return ad.sum_(ad.relu(sq - delta))
+    d = x[frame_set, 0:3] - targets
+    h, mask = _hinge(np.sum(d * d, axis=1) - delta)
+
+    def backward(g):
+        gd = (g * mask)[:, None] * d
+        return [_scatter(x.shape, (frame_set, slice(0, 3)), gd + gd)]
+
+    return _node(np.sum(h), [frames], backward)
 
 
 def region_joints(joints, J: int) -> list:
@@ -70,21 +125,29 @@ def region_joints(joints, J: int) -> list:
 def region_penalty(frames, lower, upper, skeleton: Skeleton,
                    joints=None) -> ad.Var:
     """Per-axis box violation averaged over frames and subject joints."""
-    frames = ad.as_var(frames)
+    x = _value(frames)
     lower = np.asarray(lower, dtype=np.float64)
     upper = np.asarray(upper, dtype=np.float64)
     if np.any(lower > upper):
         raise ValueError("region_penalty: lower bound exceeds upper bound")
-    J, N = skeleton.J, frames.shape[0]
+    J, N = skeleton.J, x.shape[0]
     joints = region_joints(joints, J)
-    # (N * J, 3) positions, row n * J + j; keep the chosen joints' rows
-    p = ad.reshape(frames[:, glo_slice(J)], (N * J, 3))
-    if len(joints) < J:
-        p = p[(np.arange(N)[:, None] * J + joints).ravel()]
-    low = ad.constant(np.broadcast_to(lower, p.shape))
-    up = ad.constant(np.broadcast_to(upper, p.shape))
-    total = ad.sum_(ad.relu(low - p)) + ad.sum_(ad.relu(p - up))
-    return total * (1.0 / (N * len(joints)))
+    # (N * K, 3) positions of the chosen joints, from rows n * J + j
+    rows = (np.arange(N)[:, None] * J + joints).ravel()
+    p = x[:, glo_slice(J)].reshape(N * J, 3)[rows]
+    below, m_below = _hinge(lower - p)
+    above, m_above = _hinge(p - upper)
+    scale = 1.0 / (N * len(joints))
+
+    def backward(g):
+        gs = g * scale
+        gp = np.zeros((N * J, 3))
+        gp[rows] = m_above * gs - m_below * gs
+        out = np.zeros(x.shape)
+        out[:, glo_slice(J)] = gp.reshape(N, 3 * J)
+        return [out]
+
+    return _node((np.sum(below) + np.sum(above)) * scale, [frames], backward)
 
 
 def orientation_penalty(frames, d_target, frame_set, skeleton: Skeleton,
@@ -96,9 +159,16 @@ def orientation_penalty(frames, d_target, frame_set, skeleton: Skeleton,
     if np.any(norms < 1e-9):
         raise ValueError("orientation_penalty: zero-norm target direction")
     d_target = d_target / norms[:, None]
-    d = facing_directions(frames, skeleton, frame_set)
-    dots = ad.sum_(d * ad.constant(d_target), axis=1)
-    return ad.sum_(ad.relu(1.0 - dots - delta))
+    x = _value(frames)
+    rot = slice(rot_slice(skeleton.J).start, rot_slice(skeleton.J).start + 6)
+    _, d, vjp = facing_gram_schmidt(x[frame_set, rot])
+    h, mask = _hinge(1.0 - np.sum(d * d_target, axis=1) - delta)
+
+    def backward(g):
+        return [_scatter(x.shape, (frame_set, rot),
+                         vjp(-(g * mask)[:, None] * d_target))]
+
+    return _node(np.sum(h), [frames], backward)
 
 
 def relative_penalty(frames1, frames2, d_min: float, d_max: float,
@@ -106,32 +176,54 @@ def relative_penalty(frames1, frames2, d_min: float, d_max: float,
     """Keep root distance within [d_min, d_max] on the given frames."""
     if d_min > d_max:
         raise ValueError("relative_penalty: d_min exceeds d_max")
-    f1, f2 = ad.as_var(frames1), ad.as_var(frames2)
-    dist = _root_distance(f1, f2)
-    if frame_set is not None:
-        dist = dist[np.asarray(frame_set, dtype=int)]
-    return ad.sum_(ad.relu(d_min - dist)) + ad.sum_(ad.relu(dist - d_max))
+    x1, x2 = _value(frames1), _value(frames2)
+    d, dist = _root_distance(x1, x2)
+    rows = slice(None) if frame_set is None else \
+        np.asarray(frame_set, dtype=int)
+    below, m_below = _hinge(d_min - dist[rows])
+    above, m_above = _hinge(dist[rows] - d_max)
+
+    def backward(g):
+        slope = _scatter(dist.shape, rows, m_above * g - m_below * g)
+        g1 = _distance_adjoint(slope, d, dist, x1.shape)
+        return [g1, -g1]
+
+    return _node(np.sum(below) + np.sum(above), [frames1, frames2], backward)
 
 
 def boundary_penalty(frames, window_start: int, window_len: int,
                      skeleton: Skeleton) -> ad.Var:
     """Mean squared joint acceleration (per joint, per frame) over the
     acceleration frames [window_start, window_start + window_len)."""
-    frames = ad.as_var(frames)
-    N, J = frames.shape[0], skeleton.J
+    x = _value(frames)
+    N, J = x.shape[0], skeleton.J
     if window_len < 3:
         raise ValueError("boundary_penalty: window must span >= 3 frames")
     if not (0 <= window_start and window_start + window_len <= N):
         raise ValueError("boundary_penalty: window outside sequence")
-    p = ad.reshape(frames[:, glo_slice(J)], (N, J, 3))
-    acc = p[2:, :, :] - 2.0 * p[1:-1, :, :] + p[:-2, :, :]
     # acceleration at frame n uses p(n-1), p(n), p(n+1); index shift of 1
     lo = max(window_start - 1, 0)
     hi = min(window_start + window_len - 1, N - 2)
     if hi - lo < 1:
         raise ValueError("boundary_penalty: window too small after clipping")
-    a = acc[lo:hi, :, :]
-    return ad.sum_(a * a) * (1.0 / ((hi - lo) * J))
+    p = x[lo:hi + 2, glo_slice(J)].reshape(hi + 2 - lo, J, 3)
+    a = p[2:] - 2.0 * p[1:-1] + p[:-2]
+    scale = 1.0 / ((hi - lo) * J)
+
+    def backward(g):
+        ga = g * scale * a
+        ga = ga + ga
+        # adjoint of the second difference on rows [lo, hi + 2) only,
+        # summed in the tape's order
+        gp = np.zeros(p.shape)
+        gp[2:] += ga
+        gp[1:-1] -= 2.0 * ga
+        gp[:-2] += ga
+        out = np.zeros(x.shape)
+        out[lo:hi + 2, glo_slice(J)] = gp.reshape(hi + 2 - lo, 3 * J)
+        return [out]
+
+    return _node(np.sum(a * a) * scale, [frames], backward)
 
 
 # -- configuration & aggregation ----------------------------------------------
@@ -251,13 +343,18 @@ def evaluate_penalty(cfg: PenaltyConfig, world: dict, skeleton: Skeleton) -> ad.
 
 
 def aggregate(configs, world: dict, skeleton: Skeleton):
-    """Weighted sum of all configured terms. Returns (total Var, breakdown)."""
-    total = ad.constant(0.0)
-    terms, weighted = {}, {}
+    """Weighted sum of all configured terms as one tape node, whose
+    backward hands term i the adjoint w_i * g (a constant when there are no
+    terms). Returns (total Var, breakdown)."""
+    terms, weighted, parts = {}, {}, []
+    total = np.asarray(0.0)
     for i, cfg in enumerate(configs):
         term = evaluate_penalty(cfg, world, skeleton)
         key = (cfg.kind, cfg.subjects, i)
         terms[key] = float(term.value)
         weighted[key] = cfg.weight * float(term.value)
-        total = total + cfg.weight * term
-    return total, LossBreakdown(float(total.value), terms, weighted)
+        total = total + cfg.weight * term.value
+        parts.append(term)
+    out = ad.Var(total, parts, lambda g: [cfg.weight * g for cfg in configs],
+                 requires_grad=bool(parts))
+    return out, LossBreakdown(float(total), terms, weighted)

@@ -36,16 +36,6 @@ class EpsPrior:
         return (x - np.sqrt(1.0 - ab) * eps) * (1.0 / np.sqrt(ab))
 
 
-class ZeroPrior(EpsPrior):
-    """Predicts eps = 0; useful for closed-form sampler checks."""
-
-    def __init__(self, schedule: DiffusionSchedule):
-        self.schedule = schedule
-
-    def predict(self, x, t, label):
-        return ad.constant(np.zeros(x.shape))
-
-
 class AnalyticPrior:
     """The clean estimate mu_c(x_t) maps the current state onto the label's
     scripted motion manifold, whatever t; eps_hat = (x_t - sqrt(ab_t) mu_c)

@@ -10,7 +10,7 @@ import pytest
 from groupmotion import autodiff as ad
 from groupmotion.diffusion import DiffusionSchedule
 from groupmotion.motion import NormalizationStats, default_skeleton
-from groupmotion.priors import AnalyticPrior
+from groupmotion.priors import AnalyticPrior, EpsPrior
 
 
 def finite_difference(f, x, coords, h=1e-5):
@@ -54,6 +54,17 @@ def gs_facing(frame, skeleton):
     f = np.cross(c1, c2)
     d = np.array([f[0], f[2]])
     return d / np.linalg.norm(d)
+
+
+class ZeroPrior(EpsPrior):
+    """Predicts eps = 0, so its clean estimate is x_t / sqrt(ab_t); for
+    closed-form sampler checks."""
+
+    def __init__(self, schedule: DiffusionSchedule):
+        self.schedule = schedule
+
+    def predict(self, x, t, label):
+        return ad.constant(np.zeros(x.shape))
 
 
 def parallel_map(fn, *iterables):

@@ -1,7 +1,8 @@
 """Op-by-op tape forms of the samplers' affine stages: the gradient oracle
-of `motion.normalize`/`denormalize` on a Var,
-`AnalyticPrior.clean_estimate`, `diffusion._ddim_step` and the inpainting
-clamp, and the eps-form chain the samplers stepped through before.
+of `motion.denormalize` on a Var, `AnalyticPrior.clean_estimate` (whose
+last stage is `normalize`), `diffusion._ddim_step`, the inpainting clamp
+and the forward noising of the references, and the eps-form chain the
+samplers stepped through before.
 
 Every stage here is written in `autodiff` ops, one tape node per op, with
 constant operands as constant leaves, so the one-node stages of the
@@ -20,21 +21,28 @@ from __future__ import annotations
 import numpy as np
 
 from groupmotion import autodiff as ad
-from groupmotion.diffusion import _stacked, _step_noise, forward_noise
+from groupmotion.diffusion import _stacked, _step_noise
 from groupmotion.priors import AnalyticPrior
 from groupmotion.scripts import build_pair_scripts
+
+import tape_ops as to
 
 
 def normalize(frames, stats):
     mu = ad.broadcast_to(ad.constant(stats.mean), frames.shape)
     sd = ad.broadcast_to(ad.constant(stats.std), frames.shape)
-    return (frames - mu) / sd
+    return to.div(frames - mu, sd)
 
 
 def denormalize(frames, stats):
     mu = ad.broadcast_to(ad.constant(stats.mean), frames.shape)
     sd = ad.broadcast_to(ad.constant(stats.std), frames.shape)
     return frames * sd + mu
+
+
+def forward_noise(x0, t, noise, schedule):
+    ab = schedule.alpha_bar(t)
+    return np.sqrt(ab) * ad.as_var(x0) + np.sqrt(1.0 - ab) * ad.as_var(noise)
 
 
 class TapeAnalyticPrior(AnalyticPrior):

@@ -20,6 +20,8 @@ from groupmotion.scripts import (CIRCLE_SWEEP, FOLLOW_GAP, GESTURE_CYCLES,
                                  HEADING_MAX, IDENTITY_ROT6D, ROOT_HEIGHT,
                                  LabelSpec, _BASE_OFFSETS, _inv_squash)
 
+import tape_ops as to
+
 # per-person values indexed by _SWAP give each person its partner's values
 _SWAP = np.array([1, 0])
 
@@ -53,7 +55,7 @@ def extract_params(w, skeleton: Skeleton, spec: LabelSpec) -> dict:
     v = ad.sum_(w[:, :, vb + 3:vb + 6], axis=1)   # spine velocity carriers
     drift_x = spec.drift_max * ad.tanh(spec.drift_gain * u[:, 0])
     drift_z = spec.drift_max * ad.tanh(spec.drift_gain * u[:, 2])
-    speed = ad.exp(spec.speed_log_max * ad.tanh(u[:, 1]))
+    speed = to.exp(spec.speed_log_max * ad.tanh(u[:, 1]))
     psi = HEADING_MAX * ad.tanh(v[:, 0])
     return {
         "anchor": anchor,
@@ -105,7 +107,7 @@ def _ramp_times_vec3(ramp: np.ndarray, vec) -> ad.Var:
 
 def _heading_of(delta: ad.Var) -> ad.Var:
     """atan2 heading of ground-plane displacements (P, 3), smooth at 0."""
-    return ad.atan2(delta[:, 2], delta[:, 0] + 1e-9)
+    return to.atan2(delta[:, 2], delta[:, 0] + 1e-9)
 
 
 def _rotate_offsets(offsets: np.ndarray, c: ad.Var, s: ad.Var) -> ad.Var:
@@ -139,10 +141,10 @@ def _approach_root(params, spec: LabelSpec, N: int):
     a = params["anchor"]
     mid = (a + a[_SWAP]) * 0.5
     to_mid = mid - a
-    dist = ad.norm(to_mid, axis=1, eps=1e-6)
-    unit = to_mid / _widen(dist, (3,))
+    dist = to.norm(to_mid, axis=1, eps=1e-6)
+    unit = to.div(to_mid, _widen(dist, (3,)))
     # walked distance: a smooth min(dist - gap / 2, walk_span), times speed
-    walk = spec.walk_span * ad.tanh(ad.relu(dist - 0.5 * spec.gap) * (
+    walk = spec.walk_span * ad.tanh(to.relu(dist - 0.5 * spec.gap) * (
         1.0 / spec.walk_span)) * params["speed"]
     target_step = _ramp_times_vec3(_ease(N), unit * _widen(walk, (3,)))
     base = _widen(a, (N, 3)) + target_step
@@ -155,16 +157,16 @@ def _circle_root(params, spec: LabelSpec, N: int):
     P = a.shape[0]
     center = (a + a[_SWAP]) * 0.5
     rel = a - center
-    radius = ad.norm(ad.stack([rel[:, 0], np.zeros(P), rel[:, 2]], axis=1),
+    radius = to.norm(ad.stack([rel[:, 0], np.zeros(P), rel[:, 2]], axis=1),
                      axis=1, eps=1e-3) + 0.3
-    alpha0 = ad.atan2(rel[:, 2], rel[:, 0] + 1e-9)
+    alpha0 = to.atan2(rel[:, 2], rel[:, 0] + 1e-9)
     sweep = CIRCLE_SWEEP
     alpha = _widen(alpha0, (N,)) + \
         ad.constant(np.broadcast_to(_ease(N) * sweep, (P, N))) * \
         _widen(params["speed"], (N,))
     radius = _widen(radius, (N,))
-    cx = _widen(center[:, 0], (N,)) + radius * ad.cos(alpha)
-    cz = _widen(center[:, 2], (N,)) + radius * ad.sin(alpha)
+    cx = _widen(center[:, 0], (N,)) + radius * to.cos(alpha)
+    cz = _widen(center[:, 2], (N,)) + radius * to.sin(alpha)
     cy = _widen(a[:, 1], (N,))
     base = ad.stack([cx, cy, cz], axis=2)
     # tangent heading plus user offset
@@ -194,7 +196,7 @@ def _follow_root(params, spec: LabelSpec, N: int):
     speed = _widen(params["speed"], (3,))
     # the leader walks along its own heading
     theta = _heading_of(a[_SWAP] - a) + params["psi"]
-    forward = ad.stack([ad.cos(theta), np.zeros(theta.shape), ad.sin(theta)],
+    forward = ad.stack([to.cos(theta), np.zeros(theta.shape), to.sin(theta)],
                        axis=1)
     lead_base = _widen(a, (N, 3)) + \
         _ramp_times_vec3(_ease(N), forward * (2.0 * speed))
@@ -261,7 +263,7 @@ def build_scripts(params: dict, spec: LabelSpec, skeleton: Skeleton,
     offsets = _gesture_offsets(spec, N)
     local = np.stack([offsets[name] for name in skeleton.joint_names[1:]],
                      axis=1)                    # (N, J-1, 3)
-    c, s = ad.cos(heading), ad.sin(heading)
+    c, s = to.cos(heading), to.sin(heading)
 
     # each non-root joint sits at its base plus its rotated offset; the base
     # is the root, except that stationary labels keep their feet planted at

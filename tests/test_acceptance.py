@@ -29,6 +29,7 @@ from groupmotion.motion import (MotionSequence, NormalizationStats,
 from groupmotion.priors import AnalyticPrior
 from groupmotion.scripts import label_by_name
 
+import tape_ops as to
 from conftest import check_gradient, gs_facing, parallel_map
 
 
@@ -353,7 +354,7 @@ def test_optimizer_defaults():
 def test_optimizer_early_stop_on_zero_loss():
     # hinge objective that is exactly zero at the start point
     def objective(v):
-        return ad.sum_(ad.relu(v - 1.0)), None
+        return ad.sum_(to.relu(v - 1.0)), None
 
     x0 = np.zeros(4)
     best, rec = optimize_noise(objective, x0, OptimizerConfig())

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from groupmotion import autodiff as ad
 
+import tape_ops as to
 from conftest import check_gradient
 
 
@@ -76,29 +77,29 @@ OPS = [
     ("add", lambda x: ad.sum_(x + ad.constant(rand(x.shape, 5)))),
     ("sub", lambda x: ad.sum_(ad.constant(rand(x.shape, 5)) - x)),
     ("mul", lambda x: ad.sum_(x * ad.constant(rand(x.shape, 6)))),
-    ("div", lambda x: ad.sum_(x / ad.constant(2.0 + rand(x.shape, 7) ** 2))),
-    ("div_denominator", lambda x: ad.sum_(1.0 / (x * x + 1.0))),
-    ("powi", lambda x: ad.sum_(ad.powi(x * x + 1.0, 1.5))),
-    ("relu", lambda x: ad.sum_(ad.relu(x))),
-    ("sqrt", lambda x: ad.sum_(ad.sqrt(x * x + 1.0))),
-    ("exp", lambda x: ad.sum_(ad.exp(0.3 * x))),
+    ("div", lambda x: ad.sum_(to.div(x, ad.constant(2.0 + rand(x.shape, 7) ** 2)))),
+    ("div_denominator", lambda x: ad.sum_(to.div(1.0, x * x + 1.0))),
+    ("powi", lambda x: ad.sum_(to.powi(x * x + 1.0, 1.5))),
+    ("relu", lambda x: ad.sum_(to.relu(x))),
+    ("sqrt", lambda x: ad.sum_(to.sqrt(x * x + 1.0))),
+    ("exp", lambda x: ad.sum_(to.exp(0.3 * x))),
     ("tanh", lambda x: ad.sum_(ad.tanh(x))),
-    ("sin", lambda x: ad.sum_(ad.sin(x))),
-    ("cos", lambda x: ad.sum_(ad.cos(x))),
-    ("sum_axis", lambda x: ad.sum_(ad.sin(ad.sum_(x, axis=0)))),
+    ("sin", lambda x: ad.sum_(to.sin(x))),
+    ("cos", lambda x: ad.sum_(to.cos(x))),
+    ("sum_axis", lambda x: ad.sum_(to.sin(ad.sum_(x, axis=0)))),
     ("mean", lambda x: ad.mean(x * x)),
     ("matmul", lambda x: ad.sum_(ad.tanh(
         ad.matmul(x, ad.constant(rand((x.shape[1], 3), 8)))))),
     ("getitem", lambda x: ad.sum_(x[1:, 0] * x[0, 1:4])),
-    ("fancy_index", lambda x: ad.sum_(x[np.array([0, 2, 2]), :] ** 2)),
-    ("concat", lambda x: ad.sum_(ad.concat([x * 2.0, x], axis=1) ** 2)),
-    ("stack", lambda x: ad.sum_(ad.stack([x[0, :], x[1, :]], axis=1) ** 2)),
-    ("reshape", lambda x: ad.sum_(ad.reshape(x, (x.value.size,)) ** 3)),
+    ("fancy_index", lambda x: ad.sum_(to.powi(x[np.array([0, 2, 2]), :], 2))),
+    ("concat", lambda x: ad.sum_(to.powi(ad.concat([x * 2.0, x], axis=1), 2))),
+    ("stack", lambda x: ad.sum_(to.powi(ad.stack([x[0, :], x[1, :]], axis=1), 2))),
+    ("reshape", lambda x: ad.sum_(to.powi(ad.reshape(x, (x.value.size,)), 3))),
     ("broadcast", lambda x: ad.sum_(
         ad.broadcast_to(ad.reshape(x[0, :], (1, x.shape[1])), x.shape) * x)),
-    ("norm", lambda x: ad.sum_(ad.norm(x, axis=1))),
-    ("norm_eps", lambda x: ad.sum_(ad.norm(x * 0.0 + x, axis=1, eps=1e-6))),
-    ("atan2", lambda x: ad.sum_(ad.atan2(x[:, 0], x[:, 1] + 3.0))),
+    ("norm", lambda x: ad.sum_(to.norm(x, axis=1))),
+    ("norm_eps", lambda x: ad.sum_(to.norm(x * 0.0 + x, axis=1, eps=1e-6))),
+    ("atan2", lambda x: ad.sum_(to.atan2(x[:, 0], x[:, 1] + 3.0))),
 ]
 
 
@@ -129,7 +130,7 @@ def test_determinism_bit_identical():
 
     def run():
         x = ad.Var(x0.copy())
-        loss = ad.sum_(ad.tanh(ad.matmul(x, ad.constant(rand((7, 2), 4)))) ** 2)
+        loss = ad.sum_(to.powi(ad.tanh(ad.matmul(x, ad.constant(rand((7, 2), 4)))), 2))
         (g,) = ad.grad(loss, [x])
         return float(loss.value), g
 
@@ -149,7 +150,7 @@ def test_graph_reusable_after_grad():
 
 def test_relu_subgradient_zero_at_kink():
     x = ad.Var(np.array([0.0, -1.0, 1.0]))
-    (g,) = ad.grad(ad.sum_(ad.relu(x)), [x])
+    (g,) = ad.grad(ad.sum_(to.relu(x)), [x])
     assert np.array_equal(g, [0.0, 0.0, 1.0])
 
 
@@ -192,7 +193,7 @@ def test_hypothesis_broadcast_person_rows_gradient(P, n, k, seed):
 @given(dims, dims, dims, st.integers(min_value=1, max_value=2), seeds)
 def test_hypothesis_sum_inner_axis_gradient(P, n, k, axis, seed):
     w = ad.constant(rand((P, k) if axis == 1 else (P, n), seed + 1))
-    check_gradient(lambda v: ad.sum_(ad.sin(ad.sum_(v, axis=axis)) * w),
+    check_gradient(lambda v: ad.sum_(to.sin(ad.sum_(v, axis=axis)) * w),
                    rand((P, n, k), seed), n_coords=P * n * k, rtol=1e-4,
                    h=1e-6)
 
@@ -208,8 +209,8 @@ def test_hypothesis_mul_div_scalar_gradient(n, k, c, seed):
     """Var by Python scalar, both ways round, and scalar by Var."""
     w = ad.constant(rand((n, k), seed + 1))
     check_gradient(
-        lambda v: ad.sum_(ad.tanh(v * c + c * v - v / c) * w) +
-        ad.sum_(c / (v * v + 1.0)), rand((n, k), seed), n_coords=n * k,
+        lambda v: ad.sum_(ad.tanh(v * c + c * v - to.div(v, c)) * w) +
+        ad.sum_(to.div(c, v * v + 1.0)), rand((n, k), seed), n_coords=n * k,
         rtol=1e-4, h=1e-6)
 
 
@@ -219,7 +220,7 @@ def test_hypothesis_scalar_var_broadcast_gradient(n, k, seed):
     """A 0-d Var times and divided into an array: its gradient is the sum
     over the broadcast."""
     m = ad.constant(rand((n, k), seed))
-    check_gradient(lambda v: ad.sum_(ad.tanh(m * v) + m / (v * v + 1.0)),
+    check_gradient(lambda v: ad.sum_(ad.tanh(m * v) + to.div(m, v * v + 1.0)),
                    np.array(rand((), seed + 1)), n_coords=1, rtol=1e-4,
                    h=1e-6)
 
@@ -231,7 +232,7 @@ def test_hypothesis_scalar_var_broadcast_gradient(n, k, seed):
 def test_hypothesis_atan2_gradient(polar):
     """Points away from the origin and from the branch cut at +-pi."""
     r, t = np.array(polar).T
-    check_gradient(lambda v: ad.sum_(ad.atan2(v[0], v[1])),
+    check_gradient(lambda v: ad.sum_(to.atan2(v[0], v[1])),
                    np.stack([r * np.sin(t), r * np.cos(t)]),
                    n_coords=2 * len(polar), rtol=1e-4, h=1e-6)
 
@@ -244,7 +245,7 @@ def test_hypothesis_concat_stack_gradient(n, k, axis, seed):
 
     def loss(v):
         cat = ad.concat([v * 2.0, ad.tanh(v), const], axis=axis)
-        stk = ad.stack([ad.sin(v), const, v * v], axis=axis)
+        stk = ad.stack([to.sin(v), const, v * v], axis=axis)
         return ad.sum_(cat * ad.constant(rand(cat.shape, seed + 3))) + \
             ad.sum_(stk * ad.constant(rand(stk.shape, seed + 4)))
 
@@ -257,7 +258,7 @@ def test_hypothesis_concat_stack_gradient(n, k, axis, seed):
     lambda x: abs(x) > 1e-2), min_size=1, max_size=8), seeds)
 def test_hypothesis_relu_away_from_kink_gradient(vals, seed):
     w = ad.constant(rand(len(vals), seed))
-    check_gradient(lambda v: ad.sum_(ad.relu(v) * w), np.array(vals),
+    check_gradient(lambda v: ad.sum_(to.relu(v) * w), np.array(vals),
                    n_coords=len(vals), rtol=1e-4, h=1e-6)
 
 
@@ -265,7 +266,7 @@ def test_hypothesis_relu_away_from_kink_gradient(vals, seed):
 @given(dims, st.floats(min_value=-2.5, max_value=3.0), seeds)
 def test_hypothesis_powi_gradient(n, p, seed):
     """Real powers of a positive base."""
-    check_gradient(lambda v: ad.sum_(ad.powi(v * v + 0.5, p)),
+    check_gradient(lambda v: ad.sum_(to.powi(v * v + 0.5, p)),
                    rand(n, seed), n_coords=n, rtol=1e-4, h=1e-6)
 
 
@@ -278,7 +279,7 @@ def test_hypothesis_norm_eps_gradient(n, k, axis, eps, zero_row, seed):
     if zero_row:
         x[0] = 0.0
     w = ad.constant(rand(n if axis == 1 else k, seed + 1))
-    check_gradient(lambda v: ad.sum_(ad.norm(v, axis=axis, eps=eps) * w), x,
+    check_gradient(lambda v: ad.sum_(to.norm(v, axis=axis, eps=eps) * w), x,
                    n_coords=n * k, rtol=1e-4, h=1e-6)
 
 

@@ -319,7 +319,8 @@ def test_compose_divergence_writes_dump(tmp_path, capsys):
     cfg = compose_config(tmp_path, first_penalties=[
         {"kind": "root", "subjects": [1], "frames": [11],
          "params": {"targets": [[1e200, 0, 0]]}}])
-    dump = assert_diverged_dump(tmp_path, capsys, "compose", cfg)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        dump = assert_diverged_dump(tmp_path, capsys, "compose", cfg)
     # non-finite values are written as strings, which strict JSON holds
     assert dump["breakdown"]["total"] == "inf"
     assert list(dump["breakdown"]["terms"].values()) == ["inf"]
@@ -416,7 +417,8 @@ def test_train_divergence_writes_dump(tmp_path, capsys):
     cfg = write_config(tmp_path, "t.json", dict(
         schedule=FAST["schedule"], corpus_dir=corpus_dir, epochs=2, hidden=8,
         lr=1e300))
-    assert_diverged_dump(tmp_path, capsys, "train", cfg)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert_diverged_dump(tmp_path, capsys, "train", cfg)
 
 
 def test_train_missing_corpus_dir(tmp_path):
@@ -551,7 +553,8 @@ def test_extend_divergence_writes_dump(tmp_path, capsys, composed):
         scene={"extension": [dict(SEGMENT, penalties=[
             {"kind": "root", "subjects": [1], "frames": [11],
              "params": {"targets": [[1e200, 0, 0]]}}])]}))
-    dump = assert_diverged_dump(tmp_path, capsys, "extend", cfg)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        dump = assert_diverged_dump(tmp_path, capsys, "extend", cfg)
     assert dump["breakdown"]["total"] == "inf"
 
 

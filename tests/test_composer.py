@@ -12,8 +12,9 @@ from groupmotion.composer import (Composer, CompositionResult,
 from groupmotion.diffusion import ddim_sample, masked_sample
 from groupmotion.motion import denormalize, normalize
 from groupmotion.penalties import LossBreakdown, PenaltyConfig, root_penalty
-from groupmotion.priors import ZeroPrior
 from groupmotion.scripts import label_by_name
+
+from conftest import ZeroPrior
 
 
 def make_composer(analytic_prior, small_schedule, stats, skeleton, **kw):

@@ -8,11 +8,11 @@ from groupmotion import diffusion
 from groupmotion.diffusion import (DiffusionSchedule, FrameMask, ddim_sample,
                                    forward_noise, inpaint_extend,
                                    masked_sample)
-from groupmotion.priors import AnalyticPrior, ZeroPrior
+from groupmotion.priors import AnalyticPrior
 from groupmotion.scripts import label_by_name
 
 import tape_samplers as tape
-from conftest import check_gradient
+from conftest import ZeroPrior, check_gradient
 
 
 def noise(shape, seed=0):
@@ -386,8 +386,9 @@ def test_ddim_step_records_two_nodes(stats, skeleton, monkeypatch):
 
 
 def test_forward_noise_arrays_or_vars(small_schedule):
-    """Two arrays give an array; a Var in either slot gives a Var with the
-    same value, differentiable in that slot."""
+    """The package's form takes arrays and gives an array; the oracle's tape
+    copy, with a Var in either slot, gives a Var with the same value,
+    differentiable in that slot."""
     x0, z = noise((3, 4), 41), noise((3, 4), 42)
     want = forward_noise(x0, 20, z, small_schedule)
     assert type(want) is np.ndarray
@@ -395,7 +396,7 @@ def test_forward_noise_arrays_or_vars(small_schedule):
     for slot, scale in ((0, np.sqrt(ab)), (1, np.sqrt(1.0 - ab))):
         args = [x0, z]
         args[slot] = v = ad.Var(args[slot])
-        out = forward_noise(args[0], 20, args[1], small_schedule)
+        out = tape.forward_noise(args[0], 20, args[1], small_schedule)
         (g,) = ad.grad(ad.sum_(out), [v])
         assert np.array_equal(out.value, want)
         assert np.array_equal(g, np.full((3, 4), scale))

@@ -1,5 +1,6 @@
 """Metric kernels against counting, loop and Monte-Carlo oracles."""
 
+import csv
 import warnings
 
 import numpy as np
@@ -341,6 +342,10 @@ def test_report_csv_rows(skeleton, tmp_path):
     report = me.evaluate_runs(runs)
     path = tmp_path / "m.csv"
     me.write_report_csv(report, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == 1 + 3 + 1  # header + per-run + aggregate
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 3 + 1  # per-run + aggregate, under one header
     assert report.n_runs == 3
+    assert [r["diversity"] for r in rows[:-1]] == ["", "", ""]
+    assert rows[-1]["run"] == "aggregate"
+    assert float(rows[-1]["diversity"]) == report.diversity

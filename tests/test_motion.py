@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from groupmotion import autodiff as ad
 from groupmotion import motion as mo
 
+import tape_penalties
 import tape_samplers as tape
 from conftest import check_gradient, gs_facing
 
@@ -162,10 +163,16 @@ def _random_rotations(rng, n):
 
 
 def test_facing_directions_match_gs_oracle(skeleton):
+    """The numpy Gram-Schmidt equals its op-by-op tape form bit for bit,
+    both match the per-frame oracle, and facing_direction reads it."""
     rng = np.random.default_rng(21)
     R = _random_rotations(rng, 40)
     seq = _with_root_6d(skeleton, [mo.rotation_to_6d(r) for r in R])
-    got = mo.facing_directions(seq.frames, skeleton, range(seq.N)).value
+    rb = mo.rot_slice(skeleton.J).start
+    _, got, _ = mo.facing_gram_schmidt(seq.frames[:, rb:rb + 6])
+    tape_d = tape_penalties.facing_directions(seq.frames, skeleton,
+                                              range(seq.N)).value
+    assert np.array_equal(got, tape_d)
     want = [gs_facing(f, skeleton) for f in seq.frames]
     assert np.allclose(got, want, rtol=0.0, atol=1e-12)
     for n in (0, 17, 39):
@@ -257,36 +264,39 @@ def test_normalize_batch_moments(skeleton):
 @given(st.integers(min_value=1, max_value=2),
        st.integers(min_value=1, max_value=6),
        st.integers(min_value=1, max_value=5),
-       st.sampled_from(["normalize", "denormalize"]),
        st.integers(min_value=0, max_value=2**16))
-def test_hypothesis_normalize_on_var_gradient(P, N, D, name, seed):
-    """normalize and denormalize on a (P, N, D) Var: one node each, whose
-    backward matches central differences and whose value and gradient
-    equal the op-by-op tape form bit for bit."""
+def test_hypothesis_normalize_on_var_gradient(P, N, D, seed):
+    """denormalize on a (P, N, D) Var: one node, whose backward matches
+    central differences and whose value and gradient equal the op-by-op
+    tape form bit for bit. normalize, which takes arrays only, inverts
+    it to rounding."""
     rng = np.random.default_rng(seed)
     stats = mo.NormalizationStats(rng.standard_normal(D),
                                   rng.uniform(0.1, 3.0, D))
     w = ad.constant(rng.standard_normal((P, N, D)))
     x = rng.standard_normal((P, N, D))
-    fused, oracle = getattr(mo, name), getattr(tape, name)
-    check_gradient(lambda v: ad.sum_(ad.tanh(fused(v, stats)) * w), x,
-                   n_coords=P * N * D, rtol=1e-5, h=1e-6)
+    check_gradient(lambda v: ad.sum_(ad.tanh(mo.denormalize(v, stats)) * w),
+                   x, n_coords=P * N * D, rtol=1e-5, h=1e-6)
     results = []
-    for f in (fused, oracle):
+    for f in (mo.denormalize, tape.denormalize):
         v = ad.Var(x)
         out = f(v, stats)
         (g,) = ad.grad(ad.sum_(ad.tanh(out) * w), [v])
         results.append((out.value, g))
     v = ad.Var(x)
-    assert fused(v, stats).parents == (v,)
+    assert mo.denormalize(v, stats).parents == (v,)
     for got, want in zip(*results):
         assert np.array_equal(got, want)
+    assert np.allclose(mo.normalize(results[0][0], stats), x, rtol=0.0,
+                       atol=1e-12)
 
 
 def test_normalize_checks_width_on_var(stats):
-    for f in (mo.normalize, mo.denormalize):
+    """Both check the width: normalize of an array, denormalize of a Var."""
+    bad = np.zeros((2, 3, stats.D + 1))
+    for f, frames in ((mo.normalize, bad), (mo.denormalize, ad.Var(bad))):
         with pytest.raises(ValueError, match="dimension"):
-            f(ad.Var(np.zeros((2, 3, stats.D + 1))), stats)
+            f(frames, stats)
 
 
 def test_std_underflow_rejected(skeleton):
@@ -368,8 +378,7 @@ def test_gram_schmidt_orthonormal_right_handed(skeleton):
     span, in order, the vector's two axes (a sign-fixed complete QR)."""
     rng = np.random.default_rng(13)
     r6 = rng.standard_normal((25, 6))
-    d = mo.facing_directions(_with_root_6d(skeleton, r6).frames, skeleton,
-                             range(25)).value
+    _, d, _ = mo.facing_gram_schmidt(r6)
     for k in range(25):
         q, r = np.linalg.qr(r6[k].reshape(2, 3).T, mode="complete")
         q[:, :2] *= np.sign(np.diag(r))

@@ -3,12 +3,15 @@ finite-difference gradients away from hinge kinks."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from groupmotion import autodiff as ad
 from groupmotion import penalties as pe
-from groupmotion.motion import glo_slice, rot_slice, rotation_to_6d, \
-    yaw_rotation
+from groupmotion.motion import facing_gram_schmidt, glo_slice, rot_slice, \
+    rotation_to_6d, yaw_rotation
 
+import tape_penalties as tp
 from conftest import check_gradient
 
 
@@ -207,7 +210,7 @@ def test_facing_directions_match_kinematics(skeleton):
     rng = np.random.default_rng(7)
     for theta in rng.uniform(-np.pi, np.pi, 8):
         f = oriented_frames(theta, skeleton)
-        d = pe.facing_directions(f, skeleton, [1]).value[0]
+        d = tp.facing_directions(f, skeleton, [1]).value[0]
         seq = MotionSequence(skeleton, f)
         assert np.allclose(d, facing_direction(seq, 1), atol=1e-9)
 
@@ -380,3 +383,180 @@ def test_aggregate_breakdown_consistency(skeleton):
     total, br = pe.aggregate(cfgs, world, skeleton)
     assert np.isclose(br.total, sum(br.weighted.values()), atol=1e-12)
     assert np.isclose(float(total.value), br.total)
+
+
+
+# -- one tape node per term, against the op-by-op oracle -------------------------
+
+
+def term_cases(skeleton, N=10):
+    """name -> (build(module, x, others), subjects it reads, of which the
+    first n_vars are Vars and the rest numpy). Repeated frames, a numpy
+    subject and several overlap others are included."""
+    tgts = np.random.default_rng(40).standard_normal((4, 3)) * 0.5
+    d_tgt = [[0.6, 0.8], [1.0, 0.0], [-1.0, 0.2], [0.0, -1.0]]
+    box = ([-0.3, -0.3, -0.3], [0.3, 0.3, 0.3])
+    return {
+        "overlap": (lambda m, x, o: m.overlap_penalty(x, o, 1.0), 2, 2),
+        "overlap-3": (lambda m, x, o: m.overlap_penalty(x, o, 1.0), 4, 4),
+        "overlap-fixed": (lambda m, x, o: m.overlap_penalty(x, o, 1.0), 4, 1),
+        "root": (lambda m, x, o: m.root_penalty(x, tgts, [1, 3, 3, 7], 0.1),
+                 1, 1),
+        "region": (lambda m, x, o: m.region_penalty(x, *box, skeleton), 1, 1),
+        "region-joints": (lambda m, x, o: m.region_penalty(
+            x, *box, skeleton, [5, 1, 6]), 1, 1),
+        "orientation": (lambda m, x, o: m.orientation_penalty(
+            x, d_tgt, [1, 3, 3, 8], skeleton, 0.2), 1, 1),
+        "relative": (lambda m, x, o: m.relative_penalty(x, o[0], 0.8, 1.2),
+                     2, 2),
+        "relative-fixed": (lambda m, x, o: m.relative_penalty(
+            x, o[0], 0.8, 1.2, [0, 2, 2, 5]), 2, 1),
+        "boundary": (lambda m, x, o: m.boundary_penalty(x, 2, 5, skeleton),
+                     1, 1),
+        "boundary-whole": (lambda m, x, o: m.boundary_penalty(
+            x, 0, N, skeleton), 1, 1),
+    }
+
+
+CASES = list(term_cases(None))
+
+
+def case_subjects(skeleton, case, seed):
+    build, n_subjects, n_vars = term_cases(skeleton)[case]
+    frames = [rand_frames(skeleton, seed=seed + i, scale=0.5)
+              for i in range(n_subjects)]
+    return build, [ad.Var(f) if i < n_vars else f
+                   for i, f in enumerate(frames)]
+
+
+def run_term(build, module, subjects):
+    """Value and gradients of one term, fresh Vars for the Var subjects."""
+    subjects = [ad.Var(s.value) if isinstance(s, ad.Var) else s
+                for s in subjects]
+    out = build(module, subjects[0], subjects[1:])
+    return out, ad.grad(out, [s for s in subjects if isinstance(s, ad.Var)])
+
+
+@pytest.mark.parametrize("seed", [50, 60, 70])
+@pytest.mark.parametrize("case", CASES)
+def test_terms_match_tape_oracle(skeleton, case, seed):
+    """Values and gradients are bit-identical to the op-by-op forms."""
+    build, subjects = case_subjects(skeleton, case, seed)
+    got, got_g = run_term(build, pe, subjects)
+    want, want_g = run_term(build, tp, subjects)
+    assert np.array_equal(got.value, want.value)
+    for a, b in zip(got_g, want_g):
+        assert np.abs(b).max() > 0.0
+        assert np.array_equal(a, b)
+
+
+def count_nodes(monkeypatch, fn):
+    """fn()'s result and the Vars it created."""
+    created = []
+    init = ad.Var.__init__
+
+    def counting_init(self, *args, **kwargs):
+        created.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Var, "__init__", counting_init)
+    try:
+        return fn(), created
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_each_term_records_one_node(skeleton, monkeypatch, case):
+    """A term is one node whose parents are its Var subjects; the numpy
+    ones are no parents and add no constant leaf."""
+    build, subjects = case_subjects(skeleton, case, 80)
+    out, created = count_nodes(
+        monkeypatch, lambda: build(pe, subjects[0], subjects[1:]))
+    assert created == [out]
+    assert list(out.parents) == [s for s in subjects if isinstance(s, ad.Var)]
+
+
+def test_term_on_numpy_subjects_is_constant(skeleton):
+    f = rand_frames(skeleton, seed=70, scale=0.5)
+    for term in (pe.overlap_penalty(f, [f + 0.1]),
+                 pe.boundary_penalty(f, 2, 5, skeleton)):
+        assert not term.requires_grad and term.parents == ()
+
+
+def test_aggregate_adds_one_node(skeleton, monkeypatch):
+    """The weighted sum is one node over the terms, bit-identical to the
+    add-and-mul chain in value and gradient."""
+    world = {i: ad.Var(rand_frames(skeleton, seed=80 + i, scale=0.5))
+             for i in (1, 2, 3)}
+    cfgs = [pe.PenaltyConfig("overlap", 1.5, (1, 2, 3), params={"delta": 1.0}),
+            pe.PenaltyConfig("relative", 0.7, (2, 3),
+                             params={"d_min": 0.8, "d_max": 1.2}),
+            pe.PenaltyConfig("boundary", 3, (1,),
+                             params={"window_start": 2, "window_len": 5})]
+    (total, _), created = count_nodes(
+        monkeypatch, lambda: pe.aggregate(cfgs, world, skeleton))
+    assert len(created) == len(cfgs) + 1 and created[-1] is total
+    assert total.parents == tuple(created[:-1])
+    chain = tp.aggregate(created[:-1], [c.weight for c in cfgs])
+    assert np.array_equal(total.value, chain.value)
+    leaves = list(world.values())
+    for a, b in zip(ad.grad(total, leaves), ad.grad(chain, leaves)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["overlap", "relative"])
+def test_coincident_roots_have_zero_gradient(skeleton, kind):
+    """Where two roots coincide the direction is undefined: those rows get
+    the subgradient 0, not 0.5 / 0 times 0, and the rest are unchanged."""
+    def term(a, b):
+        return pe.overlap_penalty(a, [b], 1.0) if kind == "overlap" else \
+            pe.relative_penalty(a, b, 0.8, 1.2)
+
+    a = rand_frames(skeleton, seed=90, scale=0.5)
+    b = rand_frames(skeleton, seed=91, scale=0.5)
+    b[[2, 5], 0:3] = a[[2, 5], 0:3]
+    x, y = ad.Var(a), ad.Var(b)
+    gx, gy = ad.grad(term(x, y), [x, y])
+    assert np.isfinite(gx).all() and np.isfinite(gy).all()
+    assert not gx[[2, 5]].any() and not gy[[2, 5]].any()
+    x2, y2 = ad.Var(np.delete(a, [2, 5], 0)), ad.Var(np.delete(b, [2, 5], 0))
+    (g2,) = ad.grad(term(x2, y2), [x2])
+    assert np.array_equal(np.delete(gx, [2, 5], 0), g2)
+
+
+def hinge_arguments(name, x, skeleton):
+    """The values at which the terms of `penalty_losses` have kinks (root
+    distances included): finite differences across one would not match
+    the subgradient."""
+    other = rand_frames(skeleton, seed=20, scale=0.15)
+    dist = np.linalg.norm(x[:, 0:3] - other[:, 0:3], axis=1)
+    if name == "overlap":
+        return np.r_[0.3 - dist, dist]
+    if name == "relative":
+        return np.r_[0.5 - dist, dist - 2.0, dist]
+    if name == "root":
+        d = x[[0, 2, 4], 0:3] - np.random.default_rng(21).standard_normal(
+            (3, 3))
+        return np.sum(d * d, axis=1) - 0.1
+    if name == "region":
+        p = x[:, glo_slice(skeleton.J)]
+        return np.r_[(p + 0.3).ravel(), (p - 0.3).ravel()]
+    if name == "orientation":
+        rb = rot_slice(skeleton.J).start
+        _, d, _ = facing_gram_schmidt(x[[1, 3], rb:rb + 6])
+        return 1.0 - d @ [0.6, 0.8] - 0.2
+    return np.ones(1)                     # boundary is smooth
+
+
+@pytest.mark.parametrize("idx", range(6))
+@settings(max_examples=20, deadline=None)
+@given(st.floats(min_value=0.2, max_value=1.0),
+       st.integers(min_value=0, max_value=2**16))
+def test_hypothesis_terms_match_fd(skeleton, idx, scale, seed):
+    """Every kind's backward against central differences, on random frames
+    away from its kinks."""
+    name, fn = penalty_losses(skeleton)[idx]
+    x = rand_frames(skeleton, N=10, seed=seed, scale=scale)
+    assume(np.abs(hinge_arguments(name, x, skeleton)).min() > 1e-3)
+    check_gradient(fn, x, n_coords=10, seed=seed, rtol=1e-4, h=1e-6)

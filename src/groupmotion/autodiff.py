@@ -139,49 +139,7 @@ def _sum_to(g: np.ndarray, parent: Var):
     return g if g.shape == parent.value.shape else np.sum(g)
 
 
-def tanh(a) -> Var:
-    a = as_var(a)
-    out_val = np.tanh(a.value)
-
-    def backward(g):
-        return (g * (1.0 - out_val * out_val),)
-
-    return Var(out_val, (a,), backward)
-
-
-# -- reductions / structural ops ------------------------------------------
-
-
-def sum_(a, axis=None) -> Var:
-    a = as_var(a)
-    out_val = np.sum(a.value, axis=axis)
-
-    def backward(g):
-        if axis is None:
-            return (np.full(a.shape, g, dtype=np.float64),)
-        g_exp = np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, a.shape).copy(),)
-
-    return Var(out_val, (a,), backward)
-
-
-def mean(a, axis=None) -> Var:
-    a = as_var(a)
-    count = a.value.size if axis is None else a.shape[axis]
-    return sum_(a, axis=axis) * (1.0 / count)
-
-
-def matmul(a, b) -> Var:
-    a, b = as_var(a), as_var(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul: incompatible shapes {a.shape} vs {b.shape}"
-        )
-
-    def backward(g):
-        return (g @ b.value.T, a.value.T @ g)
-
-    return Var(a.value @ b.value, (a, b), backward)
+# -- structural ops ---------------------------------------------------------
 
 
 def take(a, idx) -> Var:
@@ -202,23 +160,6 @@ def take(a, idx) -> Var:
     return Var(np.array(out_val, copy=True), (a,), backward)
 
 
-def concat(parts, axis=0) -> Var:
-    parts = [as_var(p) for p in parts]
-    out_val = np.concatenate([p.value for p in parts], axis=axis)
-    ends = np.cumsum([p.shape[axis] for p in parts]).tolist()
-
-    def backward(g):
-        idx = [slice(None)] * g.ndim
-        out = []
-        for p, lo, hi in zip(parts, [0] + ends, ends):
-            idx[axis] = slice(lo, hi)
-            out.append(np.array(g[tuple(idx)], copy=True)
-                       if p.requires_grad else None)
-        return tuple(out)
-
-    return Var(out_val, parts, backward)
-
-
 def stack(parts, axis=0) -> Var:
     parts = [as_var(p) for p in parts]
     out_val = np.stack([p.value for p in parts], axis=axis)
@@ -231,33 +172,6 @@ def stack(parts, axis=0) -> Var:
         )
 
     return Var(out_val, parts, backward)
-
-
-def reshape(a, shape) -> Var:
-    a = as_var(a)
-    old = a.shape
-
-    def backward(g):
-        return (g.reshape(old),)
-
-    return Var(a.value.reshape(shape), (a,), backward)
-
-
-def broadcast_to(a, shape) -> Var:
-    """Explicit broadcast; the only way to widen a non-scalar array."""
-    a = as_var(a)
-    out_val = np.broadcast_to(a.value, shape).copy()
-    old = a.shape
-
-    def backward(g):
-        extra = g.ndim - len(old)
-        gg = g.sum(axis=tuple(range(extra))) if extra else g
-        keep = tuple(i for i, s in enumerate(old) if s == 1 and gg.shape[i] != 1)
-        if keep:
-            gg = gg.sum(axis=keep, keepdims=True)
-        return (gg.reshape(old),)
-
-    return Var(out_val, (a,), backward)
 
 
 # -- backward pass ---------------------------------------------------------

@@ -115,9 +115,9 @@ def _check_penalties(penalties, allowed: set, n_frames: int,
 def check_segments(segments, persons) -> None:
     """Raise ValueError unless every extension segment fits a scene of
     `persons`: at least one kept frame and a window longer than the kept
-    block, each person in at most one pair, extra penalties acting on
-    persons of every pair and fitting the window, and a seam window of at
-    least 3 frames inside the window."""
+    block, each person in at most one pair, extra penalties whose subjects
+    lie within one pair and whose frames fit the window, and a seam window
+    of at least 3 frames inside the window."""
     for si, seg in enumerate(segments):
         if seg.mode not in ("noised", "literal"):
             raise ValueError(f"extension segment {si}: unknown mode "
@@ -133,8 +133,15 @@ def check_segments(segments, persons) -> None:
         if not set(covered) <= set(persons):
             raise ValueError(f"extension segment {si}: pairs name persons "
                              f"outside {sorted(persons)}")
+        pairs = [{a, b} for a, b, _ in seg.pairs]
+        for cfg in seg.penalties:
+            if cfg.subjects and not any(set(cfg.subjects) <= p for p in pairs):
+                raise ValueError(
+                    f"extension segment {si}: {cfg.kind} penalty subjects "
+                    f"{list(cfg.subjects)} must lie within one of its pairs "
+                    f"{[sorted(p) for p in pairs]}")
         for a, b, _ in seg.pairs:
-            _check_penalties(seg.penalties, {a, b}, seg.window,
+            _check_penalties(_pair_penalties(seg, a, b), {a, b}, seg.window,
                              f"extension segment {si}")
         # the boundary penalty starts one frame before the seam
         if not 3 <= seg.boundary_frames <= seg.window - seg.kept + 1:
@@ -325,7 +332,7 @@ class Composer:
                 # start one frame before the seam: the acceleration centered
                 # on the last kept frame already depends on the first
                 # generated frame
-                pens = list(seg.penalties) + [PenaltyConfig(
+                pens = list(_pair_penalties(seg, a, b)) + [PenaltyConfig(
                     "boundary", seg.boundary_weight, (pid,),
                     params={"window_start": seg.kept - 1,
                             "window_len": seg.boundary_frames})
@@ -364,3 +371,11 @@ def _default_pair_subjects(pens, p1, p2):
                 out.append(PenaltyConfig(cfg.kind, cfg.weight, (pid,),
                                          cfg.frames, cfg.params))
     return tuple(out)
+
+
+def _pair_penalties(seg, a, b):
+    """The extra penalties of extension segment `seg` on its pair (a, b):
+    those whose subjects the pair holds, and those without subjects, which
+    act on the pair as first-pair penalties act on the first pair."""
+    return _default_pair_subjects(
+        [cfg for cfg in seg.penalties if set(cfg.subjects) <= {a, b}], a, b)

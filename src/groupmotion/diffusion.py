@@ -34,21 +34,15 @@ from . import autodiff as ad
 class DiffusionSchedule:
     t_train: int = 1000
     ddim_steps: int = 50
-    kind: str = "cosine"        # cosine | linear
 
     def __post_init__(self):
         if self.ddim_steps > self.t_train:
             raise ValueError("ddim_steps cannot exceed t_train")
-        if self.kind == "cosine":
-            s = 0.008
-            t = np.arange(self.t_train + 1, dtype=np.float64)
-            f = np.cos((t / self.t_train + s) / (1 + s) * np.pi / 2.0) ** 2
-            ab = f / f[0]
-        elif self.kind == "linear":
-            betas = np.linspace(1e-4, 0.02, self.t_train)
-            ab = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
-        else:
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        # the cosine schedule (Nichol & Dhariwal 2021)
+        s = 0.008
+        t = np.arange(self.t_train + 1, dtype=np.float64)
+        f = np.cos((t / self.t_train + s) / (1 + s) * np.pi / 2.0) ** 2
+        ab = f / f[0]
         self.alpha_bars = np.clip(ab, 1e-8, 1.0)
         self.alpha_bars[0] = 1.0
         # strided timesteps, descending, always covering t=0 exactly

@@ -11,7 +11,9 @@ must be deterministic. Two concrete priors ship:
   exact, fast, and fully differentiable.
 * ``MLPPrior``      - a tiny learned denoiser (shared weights per person,
   cross-person feature exchange) trained on the synthetic corpus with the
-  standard noise-prediction objective.
+  standard noise-prediction objective. Its forward is numpy with a
+  hand-written vjp; on the tape its eps and its clean estimate are one
+  node each, and training uses no tape.
 """
 
 from __future__ import annotations
@@ -28,12 +30,19 @@ from .scripts import InteractionLabel, pair_scripts
 
 class EpsPrior:
     """A prior that predicts eps; its clean estimate is derived from it as
-    x0_hat = (x_t - sqrt(1 - ab_t) eps) / sqrt(ab_t)."""
+    x0_hat = (x_t - sqrt(1 - ab_t) eps) / sqrt(ab_t), one tape node over
+    x and eps."""
 
     def clean_estimate(self, x, t: int, label):
-        ab = self.schedule.alpha_bar(t)
+        x, ab = ad.as_var(x), self.schedule.alpha_bar(t)
+        c, inv = np.sqrt(1.0 - ab), 1.0 / np.sqrt(ab)
         eps = self.predict(x, t, label)
-        return (x - np.sqrt(1.0 - ab) * eps) * (1.0 / np.sqrt(ab))
+
+        def backward(g):
+            gi = g * inv
+            return gi, -gi * c
+
+        return ad.Var((x.value - eps.value * c) * inv, (x, eps), backward)
 
 
 class AnalyticPrior:
@@ -122,36 +131,56 @@ class MLPPrior(EpsPrior):
         prior.weights = {k: np.array(data[k]) for k in prior.weights}
         return prior
 
-    def _forward_one(self, x, pooled_partner, t: int, label, w: dict):
-        N = x.shape[0]
+    def forward(self, x, t: int, label):
+        """eps of the stacked (2, N, D) pair `x` in numpy, and its vjp:
+        eps's adjoint to those of `x` and of each weight array (a dict).
+
+        Each person's frames go through the MLP alone, with the other's
+        frame mean as its partner feature, so a person's eps does not depend
+        on how many rows BLAS sees at once."""
+        w, N, D = self.weights, x.shape[1], self.D
         t_emb = np.tile(timestep_embedding(t, self.schedule.t_train, self.EMB_T),
                         (N, 1))
-        lab = ad.broadcast_to(
-            ad.reshape(w["label_emb"][label.label_id, :], (1, self.EMB_C)),
-            (N, self.EMB_C))
-        part = ad.broadcast_to(ad.reshape(pooled_partner, (1, self.D)),
-                               (N, self.D))
-        h = ad.concat([x, part, ad.constant(t_emb), lab], axis=1)
-        h = ad.tanh(ad.matmul(h, w["W1"]) +
-                    ad.broadcast_to(ad.reshape(w["b1"], (1, self.hidden)),
-                                    (N, self.hidden)))
-        h = ad.tanh(ad.matmul(h, w["W2"]) +
-                    ad.broadcast_to(ad.reshape(w["b2"], (1, self.hidden)),
-                                    (N, self.hidden)))
-        out = ad.matmul(h, w["W3"]) + \
-            ad.broadcast_to(ad.reshape(w["b3"], (1, self.D)), (N, self.D))
-        return w["skip"] * x + out
+        lab = np.broadcast_to(w["label_emb"][label.label_id], (N, self.EMB_C))
+        pooled = [np.sum(xp, axis=0) * (1.0 / N) for xp in x]
+        eps, acts = [], []
+        for p in (0, 1):
+            h0 = np.concatenate([x[p], np.broadcast_to(pooled[1 - p], (N, D)),
+                                 t_emb, lab], axis=1)
+            h1 = np.tanh(h0 @ w["W1"] + w["b1"])
+            h2 = np.tanh(h1 @ w["W2"] + w["b2"])
+            eps.append(w["skip"] * x[p] + (h2 @ w["W3"] + w["b3"]))
+            acts.append((h0, h1, h2))
 
-    def predict_with_weights(self, x1, x2, t: int, label, w: dict):
-        pooled1 = ad.mean(x1, axis=0)
-        pooled2 = ad.mean(x2, axis=0)
-        e1 = self._forward_one(x1, pooled2, t, label, w)
-        e2 = self._forward_one(x2, pooled1, t, label, w)
-        return e1, e2
+        def vjp(g):
+            grads = {k: np.zeros_like(v) for k, v in w.items()}
+            own, partner = [], []
+            for p, (h0, h1, h2) in enumerate(acts):
+                ge = g[p]
+                g2 = (ge @ w["W3"].T) * (1.0 - h2 * h2)
+                g1 = (g2 @ w["W2"].T) * (1.0 - h1 * h1)
+                gh = g1 @ w["W1"].T
+                for k, v in (("W3", h2.T @ ge), ("b3", ge.sum(axis=0)),
+                             ("W2", h1.T @ g2), ("b2", g2.sum(axis=0)),
+                             ("W1", h0.T @ g1), ("b1", g1.sum(axis=0)),
+                             ("skip", np.sum(ge * x[p]))):
+                    grads[k] += v
+                grads["label_emb"][label.label_id] += \
+                    gh[:, 2 * D + self.EMB_T:].sum(axis=0)
+                own.append((gh[:, :D], ge * w["skip"]))
+                partner.append(gh[:, D:2 * D].sum(axis=0) * (1.0 / N))
+            # in the order the op-by-op tape summed them: person 0's own
+            # and skip terms first, person 1's skip and partner terms first
+            (a0, b0), (a1, b1) = own
+            gx = np.stack([a0 + b0 + partner[1], a1 + (b1 + partner[0])])
+            return gx, grads
+
+        return np.stack(eps), vjp
 
     def predict(self, x, t: int, label):
-        w = {k: ad.constant(v) for k, v in self.weights.items()}
-        return ad.stack(self.predict_with_weights(x[0], x[1], t, label, w))
+        x = ad.as_var(x)
+        eps, vjp = self.forward(x.value, t, label)
+        return ad.Var(eps, (x,), lambda g: (vjp(g)[0],))
 
 
 class TrainingDiverged(RuntimeError):
@@ -173,24 +202,23 @@ def train(prior: MLPPrior, pairs, schedule: DiffusionSchedule, epochs: int,
     for _ in range(epochs):
         order = rng.permutation(len(pairs))
         for idx in order:
-            (x0_1, x0_2), label = pairs[idx]
+            x0, label = np.stack(pairs[idx][0]), pairs[idx][1]
             t = int(rng.integers(1, schedule.t_train + 1))
-            n1 = rng.standard_normal(x0_1.shape)
-            n2 = rng.standard_normal(x0_2.shape)
-            xt1 = forward_noise(x0_1, t, n1, schedule)
-            xt2 = forward_noise(x0_2, t, n2, schedule)
-            w = {k: ad.Var(prior.weights[k]) for k in keys}
-            e1, e2 = prior.predict_with_weights(
-                ad.constant(xt1), ad.constant(xt2), t, label, w)
-            r1 = e1 - ad.constant(n1)
-            r2 = e2 - ad.constant(n2)
-            loss = (ad.mean(r1 * r1) + ad.mean(r2 * r2)) * 0.5
-            val = float(loss.value)
+            noise = rng.standard_normal(x0.shape)
+            eps, vjp = prior.forward(forward_noise(x0, t, noise, schedule), t,
+                                     label)
+            r = eps - noise
+            inv = 1.0 / r[0].size
+            val = float((np.sum(r[0] * r[0]) * inv + np.sum(r[1] * r[1]) * inv)
+                        * 0.5)
             if not np.isfinite(val):
                 raise TrainingDiverged(
                     f"loss became non-finite at evaluation {len(curve)}")
             curve.append(val)
-            grads = ad.grad(loss, [w[k] for k in keys])
+            # d loss / d r, as the tape summed it: 2 x (0.5 / size) r
+            g = (0.5 * inv) * r
+            _, grads = vjp(g + g)
+            grads = [grads[k] for k in keys]
             new = opt.step([prior.weights[k] for k in keys], grads)
             for k, arr in zip(keys, new):
                 prior.weights[k] = arr

@@ -1,20 +1,24 @@
 """Tape ops that only the op-by-op oracles and the engine's own tests use.
 
-The package's hot path is hand-written tape nodes, so `groupmotion.autodiff`
-keeps only the ops its nodes and the MLP prior call. These are the rest,
-written in the same style on the same `Var`: the scripted-pair oracle
-(`tape_scripts`) needs the trigonometry, `exp`, `relu` and `norm`; the
-penalty and sampler oracles (`tape_penalties`, `tape_samplers`) need
-`relu`, `sqrt`, `norm` and `div`. Division and real powers are plain
-functions, `div(a, b)` and `powi(a, p)`, not `Var` operators.
+Every stage of the package's hot path, the MLP prior included, is a
+hand-written tape node, so `groupmotion.autodiff` keeps only the tape,
+`add`, `sub`, `mul`, `take`, `stack` and Adam. These are the rest, written
+in the same style on the same `Var`: the scripted-pair oracle
+(`tape_scripts`) needs the trigonometry, `exp`, `relu`, `norm`, `div`,
+`tanh`, `sum_`, `concat`, `reshape` and `broadcast_to`; the penalty and
+sampler oracles (`tape_penalties`, `tape_samplers`) need `relu`, `norm`,
+`div`, `sum_`, `reshape` and `broadcast_to`; the MLP oracle (`tape_mlp`)
+needs `matmul`, `tanh`, `mean`, `concat`, `reshape` and `broadcast_to`.
+Division and real powers are plain functions, `div(a, b)` and
+`powi(a, p)`, not `Var` operators.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from groupmotion import autodiff as ad
-from groupmotion.autodiff import Var, _check_elementwise, _sum_to, as_var
+from groupmotion.autodiff import (ShapeMismatchError, Var, _check_elementwise,
+                                  _sum_to, as_var)
 
 
 def div(a, b) -> Var:
@@ -107,7 +111,93 @@ def atan2(y, x) -> Var:
 def norm(a, axis=None, eps: float = 0.0) -> Var:
     """Euclidean norm; `eps` smooths the origin when differentiability there
     matters (scripted direction fields)."""
-    sq = ad.sum_(a * a, axis=axis)
+    sq = sum_(a * a, axis=axis)
     if eps:
         sq = sq + eps * eps
     return sqrt(sq)
+
+
+def tanh(a) -> Var:
+    a = as_var(a)
+    out_val = np.tanh(a.value)
+
+    def backward(g):
+        return (g * (1.0 - out_val * out_val),)
+
+    return Var(out_val, (a,), backward)
+
+
+def sum_(a, axis=None) -> Var:
+    a = as_var(a)
+    out_val = np.sum(a.value, axis=axis)
+
+    def backward(g):
+        if axis is None:
+            return (np.full(a.shape, g, dtype=np.float64),)
+        g_exp = np.expand_dims(g, axis)
+        return (np.broadcast_to(g_exp, a.shape).copy(),)
+
+    return Var(out_val, (a,), backward)
+
+
+def mean(a, axis=None) -> Var:
+    a = as_var(a)
+    count = a.value.size if axis is None else a.shape[axis]
+    return sum_(a, axis=axis) * (1.0 / count)
+
+
+def matmul(a, b) -> Var:
+    a, b = as_var(a), as_var(b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeMismatchError(
+            f"matmul: incompatible shapes {a.shape} vs {b.shape}"
+        )
+
+    def backward(g):
+        return (g @ b.value.T, a.value.T @ g)
+
+    return Var(a.value @ b.value, (a, b), backward)
+
+
+def concat(parts, axis=0) -> Var:
+    parts = [as_var(p) for p in parts]
+    out_val = np.concatenate([p.value for p in parts], axis=axis)
+    ends = np.cumsum([p.shape[axis] for p in parts]).tolist()
+
+    def backward(g):
+        idx = [slice(None)] * g.ndim
+        out = []
+        for p, lo, hi in zip(parts, [0] + ends, ends):
+            idx[axis] = slice(lo, hi)
+            out.append(np.array(g[tuple(idx)], copy=True)
+                       if p.requires_grad else None)
+        return tuple(out)
+
+    return Var(out_val, parts, backward)
+
+
+def reshape(a, shape) -> Var:
+    a = as_var(a)
+    old = a.shape
+
+    def backward(g):
+        return (g.reshape(old),)
+
+    return Var(a.value.reshape(shape), (a,), backward)
+
+
+def broadcast_to(a, shape) -> Var:
+    """Explicit broadcast; the only way to widen a non-scalar array."""
+    a = as_var(a)
+    out_val = np.broadcast_to(a.value, shape).copy()
+    old = a.shape
+
+    def backward(g):
+        extra = g.ndim - len(old)
+        gg = g.sum(axis=tuple(range(extra))) if extra else g
+        keep = tuple(i for i, s in enumerate(old) if s == 1 and gg.shape[i] != 1)
+        if keep:
+            gg = gg.sum(axis=keep, keepdims=True)
+        return (gg.reshape(old),)
+
+    return Var(out_val, (a,), backward)

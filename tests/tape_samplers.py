@@ -29,14 +29,14 @@ import tape_ops as to
 
 
 def normalize(frames, stats):
-    mu = ad.broadcast_to(ad.constant(stats.mean), frames.shape)
-    sd = ad.broadcast_to(ad.constant(stats.std), frames.shape)
+    mu = to.broadcast_to(ad.constant(stats.mean), frames.shape)
+    sd = to.broadcast_to(ad.constant(stats.std), frames.shape)
     return to.div(frames - mu, sd)
 
 
 def denormalize(frames, stats):
-    mu = ad.broadcast_to(ad.constant(stats.mean), frames.shape)
-    sd = ad.broadcast_to(ad.constant(stats.std), frames.shape)
+    mu = to.broadcast_to(ad.constant(stats.mean), frames.shape)
+    sd = to.broadcast_to(ad.constant(stats.std), frames.shape)
     return frames * sd + mu
 
 

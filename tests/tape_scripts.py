@@ -31,7 +31,7 @@ def _widen(x: ad.Var, shape: tuple) -> ad.Var:
     ends in tail, by an explicit reshape and broadcast_to: the tape
     broadcasts scalars only."""
     mid = (1,) * (len(shape) + 1 - x.ndim)
-    return ad.broadcast_to(ad.reshape(x, x.shape[:1] + mid + x.shape[1:]),
+    return to.broadcast_to(to.reshape(x, x.shape[:1] + mid + x.shape[1:]),
                            x.shape[:1] + shape)
 
 
@@ -51,12 +51,12 @@ def extract_params(w, skeleton: Skeleton, spec: LabelSpec) -> dict:
     # point of the denoiser
     anchor = ad.stack([w[:, 0, g0], np.full(w.shape[0], ROOT_HEIGHT),
                        w[:, 0, g0 + 2]], axis=1)
-    u = ad.sum_(w[:, :, vb:vb + 3], axis=1)       # root velocity carriers
-    v = ad.sum_(w[:, :, vb + 3:vb + 6], axis=1)   # spine velocity carriers
-    drift_x = spec.drift_max * ad.tanh(spec.drift_gain * u[:, 0])
-    drift_z = spec.drift_max * ad.tanh(spec.drift_gain * u[:, 2])
-    speed = to.exp(spec.speed_log_max * ad.tanh(u[:, 1]))
-    psi = HEADING_MAX * ad.tanh(v[:, 0])
+    u = to.sum_(w[:, :, vb:vb + 3], axis=1)       # root velocity carriers
+    v = to.sum_(w[:, :, vb + 3:vb + 6], axis=1)   # spine velocity carriers
+    drift_x = spec.drift_max * to.tanh(spec.drift_gain * u[:, 0])
+    drift_z = spec.drift_max * to.tanh(spec.drift_gain * u[:, 2])
+    speed = to.exp(spec.speed_log_max * to.tanh(u[:, 1]))
+    psi = HEADING_MAX * to.tanh(v[:, 0])
     return {
         "anchor": anchor,
         "drift": (drift_x, drift_z),
@@ -144,7 +144,7 @@ def _approach_root(params, spec: LabelSpec, N: int):
     dist = to.norm(to_mid, axis=1, eps=1e-6)
     unit = to.div(to_mid, _widen(dist, (3,)))
     # walked distance: a smooth min(dist - gap / 2, walk_span), times speed
-    walk = spec.walk_span * ad.tanh(to.relu(dist - 0.5 * spec.gap) * (
+    walk = spec.walk_span * to.tanh(to.relu(dist - 0.5 * spec.gap) * (
         1.0 / spec.walk_span)) * params["speed"]
     target_step = _ramp_times_vec3(_ease(N), unit * _widen(walk, (3,)))
     base = _widen(a, (N, 3)) + target_step
@@ -204,8 +204,8 @@ def _follow_root(params, spec: LabelSpec, N: int):
     trail = (lead_base[:, N - 1, :] - forward * FOLLOW_GAP)[_SWAP]
     base = _widen(a, (N, 3)) + _ramp_times_vec3(_ease(N), (trail - a) * speed)
     heading = _heading_of(trail - a) + spec.heading_weight * params["psi"]
-    return (ad.concat([lead_base[:1], base[1:]], axis=0),
-            ad.concat([theta[:1], heading[1:]], axis=0))
+    return (to.concat([lead_base[:1], base[1:]], axis=0),
+            to.concat([theta[:1], heading[1:]], axis=0))
 
 
 _ROOT_CURVES = {"approach": _approach_root, "circle": _circle_root,
@@ -270,30 +270,30 @@ def build_scripts(params: dict, spec: LabelSpec, skeleton: Skeleton,
     # the anchor, so root sway and drift do not move them
     planted = [spec.stationary and name in ("l_foot", "r_foot")
                for name in skeleton.joint_names[1:]]
-    root_b = ad.reshape(root, (P, N, 1, 3))
-    anchor_b = ad.reshape(params["anchor"], (P, 1, 1, 3))
-    base = ad.concat([ad.broadcast_to(anchor_b if p else root_b,
+    root_b = to.reshape(root, (P, N, 1, 3))
+    anchor_b = to.reshape(params["anchor"], (P, 1, 1, 3))
+    base = to.concat([to.broadcast_to(anchor_b if p else root_b,
                                       (P, N, len(list(run)), 3))
                       for p, run in groupby(planted)], axis=2)
     joints = base + _rotate_offsets(local, c, s)
-    glo = ad.concat([root, ad.reshape(joints, (P, N, 3 * (J - 1)))], axis=2)
+    glo = to.concat([root, to.reshape(joints, (P, N, 3 * (J - 1)))], axis=2)
 
     # velocities: carrier channels for root and spine, finite differences
     # for the remaining joints
     u, v = params["carriers"]
     rest = glo[:, :, 6:]
-    vel = ad.concat([
+    vel = to.concat([
         _widen(u * (1.0 / N), (N, 3)),
         _widen(v * (1.0 / N), (N, 3)),
-        ad.concat([np.zeros((P, 1, 3 * (J - 2))),
+        to.concat([np.zeros((P, 1, 3 * (J - 2))),
                    rest[:, 1:, :] - rest[:, :-1, :]], axis=1),
     ], axis=2)                                  # (P, N, 3J)
 
-    rot = ad.concat([_root_rot6d(c, s, N),
+    rot = to.concat([_root_rot6d(c, s, N),
                      np.tile(IDENTITY_ROT6D, (P, N, J - 1))], axis=2)
 
     foot = np.broadcast_to(_foot_contacts(spec, N), (P, N, 4))
-    return ad.concat([glo, vel, rot, foot], axis=2)
+    return to.concat([glo, vel, rot, foot], axis=2)
 
 
 def build_pair_scripts(w: ad.Var, spec: LabelSpec, skeleton: Skeleton):

@@ -354,7 +354,7 @@ def test_optimizer_defaults():
 def test_optimizer_early_stop_on_zero_loss():
     # hinge objective that is exactly zero at the start point
     def objective(v):
-        return ad.sum_(to.relu(v - 1.0)), None
+        return to.sum_(to.relu(v - 1.0)), None
 
     x0 = np.zeros(4)
     best, rec = optimize_noise(objective, x0, OptimizerConfig())
@@ -366,7 +366,7 @@ def test_optimizer_early_stop_on_zero_loss():
 def test_optimizer_early_stop_mid_run():
     # quadratic that crosses the 1e-6 threshold well before the step cap
     def objective(v):
-        return ad.sum_(v * v), None
+        return to.sum_(v * v), None
 
     x0 = np.full(2, 0.02)
     cfg = OptimizerConfig(lr=0.01, lr_decay=0.9)  # geometric step shrink
@@ -378,7 +378,7 @@ def test_optimizer_early_stop_mid_run():
 
 def test_optimizer_step_cap_honored():
     def objective(v):
-        return ad.sum_(v * v) + 1.0, None
+        return to.sum_(v * v) + 1.0, None
 
     _, rec = optimize_noise(objective, np.zeros(3), OptimizerConfig())
     assert rec.evaluations == 101  # initial evaluation + 100 capped steps
@@ -389,7 +389,7 @@ def test_optimizer_returns_best_iterate_not_last():
     # noise must correspond to the best loss seen, not the final state
     def objective(v):
         d = v - 1.0
-        return ad.sum_(d * d), None
+        return to.sum_(d * d), None
 
     x0 = np.zeros(2)
     cfg = OptimizerConfig(lr=0.9, max_steps=25, early_stop_loss=0.0)

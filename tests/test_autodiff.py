@@ -25,11 +25,11 @@ def test_elementwise_add():
 
 
 def test_reduce_sum():
-    assert float(ad.sum_(ad.Var(np.array([1.0, 2.0, 3.0]))).value) == 6.0
+    assert float(to.sum_(ad.Var(np.array([1.0, 2.0, 3.0]))).value) == 6.0
 
 
 def test_matmul_ones():
-    out = ad.matmul(ad.Var(np.ones((2, 3))), ad.Var(np.ones((3, 2))))
+    out = to.matmul(ad.Var(np.ones((2, 3))), ad.Var(np.ones((3, 2))))
     assert np.array_equal(out.value, np.full((2, 2), 3.0))
 
 
@@ -37,7 +37,7 @@ def test_shape_mismatch_error_names_op():
     with pytest.raises(ad.ShapeMismatchError, match="add"):
         ad.Var(np.ones(3)) + ad.Var(np.ones(4))
     with pytest.raises(ad.ShapeMismatchError, match="matmul"):
-        ad.matmul(ad.Var(np.ones((2, 3))), ad.Var(np.ones((2, 3))))
+        to.matmul(ad.Var(np.ones((2, 3))), ad.Var(np.ones((2, 3))))
 
 
 def test_scalar_broadcast_allowed():
@@ -50,13 +50,13 @@ def test_scalar_broadcast_allowed():
 
 def test_grad_sum_is_ones():
     x = ad.Var(np.array([1.0, 2.0, 3.0]))
-    (g,) = ad.grad(ad.sum_(x), [x])
+    (g,) = ad.grad(to.sum_(x), [x])
     assert np.array_equal(g, [1.0, 1.0, 1.0])
 
 
 def test_grad_quadratic():
     x = ad.Var(np.array([1.0, 2.0]))
-    (g,) = ad.grad(ad.sum_(x * x), [x])
+    (g,) = ad.grad(to.sum_(x * x), [x])
     assert np.array_equal(g, [2.0, 4.0])
 
 
@@ -68,38 +68,38 @@ def test_grad_requires_scalar_loss():
 
 def test_unused_leaf_gets_zero_gradient():
     x, y = ad.Var(np.ones(2)), ad.Var(np.ones(2))
-    gx, gy = ad.grad(ad.sum_(x * x), [x, y])
+    gx, gy = ad.grad(to.sum_(x * x), [x, y])
     assert np.array_equal(gy, np.zeros(2))
     assert np.array_equal(gx, 2.0 * np.ones(2))
 
 
 OPS = [
-    ("add", lambda x: ad.sum_(x + ad.constant(rand(x.shape, 5)))),
-    ("sub", lambda x: ad.sum_(ad.constant(rand(x.shape, 5)) - x)),
-    ("mul", lambda x: ad.sum_(x * ad.constant(rand(x.shape, 6)))),
-    ("div", lambda x: ad.sum_(to.div(x, ad.constant(2.0 + rand(x.shape, 7) ** 2)))),
-    ("div_denominator", lambda x: ad.sum_(to.div(1.0, x * x + 1.0))),
-    ("powi", lambda x: ad.sum_(to.powi(x * x + 1.0, 1.5))),
-    ("relu", lambda x: ad.sum_(to.relu(x))),
-    ("sqrt", lambda x: ad.sum_(to.sqrt(x * x + 1.0))),
-    ("exp", lambda x: ad.sum_(to.exp(0.3 * x))),
-    ("tanh", lambda x: ad.sum_(ad.tanh(x))),
-    ("sin", lambda x: ad.sum_(to.sin(x))),
-    ("cos", lambda x: ad.sum_(to.cos(x))),
-    ("sum_axis", lambda x: ad.sum_(to.sin(ad.sum_(x, axis=0)))),
-    ("mean", lambda x: ad.mean(x * x)),
-    ("matmul", lambda x: ad.sum_(ad.tanh(
-        ad.matmul(x, ad.constant(rand((x.shape[1], 3), 8)))))),
-    ("getitem", lambda x: ad.sum_(x[1:, 0] * x[0, 1:4])),
-    ("fancy_index", lambda x: ad.sum_(to.powi(x[np.array([0, 2, 2]), :], 2))),
-    ("concat", lambda x: ad.sum_(to.powi(ad.concat([x * 2.0, x], axis=1), 2))),
-    ("stack", lambda x: ad.sum_(to.powi(ad.stack([x[0, :], x[1, :]], axis=1), 2))),
-    ("reshape", lambda x: ad.sum_(to.powi(ad.reshape(x, (x.value.size,)), 3))),
-    ("broadcast", lambda x: ad.sum_(
-        ad.broadcast_to(ad.reshape(x[0, :], (1, x.shape[1])), x.shape) * x)),
-    ("norm", lambda x: ad.sum_(to.norm(x, axis=1))),
-    ("norm_eps", lambda x: ad.sum_(to.norm(x * 0.0 + x, axis=1, eps=1e-6))),
-    ("atan2", lambda x: ad.sum_(to.atan2(x[:, 0], x[:, 1] + 3.0))),
+    ("add", lambda x: to.sum_(x + ad.constant(rand(x.shape, 5)))),
+    ("sub", lambda x: to.sum_(ad.constant(rand(x.shape, 5)) - x)),
+    ("mul", lambda x: to.sum_(x * ad.constant(rand(x.shape, 6)))),
+    ("div", lambda x: to.sum_(to.div(x, ad.constant(2.0 + rand(x.shape, 7) ** 2)))),
+    ("div_denominator", lambda x: to.sum_(to.div(1.0, x * x + 1.0))),
+    ("powi", lambda x: to.sum_(to.powi(x * x + 1.0, 1.5))),
+    ("relu", lambda x: to.sum_(to.relu(x))),
+    ("sqrt", lambda x: to.sum_(to.sqrt(x * x + 1.0))),
+    ("exp", lambda x: to.sum_(to.exp(0.3 * x))),
+    ("tanh", lambda x: to.sum_(to.tanh(x))),
+    ("sin", lambda x: to.sum_(to.sin(x))),
+    ("cos", lambda x: to.sum_(to.cos(x))),
+    ("sum_axis", lambda x: to.sum_(to.sin(to.sum_(x, axis=0)))),
+    ("mean", lambda x: to.mean(x * x)),
+    ("matmul", lambda x: to.sum_(to.tanh(
+        to.matmul(x, ad.constant(rand((x.shape[1], 3), 8)))))),
+    ("getitem", lambda x: to.sum_(x[1:, 0] * x[0, 1:4])),
+    ("fancy_index", lambda x: to.sum_(to.powi(x[np.array([0, 2, 2]), :], 2))),
+    ("concat", lambda x: to.sum_(to.powi(to.concat([x * 2.0, x], axis=1), 2))),
+    ("stack", lambda x: to.sum_(to.powi(ad.stack([x[0, :], x[1, :]], axis=1), 2))),
+    ("reshape", lambda x: to.sum_(to.powi(to.reshape(x, (x.value.size,)), 3))),
+    ("broadcast", lambda x: to.sum_(
+        to.broadcast_to(to.reshape(x[0, :], (1, x.shape[1])), x.shape) * x)),
+    ("norm", lambda x: to.sum_(to.norm(x, axis=1))),
+    ("norm_eps", lambda x: to.sum_(to.norm(x * 0.0 + x, axis=1, eps=1e-6))),
+    ("atan2", lambda x: to.sum_(to.atan2(x[:, 0], x[:, 1] + 3.0))),
 ]
 
 
@@ -119,8 +119,8 @@ def test_linearity_of_backward():
         (g,) = ad.grad(fn(x), [x])
         return g
 
-    f = lambda x: ad.sum_(ad.tanh(x))
-    g = lambda x: ad.sum_(x * x * x)
+    f = lambda x: to.sum_(to.tanh(x))
+    g = lambda x: to.sum_(x * x * x)
     combined = gf(lambda x: a * f(x) + b * g(x))
     assert np.allclose(combined, a * gf(f) + b * gf(g), atol=1e-12)
 
@@ -130,7 +130,7 @@ def test_determinism_bit_identical():
 
     def run():
         x = ad.Var(x0.copy())
-        loss = ad.sum_(to.powi(ad.tanh(ad.matmul(x, ad.constant(rand((7, 2), 4)))), 2))
+        loss = to.sum_(to.powi(to.tanh(to.matmul(x, ad.constant(rand((7, 2), 4)))), 2))
         (g,) = ad.grad(loss, [x])
         return float(loss.value), g
 
@@ -141,7 +141,7 @@ def test_determinism_bit_identical():
 
 def test_graph_reusable_after_grad():
     x = ad.Var(np.array([1.0, 2.0]))
-    loss = ad.sum_(x * x)
+    loss = to.sum_(x * x)
     g1 = ad.grad(loss, [x])[0]
     g2 = ad.grad(loss, [x])[0]
     assert np.array_equal(g1, g2)
@@ -150,7 +150,7 @@ def test_graph_reusable_after_grad():
 
 def test_relu_subgradient_zero_at_kink():
     x = ad.Var(np.array([0.0, -1.0, 1.0]))
-    (g,) = ad.grad(ad.sum_(to.relu(x)), [x])
+    (g,) = ad.grad(to.sum_(to.relu(x)), [x])
     assert np.array_equal(g, [0.0, 0.0, 1.0])
 
 
@@ -159,7 +159,7 @@ def test_relu_subgradient_zero_at_kink():
                 max_size=8))
 def test_hypothesis_tanh_chain_gradient(vals):
     x = np.asarray(vals) + 0.05  # nudge off exact kink-prone values
-    check_gradient(lambda v: ad.sum_(ad.tanh(v * v + 0.5 * v)), x,
+    check_gradient(lambda v: to.sum_(to.tanh(v * v + 0.5 * v)), x,
                    n_coords=len(vals), rtol=1e-4, h=1e-6)
 
 
@@ -175,7 +175,7 @@ seeds = st.integers(min_value=0, max_value=2**16)
 def test_hypothesis_take_leading_permutation_gradient(perm, n, k, seed):
     P = len(perm)
     w = ad.constant(rand((P, n, k), seed + 1))
-    check_gradient(lambda v: ad.sum_(ad.tanh(v[np.array(perm)]) * w),
+    check_gradient(lambda v: to.sum_(to.tanh(v[np.array(perm)]) * w),
                    rand((P, n, k), seed), n_coords=P * n * k, rtol=1e-4,
                    h=1e-6)
 
@@ -185,7 +185,7 @@ def test_hypothesis_take_leading_permutation_gradient(perm, n, k, seed):
 def test_hypothesis_broadcast_person_rows_gradient(P, n, k, seed):
     w = ad.constant(rand((P, n, k), seed + 1))
     check_gradient(
-        lambda v: ad.sum_(ad.tanh(ad.broadcast_to(v, (P, n, k)) * w)),
+        lambda v: to.sum_(to.tanh(to.broadcast_to(v, (P, n, k)) * w)),
         rand((P, 1, k), seed), n_coords=P * k, rtol=1e-4, h=1e-6)
 
 
@@ -193,7 +193,7 @@ def test_hypothesis_broadcast_person_rows_gradient(P, n, k, seed):
 @given(dims, dims, dims, st.integers(min_value=1, max_value=2), seeds)
 def test_hypothesis_sum_inner_axis_gradient(P, n, k, axis, seed):
     w = ad.constant(rand((P, k) if axis == 1 else (P, n), seed + 1))
-    check_gradient(lambda v: ad.sum_(to.sin(ad.sum_(v, axis=axis)) * w),
+    check_gradient(lambda v: to.sum_(to.sin(to.sum_(v, axis=axis)) * w),
                    rand((P, n, k), seed), n_coords=P * n * k, rtol=1e-4,
                    h=1e-6)
 
@@ -209,8 +209,8 @@ def test_hypothesis_mul_div_scalar_gradient(n, k, c, seed):
     """Var by Python scalar, both ways round, and scalar by Var."""
     w = ad.constant(rand((n, k), seed + 1))
     check_gradient(
-        lambda v: ad.sum_(ad.tanh(v * c + c * v - to.div(v, c)) * w) +
-        ad.sum_(to.div(c, v * v + 1.0)), rand((n, k), seed), n_coords=n * k,
+        lambda v: to.sum_(to.tanh(v * c + c * v - to.div(v, c)) * w) +
+        to.sum_(to.div(c, v * v + 1.0)), rand((n, k), seed), n_coords=n * k,
         rtol=1e-4, h=1e-6)
 
 
@@ -220,7 +220,7 @@ def test_hypothesis_scalar_var_broadcast_gradient(n, k, seed):
     """A 0-d Var times and divided into an array: its gradient is the sum
     over the broadcast."""
     m = ad.constant(rand((n, k), seed))
-    check_gradient(lambda v: ad.sum_(ad.tanh(m * v) + to.div(m, v * v + 1.0)),
+    check_gradient(lambda v: to.sum_(to.tanh(m * v) + to.div(m, v * v + 1.0)),
                    np.array(rand((), seed + 1)), n_coords=1, rtol=1e-4,
                    h=1e-6)
 
@@ -232,7 +232,7 @@ def test_hypothesis_scalar_var_broadcast_gradient(n, k, seed):
 def test_hypothesis_atan2_gradient(polar):
     """Points away from the origin and from the branch cut at +-pi."""
     r, t = np.array(polar).T
-    check_gradient(lambda v: ad.sum_(to.atan2(v[0], v[1])),
+    check_gradient(lambda v: to.sum_(to.atan2(v[0], v[1])),
                    np.stack([r * np.sin(t), r * np.cos(t)]),
                    n_coords=2 * len(polar), rtol=1e-4, h=1e-6)
 
@@ -244,10 +244,10 @@ def test_hypothesis_concat_stack_gradient(n, k, axis, seed):
     const = rand((n, k), seed + 2)
 
     def loss(v):
-        cat = ad.concat([v * 2.0, ad.tanh(v), const], axis=axis)
+        cat = to.concat([v * 2.0, to.tanh(v), const], axis=axis)
         stk = ad.stack([to.sin(v), const, v * v], axis=axis)
-        return ad.sum_(cat * ad.constant(rand(cat.shape, seed + 3))) + \
-            ad.sum_(stk * ad.constant(rand(stk.shape, seed + 4)))
+        return to.sum_(cat * ad.constant(rand(cat.shape, seed + 3))) + \
+            to.sum_(stk * ad.constant(rand(stk.shape, seed + 4)))
 
     check_gradient(loss, rand((n, k), seed), n_coords=n * k, rtol=1e-4,
                    h=1e-6)
@@ -258,7 +258,7 @@ def test_hypothesis_concat_stack_gradient(n, k, axis, seed):
     lambda x: abs(x) > 1e-2), min_size=1, max_size=8), seeds)
 def test_hypothesis_relu_away_from_kink_gradient(vals, seed):
     w = ad.constant(rand(len(vals), seed))
-    check_gradient(lambda v: ad.sum_(to.relu(v) * w), np.array(vals),
+    check_gradient(lambda v: to.sum_(to.relu(v) * w), np.array(vals),
                    n_coords=len(vals), rtol=1e-4, h=1e-6)
 
 
@@ -266,7 +266,7 @@ def test_hypothesis_relu_away_from_kink_gradient(vals, seed):
 @given(dims, st.floats(min_value=-2.5, max_value=3.0), seeds)
 def test_hypothesis_powi_gradient(n, p, seed):
     """Real powers of a positive base."""
-    check_gradient(lambda v: ad.sum_(to.powi(v * v + 0.5, p)),
+    check_gradient(lambda v: to.sum_(to.powi(v * v + 0.5, p)),
                    rand(n, seed), n_coords=n, rtol=1e-4, h=1e-6)
 
 
@@ -279,7 +279,7 @@ def test_hypothesis_norm_eps_gradient(n, k, axis, eps, zero_row, seed):
     if zero_row:
         x[0] = 0.0
     w = ad.constant(rand(n if axis == 1 else k, seed + 1))
-    check_gradient(lambda v: ad.sum_(to.norm(v, axis=axis, eps=eps) * w), x,
+    check_gradient(lambda v: to.sum_(to.norm(v, axis=axis, eps=eps) * w), x,
                    n_coords=n * k, rtol=1e-4, h=1e-6)
 
 

@@ -268,6 +268,7 @@ def test_compose_penalty_bad_values(tmp_path, capsys, params):
     ("optimizer", "grad_clip", 1.0),
     ("schedule", "eta", 0.0),
     ("schedule", "schedule_kind", "linear"),
+    ("schedule", "kind", "cosine"),        # the schedule is always cosine
     ("prior", "guidance_scale", 2.0),
     ("optimizer", "max_step", 3),          # typo of max_steps
     ("optimizer", "beta1", 0.9),           # Adam's constants are fixed
@@ -489,6 +490,36 @@ def test_fps_checked(tmp_path, capsys, composed, command, value):
                        dict(FAST, fps=value, scene=scene, **extra))
     err = assert_config_error_writes_nothing(tmp_path, capsys, command, cfg)
     assert "fps" in err
+
+
+@pytest.mark.parametrize("subjects,code", [
+    (None, EXIT_OK), ([1, 2], EXIT_OK), ([4, 3], EXIT_OK),
+    ([1, 3], EXIT_CONFIG)],
+    ids=["no-subjects", "first-pair", "second-pair", "across-pairs"])
+def test_compose_two_pair_segment_penalties(tmp_path, capsys, subjects, code):
+    """An extension segment of two pairs takes a penalty without subjects or
+    one within either pair; one whose subjects span both pairs exits 2."""
+    lab = "approach"
+    pen = {"kind": "overlap", "params": {"delta": 0.3}}
+    if subjects:
+        pen["subjects"] = subjects
+    cfg = compose_config(
+        tmp_path, participants=[1, 2, 3, 4],
+        steps=[{"target": 3, "reference": 1, "label": lab},
+               {"target": 4, "reference": 3, "label": lab}],
+        extension=[{"window": 12, "kept": 6, "boundary_frames": 4,
+                    "pairs": [[1, 2, lab], [3, 4, "follow"]],
+                    "penalties": [pen]}])
+    if code == EXIT_CONFIG:
+        err = assert_config_error_writes_nothing(tmp_path, capsys, "compose",
+                                                 cfg)
+        assert "[1, 3]" in err
+        return
+    out = str(tmp_path / "runs")
+    assert main(["compose", "--config", cfg, "--out", out]) == EXIT_OK
+    for pid in (1, 2, 3, 4):
+        path = os.path.join(out, "seed00000", f"person{pid}.motion")
+        assert read_motion(path, default_skeleton()).N == 18
 
 
 def test_extend_requires_segments(tmp_path, composed):

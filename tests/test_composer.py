@@ -14,6 +14,7 @@ from groupmotion.motion import denormalize, normalize
 from groupmotion.penalties import LossBreakdown, PenaltyConfig, root_penalty
 from groupmotion.scripts import label_by_name
 
+import tape_ops as to
 from conftest import ZeroPrior
 
 
@@ -33,7 +34,7 @@ def pair_spec(n_frames=12, seed=3, penalties=(), label="approach"):
 
 def test_early_stop_on_zero_objective():
     def objective(x):
-        return ad.sum_(x * 0.0), LossBreakdown.empty()
+        return to.sum_(x * 0.0), LossBreakdown.empty()
 
     x0 = np.ones((4, 4))
     best, rec = optimize_noise(objective, x0, OptimizerConfig(max_steps=50))
@@ -43,7 +44,7 @@ def test_early_stop_on_zero_objective():
 
 def test_max_steps_cap_and_curve_length():
     def objective(x):
-        loss = ad.sum_(x * x) + 1.0  # never reaches early stop
+        loss = to.sum_(x * x) + 1.0  # never reaches early stop
         return loss, LossBreakdown.empty()
 
     _, rec = optimize_noise(objective, np.ones(3),
@@ -59,7 +60,7 @@ def test_best_so_far_is_min_of_curve():
     def objective(x):
         # oscillation-prone: steep quadratic
         d = x - ad.constant(c)
-        return 40.0 * ad.sum_(d * d), LossBreakdown.empty()
+        return 40.0 * to.sum_(d * d), LossBreakdown.empty()
 
     best, rec = optimize_noise(objective, np.zeros(6),
                                OptimizerConfig(lr=0.3, max_steps=40))
@@ -72,7 +73,7 @@ def test_nan_loss_aborts_with_breakdown():
     marker = LossBreakdown(float("nan"), {"here": 1.0}, {})
 
     def objective(x):
-        return ad.sum_(x) * float("nan"), marker
+        return to.sum_(x) * float("nan"), marker
 
     with pytest.raises(OptimizationDiverged) as exc:
         optimize_noise(objective, np.ones(2), OptimizerConfig())
@@ -198,7 +199,7 @@ def test_optimizer_lr_decay_shrinks_steps():
     # minimum must stay out of reach while the undecayed run gets closer
     def objective(v):
         d = v - 10.0
-        return ad.sum_(d * d), None
+        return to.sum_(d * d), None
 
     x0 = np.zeros(1)
     cfg = OptimizerConfig(lr=0.1, max_steps=50, lr_decay=0.5)
@@ -314,6 +315,37 @@ def test_extend_switches_label(analytic_prior, small_schedule, stats,
                            boundary_frames=5)
     comp.extend(res, [seg], seed=7)
     assert set(rec_prior.labels) == {"face-and-talk"}
+
+
+@pytest.mark.parametrize("subjects,want", [
+    ((), {1: [("overlap", (1, 2))], 3: [("overlap", (3, 4))]}),
+    ((1, 2), {1: [("overlap", (1, 2))], 3: []}),
+    ((4, 3), {1: [], 3: [("overlap", (4, 3))]}),
+], ids=["no-subjects", "first-pair", "second-pair"])
+def test_extend_two_pair_segment_penalties(analytic_prior, small_schedule,
+                                           stats, skeleton, subjects, want):
+    """In a segment of two pairs, a penalty without subjects is one term on
+    each pair, and one with subjects acts on the pair that holds them."""
+    comp = make_composer(analytic_prior, small_schedule, stats, skeleton,
+                         max_steps=1)
+    lab = label_by_name("approach")
+    res = comp.compose(SceneSpec(
+        participants=(1, 2, 3, 4), first_label=lab, seed=5, n_frames=12,
+        steps=(SceneStep(3, 1, lab), SceneStep(4, 3, lab))))
+    seg = ExtensionSegment(
+        window=12, kept=6, boundary_frames=4,
+        pairs=((1, 2, lab), (3, 4, label_by_name("follow"))),
+        penalties=(PenaltyConfig("overlap", 1.0, subjects,
+                                 params={"delta": 0.3}),))
+    ext = comp.extend(res, [seg], seed=5)
+    got = {rec.person: sorted(k[:2] for k in rec.breakdowns[0].terms)
+           for rec in ext.records[-2:]}
+    assert got == {a: sorted(want[a] + [("boundary", (a,)),
+                                        ("boundary", (a + 1,))])
+                   for a in (1, 3)}
+    seg.penalties[0].subjects = (1, 3)
+    with pytest.raises(ValueError, match="within one of its pairs"):
+        comp.extend(res, [seg], seed=5)
 
 
 def test_extend_zero_length_plan(analytic_prior, small_schedule, stats,

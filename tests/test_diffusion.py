@@ -11,6 +11,7 @@ from groupmotion.diffusion import (DiffusionSchedule, FrameMask, ddim_sample,
 from groupmotion.priors import AnalyticPrior
 from groupmotion.scripts import label_by_name
 
+import tape_ops as to
 import tape_samplers as tape
 from conftest import ZeroPrior, check_gradient
 
@@ -22,9 +23,8 @@ def noise(shape, seed=0):
 # -- schedule --------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", ["cosine", "linear"])
-def test_alpha_bars_monotone_and_bounded(kind):
-    s = DiffusionSchedule(t_train=200, ddim_steps=20, kind=kind)
+def test_alpha_bars_monotone_and_bounded():
+    s = DiffusionSchedule(t_train=200, ddim_steps=20)
     ab = s.alpha_bars
     assert ab[0] == 1.0
     assert np.all(np.diff(ab) < 0)
@@ -43,8 +43,8 @@ def test_schedule_validation():
         DiffusionSchedule(t_train=10, ddim_steps=11)
     with pytest.raises(TypeError, match="eta"):
         DiffusionSchedule(eta=0.5)
-    with pytest.raises(ValueError, match="kind"):
-        DiffusionSchedule(kind="quadratic")
+    with pytest.raises(TypeError, match="kind"):
+        DiffusionSchedule(kind="linear")
 
 
 # -- forward noising ----------------------------------------------------------------
@@ -168,7 +168,7 @@ def test_masked_gradient_matches_fd(stats, skeleton):
 
     def loss(v):
         out = masked_sample(prior, schedule, v, ref, lab, noise_seed=2)
-        return ad.sum_(ad.tanh(out * 0.1))
+        return to.sum_(to.tanh(out * 0.1))
 
     check_gradient(loss, noise((6, skeleton.D), 17), n_coords=10, rtol=1e-4)
 
@@ -254,7 +254,7 @@ def test_pair_as_tuple_or_stacked_var(name, label, analytic_prior,
         pair = (var[0], var[1]) if as_tuple else var
         o1, o2 = PAIR_SAMPLERS[name](analytic_prior, small_schedule, pair,
                                      kept, lab)
-        (g,) = ad.grad(ad.sum_(ad.tanh(o1 * o2)) + ad.sum_(o1), [var])
+        (g,) = ad.grad(to.sum_(to.tanh(o1 * o2)) + to.sum_(o1), [var])
         results.append((o1.value, o2.value, g))
     for a, b in zip(*results):
         assert np.array_equal(a, b), name
@@ -269,11 +269,11 @@ def test_masked_target_as_var_or_stacked_row(analytic_prior, small_schedule,
     lab = label_by_name("face-and-talk")
     v = ad.Var(xT[0])
     out = masked_sample(analytic_prior, small_schedule, v, ref, lab, 5)
-    (g,) = ad.grad(ad.sum_(ad.tanh(out)), [v])
+    (g,) = ad.grad(to.sum_(to.tanh(out)), [v])
     stacked = ad.Var(xT)
     out_s = masked_sample(analytic_prior, small_schedule, stacked[0], ref,
                           lab, 5)
-    (g_s,) = ad.grad(ad.sum_(ad.tanh(out_s)), [stacked])
+    (g_s,) = ad.grad(to.sum_(to.tanh(out_s)), [stacked])
     assert np.array_equal(out.value, out_s.value)
     assert np.array_equal(g, g_s[0])
     assert not g_s[1].any()
@@ -327,9 +327,9 @@ def sampler_results(name, label, N, schedule, stats, skeleton, step):
                                                        skeleton),
                                      schedule, v, kept, ref,
                                      label_by_name(label), **kw)
-        loss = ad.sum_(ad.tanh(outs[0] * ad.constant(weights)))
+        loss = to.sum_(to.tanh(outs[0] * ad.constant(weights)))
         for o in outs[1:]:
-            loss = loss + ad.sum_(outs[0] * o)
+            loss = loss + to.sum_(outs[0] * o)
         (g,) = ad.grad(loss, [v])
         results.append([o.value for o in outs] + [g])
     return results
@@ -397,6 +397,6 @@ def test_forward_noise_arrays_or_vars(small_schedule):
         args = [x0, z]
         args[slot] = v = ad.Var(args[slot])
         out = tape.forward_noise(args[0], 20, args[1], small_schedule)
-        (g,) = ad.grad(ad.sum_(out), [v])
+        (g,) = ad.grad(to.sum_(out), [v])
         assert np.array_equal(out.value, want)
         assert np.array_equal(g, np.full((3, 4), scale))

@@ -1,6 +1,7 @@
 """Metric kernels against counting, loop and Monte-Carlo oracles."""
 
 import csv
+import math
 import warnings
 
 import numpy as np
@@ -349,3 +350,20 @@ def test_report_csv_rows(skeleton, tmp_path):
     assert [r["diversity"] for r in rows[:-1]] == ["", "", ""]
     assert rows[-1]["run"] == "aggregate"
     assert float(rows[-1]["diversity"]) == report.diversity
+
+
+def test_pose_diversity_matches_fsum_loop(skeleton):
+    """The mean pairwise distance equals an exactly rounded loop over the
+    flattened runs (dicts or lists of sequences) to the last bits."""
+    rng = np.random.default_rng(0)
+    runs = [{p: random_seq(skeleton, N=32, seed=int(rng.integers(2**31)),
+                           scale=rng.uniform(0.1, 5.0)) for p in (1, 2, 3)}
+            for _ in range(4)]
+    runs[1] = list(runs[1].values())
+    flats = [[float(v) for s in (r.values() if isinstance(r, dict) else r)
+              for v in s.frames.ravel()] for r in runs]
+    dists = [math.sqrt(math.fsum((a - b) ** 2 for a, b in zip(u, w)))
+             for i, u in enumerate(flats) for w in flats[i + 1:]]
+    want = math.fsum(dists) / len(dists)
+    assert me.pose_diversity(runs) == pytest.approx(want, rel=1e-15, abs=0)
+    assert me.pose_diversity(runs[:1]) == 0.0

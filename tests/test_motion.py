@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from groupmotion import autodiff as ad
 from groupmotion import motion as mo
 
+import tape_ops as to
 import tape_penalties
 import tape_samplers as tape
 from conftest import check_gradient, gs_facing
@@ -275,13 +276,13 @@ def test_hypothesis_normalize_on_var_gradient(P, N, D, seed):
                                   rng.uniform(0.1, 3.0, D))
     w = ad.constant(rng.standard_normal((P, N, D)))
     x = rng.standard_normal((P, N, D))
-    check_gradient(lambda v: ad.sum_(ad.tanh(mo.denormalize(v, stats)) * w),
+    check_gradient(lambda v: to.sum_(to.tanh(mo.denormalize(v, stats)) * w),
                    x, n_coords=P * N * D, rtol=1e-5, h=1e-6)
     results = []
     for f in (mo.denormalize, tape.denormalize):
         v = ad.Var(x)
         out = f(v, stats)
-        (g,) = ad.grad(ad.sum_(ad.tanh(out) * w), [v])
+        (g,) = ad.grad(to.sum_(to.tanh(out) * w), [v])
         results.append((out.value, g))
     v = ad.Var(x)
     assert mo.denormalize(v, stats).parents == (v,)

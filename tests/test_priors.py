@@ -12,6 +12,8 @@ from groupmotion.motion import normalize
 from groupmotion.priors import AnalyticPrior, MLPPrior, TrainingDiverged, train
 from groupmotion.scripts import default_vocabulary, label_by_name
 
+import tape_mlp
+import tape_ops as to
 import tape_samplers as tape
 
 from conftest import check_gradient, finite_difference
@@ -53,7 +55,7 @@ def test_conformance_differentiable(analytic_prior, mlp_prior, skeleton):
         x1 = ad.Var(noise((6, skeleton.D), 3))
         x2 = ad.constant(noise((6, skeleton.D), 4))
         e = prior.predict(ad.stack([x1, x2]), 10, lab)
-        (g,) = ad.grad(ad.sum_(e[0]) + ad.sum_(e[1]), [x1])
+        (g,) = ad.grad(to.sum_(e[0]) + to.sum_(e[1]), [x1])
         assert np.isfinite(g).all() and np.abs(g).max() > 0, name
 
 
@@ -123,7 +125,7 @@ def test_analytic_gradient_matches_fd(analytic_prior, skeleton):
 
     def loss(v):
         e = analytic_prior.predict(ad.stack([v, other]), 20, lab)
-        return ad.sum_(ad.tanh(e[0] * 0.1)) + ad.sum_(ad.tanh(e[1] * 0.1))
+        return to.sum_(to.tanh(e[0] * 0.1)) + to.sum_(to.tanh(e[1] * 0.1))
 
     check_gradient(loss, noise((6, skeleton.D), 11), n_coords=10, rtol=1e-4)
 
@@ -147,7 +149,7 @@ def test_hypothesis_analytic_predict_gradient(small_schedule, stats, skeleton,
                   tape.TapeAnalyticPrior(small_schedule, stats, skeleton)):
         v = ad.Var(x)
         e = prior.predict(v, t, lab)
-        (g,) = ad.grad(ad.sum_(ad.tanh(e * 0.1) * w), [v])
+        (g,) = ad.grad(to.sum_(to.tanh(e * 0.1) * w), [v])
         results.append((e.value, g))
     for got, want in zip(*results):
         assert np.array_equal(got, want)
@@ -160,7 +162,7 @@ def test_hypothesis_analytic_predict_gradient(small_schedule, stats, skeleton,
                            (N - 1, 12 * J + 1)]]
     prior = AnalyticPrior(small_schedule, stats, skeleton)
     fd = finite_difference(
-        lambda a: float(ad.sum_(ad.tanh(prior.predict(ad.Var(a), t, lab)
+        lambda a: float(to.sum_(to.tanh(prior.predict(ad.Var(a), t, lab)
                                         * 0.1) * w).value), x, coords, h=1e-6)
     scale = max(np.abs(g).max(), 1.0)
     for c in coords:
@@ -168,6 +170,118 @@ def test_hypothesis_analytic_predict_gradient(small_schedule, stats, skeleton,
 
 
 # -- MLP prior ----------------------------------------------------------------
+
+
+def _perturbed_mlp(schedule, D, hidden, seed):
+    """An MLP prior whose biases, skip and weights are all off their
+    initial values, so that every weight's gradient is exercised."""
+    prior = MLPPrior(schedule, D, len(default_vocabulary()), hidden=hidden,
+                     seed=seed)
+    rng = np.random.default_rng(seed)
+    prior.weights = {k: v + 0.1 * rng.standard_normal(v.shape)
+                     for k, v in prior.weights.items()}
+    return prior
+
+
+@pytest.mark.parametrize("hidden", [8, 64])
+@pytest.mark.parametrize("N", [12, 32])
+def test_mlp_forward_and_vjp_match_tape_oracle(small_schedule, skeleton, N,
+                                               hidden):
+    """eps and its adjoints to x and to every weight array are bit-identical
+    to the op-by-op tape form, for every label and across t; so are the
+    one-node `predict` and `clean_estimate` and their gradients to x."""
+    prior = _perturbed_mlp(small_schedule, skeleton.D, hidden, N + hidden)
+    oracle = tape_mlp.TapeMLPPrior(small_schedule, skeleton.D,
+                                   prior.n_labels, hidden=hidden)
+    oracle.weights = prior.weights
+    keys = sorted(prior.weights)
+    rng = np.random.default_rng(N)
+    for spec in default_vocabulary():
+        lab = label_by_name(spec.name)
+        for t in (1, 25, 50):
+            x = rng.standard_normal((2, N, skeleton.D))
+            g = ad.constant(rng.standard_normal(x.shape))
+            eps, vjp = prior.forward(x, t, lab)
+            gx, gw = vjp(g.value)
+            xv = ad.Var(x)
+            w = {k: ad.Var(v) for k, v in prior.weights.items()}
+            want = ad.stack(oracle.predict_with_weights(xv[0], xv[1], t, lab,
+                                                        w))
+            grads = ad.grad(to.sum_(want * g), [xv] + [w[k] for k in keys])
+            assert np.array_equal(eps, want.value)
+            assert np.array_equal(gx, grads[0])
+            for k, want_g in zip(keys, grads[1:]):
+                assert np.array_equal(gw[k], want_g), k
+            for got_p, want_p in ((prior.predict, oracle.predict),
+                                  (prior.clean_estimate,
+                                   oracle.clean_estimate)):
+                out = []
+                for estimate in (got_p, want_p):
+                    v = ad.Var(x)
+                    e = estimate(v, t, lab)
+                    out.append((e.value, ad.grad(to.sum_(e * g), [v])[0]))
+                assert np.array_equal(out[0][0], out[1][0])
+                assert np.array_equal(out[0][1], out[1][1])
+
+
+def test_mlp_node_gradient_matches_fd(small_schedule, skeleton):
+    """The hand-written vjp against central differences: to x through the
+    one-node eps and clean estimate, and to W1, b2 and skip."""
+    prior = _perturbed_mlp(small_schedule, skeleton.D, 16, 7)
+    lab = label_by_name("follow")
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((2, 6, skeleton.D))
+    w = ad.constant(rng.standard_normal(x.shape))
+    for estimate in (prior.predict, prior.clean_estimate):
+        check_gradient(lambda v: to.sum_(to.tanh(estimate(v, 20, lab) * 0.1)
+                                         * w), x, n_coords=12, rtol=1e-5)
+    _, vjp = prior.forward(x, 20, lab)
+    _, grads = vjp(w.value)
+    for k in ("W1", "b2", "skip"):
+        base = prior.weights[k]
+
+        def loss(a):
+            prior.weights[k] = a
+            return float(np.sum(prior.forward(x, 20, lab)[0] * w.value))
+
+        coords = list(range(min(base.size, 5)))
+        fd = finite_difference(loss, base, coords, h=1e-6)
+        prior.weights[k] = base
+        for c in coords:
+            assert abs(grads[k].flat[c] - fd[c]) <= \
+                1e-6 * max(1.0, abs(fd[c])), (k, c)
+
+
+def test_mlp_evaluation_adds_one_node_per_step(small_schedule, skeleton,
+                                              stats, analytic_prior,
+                                              monkeypatch):
+    """A penalised evaluation with the MLP prior records at most one tape
+    node per DDIM step more than with the analytic prior: the eps node
+    under each one-node clean estimate."""
+    from groupmotion.diffusion import ddim_sample
+    from groupmotion.motion import denormalize
+    from groupmotion.penalties import PenaltyConfig, aggregate
+    lab = label_by_name("approach")
+    pens = [PenaltyConfig("overlap", 1.0, (1, 2), params={"delta": 0.3})]
+    x = noise((2, 16, skeleton.D), 12)
+    init, count = ad.Var.__init__, [0]
+
+    def counting(var, *args, **kwargs):
+        count[0] += 1
+        init(var, *args, **kwargs)
+
+    monkeypatch.setattr(ad.Var, "__init__", counting)
+    nodes = []
+    for prior in (analytic_prior,
+                  MLPPrior(small_schedule, skeleton.D, 6, hidden=8)):
+        count[0] = 0
+        v = ad.Var(x)
+        a, b = ddim_sample(prior, small_schedule, v, lab)
+        loss, _ = aggregate(pens, {1: denormalize(a, stats),
+                                   2: denormalize(b, stats)}, skeleton)
+        ad.grad(loss, [v])
+        nodes.append(count[0])
+    assert nodes[1] - nodes[0] <= small_schedule.ddim_steps
 
 
 def test_mlp_weight_round_trip(mlp_prior, tmp_path, small_schedule):
@@ -245,6 +359,21 @@ def test_train_overfits_single_sample(small_schedule, skeleton, stats):
     # single fixed timestep family keeps the objective overfittable
     curve = train(prior, pairs, small_schedule, epochs=500, lr=3e-3, seed=5)
     assert min(curve) < 0.25 * curve[0]
+
+
+def test_train_matches_tape_oracle_loop(small_schedule, skeleton, stats):
+    """`train` (numpy forward, vjp, Adam) gives the loss curve and weights
+    of the op-by-op tape loop bit for bit."""
+    pairs = _training_pairs(skeleton, stats, n=3)
+    pairs[1] = (pairs[1][0], label_by_name("follow"))
+    priors = [cls(small_schedule, skeleton.D, 6, hidden=16, seed=9)
+              for cls in (MLPPrior, tape_mlp.TapeMLPPrior)]
+    curves = [fit(p, pairs, small_schedule, epochs=20, lr=3e-3, seed=10)
+              for fit, p in zip((train, tape_mlp.train), priors)]
+    assert curves[0] == curves[1] and len(curves[0]) == 60
+    for k in priors[0].weights:
+        assert priors[0].weights[k].tobytes() == \
+            priors[1].weights[k].tobytes(), k
 
 
 def test_train_divergence_detected(small_schedule, skeleton, stats):

@@ -10,6 +10,7 @@ from groupmotion import autodiff as ad
 from groupmotion import scripts as sc
 from groupmotion.motion import facing_direction, MotionSequence, repair_velocities
 
+import tape_ops as to
 import tape_scripts as tape
 from conftest import check_gradient, finite_difference
 
@@ -147,7 +148,7 @@ def test_script_gradient_matches_finite_differences(skeleton):
 
     def loss(v):
         s = sc.build_pair_scripts(ad.stack([v, w2]), spec, skeleton)
-        return ad.sum_(s[0] * s[0]) + ad.sum_(ad.tanh(s[1]))
+        return to.sum_(s[0] * s[0]) + to.sum_(to.tanh(s[1]))
 
     x = f1 + 0.01 * np.random.default_rng(13).standard_normal(f1.shape)
     check_gradient(loss, x, n_coords=10, rtol=1e-4, h=1e-6)
@@ -236,7 +237,7 @@ def both_builders(w, spec, skeleton, seed=0):
     for build in (sc.build_pair_scripts, tape.build_pair_scripts):
         x = ad.Var(w)
         s = build(x, spec, skeleton)
-        (g,) = ad.grad(ad.sum_(s * ad.constant(weights)), [x])
+        (g,) = ad.grad(to.sum_(s * ad.constant(weights)), [x])
         out.append((s.value, g))
     return out
 
@@ -321,7 +322,7 @@ def test_hypothesis_builder_gradient_matches_finite_differences(
                                                   skeleton).value * weights))
 
     x = ad.Var(w)
-    (g,) = ad.grad(ad.sum_(sc.build_pair_scripts(x, spec, skeleton) *
+    (g,) = ad.grad(to.sum_(sc.build_pair_scripts(x, spec, skeleton) *
                            ad.constant(weights)), [x])
     vb, frame = 3 * skeleton.J, seed % N
     coords = [np.ravel_multi_index((row, n, ch), w.shape) for row in (0, 1)

@@ -4,7 +4,7 @@ Pipeline, per scene:
 
 1. first pair: optimize both persons' initial noise jointly, as one
    stacked (2, N, D) state, through the unrolled DDIM sampler against the
-   first-pair penalties, then sample the pair from the best iterate;
+   first-pair penalties, and keep the pair sampled from the best iterate;
 2. each additional person: optimize its initial noise so the masked
    conditional sample (reference slot pinned) minimizes the configured
    penalties against the chosen set of already-generated persons;
@@ -245,27 +245,37 @@ class Composer:
 
     def _optimize_and_sample(self, sample, persons, pens, xT, fixed=None):
         """Adam on the noise `xT` against `pens` over `fixed` world frames
-        plus `sample(x)`, one output per person of `persons` (skipped when
-        there are no penalties), then one more sample from the best noise.
-        Returns the output values and the StepRecord of persons[0]."""
-        if pens:
-            def objective(var):
-                world = dict(fixed or {})
-                for pid, out in zip(persons, sample(var)):
-                    world[pid] = self._world(out)
-                return aggregate(pens, world, self.skeleton)
+        plus `sample(x)`, one output per person of `persons`; without
+        penalties, one sample from `xT`. Returns the output values of the
+        best evaluation (a sample's values do not depend on whether its
+        noise needs a gradient, so they are those of a fresh sample from
+        the best noise) and the StepRecord of persons[0]."""
+        if not pens:
+            return ([out.value for out in sample(ad.constant(xT))],
+                    StepRecord(person=persons[0]))
+        best = {}
 
-            xT, rec = optimize_noise(objective, xT, self.opt)
-            rec.person = persons[0]
-        else:
-            rec = StepRecord(person=persons[0])
-        return [out.value for out in sample(ad.constant(xT))], rec
+        def objective(var):
+            outs = sample(var)
+            world = dict(fixed or {})
+            for pid, out in zip(persons, outs):
+                world[pid] = self._world(out)
+            loss, breakdown = aggregate(pens, world, self.skeleton)
+            # optimize_noise's best iterate: the first evaluation or one
+            # strictly lower; only the values are kept, not the tape
+            if not best or float(loss.value) < best["loss"]:
+                best.update(loss=float(loss.value),
+                            values=[out.value for out in outs])
+            return loss, breakdown
+
+        _, rec = optimize_noise(objective, xT, self.opt)
+        rec.person = persons[0]
+        return best["values"], rec
 
     def generate_first_pair(self, spec: SceneSpec):
         """Algorithm: draw both persons' initial noise, optimize the stacked
-        noise jointly through the coupled sampler, regenerate from the best
-        iterate. The loss is evaluated on the same joint sample the final
-        regeneration produces, so the reported loss is the true loss."""
+        noise jointly through the coupled sampler, keep the sample of the
+        best iterate. The reported loss is that sample's own loss."""
         p1, p2 = spec.participants[:2]
         label = spec.first_label
         N, D = spec.n_frames, self.skeleton.D
@@ -281,8 +291,9 @@ class Composer:
         return seqs, [rec]
 
     def add_person(self, step: SceneStep, sequences: dict, seed: int):
-        """Optimize the new person's noise through the masked sampler, then
-        generate with the optimized noise. Existing sequences are constants."""
+        """Optimize the new person's noise through the masked sampler and
+        keep the sample of the best iterate. Existing sequences are
+        constants."""
         N, D = next(iter(sequences.values())).N, self.skeleton.D
         ref_seq = sequences[step.reference]
         ref_norm = normalize(ref_seq.frames, self.stats)

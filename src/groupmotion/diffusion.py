@@ -1,6 +1,6 @@
 """Noise schedule and deterministic (eta = 0) DDIM sampling.
 
-Three samplers share one step rule:
+Three samplers are thin wrappers over one chain, `sample_chain`:
 
 * ``ddim_sample``     - both slots of the two-person prior denoised jointly
 * ``masked_sample``   - one slot pinned to a forward-noised copy of an
@@ -11,19 +11,22 @@ Three samplers share one step rule:
                         existing sequences
 
 All samplers run on autodiff Vars, so any scalar of their output can be
-differentiated with respect to the initial noise. Each step asks the prior
-for the clean estimate x0_hat of the pair, stacked as one (2, N, D) state
-along a leading person axis, and steps in clean-estimate form,
-x_prev = alpha_t x + beta_t x0_hat, with no round trip through eps. The
-DDIM step and the inpainting clamp are one tape node each, so a step with
-the analytic prior is two nodes; constant references are forward-noised in
-numpy and put nothing on the tape.
+differentiated with respect to the initial noise. Each step overwrites the
+sampler's kept block (`Kept`: the reference slot of `masked_sample`, the
+kept frames of `inpaint_extend`) with its reference, asks the prior for
+the clean estimate x0_hat of the pair, stacked as one (2, N, D) state along
+a leading person axis, and steps in clean-estimate form, x_prev = alpha_t x
++ beta_t x0_hat, with no round trip through eps; a last overwrite puts the
+clean reference in the kept block. A prior with a `chain`, the analytic
+prior, runs the whole chain itself as one tape node; any other is stepped
+here, the DDIM step and each overwrite one tape node apiece. Constant
+references are forward-noised in numpy and put nothing on the tape.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,8 +39,8 @@ class DiffusionSchedule:
     ddim_steps: int = 50
 
     def __post_init__(self):
-        if self.ddim_steps > self.t_train:
-            raise ValueError("ddim_steps cannot exceed t_train")
+        if not 1 <= self.ddim_steps <= self.t_train:
+            raise ValueError("ddim_steps must be in [1, t_train]")
         # the cosine schedule (Nichol & Dhariwal 2021)
         s = 0.008
         t = np.arange(self.t_train + 1, dtype=np.float64)
@@ -51,6 +54,17 @@ class DiffusionSchedule:
 
     def alpha_bar(self, t: int) -> float:
         return float(self.alpha_bars[t])
+
+    def steps(self):
+        """(k, t, alpha, beta) of each DDIM step k, in sampling order (t
+        descending): the step is x_prev = alpha x + beta x0_hat, the eta = 0
+        update written from the clean estimate (Song et al. 2021, eq. 12)."""
+        taus = self.taus
+        for k in range(len(taus) - 1, 0, -1):
+            t = int(taus[k])
+            ab_t, ab_prev = self.alpha_bar(t), self.alpha_bar(int(taus[k - 1]))
+            alpha = np.sqrt(1.0 - ab_prev) / np.sqrt(max(1.0 - ab_t, 1e-12))
+            yield k, t, alpha, np.sqrt(ab_prev) - alpha * np.sqrt(ab_t)
 
 
 @dataclass(frozen=True)
@@ -80,13 +94,71 @@ def forward_noise(x0, t: int, noise, schedule: DiffusionSchedule):
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
 
 
-def _ddim_step(x: ad.Var, x0: ad.Var, ab_t: float, ab_prev: float) -> ad.Var:
-    """alpha * x + beta * x0 as one tape node: the eta = 0 DDIM update
-    written from the clean estimate x0 (Song et al. 2021, eq. 12)."""
-    alpha = np.sqrt(1.0 - ab_prev) / np.sqrt(max(1.0 - ab_t, 1e-12))
-    beta = np.sqrt(ab_prev) - alpha * np.sqrt(ab_t)
+def _ddim_step(x: ad.Var, x0: ad.Var, alpha: float, beta: float) -> ad.Var:
+    """alpha * x + beta * x0 as one tape node."""
     return ad.Var(alpha * x.value + beta * x0.value, (x, x0),
                   lambda g: (alpha * g, beta * g))
+
+
+@dataclass(frozen=True)
+class Kept:
+    """The block of a (2, N, D) state a sampler overwrites: the first `n`
+    frames of the persons `rows`, set to `ref` (the block's shape), noised
+    by `zetas[k - 1]` at DDIM step k or clean if `zetas` is None, before
+    each clean estimate, and clean after the last step."""
+    rows: slice
+    n: int
+    ref: np.ndarray
+    zetas: np.ndarray | None = None
+
+    @property
+    def index(self) -> tuple:
+        return self.rows, slice(0, self.n)
+
+    def channels(self, ch) -> "Kept":
+        """The block restricted to the channels `ch`."""
+        return replace(self, ref=self.ref[..., ch], zetas=None
+                       if self.zetas is None else self.zetas[..., ch])
+
+    def at(self, k: int, t: int, schedule: DiffusionSchedule) -> np.ndarray:
+        """The block's reference at DDIM step k, timestep t."""
+        if self.zetas is None:
+            return self.ref
+        return forward_noise(self.ref, t, self.zetas[k - 1], schedule)
+
+
+def _clamp(x: ad.Var, index: tuple, ref: np.ndarray) -> ad.Var:
+    """x with x[index] overwritten by the constant `ref`, as one tape
+    node."""
+    out = x.value.copy()
+    out[index] = ref
+
+    def backward(g):
+        g = g.copy()
+        g[index] = 0.0
+        return (g,)
+
+    return ad.Var(out, (x,), backward)
+
+
+def sample_chain(prior, schedule: DiffusionSchedule, x: ad.Var, label,
+                 kept: Kept | None = None) -> ad.Var:
+    """The samplers' one chain over a stacked (2, N, D) state: at each DDIM
+    step, overwrite the `kept` block (if any) with its reference, take the
+    prior's clean estimate and step; after the last step, overwrite the
+    kept block with its clean reference.
+
+    A prior with a `chain` runs the whole chain itself (the analytic
+    prior, in parameter space, as one tape node); any other is stepped
+    here, two tape nodes a step and one per overwrite."""
+    run = getattr(prior, "chain", None)
+    if run is not None:
+        return run(schedule, x, label, kept)
+    for k, t, alpha, beta in schedule.steps():
+        if kept is not None:
+            x = _clamp(x, kept.index, kept.at(k, t, schedule))
+        x = _ddim_step(x, prior.clean_estimate(x, t, label), alpha, beta)
+    return x if kept is None else _clamp(x, kept.index, kept.ref)
 
 
 def _stacked(pair) -> ad.Var:
@@ -107,12 +179,7 @@ def _step_noise(noise_seed: int, n_steps: int, shape: tuple) -> np.ndarray:
 def ddim_sample(prior, schedule: DiffusionSchedule, x_T_pair, label):
     """Deterministic DDIM over both slots, given as a (x1, x2) tuple or one
     stacked (2, N, D) Var. Returns a Var pair (x_0^1, x_0^2)."""
-    x = _stacked(x_T_pair)
-    taus = schedule.taus
-    for k in range(len(taus) - 1, 0, -1):
-        t, t_prev = int(taus[k]), int(taus[k - 1])
-        x0 = prior.clean_estimate(x, t, label)
-        x = _ddim_step(x, x0, schedule.alpha_bar(t), schedule.alpha_bar(t_prev))
+    x = sample_chain(prior, schedule, _stacked(x_T_pair), label)
     return x[0], x[1]
 
 
@@ -131,15 +198,11 @@ def masked_sample(prior, schedule: DiffusionSchedule, x_T_target, x0_ref,
     if x.shape != ref.shape:
         raise ad.ShapeMismatchError(
             f"masked_sample: target {x.shape} vs reference {ref.shape}")
-    taus = schedule.taus
-    zetas = _step_noise(noise_seed, len(taus) - 1, ref.shape)
-    for k in range(len(taus) - 1, 0, -1):
-        t, t_prev = int(taus[k]), int(taus[k - 1])
-        pair = ad.stack([x, forward_noise(ref, t, zetas[k - 1], schedule)])
-        x0 = prior.clean_estimate(pair, t, label)
-        x = _ddim_step(x, x0[0], schedule.alpha_bar(t),
-                       schedule.alpha_bar(t_prev))
-    return x
+    zetas = _step_noise(noise_seed, len(schedule.taus) - 1, ref.shape)
+    kept = Kept(slice(1, 2), ref.shape[0], ref[None], zetas[:, None])
+    # the target as row 0 of the pair; row 1 is overwritten before use
+    pair = ad.Var(np.stack([x.value, ref]), (x,), lambda g: (g[0],))
+    return sample_chain(prior, schedule, pair, label, kept)[0]
 
 
 def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
@@ -161,29 +224,15 @@ def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
         raise ValueError("inpaint_extend: mask length != window length")
     if mask.kept >= N:
         raise ValueError("inpaint_extend: kept frames must be fewer than the window")
-    kept = [np.asarray(k, dtype=np.float64) for k in kept_pair]
-    if len(kept) != x.shape[0] or \
-            any(k.shape != (mask.kept, x.shape[2]) for k in kept):
+    ref = [np.asarray(k, dtype=np.float64) for k in kept_pair]
+    if len(ref) != x.shape[0] or \
+            any(k.shape != (mask.kept, x.shape[2]) for k in ref):
         raise ad.ShapeMismatchError("inpaint_extend: kept block shape mismatch")
-    ref = np.zeros(x.shape)
-    ref[:, : mask.kept] = kept
-    keep = np.broadcast_to(mask.m[None, :, None], x.shape)
-    free = 1.0 - keep
-
-    def clamp(x, ref_t):     # keep * ref_t + free * x as one tape node
-        return ad.Var(keep * ref_t + free * x.value, (x,),
-                      lambda g: (g * free,))
-
-    taus = schedule.taus
-    # literal mode clamps to the clean reference and needs no noise
-    zetas = _step_noise(noise_seed, len(taus) - 1, x.shape) \
-        if mode == "noised" else None
-    for k in range(len(taus) - 1, 0, -1):
-        t, t_prev = int(taus[k]), int(taus[k - 1])
-        x = clamp(x, ref if zetas is None else
-                  forward_noise(ref, t, zetas[k - 1], schedule))
-        x0 = prior.clean_estimate(x, t, label)
-        x = _ddim_step(x, x0, schedule.alpha_bar(t), schedule.alpha_bar(t_prev))
-    # final overwrite at t=0: kept frames equal the reference exactly
-    x = clamp(x, ref)
+    kept = None
+    if mask.kept:
+        # literal mode clamps to the clean reference and needs no noise
+        zetas = _step_noise(noise_seed, len(schedule.taus) - 1, x.shape)[
+            :, :, :mask.kept] if mode == "noised" else None
+        kept = Kept(slice(None), mask.kept, np.stack(ref), zetas)
+    x = sample_chain(prior, schedule, x, label, kept)
     return x[0], x[1]

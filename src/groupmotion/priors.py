@@ -8,12 +8,16 @@ must be deterministic. Two concrete priors ship:
 
 * ``AnalyticPrior`` - closed-form attractor toward the label's scripted
   motion family; every downstream acceptance run uses it because it is
-  exact, fast, and fully differentiable.
+  exact, fast, and fully differentiable. Its clean estimate reads the
+  state through 8 linear functionals per person and is affine in the
+  script's assembly inputs, so it also runs the samplers' whole chain in
+  that parameter space (`chain`): one tape node per sample, whatever the
+  number of DDIM steps, and one full-size script assembly.
 * ``MLPPrior``      - a tiny learned denoiser (shared weights per person,
   cross-person feature exchange) trained on the synthetic corpus with the
   standard noise-prediction objective. Its forward is numpy with a
   hand-written vjp; on the tape its eps and its clean estimate are one
-  node each, and training uses no tape.
+  node each, stepped by the samplers, and training uses no tape.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ import numpy as np
 from . import autodiff as ad
 from .diffusion import DiffusionSchedule, forward_noise
 from .motion import NormalizationStats, Skeleton, denormalize
-from .scripts import InteractionLabel, pair_scripts
+from .scripts import (InteractionLabel, assemble, functional_channels,
+                      functionals, functionals_vjp, pair_scripts,
+                      script_inputs)
 
 
 class EpsPrior:
@@ -51,7 +57,8 @@ class AnalyticPrior:
     / sqrt(1 - ab_t) is its noise form.
 
     On the tape one clean estimate is one node: denormalize, the script
-    builder and normalize in numpy, with a hand-written backward.
+    builder and normalize in numpy, with a hand-written backward. A whole
+    sampler chain is one node too (`param_chain`).
     """
 
     def __init__(self, schedule: DiffusionSchedule, stats: NormalizationStats,
@@ -71,6 +78,91 @@ class AnalyticPrior:
         ab = self.schedule.alpha_bar(t)
         mu = self.clean_estimate(x, t, label)
         return (x - np.sqrt(ab) * mu) * (1.0 / np.sqrt(max(1.0 - ab, 1e-12)))
+
+    @property
+    def chain(self):
+        """`param_chain` for this class's own clean estimate, which it
+        unrolls; None for a subclass that replaces the clean estimate, so
+        the samplers step through that one."""
+        own = type(self).clean_estimate is AnalyticPrior.clean_estimate
+        return self.param_chain if own else None
+
+    def param_chain(self, schedule: DiffusionSchedule, x, label, kept=None):
+        """`diffusion.sample_chain` of this prior, run in parameter space
+        and recorded as one tape node.
+
+        The clean estimate reads the state through its 8 functionals per
+        person (`scripts.functionals`), which are linear. Each step maps
+        the functionals to the script's assembly inputs and steps the free
+        functionals, those outside the kept block, by the DDIM rule, the
+        block adding its reference's as constants. The output is affine in
+        the steps' clean estimates, and those are affine in their assembly
+        inputs, so it is one assembly, at the inputs' weighted mean:
+        A x_T + W (S - mean) / std off the kept block, the clean reference
+        on it. The backward is that assembly's vjp, then per step, in
+        reverse, the inputs' vjp and the functionals' recursion.
+        """
+        x, spec, stats = ad.as_var(x), label.spec, self.stats
+        P, N = x.shape[:2]
+        ch = functional_channels(self.skeleton)
+        sd, mu = stats.std[ch], stats.mean[ch]
+        # share of each functional off the kept block: the anchor is frame 0
+        free = np.ones((P, 8))
+        y = x.value[:, :, ch] * sd + mu
+        if kept is not None:
+            free[kept.rows, :2] = 0.0
+            free[kept.rows, 2:] = (N - kept.n) / N
+            y[kept.index] = 0.0
+            block = kept.channels(ch)
+        F = functionals(y)
+        f_mean = free * np.concatenate([mu[:2], N * mu[2:]])
+        steps = []                   # (alpha, beta, inputs, their vjp)
+        A, weights = 1.0, []         # output weights of x_T and of each x0_hat
+        for k, t, alpha, beta in schedule.steps():
+            Fk = F
+            if kept is not None:
+                Fk = F.copy()
+                Fk[kept.rows] += functionals(block.at(k, t, schedule) * sd + mu)
+            q, vjp = script_inputs(Fk, spec, self.skeleton, N)
+            steps.append((alpha, beta, q, vjp))
+            f_script = np.concatenate([q["root"][:, 0, [0, 2]], q["u"], q["v"]],
+                                      axis=1)
+            F = alpha * F + beta * (free * f_script) + \
+                (1.0 - alpha - beta) * f_mean
+            A, weights = A * alpha, [w * alpha for w in weights] + [beta]
+        W = sum(weights)
+        share = [w / W for w in weights]
+        q_mean = {key: sum(r * q[key] for r, (_, _, q, _) in zip(share, steps))
+                  for key in steps[0][2]}
+        out, assemble_vjp = assemble(q_mean, spec, self.skeleton)
+        out -= stats.mean
+        out *= W / stats.std
+        out += A * x.value
+        if kept is not None:
+            out[kept.index] = kept.ref
+
+        def backward(g):
+            if kept is not None:
+                g = g.copy()
+                g[kept.index] = 0.0
+            gq_mean = assemble_vjp(g * (W / stats.std))
+            gF = np.zeros((P, 8))        # adjoint of the free functionals
+            for r, (alpha, beta, q, vjp) in zip(reversed(share),
+                                                reversed(steps)):
+                gq = {key: r * v for key, v in gq_mean.items()}
+                g_script = beta * free * gF
+                gq["root"][:, 0, [0, 2]] += g_script[:, :2]
+                gq["u"] += g_script[:, 2:5]
+                gq["v"] += g_script[:, 5:]
+                gF = alpha * gF + vjp(gq)
+            gy = functionals_vjp(gF, N) * sd
+            if kept is not None:
+                gy[kept.index] = 0.0
+            gx = A * g
+            gx[:, :, ch] += gy
+            return (gx,)
+
+        return ad.Var(out, (x,), backward)
 
 
 # -- tiny learned denoiser ----------------------------------------------------
@@ -133,7 +225,8 @@ class MLPPrior(EpsPrior):
 
     def forward(self, x, t: int, label):
         """eps of the stacked (2, N, D) pair `x` in numpy, and its vjp:
-        eps's adjoint to those of `x` and of each weight array (a dict).
+        eps's adjoint to those of `x` and of each weight array (a dict, or
+        None if `vjp(g, weights=False)` asks for the state's alone).
 
         Each person's frames go through the MLP alone, with the other's
         frame mean as its partner feature, so a person's eps does not depend
@@ -152,21 +245,23 @@ class MLPPrior(EpsPrior):
             eps.append(w["skip"] * x[p] + (h2 @ w["W3"] + w["b3"]))
             acts.append((h0, h1, h2))
 
-        def vjp(g):
-            grads = {k: np.zeros_like(v) for k, v in w.items()}
+        def vjp(g, weights=True):
+            grads = {k: np.zeros_like(v) for k, v in w.items()} \
+                if weights else None
             own, partner = [], []
             for p, (h0, h1, h2) in enumerate(acts):
                 ge = g[p]
                 g2 = (ge @ w["W3"].T) * (1.0 - h2 * h2)
                 g1 = (g2 @ w["W2"].T) * (1.0 - h1 * h1)
                 gh = g1 @ w["W1"].T
-                for k, v in (("W3", h2.T @ ge), ("b3", ge.sum(axis=0)),
-                             ("W2", h1.T @ g2), ("b2", g2.sum(axis=0)),
-                             ("W1", h0.T @ g1), ("b1", g1.sum(axis=0)),
-                             ("skip", np.sum(ge * x[p]))):
-                    grads[k] += v
-                grads["label_emb"][label.label_id] += \
-                    gh[:, 2 * D + self.EMB_T:].sum(axis=0)
+                if weights:
+                    for k, v in (("W3", h2.T @ ge), ("b3", ge.sum(axis=0)),
+                                 ("W2", h1.T @ g2), ("b2", g2.sum(axis=0)),
+                                 ("W1", h0.T @ g1), ("b1", g1.sum(axis=0)),
+                                 ("skip", np.sum(ge * x[p]))):
+                        grads[k] += v
+                    grads["label_emb"][label.label_id] += \
+                        gh[:, 2 * D + self.EMB_T:].sum(axis=0)
                 own.append((gh[:, :D], ge * w["skip"]))
                 partner.append(gh[:, D:2 * D].sum(axis=0) * (1.0 / N))
             # in the order the op-by-op tape summed them: person 0's own
@@ -180,7 +275,7 @@ class MLPPrior(EpsPrior):
     def predict(self, x, t: int, label):
         x = ad.as_var(x)
         eps, vjp = self.forward(x.value, t, label)
-        return ad.Var(eps, (x,), lambda g: (vjp(g)[0],))
+        return ad.Var(eps, (x,), lambda g: (vjp(g, weights=False)[0],))
 
 
 class TrainingDiverged(RuntimeError):

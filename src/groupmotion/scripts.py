@@ -21,6 +21,12 @@ a hand-written backward pass that maps their adjoint back to the raw
 state at the cost of a few reductions. `build_pair_scripts` records it as
 one tape node; the analytic prior folds it into its one clean-estimate
 node.
+
+The builder reads a state only through 8 linear functionals per person
+(`functionals`: the anchor's x and z and the six carrier sums), and the
+frames are affine in its assembly inputs (`script_inputs`: root path,
+anchor, cosine and sine of the heading, carriers; `assemble`). The
+analytic prior runs whole sampler chains in that small space.
 """
 
 from __future__ import annotations
@@ -139,24 +145,47 @@ def label_by_name(name: str) -> InteractionLabel:
 _SWAP = np.array([1, 0])
 
 
-def _extract(w: np.ndarray, skeleton: Skeleton, spec: LabelSpec):
-    """Script parameters of stacked (P, N, D) world-space states, each with
-    the leading person axis, and the vjp from their adjoints to the states'.
+def functional_channels(skeleton: Skeleton) -> np.ndarray:
+    """The channels the script reads: the root's x and z, whose frame-0
+    values are the anchor, then the root and spine velocity channels,
+    whose frame sums are the carriers."""
+    g0, vb = glo_slice(skeleton.J).start, vel_slice(skeleton.J).start
+    return np.array([g0, g0 + 2] + list(range(vb, vb + 6)))
 
-    Anchors come straight from the frame-0 root position; the soft
-    parameters come from per-channel frame sums of the root and spine
-    velocity channels, squashed through tanh to their label bounds.
+
+def functionals(w: np.ndarray, ch=np.arange(8)) -> np.ndarray:
+    """The (P, 8) functionals of (P, N, ...) values whose channels `ch`
+    (the carriers consecutive) are the functional channels, by default the
+    (P, N, 8) values of those channels alone: the frame-0 anchor x and z,
+    then the six carrier frame sums. They are linear."""
+    return np.concatenate([w[:, 0, ch[:2]],
+                           np.sum(w[:, :, ch[2]:ch[7] + 1], axis=1)], axis=1)
+
+
+def functionals_vjp(gF: np.ndarray, N: int) -> np.ndarray:
+    """The (P, N, 8) adjoint of the functional channels from the (P, 8)
+    functionals' adjoint."""
+    gy = np.zeros((gF.shape[0], N, 8))
+    gy[:, 0, :2] = gF[:, :2]
+    gy[:, :, 2:] = gF[:, None, 2:]
+    return gy
+
+
+def _params(F: np.ndarray, spec: LabelSpec):
+    """Script parameters of (P, 8) functionals, and the vjp from their
+    adjoints to the functionals'.
+
+    The anchor is the frame-0 root position; the soft parameters are the
+    carrier sums squashed through tanh to their label bounds.
     """
-    P, vb, g0 = w.shape[0], vel_slice(skeleton.J).start, glo_slice(skeleton.J).start
+    P = F.shape[0]
     # anchor height is pinned: the family lives on the ground plane, so a
     # noisy y at frame 0 must decay instead of passing through as a fixed
     # point of the denoiser
-    anchor = np.stack([w[:, 0, g0], np.full(P, ROOT_HEIGHT), w[:, 0, g0 + 2]],
-                      axis=1)
+    anchor = np.stack([F[:, 0], np.full(P, ROOT_HEIGHT), F[:, 1]], axis=1)
     # raw carrier sums of the root and spine velocity channels, re-encoded
     # by the builder so extraction is exact on scripted motion
-    u = np.sum(w[:, :, vb:vb + 3], axis=1)
-    v = np.sum(w[:, :, vb + 3:vb + 6], axis=1)
+    u, v = F[:, 2:5], F[:, 5:8]
     tx, tz = np.tanh(spec.drift_gain * u[:, 0]), np.tanh(spec.drift_gain * u[:, 2])
     ts, tp = np.tanh(u[:, 1]), np.tanh(v[:, 0])
     p = {"anchor": anchor, "u": u, "v": v,
@@ -170,9 +199,21 @@ def _extract(w: np.ndarray, skeleton: Skeleton, spec: LabelSpec):
         gu[:, 2] += g["drift"][:, 2] * gain * (1.0 - tz * tz)
         gu[:, 1] += g["speed"] * p["speed"] * spec.speed_log_max * (1.0 - ts * ts)
         gv[:, 0] += g["psi"] * HEADING_MAX * (1.0 - tp * tp)
+        return np.concatenate([g["anchor"][:, [0, 2]], gu, gv], axis=1)
+
+    return p, vjp
+
+
+def _extract(w: np.ndarray, skeleton: Skeleton, spec: LabelSpec):
+    """Script parameters of stacked (P, N, D) world-space states, each with
+    the leading person axis, and the vjp from their adjoints to the states'.
+    The parameters read the states through their functionals only."""
+    ch = functional_channels(skeleton)
+    p, params_vjp = _params(functionals(w, ch), spec)
+
+    def vjp(g):
         gw = np.zeros(w.shape)
-        gw[:, 0, [g0, g0 + 2]] = g["anchor"][:, [0, 2]]
-        gw[:, :, vb:vb + 6] = np.concatenate([gu, gv], axis=1)[:, None, :]
+        gw[:, :, ch] = functionals_vjp(params_vjp(g), w.shape[1])
         return gw
 
     return p, vjp
@@ -383,20 +424,47 @@ _ROOT_CURVES = {"approach": _approach_root, "circle": _circle_root,
 # -- full pose assembly --------------------------------------------------------
 
 
-def _assemble(p, root, heading, skeleton: Skeleton, k: dict):
-    """Both persons' (P, N, D) frames from the root path and the heading,
-    and the vjp from their adjoint to the root's, the heading's and the
-    anchors' and carriers' ones. Contacts and the constant rotations get
-    no adjoint."""
-    J, (P, N), planted = skeleton.J, root.shape[:2], k["planted"]
-    vb, rb, fb = (vel_slice(J).start, rot_slice(J).start, foot_slice(J).start)
+def _inputs(p, spec: LabelSpec, k: dict):
+    """The assembly inputs of params `p`: the kind's root curve plus the
+    horizontal drift, eased in so frame 0 stays anchored, as the (P, N, 3)
+    `root` path; the `anchor`; the cosine `c` and sine `s` of the heading;
+    the carriers `u` and `v`. Returns them and the vjp from their adjoints
+    to the params'."""
+    if spec.kind not in _ROOT_CURVES:
+        raise ValueError(f"unknown script kind {spec.kind!r}")
+    base, heading, curve_vjp = _ROOT_CURVES[spec.kind](p, spec, k)
     c, s = np.cos(heading), np.sin(heading)
+    q = {"root": base + k["ease"][:, None] * p["drift"][:, None, :],
+         "anchor": p["anchor"], "c": c, "s": s, "u": p["u"], "v": p["v"]}
+
+    def vjp(gq):
+        P = c.shape[0]
+        g = {"anchor": gq["anchor"], "u": gq["u"], "v": gq["v"],
+             "drift": np.tensordot(k["ease"], gq["root"], axes=(0, 1)),
+             "speed": np.zeros(P), "psi": np.zeros(P)}
+        curve_vjp(gq["root"], c * gq["s"] - s * gq["c"], g)
+        return g
+
+    return q, vjp
+
+
+def _assemble(q, skeleton: Skeleton, k: dict):
+    """Both persons' (P, N, D) frames from the assembly inputs `q`, and the
+    vjp from their adjoint to the inputs' (a dict with the keys of q).
+    Contacts and the constant rotations get no adjoint.
+
+    The frames are affine in q, so the assembly of a weighted mean of
+    inputs, with weights summing to 1, is the weighted mean of their
+    assemblies."""
+    J, root, c, s = skeleton.J, q["root"], q["c"], q["s"]
+    (P, N), planted = root.shape[:2], k["planted"]
+    vb, rb, fb = (vel_slice(J).start, rot_slice(J).start, foot_slice(J).start)
     cb, sb = c[:, None, None], s[:, None, None]
     ox, oy, oz = k["ox"], k["oy"], k["oz"]
     # each non-root joint sits at its base, the root or for planted feet
     # the anchor, plus its offset rotated about +y by the heading:
     # forward = (c, 0, s), left = (s, 0, -c)
-    base = np.where(planted[:, None], p["anchor"][:, None, None, :],
+    base = np.where(planted[:, None], q["anchor"][:, None, None, :],
                     root[:, :, None, :])
     joints = base + np.stack([ox * sb + oz * cb, np.broadcast_to(oy, (P,) + oy.shape),
                               ox * (-1.0 * cb) + oz * sb], axis=-1)
@@ -405,8 +473,8 @@ def _assemble(p, root, heading, skeleton: Skeleton, k: dict):
     out[:, :, 3:vb] = joints.reshape(P, N, 3 * (J - 1))
     # velocities: carrier channels for root and spine, finite differences
     # for the remaining joints
-    out[:, :, vb:vb + 3] = (p["u"] * (1.0 / N))[:, None, :]
-    out[:, :, vb + 3:vb + 6] = (p["v"] * (1.0 / N))[:, None, :]
+    out[:, :, vb:vb + 3] = (q["u"] * (1.0 / N))[:, None, :]
+    out[:, :, vb + 3:vb + 6] = (q["v"] * (1.0 / N))[:, None, :]
     out[:, 0, vb + 6:rb] = 0.0
     out[:, 1:, vb + 6:rb] = out[:, 1:, 6:vb] - out[:, :-1, 6:vb]
     # root rotation (s, 0, -c, 0, 1, 0), identity for the other joints
@@ -423,37 +491,38 @@ def _assemble(p, root, heading, skeleton: Skeleton, k: dict):
         Gj = Gg[:, :, 3:].reshape(P, N, J - 1, 3)
         Gx, Gz = Gj[..., 0], Gj[..., 2]
         Grot = np.sum(G[:, :, rb:rb + 3], axis=1)
-        g_s = np.sum(Gx * ox + Gz * oz, axis=(1, 2)) + Grot[:, 0]
-        g_c = np.sum(Gx * oz - Gz * ox, axis=(1, 2)) - Grot[:, 2]
         gcarrier = np.sum(G[:, :, vb:vb + 6], axis=1) * (1.0 / N)
-        g = {"anchor": np.sum(Gj[:, :, planted], axis=(1, 2)),
-             "u": gcarrier[:, :3], "v": gcarrier[:, 3:],
-             "drift": np.zeros((P, 3)), "speed": np.zeros(P), "psi": np.zeros(P)}
-        g_root = Gg[:, :, :3] + np.sum(Gj[:, :, ~planted], axis=2)
-        return g_root, c * g_s - s * g_c, g
+        return {"root": Gg[:, :, :3] + np.sum(Gj[:, :, ~planted], axis=2),
+                "anchor": np.sum(Gj[:, :, planted], axis=(1, 2)),
+                "c": np.sum(Gx * oz - Gz * ox, axis=(1, 2)) - Grot[:, 2],
+                "s": np.sum(Gx * ox + Gz * oz, axis=(1, 2)) + Grot[:, 0],
+                "u": gcarrier[:, :3], "v": gcarrier[:, 3:]}
 
     return out, vjp
 
 
 def _script(p, spec: LabelSpec, skeleton: Skeleton, N: int):
-    """The (P, N, D) scripted frames of params `p`: the kind's root curve
-    plus the horizontal drift, eased in so frame 0 stays anchored, dressed
-    in the pose. Returns them and the vjp from their adjoint to the
-    params'."""
-    if spec.kind not in _ROOT_CURVES:
-        raise ValueError(f"unknown script kind {spec.kind!r}")
+    """The (P, N, D) scripted frames of params `p`, and the vjp from their
+    adjoint to the params'."""
     k = _constants(spec, skeleton, N)
-    base, heading, curve_vjp = _ROOT_CURVES[spec.kind](p, spec, k)
-    root = base + k["ease"][:, None] * p["drift"][:, None, :]
-    out, assemble_vjp = _assemble(p, root, heading, skeleton, k)
+    q, inputs_vjp = _inputs(p, spec, k)
+    out, assemble_vjp = _assemble(q, skeleton, k)
+    return out, lambda G: inputs_vjp(assemble_vjp(G))
 
-    def vjp(G):
-        g_root, g_heading, g = assemble_vjp(G)
-        g["drift"] += np.tensordot(k["ease"], g_root, axes=(0, 1))
-        curve_vjp(g_root, g_heading, g)
-        return g
 
-    return out, vjp
+def script_inputs(F: np.ndarray, spec: LabelSpec, skeleton: Skeleton,
+                  N: int):
+    """The assembly inputs of the N-frame script of (P, 8) functionals `F`
+    (see `functionals`), and the vjp from their adjoints to F's."""
+    p, params_vjp = _params(F, spec)
+    q, inputs_vjp = _inputs(p, spec, _constants(spec, skeleton, N))
+    return q, lambda gq: params_vjp(inputs_vjp(gq))
+
+
+def assemble(q, spec: LabelSpec, skeleton: Skeleton):
+    """The (P, N, D) frames of assembly inputs `q` and their vjp; `q` may
+    be a weighted mean of `script_inputs` with weights summing to 1."""
+    return _assemble(q, skeleton, _constants(spec, skeleton, q["root"].shape[1]))
 
 
 def pair_scripts(w: np.ndarray, spec: LabelSpec, skeleton: Skeleton):

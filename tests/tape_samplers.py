@@ -8,6 +8,10 @@ Every stage here is written in `autodiff` ops, one tape node per op, with
 constant operands as constant leaves, so the one-node stages of the
 package can be checked against it for bit-identical values and gradients.
 The script builder is the package's own (its oracle is `tape_scripts`).
+`StepAnalyticPrior` is the package's analytic prior without its
+parameter-space chain, so the package's samplers step through its
+one-node stages; it is the reference the parameter-space chain is checked
+against.
 
 The samplers take the step rule as `step`: `x0_step`, the package's
 clean-estimate form alpha * x + beta * x0_hat, or `eps_step`, the eps
@@ -43,6 +47,12 @@ def denormalize(frames, stats):
 def forward_noise(x0, t, noise, schedule):
     ab = schedule.alpha_bar(t)
     return np.sqrt(ab) * ad.as_var(x0) + np.sqrt(1.0 - ab) * ad.as_var(noise)
+
+
+class StepAnalyticPrior(AnalyticPrior):
+    """The package's analytic prior without its parameter-space chain, so
+    the samplers step through its one-node clean estimate."""
+    chain = None
 
 
 class TapeAnalyticPrior(AnalyticPrior):

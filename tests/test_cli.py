@@ -286,6 +286,17 @@ def test_compose_rejects_unknown_config_keys(tmp_path, capsys, section, key,
     assert key in err
 
 
+@pytest.mark.parametrize("steps", [0, 51], ids=["zero", "above-t-train"])
+def test_compose_ddim_steps_checked(tmp_path, capsys, steps):
+    """ddim_steps must be in [1, t_train]: a sampler of no step would
+    return its noise."""
+    payload = json.loads(open(compose_config(tmp_path)).read())
+    payload["schedule"]["ddim_steps"] = steps
+    cfg = write_config(tmp_path, "steps.json", payload)
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "compose", cfg)
+    assert "ddim_steps" in err
+
+
 @pytest.mark.parametrize("joints", [[9], [-1], [], [0.5], "spine", [2, 2]],
                          ids=["beyond-skeleton", "negative", "empty", "float",
                               "string", "repeated"])

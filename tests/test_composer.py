@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from groupmotion import autodiff as ad
+from groupmotion import composer
 from groupmotion.composer import (Composer, CompositionResult,
                                   ExtensionSegment, OptimizationDiverged,
                                   OptimizerConfig, SceneSpec, SceneStep,
                                   optimize_noise)
-from groupmotion.diffusion import ddim_sample, masked_sample
+from groupmotion.diffusion import (FrameMask, ddim_sample, inpaint_extend,
+                                   masked_sample)
 from groupmotion.motion import denormalize, normalize
-from groupmotion.penalties import LossBreakdown, PenaltyConfig, root_penalty
+from groupmotion.penalties import (LossBreakdown, PenaltyConfig, aggregate,
+                                   root_penalty)
+from groupmotion.priors import MLPPrior
 from groupmotion.scripts import label_by_name
 
 import tape_ops as to
@@ -162,6 +166,80 @@ def test_first_pair_refinement_runs_when_violated(analytic_prior,
     # joint optimization: the reported best loss is the loss of the
     # regenerated pair, not a surrogate
     assert recs[0].best_loss == min(recs[0].losses)
+
+
+SAMPLES = {
+    "ddim": lambda comp, lab, kept, ref: lambda var: ddim_sample(
+        comp.prior, comp.schedule, var, lab),
+    "masked": lambda comp, lab, kept, ref: lambda var: (masked_sample(
+        comp.prior, comp.schedule, var[0], ref, lab, 4),),
+    "inpaint": lambda comp, lab, kept, ref: lambda var: inpaint_extend(
+        comp.prior, comp.schedule, var, kept, FrameMask(12, 4), lab, 5),
+}
+
+
+@pytest.mark.parametrize("mlp", [False, True], ids=["analytic", "mlp"])
+@pytest.mark.parametrize("name", SAMPLES)
+def test_kept_values_equal_fresh_sample_from_best_noise(
+        name, mlp, analytic_prior, small_schedule, stats, skeleton,
+        monkeypatch):
+    """The output values kept from the best evaluation, here the third of
+    seven, equal, bit for bit, a fresh sample from the best noise with no
+    gradient."""
+    prior = MLPPrior(small_schedule, skeleton.D, 7, hidden=8) if mlp \
+        else analytic_prior
+    comp = Composer(prior, small_schedule, stats, skeleton,
+                    OptimizerConfig(lr=0.05, max_steps=6,
+                                    early_stop_loss=1e-12))
+    rng = np.random.default_rng(47)
+    kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
+    ref = rng.standard_normal((12, skeleton.D)) * 0.3
+    xT = rng.standard_normal((2, 12, skeleton.D))
+    sample = SAMPLES[name](comp, label_by_name("close-approach"), kept, ref)
+    persons = (1, 2)[:len(sample(ad.constant(xT)))]
+    pens = [PenaltyConfig("region", 1.0, (p,),
+                          params={"lower": [-0.2, -1.0, -0.2],
+                                  "upper": [0.2, 3.0, 0.2]})
+            for p in persons]
+    # the third evaluation's loss scaled down, so that it is the best
+    scales = iter([1.0, 1.0, 1e-3] + [1.0] * 4)
+    found = []
+
+    def scaled(*args):
+        loss, breakdown = aggregate(*args)
+        return loss * next(scales), breakdown
+
+    def recording(*args):
+        found.append(optimize_noise(*args))
+        return found[-1]
+
+    monkeypatch.setattr(composer, "aggregate", scaled)
+    monkeypatch.setattr(composer, "optimize_noise", recording)
+    values, rec = comp._optimize_and_sample(sample, persons, pens, xT)
+    (best_x, _), = found
+    assert int(np.argmin(rec.losses)) == 2 and rec.evaluations == 7
+    fresh = sample(ad.constant(best_x))
+    assert len(values) == len(fresh)
+    for got, want in zip(values, fresh):
+        assert np.array_equal(got, want.value)
+
+
+def test_early_stop_at_first_evaluation_samples_once(
+        analytic_prior, small_schedule, stats, skeleton, monkeypatch):
+    """A compose that stops at its first evaluation runs the sampler once:
+    the kept values are that evaluation's, with no second sample."""
+    comp = make_composer(analytic_prior, small_schedule, stats, skeleton,
+                         early_stop_loss=1e9)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ddim_sample(*args)
+
+    monkeypatch.setattr(composer, "ddim_sample", counting)
+    pen = PenaltyConfig("overlap", 1.0, (1, 2), params={"delta": 0.3})
+    res = comp.compose(pair_spec(penalties=[pen], label="close-approach"))
+    assert res.records[0].evaluations == 1 and len(calls) == 1
 
 
 # -- scene validation ------------------------------------------------------------------

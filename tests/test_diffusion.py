@@ -8,6 +8,7 @@ from groupmotion import diffusion
 from groupmotion.diffusion import (DiffusionSchedule, FrameMask, ddim_sample,
                                    forward_noise, inpaint_extend,
                                    masked_sample)
+from groupmotion.motion import NormalizationStats
 from groupmotion.priors import AnalyticPrior
 from groupmotion.scripts import label_by_name
 
@@ -41,6 +42,8 @@ def test_taus_cover_endpoints():
 def test_schedule_validation():
     with pytest.raises(ValueError, match="ddim_steps"):
         DiffusionSchedule(t_train=10, ddim_steps=11)
+    with pytest.raises(ValueError, match="ddim_steps"):
+        DiffusionSchedule(t_train=10, ddim_steps=0)
     with pytest.raises(TypeError, match="eta"):
         DiffusionSchedule(eta=0.5)
     with pytest.raises(TypeError, match="kind"):
@@ -178,16 +181,19 @@ def test_masked_gradient_matches_fd(stats, skeleton):
 
 @pytest.mark.parametrize("mode", ["noised", "literal"])
 def test_inpaint_kept_frames_preserved(mode, analytic_prior, small_schedule,
-                                       skeleton):
+                                       stats, skeleton):
+    """The kept frames equal the reference exactly, in the parameter-space
+    chain and stepped."""
     kept = [noise((5, skeleton.D), s) * 0.2 for s in (20, 21)]
     mask = FrameMask(12, 5)
-    o1, o2 = inpaint_extend(
-        analytic_prior, small_schedule,
-        (noise((12, skeleton.D), 22), noise((12, skeleton.D), 23)),
-        kept, mask, label_by_name("approach"), noise_seed=4, mode=mode)
-    tol = 0.0 if mode == "literal" else 1e-9
-    assert np.abs(o1.value[:5] - kept[0]).max() <= tol
-    assert np.abs(o2.value[:5] - kept[1]).max() <= tol
+    for prior in (analytic_prior,
+                  tape.StepAnalyticPrior(small_schedule, stats, skeleton)):
+        o1, o2 = inpaint_extend(
+            prior, small_schedule,
+            (noise((12, skeleton.D), 22), noise((12, skeleton.D), 23)),
+            kept, mask, label_by_name("approach"), noise_seed=4, mode=mode)
+        assert np.array_equal(o1.value[:5], kept[0])
+        assert np.array_equal(o2.value[:5], kept[1])
 
 
 def test_inpaint_rejects_full_mask(analytic_prior, small_schedule, skeleton):
@@ -310,18 +316,20 @@ ORACLE_SAMPLERS = {
 ORACLE_LABELS = ["approach", "follow", "circle-together", "animated-talk"]
 
 
-def sampler_results(name, label, N, schedule, stats, skeleton, step):
+def sampler_results(name, label, N, schedule, stats, skeleton, step,
+                    prior_cls=tape.StepAnalyticPrior, want_cls=None):
     """Outputs of sampler `name` and the gradient of one loss of them, as a
-    list for the package and one for its tape form stepping by `step`."""
+    list for the package with `prior_cls` and one for its tape form
+    stepping by `step`, or for the package with `want_cls` if given."""
     rng = np.random.default_rng(N)
     xT = rng.standard_normal((2, N, skeleton.D))
     kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
     ref = rng.standard_normal((N, skeleton.D)) * 0.3
     weights = rng.standard_normal((N, skeleton.D))
+    want = (tape, tape.TapeAnalyticPrior, {"step": step}) if want_cls is None \
+        else (diffusion, want_cls, {})
     results = []
-    for module, prior_cls, kw in ((diffusion, AnalyticPrior, {}),
-                                  (tape, tape.TapeAnalyticPrior,
-                                   {"step": step})):
+    for module, prior_cls, kw in ((diffusion, prior_cls, {}), want):
         v = ad.Var(xT)
         outs = ORACLE_SAMPLERS[name](module, prior_cls(schedule, stats,
                                                        skeleton),
@@ -340,8 +348,9 @@ def sampler_results(name, label, N, schedule, stats, skeleton, step):
 @pytest.mark.parametrize("name", ORACLE_SAMPLERS)
 def test_sampler_matches_tape_oracle(name, label, N, small_schedule, stats,
                                      skeleton):
-    """Outputs and gradients of the fused samplers are bit-identical to the
-    op-by-op tape forms of the clean-estimate step."""
+    """Outputs and gradients of the samplers stepping through the one-node
+    analytic clean estimate are bit-identical to the op-by-op tape forms of
+    the clean-estimate step."""
     got, want = sampler_results(name, label, N, small_schedule, stats,
                                 skeleton, tape.x0_step)
     for a, b in zip(got, want):
@@ -362,12 +371,104 @@ def test_sampler_near_eps_form(name, label, N, small_schedule, stats,
         assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
 
 
-def test_ddim_step_records_two_nodes(stats, skeleton, monkeypatch):
-    """One step with the analytic prior is two Vars: the clean estimate and
-    the DDIM step."""
-    schedule = DiffusionSchedule(t_train=50, ddim_steps=1)
+# one label per script kind
+KIND_LABELS = ["approach", "circle-together", "animated-talk", "pose-pair",
+               "follow"]
+
+
+@pytest.mark.parametrize("N", [12, 32, 240])
+@pytest.mark.parametrize("label", KIND_LABELS)
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+def test_param_chain_near_step_chain(name, label, N, small_schedule, stats,
+                                     skeleton):
+    """The analytic prior's parameter-space chain moves the outputs and
+    gradients of the step-by-step chain by rounding only: within 1e-11 of
+    each array's largest magnitude."""
+    got, want = sampler_results(name, label, N, small_schedule, stats,
+                                skeleton, None, prior_cls=AnalyticPrior,
+                                want_cls=tape.StepAnalyticPrior)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("label", KIND_LABELS)
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+def test_param_chain_near_step_chain_data_stats(name, label, small_schedule,
+                                                skeleton):
+    """As above under statistics with nonzero means, the corpus kind,
+    which the chain's functionals carry as constants."""
+    rng = np.random.default_rng(48)
+    data = NormalizationStats(rng.standard_normal(skeleton.D) * 0.5,
+                              0.5 + rng.random(skeleton.D))
+    got, want = sampler_results(name, label, 32, small_schedule, data,
+                                skeleton, None, prior_cls=AnalyticPrior,
+                                want_cls=tape.StepAnalyticPrior)
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
+
+
+def test_chain_dispatch(small_schedule, stats, skeleton):
+    """Only the analytic prior's own clean estimate runs in parameter space:
+    a subclass that replaces it, such as the tape oracle, is stepped."""
+    assert AnalyticPrior(small_schedule, stats, skeleton).chain is not None
+    for cls in (tape.StepAnalyticPrior, tape.TapeAnalyticPrior):
+        assert cls(small_schedule, stats, skeleton).chain is None
+    assert getattr(ZeroPrior(small_schedule), "chain", None) is None
+
+
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+def test_param_chain_forward_ignores_grad(name, analytic_prior,
+                                          small_schedule, stats, skeleton):
+    """The chain's outputs are the same bits whether x_T is a leaf that
+    needs a gradient or a constant."""
+    rng = np.random.default_rng(44)
+    xT = rng.standard_normal((2, 12, skeleton.D))
+    kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
+    ref = rng.standard_normal((12, skeleton.D)) * 0.3
+    lab = label_by_name("follow")
+    outs = [ORACLE_SAMPLERS[name](diffusion, analytic_prior, small_schedule,
+                                  v, kept, ref, lab)
+            for v in (ad.Var(xT), ad.constant(xT))]
+    for a, b in zip(*outs):
+        assert np.array_equal(a.value, b.value)
+    assert outs[0][0].requires_grad and not outs[1][0].requires_grad
+
+
+# away from the hinge kinks of the approach walk and of the region term
+FD_LABELS = {"approach": 2.0, "circle-together": 2.0, "animated-talk": 1.0,
+             "pose-pair": 1.0, "follow": 2.0}
+
+
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+@pytest.mark.parametrize("label", KIND_LABELS)
+def test_param_chain_gradient_matches_fd(name, label, stats, skeleton):
+    """The parameter-space chain's gradient against central differences,
+    for each script kind, with anchors a smooth distance apart."""
+    schedule = DiffusionSchedule(t_train=50, ddim_steps=5)
     prior = AnalyticPrior(schedule, stats, skeleton)
-    x = ad.Var(noise((2, 12, skeleton.D), 40))
+    rng = np.random.default_rng(45)
+    N = 10
+    xT = rng.standard_normal((2, N, skeleton.D)) * 0.5
+    # frame-0 roots FD_LABELS[label] meters apart in world space
+    xT[1, 0, [0, 2]] = xT[0, 0, [0, 2]] + FD_LABELS[label] / stats.std[[0, 2]]
+    kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
+    ref = rng.standard_normal((N, skeleton.D)) * 0.3
+    w = ad.constant(rng.standard_normal((N, skeleton.D)))
+    lab = label_by_name(label)
+
+    def loss(v):
+        outs = ORACLE_SAMPLERS[name](diffusion, prior, schedule, v, kept,
+                                     ref, lab)
+        total = to.sum_(to.tanh(outs[0] * 0.1) * w)
+        for o in outs[1:]:
+            total = total + to.sum_(to.tanh(o * 0.1) * w)
+        return total
+
+    check_gradient(loss, xT, n_coords=12, rtol=1e-5)
+
+
+def created_vars(monkeypatch, fn):
+    """fn()'s result and the Vars it created, in order."""
     created = []
     init = ad.Var.__init__
 
@@ -376,13 +477,50 @@ def test_ddim_step_records_two_nodes(stats, skeleton, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ad.Var, "__init__", counting_init)
-    o1, o2 = ddim_sample(prior, schedule, x, label_by_name("follow"))
-    monkeypatch.undo()
-    # the step's two nodes, then the two rows of the result
-    x0, step = created[:2]
-    assert len(created) == 4 and created[2:] == [o1, o2]
-    assert x0.parents == (x,) and step.parents == (x, x0)
+    try:
+        return fn(), created
+    finally:
+        monkeypatch.undo()
+
+
+def test_ddim_step_records_two_nodes(stats, skeleton, monkeypatch):
+    """One step with an eps prior, stepped by the sampler, is two tape
+    nodes: the clean estimate and the DDIM step (the zero prior's eps is a
+    constant leaf)."""
+    schedule = DiffusionSchedule(t_train=50, ddim_steps=1)
+    prior = ZeroPrior(schedule)
+    x = ad.Var(noise((2, 12, skeleton.D), 40))
+    (o1, o2), created = created_vars(monkeypatch, lambda: ddim_sample(
+        prior, schedule, x, label_by_name("follow")))
+    # the eps leaf and the step's two nodes, then the two rows of the result
+    eps, x0, step = created[:3]
+    assert len(created) == 5 and created[3:] == [o1, o2]
+    assert not eps.requires_grad
+    assert x0.parents == (x, eps) and step.parents == (x, x0)
     assert o1.parents == (step,)
+
+
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+def test_analytic_sample_nodes_independent_of_steps(name, stats, skeleton,
+                                                    monkeypatch):
+    """One analytic sample records the same tape nodes whatever the number
+    of DDIM steps: the chain is one node over x_T."""
+    rng = np.random.default_rng(46)
+    xT = rng.standard_normal((2, 12, skeleton.D))
+    kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
+    ref = rng.standard_normal((12, skeleton.D)) * 0.3
+    counts = []
+    for steps in (1, 5, 20):
+        schedule = DiffusionSchedule(t_train=50, ddim_steps=steps)
+        prior = AnalyticPrior(schedule, stats, skeleton)
+        v = ad.Var(xT)
+        _, created = created_vars(monkeypatch, lambda: ORACLE_SAMPLERS[
+            name](diffusion, prior, schedule, v, kept, ref,
+                  label_by_name("circle-together")))
+        counts.append(len(created))
+    # the chain node and the rows taken from it; masked adds the target's
+    # row of v and its embedding as row 0 of the pair
+    assert counts == [3 if name != "masked" else 4] * 3
 
 
 def test_forward_noise_arrays_or_vars(small_schedule):

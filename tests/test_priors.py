@@ -224,6 +224,17 @@ def test_mlp_forward_and_vjp_match_tape_oracle(small_schedule, skeleton, N,
                 assert np.array_equal(out[0][1], out[1][1])
 
 
+def test_mlp_state_only_vjp_matches_full(small_schedule, skeleton):
+    """`vjp(g, weights=False)` gives the full vjp's state adjoint bit for
+    bit and no weight adjoints."""
+    prior = _perturbed_mlp(small_schedule, skeleton.D, 16, 9)
+    rng = np.random.default_rng(9)
+    x, g = rng.standard_normal((2, 2, 11, skeleton.D))
+    _, vjp = prior.forward(x, 30, label_by_name("pose-pair"))
+    gx, grads = vjp(g, weights=False)
+    assert grads is None and np.array_equal(gx, vjp(g)[0])
+
+
 def test_mlp_node_gradient_matches_fd(small_schedule, skeleton):
     """The hand-written vjp against central differences: to x through the
     one-node eps and clean estimate, and to W1, b2 and skip."""
@@ -253,11 +264,11 @@ def test_mlp_node_gradient_matches_fd(small_schedule, skeleton):
 
 
 def test_mlp_evaluation_adds_one_node_per_step(small_schedule, skeleton,
-                                              stats, analytic_prior,
-                                              monkeypatch):
+                                              stats, monkeypatch):
     """A penalised evaluation with the MLP prior records at most one tape
-    node per DDIM step more than with the analytic prior: the eps node
-    under each one-node clean estimate."""
+    node per DDIM step more than with the analytic prior stepped through
+    its one-node clean estimate: the eps node under each one-node clean
+    estimate."""
     from groupmotion.diffusion import ddim_sample
     from groupmotion.motion import denormalize
     from groupmotion.penalties import PenaltyConfig, aggregate
@@ -272,7 +283,7 @@ def test_mlp_evaluation_adds_one_node_per_step(small_schedule, skeleton,
 
     monkeypatch.setattr(ad.Var, "__init__", counting)
     nodes = []
-    for prior in (analytic_prior,
+    for prior in (tape.StepAnalyticPrior(small_schedule, stats, skeleton),
                   MLPPrior(small_schedule, skeleton.D, 6, hidden=8)):
         count[0] = 0
         v = ad.Var(x)

@@ -2,9 +2,10 @@
 
 Pipeline, per scene:
 
-1. first pair: optimize both persons' initial noise jointly, as one
-   stacked (2, N, D) state, through the unrolled DDIM sampler against the
-   first-pair penalties, and keep the pair sampled from the best iterate;
+1. first pair: draw both persons' initial noise as one stacked (2, N, D)
+   state, optimize it jointly through the unrolled DDIM sampler against
+   the first-pair penalties, and keep the pair sampled from the best
+   iterate;
 2. each additional person: optimize its initial noise so the masked
    conditional sample (reference slot pinned) minimizes the configured
    penalties against the chosen set of already-generated persons;
@@ -12,8 +13,11 @@ Pipeline, per scene:
    (acceleration) penalty over the seam window and per-segment label
    switching.
 
-Previously generated sequences are never modified: later steps read them
-as constants.
+Each optimization steps only the noise channels the prior reads (its
+`noise_channels`: 8 of D for the analytic prior, all for any other); the
+rest keep their drawn values, as they would if optimized, since their
+gradient is exactly zero. Previously generated sequences are never
+modified: later steps read them as constants.
 """
 
 from __future__ import annotations
@@ -249,14 +253,22 @@ class Composer:
         penalties, one sample from `xT`. Returns the output values of the
         best evaluation (a sample's values do not depend on whether its
         noise needs a gradient, so they are those of a fresh sample from
-        the best noise) and the StepRecord of persons[0]."""
+        the best noise) and the StepRecord of persons[0].
+
+        Adam steps only the channels of `xT` that the prior reads (its
+        `noise_channels`, or all): the others would get a gradient of
+        exactly zero and so keep their values. Each evaluation puts the
+        stepped channels back into the whole noise, one tape node."""
         if not pens:
             return ([out.value for out in sample(ad.constant(xT))],
                     StepRecord(person=persons[0]))
+        ch = getattr(self.prior, "noise_channels", slice(None))
         best = {}
 
         def objective(var):
-            outs = sample(var)
+            x = xT.copy()
+            x[..., ch] = var.value
+            outs = sample(ad.Var(x, (var,), lambda g: (g[..., ch],)))
             world = dict(fixed or {})
             for pid, out in zip(persons, outs):
                 world[pid] = self._world(out)
@@ -268,7 +280,7 @@ class Composer:
                             values=[out.value for out in outs])
             return loss, breakdown
 
-        _, rec = optimize_noise(objective, xT, self.opt)
+        _, rec = optimize_noise(objective, xT[..., ch], self.opt)
         rec.person = persons[0]
         return best["values"], rec
 

@@ -58,7 +58,9 @@ class DiffusionSchedule:
     def steps(self):
         """(k, t, alpha, beta) of each DDIM step k, in sampling order (t
         descending): the step is x_prev = alpha x + beta x0_hat, the eta = 0
-        update written from the clean estimate (Song et al. 2021, eq. 12)."""
+        update written from the clean estimate (Song et al. 2021, eq. 12).
+        The last step lands on t = 0, where alpha_bar is exactly 1, so its
+        alpha is exactly 0: a sample keeps no share of x_T itself."""
         taus = self.taus
         for k in range(len(taus) - 1, 0, -1):
             t = int(taus[k])

@@ -12,7 +12,10 @@ must be deterministic. Two concrete priors ship:
   state through 8 linear functionals per person and is affine in the
   script's assembly inputs, so it also runs the samplers' whole chain in
   that parameter space (`chain`): one tape node per sample, whatever the
-  number of DDIM steps, and one full-size script assembly.
+  number of DDIM steps, and one full-size script assembly. That chain
+  reads the initial noise x_T only on the functionals' channels
+  (`noise_channels`, 8 of D), so the composer optimises only those; a
+  prior without `noise_channels` reads every channel.
 * ``MLPPrior``      - a tiny learned denoiser (shared weights per person,
   cross-person feature exchange) trained on the synthetic corpus with the
   standard noise-prediction objective. Its forward is numpy with a
@@ -87,6 +90,14 @@ class AnalyticPrior:
         own = type(self).clean_estimate is AnalyticPrior.clean_estimate
         return self.param_chain if own else None
 
+    @property
+    def noise_channels(self):
+        """The channels of x_T that `chain` reads, the functionals'; every
+        channel (slice(None)) when there is no `chain`."""
+        if self.chain is None:
+            return slice(None)
+        return functional_channels(self.skeleton)
+
     def param_chain(self, schedule: DiffusionSchedule, x, label, kept=None):
         """`diffusion.sample_chain` of this prior, run in parameter space
         and recorded as one tape node.
@@ -98,9 +109,12 @@ class AnalyticPrior:
         block adding its reference's as constants. The output is affine in
         the steps' clean estimates, and those are affine in their assembly
         inputs, so it is one assembly, at the inputs' weighted mean:
-        A x_T + W (S - mean) / std off the kept block, the clean reference
-        on it. The backward is that assembly's vjp, then per step, in
-        reverse, the inputs' vjp and the functionals' recursion.
+        W (S - mean) / std off the kept block, the clean reference on it.
+        x_T's own weight, the product of the steps' alphas, is exactly 0,
+        since the last step lands on t = 0, so the output reads x_T only
+        through the functionals, on `noise_channels`. The backward is that
+        assembly's vjp, then per step, in reverse, the inputs' vjp and the
+        functionals' recursion.
         """
         x, spec, stats = ad.as_var(x), label.spec, self.stats
         P, N = x.shape[:2]
@@ -117,7 +131,7 @@ class AnalyticPrior:
         F = functionals(y)
         f_mean = free * np.concatenate([mu[:2], N * mu[2:]])
         steps = []                   # (alpha, beta, inputs, their vjp)
-        A, weights = 1.0, []         # output weights of x_T and of each x0_hat
+        weights = []                 # output weight of each step's x0_hat
         for k, t, alpha, beta in schedule.steps():
             Fk = F
             if kept is not None:
@@ -129,7 +143,7 @@ class AnalyticPrior:
                                       axis=1)
             F = alpha * F + beta * (free * f_script) + \
                 (1.0 - alpha - beta) * f_mean
-            A, weights = A * alpha, [w * alpha for w in weights] + [beta]
+            weights = [w * alpha for w in weights] + [beta]
         W = sum(weights)
         share = [w / W for w in weights]
         q_mean = {key: sum(r * q[key] for r, (_, _, q, _) in zip(share, steps))
@@ -137,7 +151,6 @@ class AnalyticPrior:
         out, assemble_vjp = assemble(q_mean, spec, self.skeleton)
         out -= stats.mean
         out *= W / stats.std
-        out += A * x.value
         if kept is not None:
             out[kept.index] = kept.ref
 
@@ -158,8 +171,8 @@ class AnalyticPrior:
             gy = functionals_vjp(gF, N) * sd
             if kept is not None:
                 gy[kept.index] = 0.0
-            gx = A * g
-            gx[:, :, ch] += gy
+            gx = np.zeros(x.shape)
+            gx[:, :, ch] = gy
             return (gx,)
 
         return ad.Var(out, (x,), backward)
@@ -251,6 +264,13 @@ class MLPPrior(EpsPrior):
             own, partner = [], []
             for p, (h0, h1, h2) in enumerate(acts):
                 ge = g[p]
+                if not weights and not ge.any():
+                    # no adjoint, as the kept row of masked_sample: its
+                    # terms to x are zero, with no matmul
+                    zero = np.zeros_like(ge)
+                    own.append((zero, zero))
+                    partner.append(zero[0])
+                    continue
                 g2 = (ge @ w["W3"].T) * (1.0 - h2 * h2)
                 g1 = (g2 @ w["W2"].T) * (1.0 - h1 * h1)
                 gh = g1 @ w["W1"].T

@@ -15,7 +15,7 @@ from groupmotion.diffusion import (FrameMask, ddim_sample, inpaint_extend,
 from groupmotion.motion import denormalize, normalize
 from groupmotion.penalties import (LossBreakdown, PenaltyConfig, aggregate,
                                    root_penalty)
-from groupmotion.priors import MLPPrior
+from groupmotion.priors import AnalyticPrior, MLPPrior
 from groupmotion.scripts import label_by_name
 
 import tape_ops as to
@@ -185,7 +185,8 @@ def test_kept_values_equal_fresh_sample_from_best_noise(
         monkeypatch):
     """The output values kept from the best evaluation, here the third of
     seven, equal, bit for bit, a fresh sample from the best noise with no
-    gradient."""
+    gradient: the best iterate of the prior's `noise_channels`, put back
+    into `xT`."""
     prior = MLPPrior(small_schedule, skeleton.D, 7, hidden=8) if mlp \
         else analytic_prior
     comp = Composer(prior, small_schedule, stats, skeleton,
@@ -218,10 +219,57 @@ def test_kept_values_equal_fresh_sample_from_best_noise(
     values, rec = comp._optimize_and_sample(sample, persons, pens, xT)
     (best_x, _), = found
     assert int(np.argmin(rec.losses)) == 2 and rec.evaluations == 7
-    fresh = sample(ad.constant(best_x))
+    best_noise = xT.copy()
+    best_noise[..., getattr(prior, "noise_channels", slice(None))] = best_x
+    fresh = sample(ad.constant(best_noise))
     assert len(values) == len(fresh)
     for got, want in zip(values, fresh):
         assert np.array_equal(got, want.value)
+
+
+@pytest.mark.parametrize("mlp", [False, True], ids=["analytic", "mlp"])
+def test_restricted_noise_compose_byte_identical(mlp, small_schedule, stats,
+                                                 skeleton, monkeypatch):
+    """Adam over the prior's `noise_channels` alone gives the bytes and
+    losses of Adam over every channel: first pair, added person, and
+    extension segments in noised and literal modes."""
+    prior = MLPPrior(small_schedule, skeleton.D, 7, hidden=8, seed=3) if mlp \
+        else AnalyticPrior(small_schedule, stats, skeleton)
+    comp = Composer(prior, small_schedule, stats, skeleton,
+                    OptimizerConfig(lr=0.03, max_steps=6))
+
+    def root(pid, x):
+        return PenaltyConfig("root", 1.0, (pid,), frames=(11,),
+                             params={"targets": [[x, 0.0, 1.0]]})
+
+    spec = SceneSpec(
+        participants=(1, 2, 3), first_label=label_by_name("close-approach"),
+        first_penalties=(root(1, 2.0),), n_frames=12, seed=4,
+        steps=(SceneStep(3, 1, label_by_name("approach"), (1, 2),
+                         (root(3, -2.0),)),),
+        extension=(
+            ExtensionSegment(14, 6, ((1, 2, label_by_name("face-and-talk")),),
+                             penalties=(root(1, 1.0),), boundary_frames=5),
+            ExtensionSegment(12, 4, ((3, 1, label_by_name("approach")),),
+                             boundary_frames=5, mode="literal")))
+    widths = []
+
+    def recording(objective, x, config):
+        widths.append(x.shape[-1])
+        return optimize_noise(objective, x, config)
+
+    monkeypatch.setattr(composer, "optimize_noise", recording)
+    runs = [comp.compose(spec)]
+    monkeypatch.setattr(type(prior), "noise_channels", slice(None),
+                        raising=False)
+    runs.append(comp.compose(spec))
+    assert widths == [skeleton.D if mlp else 8] * 4 + [skeleton.D] * 4
+    for pid in (1, 2, 3):
+        assert runs[0].sequences[pid].frames.tobytes() == \
+            runs[1].sequences[pid].frames.tobytes()
+    assert [r.losses for r in runs[0].records] == \
+        [r.losses for r in runs[1].records]
+    assert all(r.evaluations == 7 for r in runs[0].records)
 
 
 def test_early_stop_at_first_evaluation_samples_once(

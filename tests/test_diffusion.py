@@ -10,7 +10,7 @@ from groupmotion.diffusion import (DiffusionSchedule, FrameMask, ddim_sample,
                                    masked_sample)
 from groupmotion.motion import NormalizationStats
 from groupmotion.priors import AnalyticPrior
-from groupmotion.scripts import label_by_name
+from groupmotion.scripts import functional_channels, label_by_name
 
 import tape_ops as to
 import tape_samplers as tape
@@ -37,6 +37,18 @@ def test_taus_cover_endpoints():
     s = DiffusionSchedule(t_train=1000, ddim_steps=50)
     assert s.taus[0] == 0 and s.taus[-1] == 1000
     assert len(s.taus) == 51
+
+
+@pytest.mark.parametrize("t_train, ddim_steps",
+                         [(50, 1), (50, 5), (50, 50), (1000, 50)])
+def test_last_step_alpha_is_zero(t_train, ddim_steps):
+    """The last DDIM step lands on t = 0, where alpha_bar is exactly 1, so
+    its alpha is exactly 0, and with it x_T's weight in the sample, the
+    product of the steps' alphas."""
+    steps = list(DiffusionSchedule(t_train, ddim_steps).steps())
+    assert len(steps) == ddim_steps
+    assert steps[-1][2] == 0.0
+    assert np.prod([alpha for _, _, alpha, _ in steps]) == 0.0
 
 
 def test_schedule_validation():
@@ -408,12 +420,48 @@ def test_param_chain_near_step_chain_data_stats(name, label, small_schedule,
 
 
 def test_chain_dispatch(small_schedule, stats, skeleton):
-    """Only the analytic prior's own clean estimate runs in parameter space:
-    a subclass that replaces it, such as the tape oracle, is stepped."""
-    assert AnalyticPrior(small_schedule, stats, skeleton).chain is not None
+    """Only the analytic prior's own clean estimate runs in parameter space,
+    reading the functionals' noise channels: a subclass that replaces it,
+    such as the tape oracle, is stepped and reads every channel."""
+    prior = AnalyticPrior(small_schedule, stats, skeleton)
+    assert prior.chain is not None
+    assert np.array_equal(prior.noise_channels, functional_channels(skeleton))
     for cls in (tape.StepAnalyticPrior, tape.TapeAnalyticPrior):
         assert cls(small_schedule, stats, skeleton).chain is None
+        assert cls(small_schedule, stats, skeleton).noise_channels == \
+            slice(None)
     assert getattr(ZeroPrior(small_schedule), "chain", None) is None
+
+
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+def test_param_chain_reads_only_noise_channels(name, analytic_prior,
+                                               small_schedule, skeleton):
+    """The chain's gradient is exactly zero off the prior's
+    `noise_channels`, and its outputs keep their bits when x_T changes
+    there."""
+    rng = np.random.default_rng(49)
+    xT = rng.standard_normal((2, 12, skeleton.D))
+    kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
+    ref = rng.standard_normal((12, skeleton.D)) * 0.3
+    w = ad.constant(rng.standard_normal((12, skeleton.D)))
+    lab = label_by_name("approach")
+    off = np.ones(skeleton.D, dtype=bool)
+    off[analytic_prior.noise_channels] = False
+    other = xT.copy()
+    other[..., off] = rng.standard_normal((2, 12, int(off.sum())))
+    results = []
+    for x in (xT, other):
+        v = ad.Var(x)
+        outs = ORACLE_SAMPLERS[name](diffusion, analytic_prior,
+                                     small_schedule, v, kept, ref, lab)
+        loss = to.sum_(to.tanh(outs[0] * 0.1) * w)
+        for o in outs[1:]:
+            loss = loss + to.sum_(to.tanh(o * 0.1) * w)
+        (g,) = ad.grad(loss, [v])
+        assert np.all(g[..., off] == 0.0) and np.any(g[..., ~off] != 0.0)
+        results.append([o.value for o in outs] + [g])
+    for a, b in zip(*results):
+        assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("name", ORACLE_SAMPLERS)

@@ -235,6 +235,37 @@ def test_mlp_state_only_vjp_matches_full(small_schedule, skeleton):
     assert grads is None and np.array_equal(gx, vjp(g)[0])
 
 
+@pytest.mark.parametrize("row", [0, 1])
+def test_mlp_state_vjp_with_zero_row_matches_tape_oracle(small_schedule,
+                                                         skeleton, row):
+    """With one person's eps adjoint all zero, as the kept row of
+    `masked_sample` has, the state-only vjp skips that person's matmuls
+    and still gives the op-by-op tape form's adjoint bit for bit, alone
+    and through the one-node `predict`; so it does when one entry of that
+    row is not zero."""
+    prior = _perturbed_mlp(small_schedule, skeleton.D, 16, 10)
+    oracle = tape_mlp.TapeMLPPrior(small_schedule, skeleton.D,
+                                   prior.n_labels, hidden=16)
+    oracle.weights = prior.weights
+    lab = label_by_name("approach")
+    rng = np.random.default_rng(10)
+    x, g = rng.standard_normal((2, 2, 9, skeleton.D))
+    g[row] = 0.0
+    _, vjp = prior.forward(x, 30, lab)
+    for last in (0.0, 0.5):
+        g[row, -1, -1] = last
+        xv = ad.Var(x)
+        want = oracle.predict(xv, 30, lab)
+        (want_g,) = ad.grad(to.sum_(want * ad.constant(g)), [xv])
+        gx, grads = vjp(g, weights=False)
+        assert grads is None and np.array_equal(gx, want_g)
+        v = ad.Var(x)
+        (got_g,) = ad.grad(to.sum_(prior.predict(v, 30, lab) *
+                                   ad.constant(g)), [v])
+        assert np.array_equal(got_g, want_g)
+        assert np.array_equal(gx, vjp(g)[0])
+
+
 def test_mlp_node_gradient_matches_fd(small_schedule, skeleton):
     """The hand-written vjp against central differences: to x through the
     one-node eps and clean estimate, and to W1, b2 and skip."""

@@ -142,6 +142,13 @@ def _seed_list(text: str) -> list:
     return [int(p) for p in parts]
 
 
+def _jobs(text: str) -> int:
+    """`--jobs`: a number of worker processes, at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1; got {text!r}")
+    return int(text)
+
+
 # -- config -> domain objects --------------------------------------------------
 
 
@@ -347,12 +354,11 @@ def cmd_compose(args, cfg: dict) -> int:
                   f"subset {step.opt_subset}")
         return EXIT_OK
     out = _prepare_out(args.out, args.overwrite)
-    jobs = max(1, args.jobs)
     try:
-        if jobs == 1 or len(seeds) == 1:
+        if args.jobs == 1 or len(seeds) == 1:
             entries = [_compose_one(cfg, s, out) for s in seeds]
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
+            with ProcessPoolExecutor(max_workers=args.jobs) as ex:
                 entries = list(ex.map(_compose_one, [cfg] * len(seeds),
                                       seeds, [out] * len(seeds)))
     except OptimizationDiverged as e:
@@ -375,12 +381,13 @@ def _load_runs(results_dir: str, skeleton) -> list:
         manifest = json.load(f)
     runs = []
     for run in _require(manifest, "runs", manifest_path):
-        run_dir = os.path.join(results_dir, run["dir"])
+        name = _require(run, "dir", manifest_path)
         seqs = {}
-        for fname in run["files"]:
+        for fname in _require(run, "files", manifest_path):
             pid = int(fname[len("person"):-len(".motion")])
-            seqs[pid] = read_motion(os.path.join(run_dir, fname), skeleton)
-        runs.append((run["seed"], run["dir"], seqs))
+            seqs[pid] = read_motion(os.path.join(results_dir, name, fname),
+                                    skeleton)
+        runs.append((_require(run, "seed", manifest_path), name, seqs))
     return runs
 
 
@@ -510,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=_seed_list, default=[0],
                            help="seed or comma-separated list of seeds")
         if name == "compose":
-            p.add_argument("--jobs", type=int, default=1,
+            p.add_argument("--jobs", type=_jobs, default=1,
                            help="parallel workers across seeds")
     return parser
 

@@ -195,8 +195,7 @@ def masked_sample(prior, schedule: DiffusionSchedule, x_T_target, x0_ref,
     map x_T_target -> x_0_target is deterministic during optimization.
     """
     x = ad.as_var(x_T_target)
-    ref = np.asarray(x0_ref.value if isinstance(x0_ref, ad.Var) else x0_ref,
-                     dtype=np.float64)
+    ref = np.asarray(x0_ref, dtype=np.float64)
     if x.shape != ref.shape:
         raise ad.ShapeMismatchError(
             f"masked_sample: target {x.shape} vs reference {ref.shape}")

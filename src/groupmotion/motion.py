@@ -136,11 +136,6 @@ class MotionSequence:
         J = self.skeleton.J
         return self.frames[:, vel_slice(J)].reshape(self.N, J, 3)
 
-    def joint_rotations(self) -> np.ndarray:
-        """(N, J, 6) local rotations in 6D representation."""
-        J = self.skeleton.J
-        return self.frames[:, rot_slice(J)].reshape(self.N, J, 6)
-
     def foot_contacts(self) -> np.ndarray:
         J = self.skeleton.J
         return self.frames[:, foot_slice(J)]
@@ -350,6 +345,9 @@ def read_motion(path, skeleton: Skeleton) -> MotionSequence:
         # a ragged row makes numpy raise ValueError
         frames = np.array([line.split() for line in f if line.strip()],
                           dtype=np.float64)
+    for key in ("N", "J", "fps", "joint_names", "person_id"):
+        if key not in header:
+            raise ValueError(f"read_motion: header has no {key!r}")
     if frames.shape[0] != header["N"]:
         raise ValueError("read_motion: frame count disagrees with header")
     if header["J"] != skeleton.J or list(skeleton.joint_names) != header["joint_names"]:

@@ -9,13 +9,13 @@ must be deterministic. Two concrete priors ship:
 * ``AnalyticPrior`` - closed-form attractor toward the label's scripted
   motion family; every downstream acceptance run uses it because it is
   exact, fast, and fully differentiable. Its clean estimate reads the
-  state through 8 linear functionals per person and is affine in the
-  script's assembly inputs, so it also runs the samplers' whole chain in
-  that parameter space (`chain`): one tape node per sample, whatever the
-  number of DDIM steps, and one full-size script assembly. That chain
-  reads the initial noise x_T only on the functionals' channels
-  (`noise_channels`, 8 of D), so the composer optimises only those; a
-  prior without `noise_channels` reads every channel.
+  state through 8 linear functionals per person, so it also runs the
+  samplers' whole chain in that parameter space (`chain`): one tape node
+  per sample, whatever the number of DDIM steps, and one full-size script
+  assembly, the last step's. That chain reads the initial noise x_T only
+  on the functionals' channels (`noise_channels`, 8 of D), so the
+  composer optimises only those; a prior without `noise_channels` reads
+  every channel.
 * ``MLPPrior``      - a tiny learned denoiser (shared weights per person,
   cross-person feature exchange) trained on the synthetic corpus with the
   standard noise-prediction objective. Its forward is numpy with a
@@ -61,7 +61,7 @@ class AnalyticPrior:
 
     On the tape one clean estimate is one node: denormalize, the script
     builder and normalize in numpy, with a hand-written backward. A whole
-    sampler chain is one node too (`param_chain`).
+    sampler chain is one node too (`chain`).
     """
 
     def __init__(self, schedule: DiffusionSchedule, stats: NormalizationStats,
@@ -83,22 +83,11 @@ class AnalyticPrior:
         return (x - np.sqrt(ab) * mu) * (1.0 / np.sqrt(max(1.0 - ab, 1e-12)))
 
     @property
-    def chain(self):
-        """`param_chain` for this class's own clean estimate, which it
-        unrolls; None for a subclass that replaces the clean estimate, so
-        the samplers step through that one."""
-        own = type(self).clean_estimate is AnalyticPrior.clean_estimate
-        return self.param_chain if own else None
-
-    @property
     def noise_channels(self):
-        """The channels of x_T that `chain` reads, the functionals'; every
-        channel (slice(None)) when there is no `chain`."""
-        if self.chain is None:
-            return slice(None)
+        """The channels of x_T that `chain` reads, the functionals'."""
         return functional_channels(self.skeleton)
 
-    def param_chain(self, schedule: DiffusionSchedule, x, label, kept=None):
+    def chain(self, schedule: DiffusionSchedule, x, label, kept=None):
         """`diffusion.sample_chain` of this prior, run in parameter space
         and recorded as one tape node.
 
@@ -106,14 +95,12 @@ class AnalyticPrior:
         person (`scripts.functionals`), which are linear. Each step maps
         the functionals to the script's assembly inputs and steps the free
         functionals, those outside the kept block, by the DDIM rule, the
-        block adding its reference's as constants. The output is affine in
-        the steps' clean estimates, and those are affine in their assembly
-        inputs, so it is one assembly, at the inputs' weighted mean:
-        W (S - mean) / std off the kept block, the clean reference on it.
-        x_T's own weight, the product of the steps' alphas, is exactly 0,
-        since the last step lands on t = 0, so the output reads x_T only
-        through the functionals, on `noise_channels`. The backward is that
-        assembly's vjp, then per step, in reverse, the inputs' vjp and the
+        block adding its reference's as constants. The last step lands on
+        t = 0, where alpha is exactly 0 and beta exactly 1, so the output
+        is that step's clean estimate, one assembly, off the kept block and
+        the clean reference on it; it reads x_T only through the
+        functionals, on `noise_channels`. The backward is that assembly's
+        vjp, then per step, in reverse, the inputs' vjp and the
         functionals' recursion.
         """
         x, spec, stats = ad.as_var(x), label.spec, self.stats
@@ -130,27 +117,21 @@ class AnalyticPrior:
             block = kept.channels(ch)
         F = functionals(y)
         f_mean = free * np.concatenate([mu[:2], N * mu[2:]])
-        steps = []                   # (alpha, beta, inputs, their vjp)
-        weights = []                 # output weight of each step's x0_hat
+        steps = []                   # (alpha, beta, vjp of the inputs)
         for k, t, alpha, beta in schedule.steps():
             Fk = F
             if kept is not None:
                 Fk = F.copy()
                 Fk[kept.rows] += functionals(block.at(k, t, schedule) * sd + mu)
             q, vjp = script_inputs(Fk, spec, self.skeleton, N)
-            steps.append((alpha, beta, q, vjp))
+            steps.append((alpha, beta, vjp))
             f_script = np.concatenate([q["root"][:, 0, [0, 2]], q["u"], q["v"]],
                                       axis=1)
             F = alpha * F + beta * (free * f_script) + \
                 (1.0 - alpha - beta) * f_mean
-            weights = [w * alpha for w in weights] + [beta]
-        W = sum(weights)
-        share = [w / W for w in weights]
-        q_mean = {key: sum(r * q[key] for r, (_, _, q, _) in zip(share, steps))
-                  for key in steps[0][2]}
-        out, assemble_vjp = assemble(q_mean, spec, self.skeleton)
+        out, assemble_vjp = assemble(q, spec, self.skeleton)
         out -= stats.mean
-        out *= W / stats.std
+        out *= 1.0 / stats.std
         if kept is not None:
             out[kept.index] = kept.ref
 
@@ -158,16 +139,16 @@ class AnalyticPrior:
             if kept is not None:
                 g = g.copy()
                 g[kept.index] = 0.0
-            gq_mean = assemble_vjp(g * (W / stats.std))
+            gq = assemble_vjp(g * (1.0 / stats.std))
             gF = np.zeros((P, 8))        # adjoint of the free functionals
-            for r, (alpha, beta, q, vjp) in zip(reversed(share),
-                                                reversed(steps)):
-                gq = {key: r * v for key, v in gq_mean.items()}
+            for alpha, beta, vjp in reversed(steps):
                 g_script = beta * free * gF
                 gq["root"][:, 0, [0, 2]] += g_script[:, :2]
                 gq["u"] += g_script[:, 2:5]
                 gq["v"] += g_script[:, 5:]
                 gF = alpha * gF + vjp(gq)
+                # only the last step is assembled into the output
+                gq = {key: np.zeros_like(v) for key, v in q.items()}
             gy = functionals_vjp(gF, N) * sd
             if kept is not None:
                 gy[kept.index] = 0.0

@@ -22,11 +22,12 @@ state at the cost of a few reductions. `build_pair_scripts` records it as
 one tape node; the analytic prior folds it into its one clean-estimate
 node.
 
-The builder reads a state only through 8 linear functionals per person
-(`functionals`: the anchor's x and z and the six carrier sums), and the
-frames are affine in its assembly inputs (`script_inputs`: root path,
-anchor, cosine and sine of the heading, carriers; `assemble`). The
-analytic prior runs whole sampler chains in that small space.
+The builder is one chain of stages: it reads a state only through 8
+linear functionals per person (`functionals`: the anchor's x and z and
+the six carrier sums), maps them to its assembly inputs (`script_inputs`:
+root path, anchor, cosine and sine of the heading, carriers) and
+assembles the frames from those (`assemble`). The analytic prior runs
+whole sampler chains in the small space of the functionals.
 """
 
 from __future__ import annotations
@@ -136,10 +137,10 @@ def label_by_name(name: str) -> InteractionLabel:
 
 
 # -- the builder ----------------------------------------------------------------
-# Three numpy stages: extraction, the root curve and the pose assembly. Each
-# returns its values and a vector-Jacobian function (vjp); pair_scripts
-# chains the three in reverse. Param adjoints travel as one dict with the
-# keys of the params.
+# Numpy stages: the functionals, the params, the assembly inputs (the root
+# curve among them) and the pose assembly. Each returns its values and a
+# vector-Jacobian function (vjp); pair_scripts chains them in reverse. Param
+# adjoints travel as one dict with the keys of the params.
 
 # per-person values indexed by _SWAP give each person its partner's values
 _SWAP = np.array([1, 0])
@@ -200,21 +201,6 @@ def _params(F: np.ndarray, spec: LabelSpec):
         gu[:, 1] += g["speed"] * p["speed"] * spec.speed_log_max * (1.0 - ts * ts)
         gv[:, 0] += g["psi"] * HEADING_MAX * (1.0 - tp * tp)
         return np.concatenate([g["anchor"][:, [0, 2]], gu, gv], axis=1)
-
-    return p, vjp
-
-
-def _extract(w: np.ndarray, skeleton: Skeleton, spec: LabelSpec):
-    """Script parameters of stacked (P, N, D) world-space states, each with
-    the leading person axis, and the vjp from their adjoints to the states'.
-    The parameters read the states through their functionals only."""
-    ch = functional_channels(skeleton)
-    p, params_vjp = _params(functionals(w, ch), spec)
-
-    def vjp(g):
-        gw = np.zeros(w.shape)
-        gw[:, :, ch] = functionals_vjp(params_vjp(g), w.shape[1])
-        return gw
 
     return p, vjp
 
@@ -459,11 +445,7 @@ def _inputs(p, spec: LabelSpec, k: dict):
 def _assemble(q, skeleton: Skeleton, k: dict):
     """Both persons' (P, N, D) frames from the assembly inputs `q`, and the
     vjp from their adjoint to the inputs' (a dict with the keys of q).
-    Contacts and the constant rotations get no adjoint.
-
-    The frames are affine in q, so the assembly of a weighted mean of
-    inputs, with weights summing to 1, is the weighted mean of their
-    assemblies."""
+    Contacts and the constant rotations get no adjoint."""
     J, root, c, s = skeleton.J, q["root"], q["c"], q["s"]
     (P, N), planted = root.shape[:2], k["planted"]
     vb, rb, fb = (vel_slice(J).start, rot_slice(J).start, foot_slice(J).start)
@@ -509,15 +491,6 @@ def _assemble(q, skeleton: Skeleton, k: dict):
     return out, vjp
 
 
-def _script(p, spec: LabelSpec, skeleton: Skeleton, N: int):
-    """The (P, N, D) scripted frames of params `p`, and the vjp from their
-    adjoint to the params'."""
-    k = _constants(spec, skeleton, N)
-    q, inputs_vjp = _inputs(p, spec, k)
-    out, assemble_vjp = _assemble(q, skeleton, k)
-    return out, lambda G: inputs_vjp(assemble_vjp(G))
-
-
 def script_inputs(F: np.ndarray, spec: LabelSpec, skeleton: Skeleton,
                   N: int):
     """The assembly inputs of the N-frame script of (P, 8) functionals `F`
@@ -528,8 +501,7 @@ def script_inputs(F: np.ndarray, spec: LabelSpec, skeleton: Skeleton,
 
 
 def assemble(q, spec: LabelSpec, skeleton: Skeleton):
-    """The (P, N, D) frames of assembly inputs `q` and their vjp; `q` may
-    be a weighted mean of `script_inputs` with weights summing to 1."""
+    """The (P, N, D) frames of assembly inputs `q` and their vjp."""
     return _assemble(q, skeleton, _constants(spec, skeleton, q["root"].shape[1]))
 
 
@@ -537,9 +509,16 @@ def pair_scripts(w: np.ndarray, spec: LabelSpec, skeleton: Skeleton):
     """Scripted clean estimate of both persons from their stacked (2, N, D)
     world-space states in numpy, and the vjp from its adjoint to the
     states', made of reductions."""
-    p, extract_vjp = _extract(w, skeleton, spec)
-    out, script_vjp = _script(p, spec, skeleton, w.shape[1])
-    return out, lambda G: extract_vjp(script_vjp(G))
+    ch, N = functional_channels(skeleton), w.shape[1]
+    q, inputs_vjp = script_inputs(functionals(w, ch), spec, skeleton, N)
+    out, assemble_vjp = assemble(q, spec, skeleton)
+
+    def vjp(G):
+        gw = np.zeros(w.shape)
+        gw[:, :, ch] = functionals_vjp(inputs_vjp(assemble_vjp(G)), N)
+        return gw
+
+    return out, vjp
 
 
 def build_pair_scripts(w, spec: LabelSpec, skeleton: Skeleton) -> ad.Var:
@@ -554,4 +533,5 @@ def build_pair_from_values(values1: dict, values2: dict, spec: LabelSpec,
                            skeleton: Skeleton, N: int):
     """Numpy script pair from explicit parameter values (corpus path)."""
     p = params_from_values(spec, (values1, values2))
-    return tuple(_script(p, spec, skeleton, N)[0])
+    q, _ = _inputs(p, spec, _constants(spec, skeleton, N))
+    return tuple(assemble(q, spec, skeleton)[0])

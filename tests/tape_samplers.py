@@ -51,11 +51,13 @@ def forward_noise(x0, t, noise, schedule):
 
 class StepAnalyticPrior(AnalyticPrior):
     """The package's analytic prior without its parameter-space chain, so
-    the samplers step through its one-node clean estimate."""
+    the samplers step through its one-node clean estimate, which reads
+    every channel of x_T."""
     chain = None
+    noise_channels = slice(None)
 
 
-class TapeAnalyticPrior(AnalyticPrior):
+class TapeAnalyticPrior(StepAnalyticPrior):
     def clean_estimate(self, x, t, label):
         w = denormalize(x, self.stats)
         return normalize(build_pair_scripts(w, label.spec, self.skeleton),

@@ -716,6 +716,41 @@ def test_export_round_trips_positions(tmp_path, composed):
         assert float(r["z"]) == p[n, j, 2]
 
 
+@pytest.mark.parametrize("key", ["N", "J", "fps", "joint_names",
+                                 "person_id"])
+def test_motion_header_missing_key(tmp_path, capsys, composed, key):
+    """A motion file whose header lacks a key fails `eval` and `export`
+    with exit 3, naming the key, and no traceback."""
+    path = os.path.join(composed, "seed00002", "person1.motion")
+    with open(path) as f:
+        header, rest = f.readline(), f.read()
+    header = json.loads(header)
+    del header[key]
+    with open(path, "w") as f:
+        f.write(json.dumps(header) + "\n" + rest)
+    for command, payload in (("eval", {"results_dir": composed}),
+                             ("export", {"inputs": [path]})):
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        out = str(tmp_path / command)
+        assert main([command, "--config", cfg, "--out", out]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(key) in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["dir", "files", "seed"])
+def test_manifest_run_missing_field(tmp_path, capsys, composed, key):
+    """A manifest run without one of its fields is a config error of the
+    commands that read it, named, on --dry-run too."""
+    manifest = read_manifest(composed)
+    del manifest["runs"][0][key]
+    with open(os.path.join(composed, "manifest.json"), "w") as f:
+        json.dump(manifest, f)
+    cfg = write_config(tmp_path, "ev.json", {"results_dir": composed})
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "eval", cfg)
+    assert repr(key) in err
+
+
 def test_export_missing_input(tmp_path):
     cfg = write_config(tmp_path, "x.json",
                        {"inputs": [str(tmp_path / "ghost.motion")]})
@@ -770,6 +805,21 @@ def test_seed_flag_rejects_bad_lists(tmp_path, capsys, seed):
         assert exc.value.code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "argument --seed" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_jobs_flag_rejects_bad_values(tmp_path, capsys, jobs):
+    """A --jobs that is not an integer >= 1 exits 2 through argparse,
+    before --out exists."""
+    cfg, out = compose_config(tmp_path), tmp_path / "out"
+    for extra in (["--dry-run"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(["compose", "--config", cfg, "--out", str(out),
+                  "--seed", "1,2", "--jobs", jobs] + extra)
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "argument --jobs" in err and "Traceback" not in err
         assert not out.exists()
 
 

@@ -40,14 +40,16 @@ def test_taus_cover_endpoints():
 
 
 @pytest.mark.parametrize("t_train, ddim_steps",
-                         [(50, 1), (50, 5), (50, 50), (1000, 50)])
+                         [(50, 1), (50, 5), (50, 50), (1000, 50),
+                          (1000, 1000)])
 def test_last_step_alpha_is_zero(t_train, ddim_steps):
     """The last DDIM step lands on t = 0, where alpha_bar is exactly 1, so
     its alpha is exactly 0, and with it x_T's weight in the sample, the
-    product of the steps' alphas."""
+    product of the steps' alphas; its beta is exactly 1, so the sample is
+    that step's clean estimate."""
     steps = list(DiffusionSchedule(t_train, ddim_steps).steps())
     assert len(steps) == ddim_steps
-    assert steps[-1][2] == 0.0
+    assert steps[-1][2] == 0.0 and steps[-1][3] == 1.0
     assert np.prod([alpha for _, _, alpha, _ in steps]) == 0.0
 
 
@@ -420,11 +422,12 @@ def test_param_chain_near_step_chain_data_stats(name, label, small_schedule,
 
 
 def test_chain_dispatch(small_schedule, stats, skeleton):
-    """Only the analytic prior's own clean estimate runs in parameter space,
-    reading the functionals' noise channels: a subclass that replaces it,
-    such as the tape oracle, is stepped and reads every channel."""
+    """The analytic prior runs in parameter space, reading the functionals'
+    noise channels; the stepped oracles opt out by setting `chain` to None
+    and are stepped, reading every channel; a prior without `chain` is
+    stepped."""
     prior = AnalyticPrior(small_schedule, stats, skeleton)
-    assert prior.chain is not None
+    assert prior.chain.__func__ is AnalyticPrior.chain
     assert np.array_equal(prior.noise_channels, functional_channels(skeleton))
     for cls in (tape.StepAnalyticPrior, tape.TapeAnalyticPrior):
         assert cls(small_schedule, stats, skeleton).chain is None

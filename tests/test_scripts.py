@@ -66,7 +66,8 @@ def test_script_is_fixed_point_of_extraction(name, skeleton):
 
 def test_extraction_recovers_generating_values(skeleton):
     (f1, _), (v1, _), spec = scripted_pair("approach", skeleton, seed=4)
-    p, _ = sc._extract(f1[None], skeleton, spec)
+    p, _ = sc._params(sc.functionals(
+        f1[None], sc.functional_channels(skeleton)), spec)
     assert abs(p["drift"][0, 0] - v1["drift"][0]) < 1e-9
     assert abs(p["drift"][0, 2] - v1["drift"][1]) < 1e-9
     assert abs(p["speed"][0] - v1["speed"]) < 1e-9
@@ -77,7 +78,8 @@ def test_anchor_extraction_pins_height(skeleton):
     (f1, _), (v1, _), spec = scripted_pair("approach", skeleton, seed=5)
     w = f1.copy()
     w[0, 1] = 7.5  # corrupt frame-0 root height
-    p, _ = sc._extract(w[None], skeleton, spec)
+    p, _ = sc._params(sc.functionals(
+        w[None], sc.functional_channels(skeleton)), spec)
     anchor = p["anchor"][0]
     assert np.allclose(anchor[[0, 2]], v1["anchor"][[0, 2]])
     assert anchor[1] == sc.ROOT_HEIGHT

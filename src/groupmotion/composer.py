@@ -44,8 +44,8 @@ class OptimizerConfig:
     lr_decay: float = 1.0          # multiplicative per step; 1.0 = constant
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("OptimizerConfig: lr must be positive")
+        if not 0 < self.lr < np.inf:
+            raise ValueError("OptimizerConfig: lr must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("OptimizerConfig: max_steps must be >= 1")
         if not (0.0 < self.lr_decay <= 1.0):
@@ -85,6 +85,9 @@ class SceneSpec:
     def __post_init__(self):
         if len(self.participants) < 2:
             raise ValueError("SceneSpec: need at least two participants")
+        if type(self.n_frames) is not int or self.n_frames < 2:
+            raise ValueError(f"SceneSpec: n_frames must be an int >= 2, got "
+                             f"{self.n_frames!r}")
         generated = set(self.participants[:2])
         _check_penalties(_default_pair_subjects(self.first_penalties,
                                                 *self.participants[:2]),

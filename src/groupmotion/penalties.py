@@ -258,8 +258,8 @@ class PenaltyConfig:
             self.frames = np.asarray(self.frames, dtype=int)
         if self.kind not in KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
-        if self.weight < 0:
-            raise ValueError("penalty weight must be >= 0")
+        if not 0 <= self.weight < np.inf:
+            raise ValueError("penalty weight must be finite and >= 0")
         if not isinstance(self.params, dict):
             raise ValueError(f"{self.kind} penalty params must be an object")
         unknown = sorted(set(self.params) - set(PARAMS[self.kind]))

@@ -9,13 +9,13 @@ must be deterministic. Two concrete priors ship:
 * ``AnalyticPrior`` - closed-form attractor toward the label's scripted
   motion family; every downstream acceptance run uses it because it is
   exact, fast, and fully differentiable. Its clean estimate reads the
-  state through 8 linear functionals per person, so it also runs the
-  samplers' whole chain in that parameter space (`chain`): one tape node
-  per sample, whatever the number of DDIM steps, and one full-size script
-  assembly, the last step's. That chain reads the initial noise x_T only
-  on the functionals' channels (`noise_channels`, 8 of D), so the
-  composer optimises only those; a prior without `noise_channels` reads
-  every channel.
+  state through 8 linear functionals per person and every script starts
+  at its anchor, so it runs the samplers' whole chain in that parameter
+  space (`chain`), one tape node per sample: the steps before the last
+  step the functionals alone, and the last builds the one script. That
+  chain reads x_T only on the functionals' channels (`noise_channels`, 8
+  of D), so the composer optimises only those; a prior without
+  `noise_channels` reads every channel.
 * ``MLPPrior``      - a tiny learned denoiser (shared weights per person,
   cross-person feature exchange) trained on the synthetic corpus with the
   standard noise-prediction objective. Its forward is numpy with a
@@ -92,16 +92,16 @@ class AnalyticPrior:
         and recorded as one tape node.
 
         The clean estimate reads the state through its 8 functionals per
-        person (`scripts.functionals`), which are linear. Each step maps
-        the functionals to the script's assembly inputs and steps the free
-        functionals, those outside the kept block, by the DDIM rule, the
-        block adding its reference's as constants. The last step lands on
-        t = 0, where alpha is exactly 0 and beta exactly 1, so the output
-        is that step's clean estimate, one assembly, off the kept block and
-        the clean reference on it; it reads x_T only through the
-        functionals, on `noise_channels`. The backward is that assembly's
-        vjp, then per step, in reverse, the inputs' vjp and the
-        functionals' recursion.
+        person (`scripts.functionals`), which are linear. Every script
+        starts at its anchor and passes its carriers through, so a clean
+        estimate's functionals are its input's, and each step before the
+        last steps the free functionals, those outside the kept block,
+        alone by the DDIM rule, the block adding its reference's as
+        constants. The last step lands on t = 0, where alpha is exactly 0
+        and beta exactly 1, so the output is its clean estimate, the one
+        script assembled, off the kept block and the clean reference on
+        it; it reads x_T only on `noise_channels`. The backward is that
+        assembly's vjp, then the recursion's, step by step in reverse.
         """
         x, spec, stats = ad.as_var(x), label.spec, self.stats
         P, N = x.shape[:2]
@@ -117,18 +117,17 @@ class AnalyticPrior:
             block = kept.channels(ch)
         F = functionals(y)
         f_mean = free * np.concatenate([mu[:2], N * mu[2:]])
-        steps = []                   # (alpha, beta, vjp of the inputs)
+        steps = []                   # (alpha, beta) before the last step
         for k, t, alpha, beta in schedule.steps():
             Fk = F
             if kept is not None:
                 Fk = F.copy()
                 Fk[kept.rows] += functionals(block.at(k, t, schedule) * sd + mu)
-            q, vjp = script_inputs(Fk, spec, self.skeleton, N)
-            steps.append((alpha, beta, vjp))
-            f_script = np.concatenate([q["root"][:, 0, [0, 2]], q["u"], q["v"]],
-                                      axis=1)
-            F = alpha * F + beta * (free * f_script) + \
-                (1.0 - alpha - beta) * f_mean
+            if k == 1:               # the last step, onto t = 0
+                break
+            steps.append((alpha, beta))
+            F = alpha * F + beta * (free * Fk) + (1.0 - alpha - beta) * f_mean
+        q, inputs_vjp = script_inputs(Fk, spec, self.skeleton, N)
         out, assemble_vjp = assemble(q, spec, self.skeleton)
         out -= stats.mean
         out *= 1.0 / stats.std
@@ -139,16 +138,9 @@ class AnalyticPrior:
             if kept is not None:
                 g = g.copy()
                 g[kept.index] = 0.0
-            gq = assemble_vjp(g * (1.0 / stats.std))
-            gF = np.zeros((P, 8))        # adjoint of the free functionals
-            for alpha, beta, vjp in reversed(steps):
-                g_script = beta * free * gF
-                gq["root"][:, 0, [0, 2]] += g_script[:, :2]
-                gq["u"] += g_script[:, 2:5]
-                gq["v"] += g_script[:, 5:]
-                gF = alpha * gF + vjp(gq)
-                # only the last step is assembled into the output
-                gq = {key: np.zeros_like(v) for key, v in q.items()}
+            gF = inputs_vjp(assemble_vjp(g * (1.0 / stats.std)))
+            for alpha, beta in reversed(steps):
+                gF = alpha * gF + beta * free * gF
             gy = functionals_vjp(gF, N) * sd
             if kept is not None:
                 gy[kept.index] = 0.0

@@ -23,11 +23,11 @@ one tape node; the analytic prior folds it into its one clean-estimate
 node.
 
 The builder is one chain of stages: it reads a state only through 8
-linear functionals per person (`functionals`: the anchor's x and z and
-the six carrier sums), maps them to its assembly inputs (`script_inputs`:
-root path, anchor, cosine and sine of the heading, carriers) and
-assembles the frames from those (`assemble`). The analytic prior runs
-whole sampler chains in the small space of the functionals.
+linear functionals per person (`functionals`: the anchor's x and z, six
+carrier sums), maps them to its assembly inputs (`script_inputs`: root
+path, anchor, heading cosine and sine, carriers) and assembles the frames
+(`assemble`). Every kind starts at its anchor, so a script's functionals
+are its inputs': the analytic prior's sampler chain steps them alone.
 """
 
 from __future__ import annotations
@@ -322,33 +322,37 @@ def _approach_root(p, spec: LabelSpec, k: dict):
 
 
 def _circle_root(p, spec: LabelSpec, k: dict):
+    """Both persons circle their pair's centre, the radius easing out from
+    `r0` to `r0 + 0.3`. The path is the anchor plus the circle point less
+    frame 0's, so frame 0, where ease is 0, is the anchor bit for bit."""
     a, speed, P = p["anchor"], p["speed"], p["anchor"].shape[0]
     center = (a + a[_SWAP]) * 0.5
     rel = a - center
     flat = np.stack([rel[:, 0], np.zeros(P), rel[:, 2]], axis=1)
     r0 = np.sqrt(np.sum(flat * flat, axis=1) + 1e-3 * 1e-3)
-    radius = r0 + 0.3
+    radius = r0[:, None] + 0.3 * k["ease"]
     alpha0, alpha0_vjp = _heading(rel)
     sweep = k["ease"] * CIRCLE_SWEEP
     alpha = alpha0[:, None] + sweep * speed[:, None]
     cos, sin = np.cos(alpha), np.sin(alpha)
-    base = np.stack([center[:, 0:1] + radius[:, None] * cos,
+    c0, s0 = cos[:, 0], sin[:, 0]
+    base = np.stack([a[:, 0:1] + (radius * cos - (r0 * c0)[:, None]),
                      np.broadcast_to(a[:, 1:2], cos.shape),
-                     center[:, 2:3] + radius[:, None] * sin], axis=2)
+                     a[:, 2:3] + (radius * sin - (r0 * s0)[:, None])], axis=2)
     # tangent heading plus user offset
     heading = alpha0 + 0.5 * CIRCLE_SWEEP + np.pi / 2.0 + \
         spec.heading_weight * p["psi"]
 
     def vjp(gb, gh, g):
-        gx, gz = gb[:, :, 0], gb[:, :, 2]
-        galpha = radius[:, None] * (gz * cos - gx * sin)
+        gx, gz, gs = gb[:, :, 0], gb[:, :, 2], np.sum(gb, axis=1)
+        galpha = radius * (gz * cos - gx * sin)
+        galpha[:, 0] -= r0 * (gs[:, 2] * c0 - gs[:, 0] * s0)
         g["speed"] += galpha @ sweep
         g["psi"] += spec.heading_weight * gh
+        gr0 = np.sum(gx * cos + gz * sin, axis=1) - gs[:, 0] * c0 - gs[:, 2] * s0
         grel = alpha0_vjp(np.sum(galpha, axis=1) + gh) + \
-            (np.sum(gx * cos + gz * sin, axis=1) / r0)[:, None] * flat
-        gcenter = np.stack([np.sum(gx, axis=1), np.zeros(P),
-                            np.sum(gz, axis=1)], axis=1) - grel
-        g["anchor"] += grel + 0.5 * (gcenter + gcenter[_SWAP])
+            (gr0 / r0)[:, None] * flat
+        g["anchor"] += gs + 0.5 * (grel - grel[_SWAP])
 
     return base, heading, vjp
 

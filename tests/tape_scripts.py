@@ -157,16 +157,19 @@ def _circle_root(params, spec: LabelSpec, N: int):
     P = a.shape[0]
     center = (a + a[_SWAP]) * 0.5
     rel = a - center
-    radius = to.norm(ad.stack([rel[:, 0], np.zeros(P), rel[:, 2]], axis=1),
-                     axis=1, eps=1e-3) + 0.3
+    r0 = to.norm(ad.stack([rel[:, 0], np.zeros(P), rel[:, 2]], axis=1),
+                 axis=1, eps=1e-3)
+    radius = _widen(r0, (N,)) + \
+        ad.constant(np.broadcast_to(0.3 * _ease(N), (P, N)))
     alpha0 = to.atan2(rel[:, 2], rel[:, 0] + 1e-9)
     sweep = CIRCLE_SWEEP
     alpha = _widen(alpha0, (N,)) + \
         ad.constant(np.broadcast_to(_ease(N) * sweep, (P, N))) * \
         _widen(params["speed"], (N,))
-    radius = _widen(radius, (N,))
-    cx = _widen(center[:, 0], (N,)) + radius * to.cos(alpha)
-    cz = _widen(center[:, 2], (N,)) + radius * to.sin(alpha)
+    # the circle point minus its frame-0 point, added to the anchor
+    cos, sin = to.cos(alpha), to.sin(alpha)
+    cx = _widen(a[:, 0], (N,)) + (radius * cos - _widen(r0 * cos[:, 0], (N,)))
+    cz = _widen(a[:, 2], (N,)) + (radius * sin - _widen(r0 * sin[:, 0], (N,)))
     cy = _widen(a[:, 1], (N,))
     base = ad.stack([cx, cy, cz], axis=2)
     # tangent heading plus user offset

@@ -838,7 +838,13 @@ def test_jobs_flag_rejects_bad_values(tmp_path, capsys, jobs):
      "overlap_treshold"),
     ("export", {"input": ["."]}, "input"),
 ] + [(command, [1, 2], "object") for command in
-     ("corpus", "train", "compose", "extend", "eval", "export")])
+     ("corpus", "train", "compose", "extend", "eval", "export")] + [
+    ("compose", dict(FAST, scene=dict(SCENE, n_frames=n)), "n_frames")
+    for n in (0, 1, -4, True)] + [
+    ("compose", dict(FAST, optimizer={"lr": float("nan")}, scene=SCENE), "lr")
+] + [("compose", dict(FAST, scene=dict(SCENE, first_penalties=[
+    {"kind": "overlap", "weight": w, "params": {"delta": 0.3}}])), "weight")
+     for w in (float("nan"), float("inf"))])
 def test_config_errors_before_any_output(tmp_path, capsys, command, payload,
                                          key):
     """Each command reads a fixed set of top-level keys: a typo, a key of

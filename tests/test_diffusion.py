@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from groupmotion import autodiff as ad
-from groupmotion import diffusion
+from groupmotion import diffusion, priors
 from groupmotion.diffusion import (DiffusionSchedule, FrameMask, ddim_sample,
                                    forward_noise, inpaint_extend,
                                    masked_sample)
 from groupmotion.motion import NormalizationStats
 from groupmotion.priors import AnalyticPrior
-from groupmotion.scripts import functional_channels, label_by_name
+from groupmotion.scripts import (VOCABULARY, functional_channels,
+                                 label_by_name)
 
 import tape_ops as to
 import tape_samplers as tape
@@ -572,6 +573,54 @@ def test_analytic_sample_nodes_independent_of_steps(name, stats, skeleton,
     # the chain node and the rows taken from it; masked adds the target's
     # row of v and its embedding as row 0 of the pair
     assert counts == [3 if name != "masked" else 4] * 3
+
+
+def test_analytic_frame0_root_independent_of_label(small_schedule, stats,
+                                                  skeleton):
+    """Every script starts at its anchor and passes its carriers through,
+    so the functionals' recursion does not depend on the label: from one
+    x_T, the sampled frame-0 root x and z are the same bits for every
+    label."""
+    prior = AnalyticPrior(small_schedule, stats, skeleton)
+    xT = noise((2, 12, skeleton.D), 50)
+    roots = [np.stack([o.value for o in ddim_sample(
+        prior, small_schedule, xT, label_by_name(spec.name))])[:, 0, [0, 2]]
+        for spec in VOCABULARY]
+    for r in roots[1:]:
+        assert np.array_equal(r, roots[0])
+
+
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+def test_analytic_chain_builds_one_script(name, stats, skeleton,
+                                          monkeypatch):
+    """Each step before the last steps the functionals alone: one sample,
+    forward and backward, calls `script_inputs` and `assemble` once,
+    whatever the number of DDIM steps."""
+    calls = {"script_inputs": 0, "assemble": 0}
+
+    def counted(fn_name):
+        fn = getattr(priors, fn_name)
+
+        def call(*args, **kwargs):
+            calls[fn_name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for fn_name in calls:
+        monkeypatch.setattr(priors, fn_name, counted(fn_name))
+    rng = np.random.default_rng(51)
+    xT = rng.standard_normal((2, 12, skeleton.D))
+    kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
+    ref = rng.standard_normal((12, skeleton.D)) * 0.3
+    for steps in (1, 5, 20):
+        schedule = DiffusionSchedule(t_train=50, ddim_steps=steps)
+        prior = AnalyticPrior(schedule, stats, skeleton)
+        v = ad.Var(xT)
+        outs = ORACLE_SAMPLERS[name](diffusion, prior, schedule, v, kept, ref,
+                                     label_by_name("circle-together"))
+        ad.grad(to.sum_(outs[0]), [v])
+        assert calls == {"script_inputs": 1, "assemble": 1}, steps
+        calls.update(script_inputs=0, assemble=0)
 
 
 def test_forward_noise_arrays_or_vars(small_schedule):

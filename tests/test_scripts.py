@@ -54,7 +54,7 @@ def test_script_shapes_and_finiteness(name, skeleton):
     assert np.isfinite(f1).all() and np.isfinite(f2).all()
 
 
-@pytest.mark.parametrize("name", ["approach", "face-and-talk", "close-approach"])
+@pytest.mark.parametrize("name", LABELS)
 def test_script_is_fixed_point_of_extraction(name, skeleton):
     """Rebuilding from extracted parameters reproduces the script."""
     (f1, f2), _, spec = scripted_pair(name, skeleton, seed=3)
@@ -62,6 +62,19 @@ def test_script_is_fixed_point_of_extraction(name, skeleton):
                                    spec, skeleton).value
     assert np.allclose(s1, f1, atol=1e-9)
     assert np.allclose(s2, f2, atol=1e-9)
+
+
+@pytest.mark.parametrize("N", [2, 12, 240])
+@pytest.mark.parametrize("name", LABELS)
+def test_script_starts_at_its_functionals(name, N, skeleton):
+    """Every script kind starts at its anchor and passes its carriers
+    through: the assembly inputs' frame-0 root x and z and the carriers
+    are the input functionals, bit for bit."""
+    F = np.random.default_rng(N).standard_normal((2, 8))
+    q, _ = sc.script_inputs(F, sc.label_by_name(name).spec, skeleton, N)
+    assert np.array_equal(q["root"][:, 0, [0, 2]], F[:, :2])
+    assert np.array_equal(q["u"], F[:, 2:5])
+    assert np.array_equal(q["v"], F[:, 5:])
 
 
 def test_extraction_recovers_generating_values(skeleton):

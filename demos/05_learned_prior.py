@@ -44,8 +44,9 @@ result = composer.compose(spec)
 r1 = result.sequences[1].root_trajectory()
 r2 = result.sequences[2].root_trajectory()
 # motion from a prior this small is coarse; the point is that the guided
-# composition pipeline accepts any denoiser with the same clean_estimate
-# interface
+# composition pipeline accepts any denoiser with the same `chain` and
+# `noise_channels` interface, or any eps predictor with an
+# `EpsPrior.forward`
 print(f"composed with learned prior: closest approach "
       f"{np.linalg.norm(r1 - r2, axis=1).min():.3f} m, "
       f"overlap(0.25 m) {'yes' if metrics.run_has_overlap(result.sequences) else 'no'}")

@@ -14,7 +14,7 @@ Pipeline, per scene:
    switching.
 
 Each optimization steps only the noise channels the prior reads (its
-`noise_channels`: 8 of D for the analytic prior, all for any other); the
+`noise_channels`: 8 of D for the analytic prior, all for an eps prior); the
 rest keep their drawn values, as they would if optimized, since their
 gradient is exactly zero. Previously generated sequences are never
 modified: later steps read them as constants.
@@ -46,8 +46,13 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 0 < self.lr < np.inf:
             raise ValueError("OptimizerConfig: lr must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("OptimizerConfig: max_steps must be >= 1")
+        if type(self.max_steps) is not int or self.max_steps < 1:
+            raise ValueError(f"OptimizerConfig: max_steps must be an int >= 1,"
+                             f" got {self.max_steps!r}")
+        if type(self.early_stop_loss) not in (int, float) or \
+                not -np.inf < self.early_stop_loss < np.inf:
+            raise ValueError(f"OptimizerConfig: early_stop_loss must be a "
+                             f"finite number, got {self.early_stop_loss!r}")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("OptimizerConfig: lr_decay must be in (0, 1]")
 
@@ -258,14 +263,14 @@ class Composer:
         noise needs a gradient, so they are those of a fresh sample from
         the best noise) and the StepRecord of persons[0].
 
-        Adam steps only the channels of `xT` that the prior reads (its
-        `noise_channels`, or all): the others would get a gradient of
-        exactly zero and so keep their values. Each evaluation puts the
+        Adam steps only the channels of `xT` that the prior's chain reads
+        (its `noise_channels`): the others would get a gradient of exactly
+        zero and so keep their values. Each evaluation puts the
         stepped channels back into the whole noise, one tape node."""
         if not pens:
             return ([out.value for out in sample(ad.constant(xT))],
                     StepRecord(person=persons[0]))
-        ch = getattr(self.prior, "noise_channels", slice(None))
+        ch = self.prior.noise_channels
         best = {}
 
         def objective(var):

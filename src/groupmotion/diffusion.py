@@ -1,6 +1,6 @@
 """Noise schedule and deterministic (eta = 0) DDIM sampling.
 
-Three samplers are thin wrappers over one chain, `sample_chain`:
+Three samplers are thin wrappers over the prior's one chain, `prior.chain`:
 
 * ``ddim_sample``     - both slots of the two-person prior denoised jointly
 * ``masked_sample``   - one slot pinned to a forward-noised copy of an
@@ -11,16 +11,15 @@ Three samplers are thin wrappers over one chain, `sample_chain`:
                         existing sequences
 
 All samplers run on autodiff Vars, so any scalar of their output can be
-differentiated with respect to the initial noise. Each step overwrites the
-sampler's kept block (`Kept`: the reference slot of `masked_sample`, the
-kept frames of `inpaint_extend`) with its reference, asks the prior for
-the clean estimate x0_hat of the pair, stacked as one (2, N, D) state along
-a leading person axis, and steps in clean-estimate form, x_prev = alpha_t x
-+ beta_t x0_hat, with no round trip through eps; a last overwrite puts the
-clean reference in the kept block. A prior with a `chain`, the analytic
-prior, runs the whole chain itself as one tape node; any other is stepped
-here, the DDIM step and each overwrite one tape node apiece. Constant
-references are forward-noised in numpy and put nothing on the tape.
+differentiated with respect to the initial noise. At each step the chain
+overwrites the sampler's kept block (`Kept`: the reference slot of
+`masked_sample`, the kept frames of `inpaint_extend`) with its reference,
+takes the prior's clean estimate x0_hat of the pair, stacked as one (2, N,
+D) state along a leading person axis, and steps in clean-estimate form,
+x_prev = alpha_t x + beta_t x0_hat; a last overwrite puts the clean
+reference in the kept block. Every prior runs that whole chain as one tape
+node, whatever the number of DDIM steps. Constant references are
+forward-noised in numpy and put nothing on the tape.
 """
 
 from __future__ import annotations
@@ -33,14 +32,22 @@ import numpy as np
 from . import autodiff as ad
 
 
+T_TRAIN_MAX = 100_000    # the schedule's arrays hold t_train + 1 floats
+
+
 @dataclass
 class DiffusionSchedule:
     t_train: int = 1000
     ddim_steps: int = 50
 
     def __post_init__(self):
-        if not 1 <= self.ddim_steps <= self.t_train:
-            raise ValueError("ddim_steps must be in [1, t_train]")
+        # before any array is built: t_train sizes them
+        for key, most in (("t_train", T_TRAIN_MAX),
+                          ("ddim_steps", self.t_train)):
+            value = getattr(self, key)
+            if type(value) is not int or not 1 <= value <= most:
+                raise ValueError(f"{key} must be an int in [1, {most}], "
+                                 f"got {value!r}")
         # the cosine schedule (Nichol & Dhariwal 2021)
         s = 0.008
         t = np.arange(self.t_train + 1, dtype=np.float64)
@@ -79,12 +86,6 @@ class FrameMask:
         if not (0 <= self.kept <= self.n_frames):
             raise ValueError("FrameMask: kept count out of range")
 
-    @property
-    def m(self) -> np.ndarray:
-        m = np.zeros(self.n_frames)
-        m[: self.kept] = 1.0
-        return m
-
 
 def forward_noise(x0, t: int, noise, schedule: DiffusionSchedule):
     """q-sample of arrays: sqrt(ab_t) x0 + sqrt(1 - ab_t) noise."""
@@ -94,12 +95,6 @@ def forward_noise(x0, t: int, noise, schedule: DiffusionSchedule):
         raise ad.ShapeMismatchError("forward_noise: x0/noise shapes differ")
     ab = schedule.alpha_bar(t)
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
-
-
-def _ddim_step(x: ad.Var, x0: ad.Var, alpha: float, beta: float) -> ad.Var:
-    """alpha * x + beta * x0 as one tape node."""
-    return ad.Var(alpha * x.value + beta * x0.value, (x, x0),
-                  lambda g: (alpha * g, beta * g))
 
 
 @dataclass(frozen=True)
@@ -129,40 +124,6 @@ class Kept:
         return forward_noise(self.ref, t, self.zetas[k - 1], schedule)
 
 
-def _clamp(x: ad.Var, index: tuple, ref: np.ndarray) -> ad.Var:
-    """x with x[index] overwritten by the constant `ref`, as one tape
-    node."""
-    out = x.value.copy()
-    out[index] = ref
-
-    def backward(g):
-        g = g.copy()
-        g[index] = 0.0
-        return (g,)
-
-    return ad.Var(out, (x,), backward)
-
-
-def sample_chain(prior, schedule: DiffusionSchedule, x: ad.Var, label,
-                 kept: Kept | None = None) -> ad.Var:
-    """The samplers' one chain over a stacked (2, N, D) state: at each DDIM
-    step, overwrite the `kept` block (if any) with its reference, take the
-    prior's clean estimate and step; after the last step, overwrite the
-    kept block with its clean reference.
-
-    A prior with a `chain` runs the whole chain itself (the analytic
-    prior, in parameter space, as one tape node); any other is stepped
-    here, two tape nodes a step and one per overwrite."""
-    run = getattr(prior, "chain", None)
-    if run is not None:
-        return run(schedule, x, label, kept)
-    for k, t, alpha, beta in schedule.steps():
-        if kept is not None:
-            x = _clamp(x, kept.index, kept.at(k, t, schedule))
-        x = _ddim_step(x, prior.clean_estimate(x, t, label), alpha, beta)
-    return x if kept is None else _clamp(x, kept.index, kept.ref)
-
-
 def _stacked(pair) -> ad.Var:
     """A (x1, x2) tuple or a stacked array or Var as one (2, N, D) Var."""
     return ad.stack(pair) if isinstance(pair, (tuple, list)) else ad.as_var(pair)
@@ -181,7 +142,7 @@ def _step_noise(noise_seed: int, n_steps: int, shape: tuple) -> np.ndarray:
 def ddim_sample(prior, schedule: DiffusionSchedule, x_T_pair, label):
     """Deterministic DDIM over both slots, given as a (x1, x2) tuple or one
     stacked (2, N, D) Var. Returns a Var pair (x_0^1, x_0^2)."""
-    x = sample_chain(prior, schedule, _stacked(x_T_pair), label)
+    x = prior.chain(schedule, _stacked(x_T_pair), label)
     return x[0], x[1]
 
 
@@ -203,7 +164,7 @@ def masked_sample(prior, schedule: DiffusionSchedule, x_T_target, x0_ref,
     kept = Kept(slice(1, 2), ref.shape[0], ref[None], zetas[:, None])
     # the target as row 0 of the pair; row 1 is overwritten before use
     pair = ad.Var(np.stack([x.value, ref]), (x,), lambda g: (g[0],))
-    return sample_chain(prior, schedule, pair, label, kept)[0]
+    return prior.chain(schedule, pair, label, kept)[0]
 
 
 def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
@@ -235,5 +196,5 @@ def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
         zetas = _step_noise(noise_seed, len(schedule.taus) - 1, x.shape)[
             :, :, :mask.kept] if mode == "noised" else None
         kept = Kept(slice(None), mask.kept, np.stack(ref), zetas)
-    x = sample_chain(prior, schedule, x, label, kept)
+    x = prior.chain(schedule, x, label, kept)
     return x[0], x[1]

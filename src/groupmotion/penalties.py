@@ -255,6 +255,10 @@ class PenaltyConfig:
         # JSON lists become the tuple and int array the terms read
         self.subjects = tuple(self.subjects)
         if self.frames is not None:
+            if not all(isinstance(f, (int, np.integer)) and type(f) is not bool
+                       for f in np.asarray(self.frames, object).ravel()):
+                raise ValueError(f"penalty frames must be ints, got "
+                                 f"{self.frames!r}")
             self.frames = np.asarray(self.frames, dtype=int)
         if self.kind not in KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")

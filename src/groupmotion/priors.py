@@ -1,26 +1,25 @@
 """Pluggable two-person denoisers.
 
-A denoiser exposes ``clean_estimate(x, t, label) -> x0_hat`` on the pair
-stacked along a leading person axis: a normalized (2, N, D) autodiff Var
-in, a (2, N, D) Var out. The samplers step from it directly. It also
-exposes ``predict(x, t, label) -> eps``, the same estimate as noise. It
-must be deterministic. Two concrete priors ship:
+A denoiser runs the samplers' whole DDIM chain, ``chain(schedule, x,
+label, kept) -> x_0``, as one tape node whatever the number of steps, on
+the pair stacked along a leading person axis (a normalized (2, N, D)
+autodiff Var); ``noise_channels`` names the channels of x_T it reads, and
+``predict(x, t, label)`` gives one step's eps. It must be deterministic.
+Two concrete priors ship:
 
 * ``AnalyticPrior`` - closed-form attractor toward the label's scripted
   motion family; every downstream acceptance run uses it because it is
   exact, fast, and fully differentiable. Its clean estimate reads the
   state through 8 linear functionals per person and every script starts
-  at its anchor, so it runs the samplers' whole chain in that parameter
-  space (`chain`), one tape node per sample: the steps before the last
-  step the functionals alone, and the last builds the one script. That
-  chain reads x_T only on the functionals' channels (`noise_channels`, 8
-  of D), so the composer optimises only those; a prior without
-  `noise_channels` reads every channel.
+  at its anchor, so its chain runs in that parameter space: the steps
+  before the last step the functionals alone, and the last builds the one
+  script. That chain reads x_T only on the functionals' channels
+  (`noise_channels`, 8 of D), so the composer optimises only those.
 * ``MLPPrior``      - a tiny learned denoiser (shared weights per person,
   cross-person feature exchange) trained on the synthetic corpus with the
   standard noise-prediction objective. Its forward is numpy with a
-  hand-written vjp; on the tape its eps and its clean estimate are one
-  node each, stepped by the samplers, and training uses no tape.
+  hand-written vjp; `EpsPrior.chain` steps it in numpy under the one
+  node, training uses no tape, and it reads every channel.
 """
 
 from __future__ import annotations
@@ -38,20 +37,43 @@ from .scripts import (InteractionLabel, assemble, functional_channels,
 
 
 class EpsPrior:
-    """A prior that predicts eps; its clean estimate is derived from it as
-    x0_hat = (x_t - sqrt(1 - ab_t) eps) / sqrt(ab_t), one tape node over
-    x and eps."""
+    """A prior that predicts eps in numpy, `forward(x, t, label) -> (eps,
+    vjp)`; it reads every channel of x_T."""
 
-    def clean_estimate(self, x, t: int, label):
-        x, ab = ad.as_var(x), self.schedule.alpha_bar(t)
-        c, inv = np.sqrt(1.0 - ab), 1.0 / np.sqrt(ab)
-        eps = self.predict(x, t, label)
+    noise_channels = slice(None)
+
+    def chain(self, schedule: DiffusionSchedule, x, label, kept=None):
+        """The samplers' DDIM chain on this prior's eps as one tape node:
+        each step overwrites the `kept` block, if any, with its reference
+        and steps from x0_hat = (x - sqrt(1 - ab_t) eps) / sqrt(ab_t). The
+        backward sums each step's adjoints as a stepped tape would, the
+        step's, x0_hat's, then eps's, so the gradients agree bit for bit."""
+        x = ad.as_var(x)
+        y, steps = x.value, []
+        for k, t, alpha, beta in schedule.steps():
+            if kept is not None:
+                y = y.copy()
+                y[kept.index] = kept.at(k, t, schedule)
+            ab = self.schedule.alpha_bar(t)
+            c, inv = np.sqrt(1.0 - ab), 1.0 / np.sqrt(ab)
+            eps, vjp = self.forward(y, t, label)
+            steps.append((alpha, beta, c, inv, vjp))
+            y = alpha * y + beta * ((y - eps * c) * inv)
+        if kept is not None:
+            y[kept.index] = kept.ref
 
         def backward(g):
-            gi = g * inv
-            return gi, -gi * c
+            if kept is not None:
+                g = g.copy()
+                g[kept.index] = 0.0
+            for alpha, beta, c, inv, vjp in reversed(steps):
+                gi = beta * g * inv
+                g = alpha * g + gi + vjp(-gi * c, weights=False)[0]
+                if kept is not None:
+                    g[kept.index] = 0.0
+            return (g,)
 
-        return ad.Var((x.value - eps.value * c) * inv, (x, eps), backward)
+        return ad.Var(y, (x,), backward)
 
 
 class AnalyticPrior:
@@ -88,8 +110,8 @@ class AnalyticPrior:
         return functional_channels(self.skeleton)
 
     def chain(self, schedule: DiffusionSchedule, x, label, kept=None):
-        """`diffusion.sample_chain` of this prior, run in parameter space
-        and recorded as one tape node.
+        """The samplers' DDIM chain of this prior (`EpsPrior.chain` on its
+        eps), run in parameter space and recorded as one tape node.
 
         The clean estimate reads the state through its 8 functionals per
         person (`scripts.functionals`), which are linear. Every script

@@ -1,6 +1,6 @@
 """Op-by-op tape form of the MLP prior and of one training step: the
 gradient oracle of `MLPPrior.forward`, of the one-node `MLPPrior.predict`
-and `EpsPrior.clean_estimate`, and of `priors.train`.
+and `tape_samplers.StepMLPPrior.clean_estimate`, and of `priors.train`.
 
 Every layer here is written in `tape_ops`, one tape node per op, with the
 weights as leaves (constants in `predict`), so the package's numpy forward

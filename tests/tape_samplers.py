@@ -1,17 +1,20 @@
 """Op-by-op tape forms of the samplers' affine stages: the gradient oracle
 of `motion.denormalize` on a Var, `AnalyticPrior.clean_estimate` (whose
-last stage is `normalize`), `diffusion._ddim_step`, the inpainting clamp
-and the forward noising of the references, and the eps-form chain the
-samplers stepped through before.
+last stage is `normalize`), the DDIM step, the inpainting clamp and the
+forward noising of the references, and the eps-form chain the samplers
+stepped through before.
 
 Every stage here is written in `autodiff` ops, one tape node per op, with
 constant operands as constant leaves, so the one-node stages of the
 package can be checked against it for bit-identical values and gradients.
 The script builder is the package's own (its oracle is `tape_scripts`).
-`StepAnalyticPrior` is the package's analytic prior without its
-parameter-space chain, so the package's samplers step through its
-one-node stages; it is the reference the parameter-space chain is checked
-against.
+
+`step_chain` is the stepped form of the package's one-node chains: per
+DDIM step, the kept block's overwrite, the prior's one-node clean estimate
+and the step, one tape node apiece. `StepAnalyticPrior` and `StepMLPPrior`
+are the package's priors with `step_chain` as their chain; they are the
+references the analytic prior's parameter-space chain and
+`EpsPrior.chain` are checked against.
 
 The samplers take the step rule as `step`: `x0_step`, the package's
 clean-estimate form alpha * x + beta * x0_hat, or `eps_step`, the eps
@@ -26,7 +29,7 @@ import numpy as np
 
 from groupmotion import autodiff as ad
 from groupmotion.diffusion import _stacked, _step_noise
-from groupmotion.priors import AnalyticPrior
+from groupmotion.priors import AnalyticPrior, MLPPrior
 from groupmotion.scripts import build_pair_scripts
 
 import tape_ops as to
@@ -49,12 +52,63 @@ def forward_noise(x0, t, noise, schedule):
     return np.sqrt(ab) * ad.as_var(x0) + np.sqrt(1.0 - ab) * ad.as_var(noise)
 
 
+def _ddim_step(x: ad.Var, x0: ad.Var, alpha: float, beta: float) -> ad.Var:
+    """alpha * x + beta * x0 as one tape node."""
+    return ad.Var(alpha * x.value + beta * x0.value, (x, x0),
+                  lambda g: (alpha * g, beta * g))
+
+
+def _clamp(x: ad.Var, index: tuple, ref: np.ndarray) -> ad.Var:
+    """x with x[index] overwritten by the constant `ref`, as one tape
+    node."""
+    out = x.value.copy()
+    out[index] = ref
+
+    def backward(g):
+        g = g.copy()
+        g[index] = 0.0
+        return (g,)
+
+    return ad.Var(out, (x,), backward)
+
+
+def step_chain(prior, schedule, x, label, kept=None):
+    """The samplers' chain stepped over a stacked (2, N, D) state: at each
+    DDIM step, overwrite the `kept` block (if any) with its reference, take
+    the prior's one-node clean estimate and step; after the last step,
+    overwrite the kept block with its clean reference. Two tape nodes a
+    step and one per overwrite."""
+    for k, t, alpha, beta in schedule.steps():
+        if kept is not None:
+            x = _clamp(x, kept.index, kept.at(k, t, schedule))
+        x = _ddim_step(x, prior.clean_estimate(x, t, label), alpha, beta)
+    return x if kept is None else _clamp(x, kept.index, kept.ref)
+
+
 class StepAnalyticPrior(AnalyticPrior):
-    """The package's analytic prior without its parameter-space chain, so
-    the samplers step through its one-node clean estimate, which reads
-    every channel of x_T."""
-    chain = None
+    """The package's analytic prior with the stepped chain in place of its
+    parameter-space one, so the samplers step through its one-node clean
+    estimate, which reads every channel of x_T."""
+    chain = step_chain
     noise_channels = slice(None)
+
+
+class StepMLPPrior(MLPPrior):
+    """The package's MLP prior with the stepped chain in place of
+    `EpsPrior.chain`: its clean estimate is one tape node over x and its
+    one-node eps."""
+    chain = step_chain
+
+    def clean_estimate(self, x, t, label):
+        x, ab = ad.as_var(x), self.schedule.alpha_bar(t)
+        c, inv = np.sqrt(1.0 - ab), 1.0 / np.sqrt(ab)
+        eps = self.predict(x, t, label)
+
+        def backward(g):
+            gi = g * inv
+            return gi, -gi * c
+
+        return ad.Var((x.value - eps.value * c) * inv, (x, eps), backward)
 
 
 class TapeAnalyticPrior(StepAnalyticPrior):
@@ -114,8 +168,9 @@ def inpaint_extend(prior, schedule, x_T_pair, kept_pair, mask, label,
     x = _stacked(x_T_pair)
     ref = np.zeros(x.shape)
     ref[:, : mask.kept] = kept_pair
-    m = np.broadcast_to(mask.m[None, :, None], x.shape)
-    keep_v, free_v, ref_c = (ad.constant(a) for a in (m.copy(), 1.0 - m, ref))
+    m = np.zeros(x.shape)
+    m[:, : mask.kept] = 1.0
+    keep_v, free_v, ref_c = (ad.constant(a) for a in (m, 1.0 - m, ref))
     zetas = _step_noise(noise_seed, len(schedule.taus) - 1, x.shape) \
         if mode == "noised" else None
     for k, t, ab_t, ab_prev in _steps(schedule):

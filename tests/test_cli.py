@@ -844,7 +844,19 @@ def test_jobs_flag_rejects_bad_values(tmp_path, capsys, jobs):
     ("compose", dict(FAST, optimizer={"lr": float("nan")}, scene=SCENE), "lr")
 ] + [("compose", dict(FAST, scene=dict(SCENE, first_penalties=[
     {"kind": "overlap", "weight": w, "params": {"delta": 0.3}}])), "weight")
-     for w in (float("nan"), float("inf"))])
+     for w in (float("nan"), float("inf"))] + [
+    ("compose", dict(FAST, optimizer={key: v}, scene=SCENE), key)
+    for key, v in (("max_steps", 2.5), ("max_steps", True),
+                   ("early_stop_loss", "x"),
+                   ("early_stop_loss", float("nan")))] + [
+    ("compose", dict(FAST, schedule=dict(FAST["schedule"], **{key: v}),
+                     scene=SCENE), key)
+    for key, v in (("t_train", 50.5), ("t_train", 100001),
+                   ("ddim_steps", True))] + [
+    ("train", {"corpus_dir": ".", "schedule": {"t_train": 50.5}}, "t_train")
+] + [("compose", dict(FAST, scene=dict(SCENE, first_penalties=[
+    {"kind": "overlap", "frames": f, "params": {"delta": 0.3}}])), "frames")
+     for f in ([1.5], [True])])
 def test_config_errors_before_any_output(tmp_path, capsys, command, payload,
                                          key):
     """Each command reads a fixed set of top-level keys: a typo, a key of

@@ -220,7 +220,7 @@ def test_kept_values_equal_fresh_sample_from_best_noise(
     (best_x, _), = found
     assert int(np.argmin(rec.losses)) == 2 and rec.evaluations == 7
     best_noise = xT.copy()
-    best_noise[..., getattr(prior, "noise_channels", slice(None))] = best_x
+    best_noise[..., prior.noise_channels] = best_x
     fresh = sample(ad.constant(best_noise))
     assert len(values) == len(fresh)
     for got, want in zip(values, fresh):
@@ -399,15 +399,16 @@ def test_compose_three_persons(analytic_prior, small_schedule, stats,
 
 
 class RecordingPrior:
-    """Wraps a prior and logs the labels it is called with."""
+    """Wraps a prior and logs the labels its chain runs with."""
 
     def __init__(self, inner):
         self.inner = inner
+        self.noise_channels = inner.noise_channels
         self.labels = []
 
-    def clean_estimate(self, x, t, label):
+    def chain(self, schedule, x, label, kept=None):
         self.labels.append(label.name)
-        return self.inner.clean_estimate(x, t, label)
+        return self.inner.chain(schedule, x, label, kept)
 
 
 def test_extend_appends_frames_and_preserves_prefix(analytic_prior,

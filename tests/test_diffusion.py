@@ -9,7 +9,7 @@ from groupmotion.diffusion import (DiffusionSchedule, FrameMask, ddim_sample,
                                    forward_noise, inpaint_extend,
                                    masked_sample)
 from groupmotion.motion import NormalizationStats
-from groupmotion.priors import AnalyticPrior
+from groupmotion.priors import AnalyticPrior, EpsPrior, MLPPrior
 from groupmotion.scripts import (VOCABULARY, functional_channels,
                                  label_by_name)
 
@@ -242,7 +242,7 @@ def test_inpaint_bad_mode(analytic_prior, small_schedule, skeleton):
 
 def test_frame_mask_contract():
     m = FrameMask(6, 2)
-    assert np.array_equal(m.m, [1, 1, 0, 0, 0, 0])
+    assert (m.n_frames, m.kept) == (6, 2)
     with pytest.raises(ValueError):
         FrameMask(4, 5)
 
@@ -332,24 +332,25 @@ ORACLE_LABELS = ["approach", "follow", "circle-together", "animated-talk"]
 
 
 def sampler_results(name, label, N, schedule, stats, skeleton, step,
-                    prior_cls=tape.StepAnalyticPrior, want_cls=None):
+                    make_prior=tape.StepAnalyticPrior, make_want=None,
+                    samplers=ORACLE_SAMPLERS):
     """Outputs of sampler `name` and the gradient of one loss of them, as a
-    list for the package with `prior_cls` and one for its tape form
-    stepping by `step`, or for the package with `want_cls` if given."""
+    list for the package with the prior `make_prior(schedule, stats,
+    skeleton)` and one for its tape form stepping by `step`, or for the
+    package with the prior `make_want(...)` if given."""
     rng = np.random.default_rng(N)
     xT = rng.standard_normal((2, N, skeleton.D))
     kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
     ref = rng.standard_normal((N, skeleton.D)) * 0.3
     weights = rng.standard_normal((N, skeleton.D))
-    want = (tape, tape.TapeAnalyticPrior, {"step": step}) if want_cls is None \
-        else (diffusion, want_cls, {})
+    want = (tape, tape.TapeAnalyticPrior, {"step": step}) \
+        if make_want is None else (diffusion, make_want, {})
     results = []
-    for module, prior_cls, kw in ((diffusion, prior_cls, {}), want):
+    for module, make, kw in ((diffusion, make_prior, {}), want):
         v = ad.Var(xT)
-        outs = ORACLE_SAMPLERS[name](module, prior_cls(schedule, stats,
-                                                       skeleton),
-                                     schedule, v, kept, ref,
-                                     label_by_name(label), **kw)
+        outs = samplers[name](module, make(schedule, stats, skeleton),
+                              schedule, v, kept, ref, label_by_name(label),
+                              **kw)
         loss = to.sum_(to.tanh(outs[0] * ad.constant(weights)))
         for o in outs[1:]:
             loss = loss + to.sum_(outs[0] * o)
@@ -400,8 +401,8 @@ def test_param_chain_near_step_chain(name, label, N, small_schedule, stats,
     gradients of the step-by-step chain by rounding only: within 1e-11 of
     each array's largest magnitude."""
     got, want = sampler_results(name, label, N, small_schedule, stats,
-                                skeleton, None, prior_cls=AnalyticPrior,
-                                want_cls=tape.StepAnalyticPrior)
+                                skeleton, None, make_prior=AnalyticPrior,
+                                make_want=tape.StepAnalyticPrior)
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
 
@@ -416,25 +417,65 @@ def test_param_chain_near_step_chain_data_stats(name, label, small_schedule,
     data = NormalizationStats(rng.standard_normal(skeleton.D) * 0.5,
                               0.5 + rng.random(skeleton.D))
     got, want = sampler_results(name, label, 32, small_schedule, data,
-                                skeleton, None, prior_cls=AnalyticPrior,
-                                want_cls=tape.StepAnalyticPrior)
+                                skeleton, None, make_prior=AnalyticPrior,
+                                make_want=tape.StepAnalyticPrior)
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
 
 
+def perturbed_mlp(cls=MLPPrior, seed=3):
+    """A factory (schedule, stats, skeleton) -> MLP prior of class `cls`
+    whose weights are moved off their init, the same for every `cls`."""
+    def make(schedule, stats, skeleton):
+        prior = cls(schedule, skeleton.D, len(VOCABULARY), hidden=16,
+                    seed=seed)
+        rng = np.random.default_rng(seed)
+        prior.weights = {k: v + 0.1 * rng.standard_normal(v.shape)
+                         for k, v in prior.weights.items()}
+        return prior
+    return make
+
+
+MLP_SAMPLERS = dict(ORACLE_SAMPLERS, **{
+    "ddim-tuple": lambda m, prior, sch, v, kept, ref, lab: m.ddim_sample(
+        prior, sch, (v[0], v[1]), lab)})
+
+
+@pytest.mark.parametrize("steps", [1, 5, 12])
+@pytest.mark.parametrize("N", [12, 32, 240])
+@pytest.mark.parametrize("label", ["approach", "follow", "animated-talk"])
+@pytest.mark.parametrize("name", MLP_SAMPLERS)
+def test_mlp_chain_matches_step_chain(name, label, N, steps, stats,
+                                      skeleton):
+    """`EpsPrior.chain` of the MLP prior gives the outputs and gradients of
+    the stepped chain bit for bit: one-node eps and clean estimate and a
+    DDIM step node per step."""
+    schedule = DiffusionSchedule(t_train=50, ddim_steps=steps)
+    got, want = sampler_results(name, label, N, schedule, stats, skeleton,
+                                None, make_prior=perturbed_mlp(),
+                                make_want=perturbed_mlp(tape.StepMLPPrior),
+                                samplers=MLP_SAMPLERS)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
 def test_chain_dispatch(small_schedule, stats, skeleton):
     """The analytic prior runs in parameter space, reading the functionals'
-    noise channels; the stepped oracles opt out by setting `chain` to None
-    and are stepped, reading every channel; a prior without `chain` is
-    stepped."""
+    noise channels; an eps prior runs `EpsPrior.chain`, reading every
+    channel; the stepped oracles run `tape.step_chain`, reading every
+    channel."""
     prior = AnalyticPrior(small_schedule, stats, skeleton)
     assert prior.chain.__func__ is AnalyticPrior.chain
     assert np.array_equal(prior.noise_channels, functional_channels(skeleton))
-    for cls in (tape.StepAnalyticPrior, tape.TapeAnalyticPrior):
-        assert cls(small_schedule, stats, skeleton).chain is None
-        assert cls(small_schedule, stats, skeleton).noise_channels == \
-            slice(None)
-    assert getattr(ZeroPrior(small_schedule), "chain", None) is None
+    for eps_prior in (MLPPrior(small_schedule, skeleton.D, 6, hidden=8),
+                      ZeroPrior(small_schedule)):
+        assert eps_prior.chain.__func__ is EpsPrior.chain
+        assert eps_prior.noise_channels == slice(None)
+    for step_prior in [cls(small_schedule, stats, skeleton) for cls in
+                       (tape.StepAnalyticPrior, tape.TapeAnalyticPrior)] + \
+            [tape.StepMLPPrior(small_schedule, skeleton.D, 6, hidden=8)]:
+        assert step_prior.chain.__func__ is tape.step_chain
+        assert step_prior.noise_channels == slice(None)
 
 
 @pytest.mark.parametrize("name", ORACLE_SAMPLERS)
@@ -519,6 +560,31 @@ def test_param_chain_gradient_matches_fd(name, label, stats, skeleton):
     check_gradient(loss, xT, n_coords=12, rtol=1e-5)
 
 
+@pytest.mark.parametrize("name", ["masked", "inpaint-noised"])
+def test_mlp_chain_gradient_matches_fd(name, stats, skeleton):
+    """`EpsPrior.chain`'s gradient against central differences, with the
+    kept block overwritten at every step."""
+    schedule = DiffusionSchedule(t_train=50, ddim_steps=5)
+    prior = perturbed_mlp()(schedule, stats, skeleton)
+    rng = np.random.default_rng(52)
+    N = 10
+    xT = rng.standard_normal((2, N, skeleton.D))
+    kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
+    ref = rng.standard_normal((N, skeleton.D)) * 0.3
+    w = ad.constant(rng.standard_normal((N, skeleton.D)))
+    lab = label_by_name("follow")
+
+    def loss(v):
+        outs = ORACLE_SAMPLERS[name](diffusion, prior, schedule, v, kept,
+                                     ref, lab)
+        total = to.sum_(to.tanh(outs[0] * 0.1) * w)
+        for o in outs[1:]:
+            total = total + to.sum_(to.tanh(o * 0.1) * w)
+        return total
+
+    check_gradient(loss, xT, n_coords=12, rtol=1e-5)
+
+
 def created_vars(monkeypatch, fn):
     """fn()'s result and the Vars it created, in order."""
     created = []
@@ -535,28 +601,9 @@ def created_vars(monkeypatch, fn):
         monkeypatch.undo()
 
 
-def test_ddim_step_records_two_nodes(stats, skeleton, monkeypatch):
-    """One step with an eps prior, stepped by the sampler, is two tape
-    nodes: the clean estimate and the DDIM step (the zero prior's eps is a
-    constant leaf)."""
-    schedule = DiffusionSchedule(t_train=50, ddim_steps=1)
-    prior = ZeroPrior(schedule)
-    x = ad.Var(noise((2, 12, skeleton.D), 40))
-    (o1, o2), created = created_vars(monkeypatch, lambda: ddim_sample(
-        prior, schedule, x, label_by_name("follow")))
-    # the eps leaf and the step's two nodes, then the two rows of the result
-    eps, x0, step = created[:3]
-    assert len(created) == 5 and created[3:] == [o1, o2]
-    assert not eps.requires_grad
-    assert x0.parents == (x, eps) and step.parents == (x, x0)
-    assert o1.parents == (step,)
-
-
-@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
-def test_analytic_sample_nodes_independent_of_steps(name, stats, skeleton,
-                                                    monkeypatch):
-    """One analytic sample records the same tape nodes whatever the number
-    of DDIM steps: the chain is one node over x_T."""
+def sample_node_counts(name, make_prior, stats, skeleton, monkeypatch):
+    """The tape nodes one sample of sampler `name` records, with the prior
+    `make_prior(schedule, stats, skeleton)`, at 1, 5 and 20 DDIM steps."""
     rng = np.random.default_rng(46)
     xT = rng.standard_normal((2, 12, skeleton.D))
     kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
@@ -564,14 +611,35 @@ def test_analytic_sample_nodes_independent_of_steps(name, stats, skeleton,
     counts = []
     for steps in (1, 5, 20):
         schedule = DiffusionSchedule(t_train=50, ddim_steps=steps)
-        prior = AnalyticPrior(schedule, stats, skeleton)
+        prior = make_prior(schedule, stats, skeleton)
         v = ad.Var(xT)
         _, created = created_vars(monkeypatch, lambda: ORACLE_SAMPLERS[
             name](diffusion, prior, schedule, v, kept, ref,
                   label_by_name("circle-together")))
         counts.append(len(created))
+    return counts
+
+
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+def test_analytic_sample_nodes_independent_of_steps(name, stats, skeleton,
+                                                    monkeypatch):
+    """One analytic sample records the same tape nodes whatever the number
+    of DDIM steps: the chain is one node over x_T."""
+    counts = sample_node_counts(name, AnalyticPrior, stats, skeleton,
+                                monkeypatch)
     # the chain node and the rows taken from it; masked adds the target's
     # row of v and its embedding as row 0 of the pair
+    assert counts == [3 if name != "masked" else 4] * 3
+
+
+@pytest.mark.parametrize("name", ORACLE_SAMPLERS)
+def test_mlp_sample_nodes_independent_of_steps(name, stats, skeleton,
+                                               monkeypatch):
+    """One MLP sample records the same tape nodes whatever the number of
+    DDIM steps, as many as an analytic one: `EpsPrior.chain` is one node
+    over x_T."""
+    counts = sample_node_counts(name, perturbed_mlp(), stats, skeleton,
+                                monkeypatch)
     assert counts == [3 if name != "masked" else 4] * 3
 
 

@@ -32,16 +32,31 @@ def priors_under_test(analytic_prior, mlp_prior):
     return [("analytic", analytic_prior), ("mlp", mlp_prior)]
 
 
+def stepped(prior: MLPPrior) -> tape.StepMLPPrior:
+    """The stepped oracle with `prior`'s sizes and weights: one-node eps and
+    clean estimate."""
+    step = tape.StepMLPPrior(prior.schedule, prior.D, prior.n_labels,
+                             prior.hidden)
+    step.weights = prior.weights
+    return step
+
+
 # -- shared conformance suite -------------------------------------------------
 
 
 def test_conformance_shapes_and_determinism(analytic_prior, mlp_prior,
-                                            skeleton):
+                                            small_schedule, skeleton):
+    """Each prior's chain, eps and one-node clean estimate (the stepped
+    oracle's, for the MLP) keep the pair's shape, are deterministic and
+    finite."""
     lab = label_by_name("approach")
     for name, prior in priors_under_test(analytic_prior, mlp_prior):
         x = ad.constant(np.stack([noise((10, skeleton.D), 1),
                                   noise((10, skeleton.D), 2)]))
-        for estimate in (prior.predict, prior.clean_estimate):
+        step = prior if name == "analytic" else stepped(prior)
+        for estimate in (prior.predict, step.clean_estimate,
+                         lambda x, t, lab: prior.chain(small_schedule, x,
+                                                       lab)):
             e = estimate(x, 25, lab)
             assert e.shape == x.shape, name
             f = estimate(x, 25, lab)
@@ -189,7 +204,8 @@ def test_mlp_forward_and_vjp_match_tape_oracle(small_schedule, skeleton, N,
                                                hidden):
     """eps and its adjoints to x and to every weight array are bit-identical
     to the op-by-op tape form, for every label and across t; so are the
-    one-node `predict` and `clean_estimate` and their gradients to x."""
+    one-node `predict`, the stepped oracle's one-node `clean_estimate` and
+    their gradients to x."""
     prior = _perturbed_mlp(small_schedule, skeleton.D, hidden, N + hidden)
     oracle = tape_mlp.TapeMLPPrior(small_schedule, skeleton.D,
                                    prior.n_labels, hidden=hidden)
@@ -213,7 +229,7 @@ def test_mlp_forward_and_vjp_match_tape_oracle(small_schedule, skeleton, N,
             for k, want_g in zip(keys, grads[1:]):
                 assert np.array_equal(gw[k], want_g), k
             for got_p, want_p in ((prior.predict, oracle.predict),
-                                  (prior.clean_estimate,
+                                  (stepped(prior).clean_estimate,
                                    oracle.clean_estimate)):
                 out = []
                 for estimate in (got_p, want_p):
@@ -268,13 +284,14 @@ def test_mlp_state_vjp_with_zero_row_matches_tape_oracle(small_schedule,
 
 def test_mlp_node_gradient_matches_fd(small_schedule, skeleton):
     """The hand-written vjp against central differences: to x through the
-    one-node eps and clean estimate, and to W1, b2 and skip."""
+    one-node eps and the stepped oracle's one-node clean estimate, and to
+    W1, b2 and skip."""
     prior = _perturbed_mlp(small_schedule, skeleton.D, 16, 7)
     lab = label_by_name("follow")
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 6, skeleton.D))
     w = ad.constant(rng.standard_normal(x.shape))
-    for estimate in (prior.predict, prior.clean_estimate):
+    for estimate in (prior.predict, stepped(prior).clean_estimate):
         check_gradient(lambda v: to.sum_(to.tanh(estimate(v, 20, lab) * 0.1)
                                          * w), x, n_coords=12, rtol=1e-5)
     _, vjp = prior.forward(x, 20, lab)
@@ -294,12 +311,11 @@ def test_mlp_node_gradient_matches_fd(small_schedule, skeleton):
                 1e-6 * max(1.0, abs(fd[c])), (k, c)
 
 
-def test_mlp_evaluation_adds_one_node_per_step(small_schedule, skeleton,
-                                              stats, monkeypatch):
-    """A penalised evaluation with the MLP prior records at most one tape
-    node per DDIM step more than with the analytic prior stepped through
-    its one-node clean estimate: the eps node under each one-node clean
-    estimate."""
+def test_mlp_evaluation_records_analytic_node_count(small_schedule, skeleton,
+                                                   stats, monkeypatch):
+    """A penalised evaluation with the MLP prior records exactly as many
+    tape nodes as with the analytic prior: each runs its chain as one
+    node."""
     from groupmotion.diffusion import ddim_sample
     from groupmotion.motion import denormalize
     from groupmotion.penalties import PenaltyConfig, aggregate
@@ -314,7 +330,7 @@ def test_mlp_evaluation_adds_one_node_per_step(small_schedule, skeleton,
 
     monkeypatch.setattr(ad.Var, "__init__", counting)
     nodes = []
-    for prior in (tape.StepAnalyticPrior(small_schedule, stats, skeleton),
+    for prior in (AnalyticPrior(small_schedule, stats, skeleton),
                   MLPPrior(small_schedule, skeleton.D, 6, hidden=8)):
         count[0] = 0
         v = ad.Var(x)
@@ -323,7 +339,7 @@ def test_mlp_evaluation_adds_one_node_per_step(small_schedule, skeleton,
                                    2: denormalize(b, stats)}, skeleton)
         ad.grad(loss, [v])
         nodes.append(count[0])
-    assert nodes[1] - nodes[0] <= small_schedule.ddim_steps
+    assert nodes[1] == nodes[0]
 
 
 def test_mlp_weight_round_trip(mlp_prior, tmp_path, small_schedule):

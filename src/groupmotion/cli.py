@@ -15,26 +15,29 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
+from functools import cache
+from typing import get_args, get_origin, get_type_hints, is_typeddict
+
+import numpy as np
 
 from .composer import (Composer, CompositionResult, ExtensionSegment,
                        OptimizationDiverged, OptimizerConfig, SceneSpec,
-                       SceneStep, check_segments)
+                       check_segments)
 from .corpus import CorpusConfig, generate_corpus, load_corpus, save_corpus
 from .diffusion import DiffusionSchedule
 from .metrics import evaluate_runs, write_report_csv
 from .motion import (NormalizationStats, default_skeleton, normalize,
                      read_motion, write_motion)
-from .penalties import PenaltyConfig, region_joints
 from .priors import AnalyticPrior, MLPPrior, TrainingDiverged, train
-from .scripts import VOCABULARY, label_by_name
+from .scripts import VOCABULARY, InteractionLabel, label_by_name
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-PRIOR_KEYS = ("kind", "weights")
 # the top-level keys each command reads; any other key is a config error
 RUN_KEYS = ("schedule", "optimizer", "prior", "stats", "fps")
 CONFIG_KEYS = {
@@ -45,22 +48,35 @@ CONFIG_KEYS = {
     "eval": ("results_dir", "overlap_threshold"),
     "export": ("inputs",),
 }
+HIDDEN_MAX = 1024    # the widest MLP hidden layer a config may ask for
+# the top-level keys that no config dataclass owns: the function each is
+# passed to, whose annotation types it, and the range (above, most] it takes
+ARGS = {"fps": (Composer.__init__, 0, math.inf), "lr": (train, 0, math.inf),
+        "epochs": (train, -1, math.inf),
+        "hidden": (MLPPrior.__init__, 0, HIDDEN_MAX),
+        "overlap_threshold": (evaluate_runs, 0, math.inf)}
+# `true` is no int; a float is finite, and kept as given so outputs match
+SCALARS = {int: ("an int", lambda v: type(v) is int),
+           float: ("a finite number", lambda v: type(v) in (int, float)
+                   and abs(v) <= sys.float_info.max),
+           str: ("a string", lambda v: isinstance(v, str)),
+           dict: ("an object", lambda v: isinstance(v, dict))}
+LABELS = [spec.name for spec in VOCABULARY]
+_hints = cache(get_type_hints)     # resolved once per class or function
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     pass
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        raise ConfigError("--config is required")
-    if not os.path.isfile(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as f:
-        try:
+def _load_json(path: str, what: str):
+    """The JSON value in file `path`; a file that cannot be read, or that
+    is not JSON, is a ConfigError naming `what`."""
+    try:
+        with open(path) as f:
             return json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config is not valid JSON: {e}") from e
+    except (OSError, ValueError) as e:      # ValueError: not JSON or UTF-8
+        raise ConfigError(f"{what} {path} is no readable JSON: {e}") from e
 
 
 def _config_hash(cfg: dict) -> str:
@@ -68,37 +84,29 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _require(cfg: dict, key: str, ctx: str = "config"):
+def _require(cfg: dict, key: str, tp, ctx: str = "config"):
+    """`cfg[key]` parsed by the annotation `tp`; it must be there."""
     if key not in cfg:
         raise ConfigError(f"{ctx}: missing required field {key!r}")
-    return cfg[key]
+    return _parsed(tp, cfg[key], f"{ctx}: {key}")
 
 
 def _check_keys(cfg, keys, ctx: str) -> None:
     """Reject a section that is not an object or holds an unknown key."""
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{ctx}: expected an object, got {cfg!r}")
+    _expect(isinstance(cfg, dict), "an object", cfg, ctx)
     unknown = sorted(set(cfg) - set(keys))
-    if unknown:
-        raise ConfigError(f"{ctx}: unknown keys {unknown}; accepted are "
-                          f"{list(keys)}")
+    _expect(not unknown, f"only the keys {list(keys)}", unknown, ctx)
 
 
-def _given(cfg: dict, *keys) -> dict:
-    """The entries of `keys` that `cfg` sets, so that an unset one keeps
-    the default of the function it is passed to."""
-    return {k: cfg[k] for k in keys if k in cfg}
-
-
-def _positive(cfg: dict, *keys) -> dict:
-    """`_given(cfg, *keys)`, each value checked to be a positive finite
-    number."""
-    given = _given(cfg, *keys)
-    for key, v in given.items():
-        if type(v) not in (int, float) or not 0 < v < math.inf:
-            raise ConfigError(f"{key} must be a positive finite number, "
-                              f"got {v!r}")
-    return given
+def _arg(cfg: dict, key: str) -> dict:
+    """{key: value}, parsed and checked as ARGS says, if `cfg` sets `key`;
+    else {}, so that the function it is passed to keeps its default."""
+    if key not in cfg:
+        return {}
+    func, above, most = ARGS[key]
+    value = _parsed(_hints(func)[key], cfg[key], key)
+    _expect(above < value <= most, f"a value in ({above}, {most}]", value, key)
+    return {key: value}
 
 
 def _prepare_out(out, overwrite: bool) -> str:
@@ -154,63 +162,65 @@ def _jobs(text: str) -> int:
 
 def _build(cls, section, ctx: str, **given):
     """`cls(**section, **given)` for the dataclass `cls` that owns the
-    config object `section`, after `_parsed` has turned its JSON values into
-    the objects `cls` takes. A key that is not a field of `cls`, a missing
-    one or a value that `cls` rejects is a ConfigError naming `ctx`."""
-    _check_keys(section, [f.name for f in fields(cls) if f.name not in given],
-                ctx)
+    config object `section`, each value parsed by the annotation of the
+    field it fills. A key that is not a field of `cls`, a missing one or a
+    value that `cls` rejects is a ConfigError naming `ctx`."""
+    hints = _hints(cls)
+    _check_keys(section, [k for k in hints if k not in given], ctx)
     try:
-        return cls(**{k: _parsed(k, v, ctx) for k, v in section.items()},
-                   **given)
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as e:     # KeyError: a label name
+        return cls(**{k: _parsed(hints[k], v, f"{ctx}.{k}")
+                      for k, v in section.items()}, **given)
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"{ctx}: {e}") from e
 
 
-def _parsed(key: str, value, ctx: str):
-    """The object a section's JSON `value` under `key` stands for: labels
-    for label names, tuples of person ids, and PenaltyConfig, SceneStep and
-    ExtensionSegment tuples."""
-    if key in ("label", "first_label"):
+def _expect(ok, what: str, value, ctx: str) -> None:
+    if not ok:
+        raise ConfigError(f"{ctx}: expected {what}, got {value!r}")
+
+
+def _parsed(tp, value, ctx: str):
+    """The object of annotation `tp` that the JSON `value` at `ctx` stands
+    for; a value that `tp` does not describe is a ConfigError. A TypedDict
+    types only its own keys, and an ndarray is nested lists of numbers."""
+    if tp is InteractionLabel:
+        _expect(value in LABELS, f"a label, one of {LABELS}", value, ctx)
         return label_by_name(value)
-    if key in ("penalties", "first_penalties"):
-        pens = _items(PenaltyConfig, value, f"{ctx}.{key}")
-        for p in pens:
-            if p.kind == "region":
-                region_joints(p.params.get("joints"), default_skeleton().J)
-        return pens
-    if key in ("participants", "opt_subset"):
-        return tuple(value)
-    if key == "pairs":
-        return tuple((a, b, label_by_name(name)) for a, b, name in value)
-    if key == "steps":
-        return _items(SceneStep, value, f"{ctx}.steps")
-    if key == "extension":
-        return _items(ExtensionSegment, value, f"{ctx}.extension")
+    if is_dataclass(tp):
+        return _build(tp, value, ctx)
+    args = get_args(tp)
+    if type(None) in args:                        # X | None
+        return None if value is None else _parsed(args[0], value, ctx)
+    if get_origin(tp) is tuple:
+        _expect(isinstance(value, list), "a list", value, ctx)
+        args = args[:1] * len(value) if args[-1] is Ellipsis else args
+        _expect(len(value) == len(args), f"{len(args)} items", value, ctx)
+        return tuple(_parsed(a, v, f"{ctx}[{i}]")
+                     for i, (a, v) in enumerate(zip(args, value)))
+    if is_typeddict(tp):
+        _expect(isinstance(value, dict), "an object", value, ctx)
+        hints = _hints(tp)
+        return {k: _parsed(hints[k], v, f"{ctx}.{k}") if k in hints else v
+                for k, v in value.items()}
+    if tp is np.ndarray:
+        return np.array(_parsed(tuple[tp, ...] if isinstance(value, list)
+                                else float, value, ctx), dtype=float)
+    what, ok = SCALARS[tp]
+    _expect(ok(value), what, value, ctx)
     return value
-
-
-def _items(cls, items, ctx: str) -> tuple:
-    """A list of config objects, each built by `_build(cls, ...)`."""
-    if not isinstance(items, (list, tuple)):
-        raise ConfigError(f"{ctx}: expected a list, got {items!r}")
-    return tuple(_build(cls, s, f"{ctx}[{i}]") for i, s in enumerate(items))
 
 
 def _prior_from(cfg: dict, schedule, stats, skeleton):
     prior_cfg = cfg.get("prior", {})
-    _check_keys(prior_cfg, PRIOR_KEYS, "prior")
+    _check_keys(prior_cfg, ("kind", "weights"), "prior")
     kind = prior_cfg.get("kind", "analytic")
     if kind == "analytic":
         return AnalyticPrior(schedule, stats, skeleton)
     if kind == "mlp":
-        weights = _require(prior_cfg, "weights", "prior")
-        if not os.path.isfile(weights):
-            raise ConfigError(f"prior: weights file not found: {weights}")
+        weights = _require(prior_cfg, "weights", str, "prior")
         try:
             prior = MLPPrior.load(weights, schedule)
-        except (KeyError, ValueError) as e:     # not an npz, or entries missing
+        except (KeyError, OSError, ValueError) as e:  # or not an npz
             raise ConfigError(f"prior: weights file unreadable: {e}") from e
         if (prior.D, prior.n_labels) != (skeleton.D, len(VOCABULARY)):
             raise ConfigError(f"prior: weights file has D={prior.D}, n_labels="
@@ -221,13 +231,10 @@ def _prior_from(cfg: dict, schedule, stats, skeleton):
 
 
 def _stats_from(cfg: dict, skeleton) -> NormalizationStats:
-    path = cfg.get("stats")
+    path = _parsed(str | None, cfg.get("stats"), "stats")
     if path is None:
         return NormalizationStats.reference(skeleton)
-    if not os.path.isfile(path):
-        raise ConfigError(f"stats file not found: {path}")
-    with open(path) as f:
-        return NormalizationStats.from_json(json.load(f))
+    return _build(NormalizationStats, _load_json(path, "stats"), "stats")
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -247,28 +254,22 @@ def cmd_corpus(args, cfg: dict) -> int:
     with open(os.path.join(out, "stats.json"), "w") as f:
         json.dump(stats.to_json(), f)
     # merge into the manifest save_corpus wrote; load_corpus reads it back
-    with open(os.path.join(out, "manifest.json")) as f:
-        manifest = json.load(f)
-    manifest.update({"command": "corpus", "config_hash": _config_hash(cfg),
-                     "seed": corpus_cfg.seed,
-                     "n_samples": len(corpus.samples)})
-    _write_manifest(out, manifest)
+    manifest = _load_json(os.path.join(out, "manifest.json"), "manifest")
+    _write_manifest(out, {**manifest, "command": "corpus",
+                          "config_hash": _config_hash(cfg),
+                          "seed": corpus_cfg.seed,
+                          "n_samples": len(corpus.samples)})
     print(f"wrote {2 * len(corpus.samples)} motion files to {out}")
     return EXIT_OK
 
 
 def cmd_train(args, cfg: dict) -> int:
-    corpus_dir = _require(cfg, "corpus_dir")
-    if not os.path.isdir(corpus_dir):
-        raise ConfigError(f"corpus_dir not found: {corpus_dir}")
+    corpus_dir = _require(cfg, "corpus_dir", str)
+    _expect(os.path.isdir(corpus_dir), "a directory", corpus_dir, "corpus_dir")
     schedule = _build(DiffusionSchedule, cfg.get("schedule", {}), "schedule")
-    for key, least in (("epochs", 0), ("hidden", 1)):
-        if key in cfg and (type(cfg[key]) is not int or cfg[key] < least):
-            raise ConfigError(f"{key} must be an int >= {least}, "
-                              f"got {cfg[key]!r}")
-    lr = _positive(cfg, "lr")
+    hidden, lr = _arg(cfg, "hidden"), _arg(cfg, "lr")
+    epochs = _arg(cfg, "epochs").get("epochs", 5)
     skeleton = default_skeleton()
-    epochs = cfg.get("epochs", 5)
     seed = args.seed[0]
     if args.dry_run:
         print(f"train: corpus {corpus_dir}, {epochs} epochs, seed {seed}")
@@ -280,7 +281,7 @@ def cmd_train(args, cfg: dict) -> int:
                normalize(s.seqs[1].frames, stats)), s.label)
              for s in corpus.samples]
     prior = MLPPrior(schedule, skeleton.D, n_labels=len(VOCABULARY),
-                     seed=seed, **_given(cfg, "hidden"))
+                     seed=seed, **hidden)
     try:
         curve = train(prior, pairs, schedule, epochs, seed=seed, **lr)
     except TrainingDiverged as e:
@@ -307,8 +308,7 @@ def _composer_from(cfg: dict) -> Composer:
     stats = _stats_from(cfg, skeleton)
     prior = _prior_from(cfg, schedule, stats, skeleton)
     opt = _build(OptimizerConfig, cfg.get("optimizer", {}), "optimizer")
-    return Composer(prior, schedule, stats, skeleton, opt,
-                    **_positive(cfg, "fps"))
+    return Composer(prior, schedule, stats, skeleton, opt, **_arg(cfg, "fps"))
 
 
 def _write_sequences(sequences: dict, run_dir: str) -> list:
@@ -341,7 +341,8 @@ def _compose_one(cfg: dict, seed: int, out_dir: str) -> dict:
 def cmd_compose(args, cfg: dict) -> int:
     seeds = args.seed
     # validate everything up front so --dry-run and config errors never sample
-    spec = _build(SceneSpec, _require(cfg, "scene"), "scene", seed=seeds[0])
+    spec = _build(SceneSpec, _require(cfg, "scene", dict), "scene",
+                  seed=seeds[0])
     _composer_from(cfg)
     if args.dry_run:
         print(f"compose: persons {spec.participants}, first label "
@@ -372,40 +373,37 @@ def cmd_compose(args, cfg: dict) -> int:
 
 def _load_runs(results_dir: str, skeleton) -> list:
     """(seed, run dir name, person id -> MotionSequence) per manifest run."""
-    if not os.path.isdir(results_dir):
-        raise ConfigError(f"results_dir not found: {results_dir}")
-    manifest_path = os.path.join(results_dir, "manifest.json")
-    if not os.path.isfile(manifest_path):
-        raise ConfigError(f"no manifest in {results_dir}")
-    with open(manifest_path) as f:
-        manifest = json.load(f)
+    path = os.path.join(results_dir, "manifest.json")
+    manifest = _parsed(dict, _load_json(path, "manifest"), path)
     runs = []
-    for run in _require(manifest, "runs", manifest_path):
-        name = _require(run, "dir", manifest_path)
+    for i, run in enumerate(_require(manifest, "runs", tuple[dict, ...],
+                                     path)):
+        ctx = f"{path}: runs[{i}]"
+        name = _require(run, "dir", str, ctx)
         seqs = {}
-        for fname in _require(run, "files", manifest_path):
-            pid = int(fname[len("person"):-len(".motion")])
-            seqs[pid] = read_motion(os.path.join(results_dir, name, fname),
-                                    skeleton)
-        runs.append((_require(run, "seed", manifest_path), name, seqs))
+        for fname in _require(run, "files", tuple[str, ...], ctx):
+            pid = re.fullmatch(r"person(-?\d+)\.motion", fname)
+            _expect(pid, "a name person<id>.motion", fname, f"{ctx}: files")
+            seqs[int(pid[1])] = read_motion(
+                os.path.join(results_dir, name, fname), skeleton)
+        runs.append((_require(run, "seed", int, ctx), name, seqs))
     return runs
 
 
 def cmd_extend(args, cfg: dict) -> int:
-    results_dir = _require(cfg, "results_dir")
+    results_dir = _require(cfg, "results_dir", str)
     composer = _composer_from(cfg)
     runs = _load_runs(results_dir, composer.skeleton)
-    scene = _require(cfg, "scene")
+    scene = _require(cfg, "scene", dict)
     _check_keys(scene, ("extension",), "scene")
-    segments = _items(ExtensionSegment, scene.get("extension", ()),
-                      "scene.extension")
+    segments = _parsed(tuple[ExtensionSegment, ...],
+                       scene.get("extension", []), "scene.extension")
     try:
         for _, _, seqs in runs:
             check_segments(segments, seqs)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"scene: {e}") from e
-    if not segments:
-        raise ConfigError("scene.extension: no segments configured")
+    _expect(segments, "at least one segment", [], "scene.extension")
     if args.dry_run:
         print(f"extend: {len(runs)} run(s), {len(segments)} segment(s)")
         return EXIT_OK
@@ -427,8 +425,8 @@ def cmd_extend(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    results_dir = _require(cfg, "results_dir")
-    threshold = _positive(cfg, "overlap_threshold")
+    results_dir = _require(cfg, "results_dir", str)
+    threshold = _arg(cfg, "overlap_threshold")
     runs = [seqs for _, _, seqs in _load_runs(results_dir, default_skeleton())]
     if args.dry_run:
         print(f"eval: {len(runs)} run(s) from {results_dir}")
@@ -451,9 +449,8 @@ def cmd_eval(args, cfg: dict) -> int:
 
 
 def cmd_export(args, cfg: dict) -> int:
-    inputs = _require(cfg, "inputs")
     paths = []
-    for item in inputs:
+    for item in _require(cfg, "inputs", tuple[str, ...]):
         if os.path.isdir(item):
             paths.extend(sorted(
                 os.path.join(item, f) for f in os.listdir(item)
@@ -462,8 +459,7 @@ def cmd_export(args, cfg: dict) -> int:
             paths.append(item)
         else:
             raise ConfigError(f"inputs: path not found: {item}")
-    if not paths:
-        raise ConfigError("inputs: no motion files found")
+    _expect(paths, "motion files", [], "inputs")
     if args.dry_run:
         print(f"export: {len(paths)} motion file(s)")
         return EXIT_OK
@@ -525,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
+        if args.config is None:
+            raise ConfigError("--config is required")
+        cfg = _load_json(args.config, "config")
         _check_keys(cfg, CONFIG_KEYS[args.command], "config")
         return COMMANDS[args.command](args, cfg)
     except ConfigError as e:

@@ -30,8 +30,8 @@ import numpy as np
 from . import autodiff as ad
 from .diffusion import DiffusionSchedule, FrameMask, ddim_sample, \
     inpaint_extend, masked_sample
-from .motion import MotionSequence, NormalizationStats, Skeleton, denormalize, \
-    normalize, repair_velocities
+from .motion import N_FRAMES_MAX, MotionSequence, NormalizationStats, \
+    Skeleton, denormalize, normalize, repair_velocities
 from .penalties import SUBJECTS, PenaltyConfig, aggregate
 from .scripts import InteractionLabel
 
@@ -46,13 +46,8 @@ class OptimizerConfig:
     def __post_init__(self):
         if not 0 < self.lr < np.inf:
             raise ValueError("OptimizerConfig: lr must be positive and finite")
-        if type(self.max_steps) is not int or self.max_steps < 1:
-            raise ValueError(f"OptimizerConfig: max_steps must be an int >= 1,"
-                             f" got {self.max_steps!r}")
-        if type(self.early_stop_loss) not in (int, float) or \
-                not -np.inf < self.early_stop_loss < np.inf:
-            raise ValueError(f"OptimizerConfig: early_stop_loss must be a "
-                             f"finite number, got {self.early_stop_loss!r}")
+        if self.max_steps < 1:
+            raise ValueError("OptimizerConfig: max_steps must be >= 1")
         if not (0.0 < self.lr_decay <= 1.0):
             raise ValueError("OptimizerConfig: lr_decay must be in (0, 1]")
 
@@ -62,16 +57,16 @@ class SceneStep:
     target: int                    # person id being generated
     reference: int                 # pivot person id (== target for step 1 slot)
     label: InteractionLabel
-    opt_subset: tuple = ()         # already-generated ids entering the loss
-    penalties: tuple = ()          # PenaltyConfig list
+    opt_subset: tuple[int, ...] = ()     # already-generated ids in the loss
+    penalties: tuple[PenaltyConfig, ...] = ()
 
 
 @dataclass
 class ExtensionSegment:
     window: int                    # frames in the new window
     kept: int                      # leading frames clamped to the references
-    pairs: tuple                   # (person_a, person_b, InteractionLabel)
-    penalties: tuple = ()          # extra penalties besides the boundary term
+    pairs: tuple[tuple[int, int, InteractionLabel], ...]
+    penalties: tuple[PenaltyConfig, ...] = ()   # besides the boundary term
     boundary_frames: int = 25
     boundary_weight: float = 1.0
     mode: str = "noised"
@@ -79,20 +74,20 @@ class ExtensionSegment:
 
 @dataclass
 class SceneSpec:
-    participants: tuple
+    participants: tuple[int, ...]
     first_label: InteractionLabel
-    first_penalties: tuple = ()
-    steps: tuple = ()              # SceneStep for persons 3..M
-    extension: tuple = ()          # ExtensionSegment list
+    first_penalties: tuple[PenaltyConfig, ...] = ()
+    steps: tuple[SceneStep, ...] = ()              # persons 3..M
+    extension: tuple[ExtensionSegment, ...] = ()
     seed: int = 0
     n_frames: int = 32
 
     def __post_init__(self):
         if len(self.participants) < 2:
             raise ValueError("SceneSpec: need at least two participants")
-        if type(self.n_frames) is not int or self.n_frames < 2:
-            raise ValueError(f"SceneSpec: n_frames must be an int >= 2, got "
-                             f"{self.n_frames!r}")
+        if not 2 <= self.n_frames <= N_FRAMES_MAX:
+            raise ValueError(f"SceneSpec: n_frames must be in [2, "
+                             f"{N_FRAMES_MAX}], got {self.n_frames!r}")
         generated = set(self.participants[:2])
         _check_penalties(_default_pair_subjects(self.first_penalties,
                                                 *self.participants[:2]),
@@ -134,10 +129,9 @@ def check_segments(segments, persons) -> None:
         if seg.mode not in ("noised", "literal"):
             raise ValueError(f"extension segment {si}: unknown mode "
                              f"{seg.mode!r}")
-        if seg.kept < 1:
-            raise ValueError(f"extension segment {si}: kept must be >= 1")
-        if seg.window <= seg.kept:
-            raise ValueError("extension window must exceed kept frames")
+        if not 1 <= seg.kept < seg.window <= N_FRAMES_MAX:
+            raise ValueError(f"extension segment {si}: window must exceed "
+                             f"kept >= 1 frames and be <= {N_FRAMES_MAX}")
         covered = [p for pair in seg.pairs for p in pair[:2]]
         if len(covered) != len(set(covered)):
             raise ValueError(

@@ -14,11 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .motion import (MotionSequence, NormalizationStats, Skeleton,
-                     default_skeleton, read_motion, repair_velocities,
-                     write_motion)
+from .motion import (N_FRAMES_MAX, MotionSequence, NormalizationStats,
+                     Skeleton, default_skeleton, read_motion,
+                     repair_velocities, write_motion)
 from .scripts import (InteractionLabel, ROOT_HEIGHT, build_pair_from_values,
                       default_vocabulary, label_by_name)
+
+SAMPLES_PER_LABEL_MAX = 1000
 
 
 @dataclass
@@ -42,19 +44,22 @@ class SyntheticCorpus:
 
 @dataclass
 class CorpusConfig:
-    labels: tuple = ("approach", "circle-together", "face-and-talk",
-                     "pose-pair", "follow")
+    labels: tuple[str, ...] = ("approach", "circle-together",
+                               "face-and-talk", "pose-pair", "follow")
     samples_per_label: int = 8
     n_frames: int = 32
     fps: float = 20.0
     seed: int = 0
 
     def __post_init__(self):
-        for key, least in (("samples_per_label", 1), ("n_frames", 4)):
-            value = getattr(self, key)
-            if type(value) is not int or value < least:
-                raise ValueError(f"CorpusConfig: {key} must be an int >= "
-                                 f"{least}, got {value!r}")
+        if not 1 <= self.samples_per_label <= SAMPLES_PER_LABEL_MAX:
+            raise ValueError(f"CorpusConfig: samples_per_label must be in "
+                             f"[1, {SAMPLES_PER_LABEL_MAX}]")
+        if not 4 <= self.n_frames <= N_FRAMES_MAX:
+            raise ValueError(f"CorpusConfig: n_frames must be in [4, "
+                             f"{N_FRAMES_MAX}]")
+        if not 0 < self.fps < np.inf:
+            raise ValueError("CorpusConfig: fps must be positive and finite")
         known = {s.name for s in default_vocabulary()}
         unknown = [l for l in self.labels if l not in known]
         if unknown:

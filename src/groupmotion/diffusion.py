@@ -45,9 +45,8 @@ class DiffusionSchedule:
         for key, most in (("t_train", T_TRAIN_MAX),
                           ("ddim_steps", self.t_train)):
             value = getattr(self, key)
-            if type(value) is not int or not 1 <= value <= most:
-                raise ValueError(f"{key} must be an int in [1, {most}], "
-                                 f"got {value!r}")
+            if not 1 <= value <= most:
+                raise ValueError(f"{key} must be in [1, {most}], got {value!r}")
         # the cosine schedule (Nichol & Dhariwal 2021)
         s = 0.008
         t = np.arange(self.t_train + 1, dtype=np.float64)

@@ -25,6 +25,7 @@ import numpy as np
 from . import autodiff as ad
 
 MOTION_FORMAT_VERSION = 1
+N_FRAMES_MAX = 1000     # the most frames a config asks of one sampled window
 
 
 def pose_width(J: int) -> int:
@@ -292,10 +293,6 @@ class NormalizationStats:
 
     def to_json(self) -> dict:
         return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_json(cls, d: dict):
-        return cls(np.array(d["mean"]), np.array(d["std"]))
 
 
 def normalize(frames, stats: NormalizationStats) -> np.ndarray:

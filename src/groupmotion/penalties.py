@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import TypedDict
 
 import numpy as np
 
 from . import autodiff as ad
-from .motion import Skeleton, facing_gram_schmidt, glo_slice, rot_slice
+from .motion import (Skeleton, default_skeleton, facing_gram_schmidt,
+                     glo_slice, rot_slice)
 
 
 def _node(value, subjects, backward) -> ad.Var:
@@ -229,12 +231,19 @@ def boundary_penalty(frames, window_start: int, window_len: int,
 # -- configuration & aggregation ----------------------------------------------
 
 
-# the params each kind reads; any other key is rejected
-PARAMS = {"overlap": ("delta",), "root": ("targets", "delta"),
-          "region": ("lower", "upper", "joints"),
-          "orientation": ("targets", "delta"), "relative": ("d_min", "d_max"),
-          "boundary": ("window_start", "window_len")}
+# the params each kind reads, each with its type (an ndarray param is a
+# number or nested lists of numbers); any other key is rejected
+PARAMS = {"overlap": {"delta": float},
+          "root": {"targets": np.ndarray, "delta": float},
+          "region": {"lower": np.ndarray, "upper": np.ndarray,
+                     "joints": tuple[int, ...]},
+          "orientation": {"targets": np.ndarray, "delta": float},
+          "relative": {"d_min": float, "d_max": float},
+          "boundary": {"window_start": int, "window_len": int}}
 KINDS = tuple(PARAMS)
+# a penalty's params: a param name has one type whatever the kind
+Params = TypedDict("Params", {k: t for kind in PARAMS.values()
+                              for k, t in kind.items()}, total=False)
 REQUIRED_PARAMS = {"root": ("targets",), "orientation": ("targets",),
                    "region": ("lower", "upper"), "relative": ("d_min", "d_max")}
 TARGET_WIDTH = {"root": 3, "orientation": 2}   # values per target frame
@@ -247,25 +256,19 @@ SUBJECTS = {"overlap": (2, None), "relative": (2, 2), "root": (1, 1),
 class PenaltyConfig:
     kind: str
     weight: float = 1.0
-    subjects: tuple = ()         # person ids the term applies to
-    frames: np.ndarray | None = None
-    params: dict = field(default_factory=dict)
+    subjects: tuple[int, ...] = ()      # person ids the term applies to
+    frames: tuple[int, ...] | None = None
+    params: Params = field(default_factory=dict)
 
     def __post_init__(self):
-        # JSON lists become the tuple and int array the terms read
+        # sequences become the tuple and int array the terms read
         self.subjects = tuple(self.subjects)
         if self.frames is not None:
-            if not all(isinstance(f, (int, np.integer)) and type(f) is not bool
-                       for f in np.asarray(self.frames, object).ravel()):
-                raise ValueError(f"penalty frames must be ints, got "
-                                 f"{self.frames!r}")
             self.frames = np.asarray(self.frames, dtype=int)
         if self.kind not in KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}")
         if not 0 <= self.weight < np.inf:
             raise ValueError("penalty weight must be finite and >= 0")
-        if not isinstance(self.params, dict):
-            raise ValueError(f"{self.kind} penalty params must be an object")
         unknown = sorted(set(self.params) - set(PARAMS[self.kind]))
         if unknown:
             raise ValueError(f"{self.kind} penalty params {unknown} unknown; "
@@ -287,9 +290,12 @@ class PenaltyConfig:
                 self.params["d_min"] > self.params["d_max"]:
             raise ValueError("d_min must not exceed d_max")
         p = self.params
-        if self.kind == "region" and np.any(np.asarray(p["lower"], float) >
-                                            np.asarray(p["upper"], float)):
-            raise ValueError("region penalty lower bound exceeds upper bound")
+        if self.kind == "region":     # joints of the skeleton scenes use
+            region_joints(p.get("joints"), default_skeleton().J)
+            if np.any(np.asarray(p["lower"], float) >
+                      np.asarray(p["upper"], float)):
+                raise ValueError("region penalty lower bound exceeds upper "
+                                 "bound")
         if self.kind == "orientation" and np.size(p["targets"]) % 2 == 0 and \
                 np.any(np.hypot(*np.reshape(p["targets"], (-1, 2)).T) < 1e-9):
             raise ValueError("orientation penalty targets must be nonzero")

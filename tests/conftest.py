@@ -6,11 +6,16 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from groupmotion import autodiff as ad
 from groupmotion.diffusion import DiffusionSchedule
 from groupmotion.motion import NormalizationStats, default_skeleton
 from groupmotion.priors import AnalyticPrior, EpsPrior
+
+# `pytest --hypothesis-profile=ci`: the same examples on every run, so a
+# failure replays as it was seen, and no per-example time limit
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def finite_difference(f, x, coords, h=1e-5):

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from groupmotion import metrics as me
-from groupmotion.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _load_runs,
-                             main)
-from groupmotion.motion import MotionSequence, default_skeleton, read_motion
+from groupmotion.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, HIDDEN_MAX,
+                             _load_runs, main)
+from groupmotion.corpus import SAMPLES_PER_LABEL_MAX
+from groupmotion.motion import (N_FRAMES_MAX, MotionSequence,
+                                default_skeleton, read_motion)
 
 
 def write_config(tmp_path, name, payload):
@@ -751,6 +753,53 @@ def test_manifest_run_missing_field(tmp_path, capsys, composed, key):
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("edit,key", [
+    (lambda m: m.update(runs=5), "runs"),
+    (lambda m: m.update(runs=[5]), "runs"),
+    (lambda m: m["runs"][0].update(files=5), "files"),
+    (lambda m: m["runs"][0].update(files=["person1.motion", "p2.motion"]),
+     "files"),
+], ids=["runs-not-a-list", "run-not-an-object", "files-not-a-list",
+        "file-not-person-id"])
+@pytest.mark.parametrize("command", ["eval", "extend"])
+def test_manifest_values_checked(tmp_path, capsys, composed, command, edit,
+                                 key):
+    """A manifest's runs are a list of objects, each with a list of
+    `person<id>.motion` file names: anything else is a config error of the
+    commands that read it, named, on --dry-run too."""
+    manifest = read_manifest(composed)
+    edit(manifest)
+    with open(os.path.join(composed, "manifest.json"), "w") as f:
+        json.dump(manifest, f)
+    payload = {"results_dir": composed} if command == "eval" else dict(
+        FAST, results_dir=composed, scene={"extension": [SEGMENT]})
+    cfg = write_config(tmp_path, "c.json", payload)
+    err = assert_config_error_writes_nothing(tmp_path, capsys, command, cfg)
+    assert key in err
+
+
+@pytest.mark.parametrize("stats,key", [
+    ({"mean": [0.0] * 100}, "std"),
+    ({"mean": [0.0] * 100, "std": [1.0] * 99 + ["x"]}, "std"),
+    ([0.0], "object"),
+], ids=["std-missing", "std-not-numbers", "not-an-object"])
+def test_stats_file_checked(tmp_path, capsys, stats, key):
+    """A stats file holds `mean` and `std`, lists of finite numbers."""
+    path = write_config(tmp_path, "stats.json", stats)
+    cfg = write_config(tmp_path, "c.json", dict(FAST, stats=path, scene=SCENE))
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "compose", cfg)
+    assert key in err
+
+
+@pytest.mark.parametrize("inputs", [5, "abc", [5]])
+def test_export_inputs_are_path_strings(tmp_path, capsys, inputs):
+    """`inputs` is a list of path strings; a bare string is not walked
+    character by character."""
+    cfg = write_config(tmp_path, "x.json", {"inputs": inputs})
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "export", cfg)
+    assert "inputs" in err and "expected a" in err
+
+
 def test_export_missing_input(tmp_path):
     cfg = write_config(tmp_path, "x.json",
                        {"inputs": [str(tmp_path / "ghost.motion")]})
@@ -856,12 +905,46 @@ def test_jobs_flag_rejects_bad_values(tmp_path, capsys, jobs):
     ("train", {"corpus_dir": ".", "schedule": {"t_train": 50.5}}, "t_train")
 ] + [("compose", dict(FAST, scene=dict(SCENE, first_penalties=[
     {"kind": "overlap", "frames": f, "params": {"delta": 0.3}}])), "frames")
-     for f in ([1.5], [True])])
+     for f in ([1.5], [True])] + [
+    # each value is typed by the annotation of the field it fills
+    ("compose", dict(FAST, optimizer={key: True}, scene=SCENE), key)
+    for key in ("lr", "lr_decay")] + [
+    ("compose", dict(FAST, scene=dict(SCENE, **{key: v})), key)
+    for key, v in (("participants", [1, 2.5]), ("participants", "ab"))] + [
+    ("compose", dict(FAST, scene=dict(SCENE, first_penalties=[dict(
+        {"kind": "overlap", "params": {"delta": 0.3}}, **pen)])), key)
+    for key, pen in (("delta", {"params": {"delta": True}}),
+                     ("delta", {"params": {"delta": float("nan")}}),
+                     ("weight", {"weight": True}),
+                     ("subjects", {"subjects": [1, 2.0]}))] + [
+    ("compose", dict(FAST, scene=dict(SCENE, extension=[
+        dict(SEGMENT, **{key: v})])), key)
+    for key, v in (("boundary_weight", True), ("boundary_weight", "x"),
+                   ("boundary_weight", float("nan")), ("kept", True),
+                   ("window", 10.5), ("boundary_frames", 4.0))] + [
+    ("corpus", {"fps": v}, "fps")
+    for v in (True, 0, -1, float("nan"), "x")] + [
+    # paths are strings
+    ("train", {"corpus_dir": []}, "corpus_dir"),
+    ("eval", {"results_dir": []}, "results_dir"),
+    ("compose", dict(FAST, stats=[], scene=SCENE), "stats"),
+    ("compose", dict(FAST, prior={"kind": "mlp", "weights": []},
+                     scene=SCENE), "weights"),
+    # size bounds, one past each
+    ("compose", dict(FAST, scene=dict(SCENE, n_frames=N_FRAMES_MAX + 1)),
+     "n_frames"),
+    ("compose", dict(FAST, scene=dict(SCENE, extension=[
+        dict(SEGMENT, window=N_FRAMES_MAX + 1)])), "window"),
+    ("corpus", {"n_frames": N_FRAMES_MAX + 1}, "n_frames"),
+    ("corpus", {"samples_per_label": SAMPLES_PER_LABEL_MAX + 1},
+     "samples_per_label"),
+    ("train", {"corpus_dir": ".", "hidden": HIDDEN_MAX + 1}, "hidden")])
 def test_config_errors_before_any_output(tmp_path, capsys, command, payload,
                                          key):
     """Each command reads a fixed set of top-level keys: a typo, a key of
-    another command, a value of the wrong type or range, or a config that
-    is not an object exits 2 before --out is created."""
+    another command, a value of the wrong type or range, a size above its
+    bound, or a config that is not an object exits 2 before --out is
+    created."""
     cfg = write_config(tmp_path, "bad.json", payload)
     err = assert_config_error_writes_nothing(tmp_path, capsys, command, cfg)
     assert key in err

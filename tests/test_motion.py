@@ -306,7 +306,7 @@ def test_std_underflow_rejected(skeleton):
 
 
 def test_stats_json_round_trip(stats):
-    again = mo.NormalizationStats.from_json(stats.to_json())
+    again = mo.NormalizationStats(**stats.to_json())
     assert np.array_equal(again.mean, stats.mean)
     assert np.array_equal(again.std, stats.std)
 

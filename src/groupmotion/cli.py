@@ -18,16 +18,18 @@ import os
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, is_dataclass
-from functools import cache
-from typing import get_args, get_origin, get_type_hints, is_typeddict
+from dataclasses import fields, is_dataclass, replace
+from functools import cache, partial
+from typing import (TypedDict, get_args, get_origin, get_type_hints,
+                    is_typeddict)
 
 import numpy as np
 
 from .composer import (Composer, CompositionResult, ExtensionSegment,
                        OptimizationDiverged, OptimizerConfig, SceneSpec,
                        check_segments)
-from .corpus import CorpusConfig, generate_corpus, load_corpus, save_corpus
+from .corpus import (CorpusConfig, CorpusManifest, CorpusSample,
+                     SyntheticCorpus, generate_corpus, save_corpus)
 from .diffusion import DiffusionSchedule
 from .metrics import evaluate_runs, write_report_csv
 from .motion import (NormalizationStats, default_skeleton, normalize,
@@ -63,6 +65,12 @@ SCALARS = {int: ("an int", lambda v: type(v) is int),
            dict: ("an object", lambda v: isinstance(v, dict))}
 LABELS = [spec.name for spec in VOCABULARY]
 _hints = cache(get_type_hints)     # resolved once per class or function
+# the part of a results manifest that `extend` and `eval` read
+Results = TypedDict("Results", {"runs": tuple[TypedDict("Run", {
+    "dir": str, "files": tuple[str, ...], "seed": int}), ...]})
+# a command's runtime failures: exit 3, after --out exists with diverged.json
+NUMERIC = (OptimizationDiverged, TrainingDiverged, FloatingPointError)
+RUNTIME = NUMERIC + (OSError, ValueError)
 
 
 class ConfigError(Exception):
@@ -98,14 +106,15 @@ def _check_keys(cfg, keys, ctx: str) -> None:
     _expect(not unknown, f"only the keys {list(keys)}", unknown, ctx)
 
 
-def _arg(cfg: dict, key: str) -> dict:
+def _arg(cfg: dict, key: str, ctx: str = "") -> dict:
     """{key: value}, parsed and checked as ARGS says, if `cfg` sets `key`;
     else {}, so that the function it is passed to keeps its default."""
     if key not in cfg:
         return {}
     func, above, most = ARGS[key]
-    value = _parsed(_hints(func)[key], cfg[key], key)
-    _expect(above < value <= most, f"a value in ({above}, {most}]", value, key)
+    value = _parsed(_hints(func)[key], cfg[key], ctx + key)
+    _expect(above < value <= most, f"a value in ({above}, {most}]", value,
+            ctx + key)
     return {key: value}
 
 
@@ -123,21 +132,30 @@ def _json_float(v: float):
     return v if math.isfinite(v) else str(v)
 
 
-def _diverged(out, e) -> int:
-    """Write diverged.json (the error and the last loss breakdown, if any)
-    into `out` for post-mortem; returns the numeric-error exit code."""
-    b = getattr(e, "breakdown", None)
-    with open(os.path.join(out, "diverged.json"), "w") as f:
-        json.dump({"error": str(e), "breakdown": None if b is None else {
-            "total": _json_float(b.total),
-            "terms": {str(k): _json_float(v) for k, v in b.terms.items()}}}, f)
-    print(f"numeric error: {e}", file=sys.stderr)
-    return EXIT_RUNTIME
-
-
-def _write_manifest(out, payload: dict) -> None:
+def _run(args, cfg: dict, plan: str, job) -> int:
+    """Every command's lifecycle once its config is checked: on --dry-run,
+    print `plan`; else create --out, call `job(out)` for the manifest's
+    fields and a message, write manifest.json with the command and config
+    hash, and print the message. A runtime failure of `job` leaves its error
+    and last loss breakdown in diverged.json, then propagates to `main`."""
+    if args.dry_run:
+        print(plan)
+        return EXIT_OK
+    out = _prepare_out(args.out, args.overwrite)
+    try:
+        manifest, message = job(out)
+    except RUNTIME as e:
+        b = getattr(e, "breakdown", None)
+        with open(os.path.join(out, "diverged.json"), "w") as f:
+            json.dump({"error": str(e), "breakdown": None if b is None else {
+                "total": _json_float(b.total), "terms": {
+                    str(k): _json_float(v) for k, v in b.terms.items()}}}, f)
+        raise
+    manifest.update(command=args.command, config_hash=_config_hash(cfg))
     with open(os.path.join(out, "manifest.json"), "w") as f:
-        json.dump(payload, f, indent=1, sort_keys=True)
+        json.dump(manifest, f, indent=1, sort_keys=True)
+    print(message)
+    return EXIT_OK
 
 
 def _seed_list(text: str) -> list:
@@ -182,7 +200,8 @@ def _expect(ok, what: str, value, ctx: str) -> None:
 def _parsed(tp, value, ctx: str):
     """The object of annotation `tp` that the JSON `value` at `ctx` stands
     for; a value that `tp` does not describe is a ConfigError. A TypedDict
-    types only its own keys, and an ndarray is nested lists of numbers."""
+    types only its own keys and needs its required ones, and an ndarray is
+    nested lists of numbers."""
     if tp is InteractionLabel:
         _expect(value in LABELS, f"a label, one of {LABELS}", value, ctx)
         return label_by_name(value)
@@ -199,6 +218,8 @@ def _parsed(tp, value, ctx: str):
                      for i, (a, v) in enumerate(zip(args, value)))
     if is_typeddict(tp):
         _expect(isinstance(value, dict), "an object", value, ctx)
+        missing = sorted(tp.__required_keys__ - set(value))
+        _expect(not missing, "no missing required field", missing, ctx)
         hints = _hints(tp)
         return {k: _parsed(hints[k], v, f"{ctx}.{k}") if k in hints else v
                 for k, v in value.items()}
@@ -219,15 +240,21 @@ def _prior_from(cfg: dict, schedule, stats, skeleton):
     if kind == "mlp":
         weights = _require(prior_cfg, "weights", str, "prior")
         try:
-            prior = MLPPrior.load(weights, schedule)
+            return MLPPrior.load(weights, schedule, partial(_sizes, skeleton))
         except (KeyError, OSError, ValueError) as e:  # or not an npz
             raise ConfigError(f"prior: weights file unreadable: {e}") from e
-        if (prior.D, prior.n_labels) != (skeleton.D, len(VOCABULARY)):
-            raise ConfigError(f"prior: weights file has D={prior.D}, n_labels="
-                              f"{prior.n_labels}; need {skeleton.D}, "
-                              f"{len(VOCABULARY)}")
-        return prior
     raise ConfigError(f"prior: unknown kind {kind!r}")
+
+
+def _sizes(skeleton, meta) -> dict:
+    """A weights file's meta entry: int D and n_labels, the skeleton's and
+    the vocabulary's, and hidden, parsed and bounded as in a train config."""
+    ctx = "prior: weights file meta"
+    _check_keys(meta, ("D", "n_labels", "hidden"), ctx)
+    sizes = {k: _require(meta, k, int, ctx) for k in ("D", "n_labels")}
+    _expect(sizes == {"D": skeleton.D, "n_labels": len(VOCABULARY)},
+            f"D {skeleton.D} and n_labels {len(VOCABULARY)}", sizes, ctx)
+    return {**sizes, **_arg(meta, "hidden", f"{ctx}: ")}
 
 
 def _stats_from(cfg: dict, skeleton) -> NormalizationStats:
@@ -242,63 +269,62 @@ def _stats_from(cfg: dict, skeleton) -> NormalizationStats:
 
 def cmd_corpus(args, cfg: dict) -> int:
     corpus_cfg = _build(CorpusConfig, cfg, "config", seed=args.seed[0])
-    if args.dry_run:
-        print(f"corpus: {len(corpus_cfg.labels)} labels x "
-              f"{corpus_cfg.samples_per_label} samples, "
-              f"{corpus_cfg.n_frames} frames, seed {corpus_cfg.seed}")
-        return EXIT_OK
-    out = _prepare_out(args.out, args.overwrite)
-    corpus = generate_corpus(corpus_cfg)
-    save_corpus(corpus, out)
-    stats = corpus.stats()
-    with open(os.path.join(out, "stats.json"), "w") as f:
-        json.dump(stats.to_json(), f)
-    # merge into the manifest save_corpus wrote; load_corpus reads it back
-    manifest = _load_json(os.path.join(out, "manifest.json"), "manifest")
-    _write_manifest(out, {**manifest, "command": "corpus",
-                          "config_hash": _config_hash(cfg),
-                          "seed": corpus_cfg.seed,
-                          "n_samples": len(corpus.samples)})
-    print(f"wrote {2 * len(corpus.samples)} motion files to {out}")
-    return EXIT_OK
+
+    def job(out):
+        corpus = generate_corpus(corpus_cfg)
+        manifest = save_corpus(corpus, out)
+        with open(os.path.join(out, "stats.json"), "w") as f:
+            json.dump(corpus.stats().to_json(), f)
+        return ({**manifest, "seed": corpus_cfg.seed,
+                 "n_samples": len(corpus.samples)},
+                f"wrote {2 * len(corpus.samples)} motion files to {out}")
+    return _run(args, cfg, f"corpus: {len(corpus_cfg.labels)} labels x "
+                f"{corpus_cfg.samples_per_label} samples, "
+                f"{corpus_cfg.n_frames} frames, seed {corpus_cfg.seed}", job)
+
+
+def _load_corpus(corpus_dir: str, skeleton) -> SyntheticCorpus:
+    """The corpus that `save_corpus` wrote to `corpus_dir`; its manifest
+    must hold at least one sample."""
+    path = os.path.join(corpus_dir, "manifest.json")
+    manifest = _parsed(CorpusManifest, _load_json(path, "manifest"), path)
+    _expect(manifest["samples"], "a sample", [], f"{path}: samples")
+    return SyntheticCorpus(skeleton, [CorpusSample(tuple(
+        read_motion(os.path.join(corpus_dir, f), skeleton)
+        for f in s["files"]), s["label"], s["params"])
+        for s in manifest["samples"]], manifest["fps"])
 
 
 def cmd_train(args, cfg: dict) -> int:
     corpus_dir = _require(cfg, "corpus_dir", str)
-    _expect(os.path.isdir(corpus_dir), "a directory", corpus_dir, "corpus_dir")
     schedule = _build(DiffusionSchedule, cfg.get("schedule", {}), "schedule")
     hidden, lr = _arg(cfg, "hidden"), _arg(cfg, "lr")
     epochs = _arg(cfg, "epochs").get("epochs", 5)
     skeleton = default_skeleton()
+    corpus = _load_corpus(corpus_dir, skeleton)
     seed = args.seed[0]
-    if args.dry_run:
-        print(f"train: corpus {corpus_dir}, {epochs} epochs, seed {seed}")
-        return EXIT_OK
-    out = _prepare_out(args.out, args.overwrite)
-    corpus = load_corpus(corpus_dir, skeleton)
-    stats = corpus.stats()
-    pairs = [((normalize(s.seqs[0].frames, stats),
-               normalize(s.seqs[1].frames, stats)), s.label)
-             for s in corpus.samples]
-    prior = MLPPrior(schedule, skeleton.D, n_labels=len(VOCABULARY),
-                     seed=seed, **hidden)
-    try:
+
+    def job(out):
+        stats = corpus.stats()
+        pairs = [((normalize(s.seqs[0].frames, stats),
+                   normalize(s.seqs[1].frames, stats)), s.label)
+                 for s in corpus.samples]
+        prior = MLPPrior(schedule, skeleton.D, n_labels=len(VOCABULARY),
+                         seed=seed, **hidden)
         curve = train(prior, pairs, schedule, epochs, seed=seed, **lr)
-    except TrainingDiverged as e:
-        return _diverged(out, e)
-    prior.save_weights(os.path.join(out, "weights.npz"))
-    with open(os.path.join(out, "stats.json"), "w") as f:
-        json.dump(stats.to_json(), f)
-    with open(os.path.join(out, "loss.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["evaluation", "loss"])
-        w.writerows(enumerate(curve))
-    _write_manifest(out, {
-        "command": "train", "config_hash": _config_hash(cfg), "seed": seed,
-        "epochs": epochs, "final_loss": curve[-1] if curve else None})
-    print(f"trained {epochs} epochs; final loss "
-          f"{curve[-1]:.6f}" if curve else "no training performed")
-    return EXIT_OK
+        prior.save_weights(os.path.join(out, "weights.npz"))
+        with open(os.path.join(out, "stats.json"), "w") as f:
+            json.dump(stats.to_json(), f)
+        with open(os.path.join(out, "loss.csv"), "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["evaluation", "loss"])
+            w.writerows(enumerate(curve))
+        return ({"seed": seed, "epochs": epochs,
+                 "final_loss": curve[-1] if curve else None},
+                f"trained {epochs} epochs; final loss {curve[-1]:.6f}"
+                if curve else "no training performed")
+    return _run(args, cfg, f"train: corpus {corpus_dir}, {epochs} epochs, "
+                f"seed {seed}", job)
 
 
 def _composer_from(cfg: dict) -> Composer:
@@ -313,18 +339,16 @@ def _composer_from(cfg: dict) -> Composer:
 
 def _write_sequences(sequences: dict, run_dir: str) -> list:
     os.makedirs(run_dir, exist_ok=True)
-    files = []
-    for pid in sorted(sequences):
-        fname = f"person{pid}.motion"
+    files = [f"person{pid}.motion" for pid in sorted(sequences)]
+    for pid, fname in zip(sorted(sequences), files):
         write_motion(sequences[pid], os.path.join(run_dir, fname))
-        files.append(fname)
     return files
 
 
-def _compose_one(cfg: dict, seed: int, out_dir: str) -> dict:
-    """One seeded composition run; returns its manifest entry."""
-    spec = _build(SceneSpec, cfg["scene"], "scene", seed=seed)
-    result = _composer_from(cfg).compose(spec)
+def _compose_one(composer, spec, out_dir: str, seed: int) -> dict:
+    """`composer`'s composition of the SceneSpec `spec` under `seed`;
+    returns its manifest entry."""
+    result = composer.compose(replace(spec, seed=seed))
     run_dir = os.path.join(out_dir, f"seed{seed:05d}")
     files = _write_sequences(result.sequences, run_dir)
     with open(os.path.join(run_dir, "loss.csv"), "w", newline="") as f:
@@ -340,53 +364,42 @@ def _compose_one(cfg: dict, seed: int, out_dir: str) -> dict:
 
 def cmd_compose(args, cfg: dict) -> int:
     seeds = args.seed
-    # validate everything up front so --dry-run and config errors never sample
     spec = _build(SceneSpec, _require(cfg, "scene", dict), "scene",
                   seed=seeds[0])
-    _composer_from(cfg)
-    if args.dry_run:
-        print(f"compose: persons {spec.participants}, first label "
-              f"{spec.first_label.name!r}, {len(spec.steps)} additional "
-              f"steps, {len(spec.extension)} extension segments, "
-              f"seeds {seeds}")
-        for step in spec.steps:
-            print(f"  step: person {step.target} vs reference "
-                  f"{step.reference} ({step.label.name}), "
-                  f"subset {step.opt_subset}")
-        return EXIT_OK
-    out = _prepare_out(args.out, args.overwrite)
-    try:
+    composer = _composer_from(cfg)
+
+    def job(out):
+        one = partial(_compose_one, composer, spec, out)
         if args.jobs == 1 or len(seeds) == 1:
-            entries = [_compose_one(cfg, s, out) for s in seeds]
+            entries = list(map(one, seeds))
         else:
             with ProcessPoolExecutor(max_workers=args.jobs) as ex:
-                entries = list(ex.map(_compose_one, [cfg] * len(seeds),
-                                      seeds, [out] * len(seeds)))
-    except OptimizationDiverged as e:
-        return _diverged(out, e)
-    _write_manifest(out, {
-        "command": "compose", "config_hash": _config_hash(cfg),
-        "seeds": seeds, "runs": entries})
-    print(f"composed {len(seeds)} run(s) into {out}")
-    return EXIT_OK
+                entries = list(ex.map(one, seeds))
+        return ({"seeds": seeds, "runs": entries},
+                f"composed {len(seeds)} run(s) into {out}")
+    return _run(args, cfg, "\n".join(
+        [f"compose: persons {spec.participants}, first label "
+         f"{spec.first_label.name!r}, {len(spec.steps)} additional steps, "
+         f"{len(spec.extension)} extension segments, seeds {seeds}"] +
+        [f"  step: person {step.target} vs reference {step.reference} "
+         f"({step.label.name}), subset {step.opt_subset}"
+         for step in spec.steps]), job)
 
 
 def _load_runs(results_dir: str, skeleton) -> list:
     """(seed, run dir name, person id -> MotionSequence) per manifest run."""
     path = os.path.join(results_dir, "manifest.json")
-    manifest = _parsed(dict, _load_json(path, "manifest"), path)
+    manifest = _parsed(Results, _load_json(path, "manifest"), path)
     runs = []
-    for i, run in enumerate(_require(manifest, "runs", tuple[dict, ...],
-                                     path)):
-        ctx = f"{path}: runs[{i}]"
-        name = _require(run, "dir", str, ctx)
+    for i, run in enumerate(manifest["runs"]):
         seqs = {}
-        for fname in _require(run, "files", tuple[str, ...], ctx):
+        for fname in run["files"]:
             pid = re.fullmatch(r"person(-?\d+)\.motion", fname)
-            _expect(pid, "a name person<id>.motion", fname, f"{ctx}: files")
+            _expect(pid, "a name person<id>.motion", fname,
+                    f"{path}: runs[{i}]: files")
             seqs[int(pid[1])] = read_motion(
-                os.path.join(results_dir, name, fname), skeleton)
-        runs.append((_require(run, "seed", int, ctx), name, seqs))
+                os.path.join(results_dir, run["dir"], fname), skeleton)
+        runs.append((run["seed"], run["dir"], seqs))
     return runs
 
 
@@ -404,48 +417,38 @@ def cmd_extend(args, cfg: dict) -> int:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"scene: {e}") from e
     _expect(segments, "at least one segment", [], "scene.extension")
-    if args.dry_run:
-        print(f"extend: {len(runs)} run(s), {len(segments)} segment(s)")
-        return EXIT_OK
-    out = _prepare_out(args.out, args.overwrite)
-    entries = []
-    for seed, run_dir, seqs in runs:
-        result = CompositionResult(sequences=seqs, seed=seed)
-        try:
-            extended = composer.extend(result, segments, seed)
-        except OptimizationDiverged as e:
-            return _diverged(out, e)
-        files = _write_sequences(extended.sequences, os.path.join(out, run_dir))
-        entries.append({"seed": seed, "dir": run_dir, "files": files})
-    _write_manifest(out, {
-        "command": "extend", "config_hash": _config_hash(cfg),
-        "source": results_dir, "runs": entries})
-    print(f"extended {len(entries)} run(s) into {out}")
-    return EXIT_OK
+
+    def job(out):
+        entries = []
+        for seed, run_dir, seqs in runs:
+            extended = composer.extend(
+                CompositionResult(sequences=seqs, seed=seed), segments, seed)
+            files = _write_sequences(extended.sequences,
+                                     os.path.join(out, run_dir))
+            entries.append({"seed": seed, "dir": run_dir, "files": files})
+        return ({"source": results_dir, "runs": entries},
+                f"extended {len(entries)} run(s) into {out}")
+    return _run(args, cfg, f"extend: {len(runs)} run(s), {len(segments)} "
+                f"segment(s)", job)
 
 
 def cmd_eval(args, cfg: dict) -> int:
     results_dir = _require(cfg, "results_dir", str)
     threshold = _arg(cfg, "overlap_threshold")
     runs = [seqs for _, _, seqs in _load_runs(results_dir, default_skeleton())]
-    if args.dry_run:
-        print(f"eval: {len(runs)} run(s) from {results_dir}")
-        return EXIT_OK
-    out = _prepare_out(args.out, args.overwrite)
-    report = evaluate_runs(runs, **threshold)
-    write_report_csv(report, os.path.join(out, "metrics.csv"))
-    _write_manifest(out, {
-        "command": "eval", "config_hash": _config_hash(cfg),
-        "n_runs": report.n_runs,
-        "overlap_rate": report.overlap_rate,
-        "foot_skate": report.foot_skate,
-        "max_acc": report.max_acc,
-        "proxy_pen_vol": report.proxy_pen_vol})
-    print(f"overlap_rate={report.overlap_rate:.3f} "
-          f"foot_skate={report.foot_skate:.4f} "
-          f"max_acc={report.max_acc:.4f} "
-          f"pen_vol={report.proxy_pen_vol:.2f}cm^3")
-    return EXIT_OK
+
+    def job(out):
+        report = evaluate_runs(runs, **threshold)
+        write_report_csv(report, os.path.join(out, "metrics.csv"))
+        return ({k: getattr(report, k) for k in (
+                    "n_runs", "overlap_rate", "foot_skate", "max_acc",
+                    "proxy_pen_vol")},
+                f"overlap_rate={report.overlap_rate:.3f} "
+                f"foot_skate={report.foot_skate:.4f} "
+                f"max_acc={report.max_acc:.4f} "
+                f"pen_vol={report.proxy_pen_vol:.2f}cm^3")
+    return _run(args, cfg, f"eval: {len(runs)} run(s) from {results_dir}",
+                job)
 
 
 def cmd_export(args, cfg: dict) -> int:
@@ -460,26 +463,22 @@ def cmd_export(args, cfg: dict) -> int:
         else:
             raise ConfigError(f"inputs: path not found: {item}")
     _expect(paths, "motion files", [], "inputs")
-    if args.dry_run:
-        print(f"export: {len(paths)} motion file(s)")
-        return EXIT_OK
-    out = _prepare_out(args.out, args.overwrite)
-    skeleton = default_skeleton()
-    with open(os.path.join(out, "positions.csv"), "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["file", "person", "frame", "joint", "x", "y", "z"])
-        for path in paths:
-            seq = read_motion(path, skeleton)
-            base = os.path.basename(path)
-            for n, frame in enumerate(seq.joint_positions().tolist()):
-                for name, xyz in zip(skeleton.joint_names, frame):
-                    w.writerow([base, seq.person_id, n, name,
-                                *map(repr, xyz)])
-    _write_manifest(out, {"command": "export",
-                          "config_hash": _config_hash(cfg),
-                          "n_files": len(paths)})
-    print(f"exported {len(paths)} file(s) to {out}/positions.csv")
-    return EXIT_OK
+
+    def job(out):
+        skeleton = default_skeleton()
+        with open(os.path.join(out, "positions.csv"), "w", newline="") as f:
+            w = csv.writer(f)
+            w.writerow(["file", "person", "frame", "joint", "x", "y", "z"])
+            for path in paths:
+                seq = read_motion(path, skeleton)
+                base = os.path.basename(path)
+                for n, frame in enumerate(seq.joint_positions().tolist()):
+                    for name, xyz in zip(skeleton.joint_names, frame):
+                        w.writerow([base, seq.person_id, n, name,
+                                    *map(repr, xyz)])
+        return ({"n_files": len(paths)},
+                f"exported {len(paths)} file(s) to {out}/positions.csv")
+    return _run(args, cfg, f"export: {len(paths)} motion file(s)", job)
 
 
 # -- entry point -----------------------------------------------------------------
@@ -529,11 +528,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (OptimizationDiverged, TrainingDiverged, FloatingPointError) as e:
-        print(f"numeric error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (OSError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except RUNTIME as e:
+        kind = "numeric error" if isinstance(e, NUMERIC) else "error"
+        print(f"{kind}: {e}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -123,8 +123,8 @@ def check_segments(segments, persons) -> None:
     """Raise ValueError unless every extension segment fits a scene of
     `persons`: at least one kept frame and a window longer than the kept
     block, each person in at most one pair, extra penalties whose subjects
-    lie within one pair and whose frames fit the window, and a seam window
-    of at least 3 frames inside the window."""
+    lie within one pair, and each pair's penalties, its seam terms
+    included, fitting the window."""
     for si, seg in enumerate(segments):
         if seg.mode not in ("noised", "literal"):
             raise ValueError(f"extension segment {si}: unknown mode "
@@ -149,10 +149,6 @@ def check_segments(segments, persons) -> None:
         for a, b, _ in seg.pairs:
             _check_penalties(_pair_penalties(seg, a, b), {a, b}, seg.window,
                              f"extension segment {si}")
-        # the boundary penalty starts one frame before the seam
-        if not 3 <= seg.boundary_frames <= seg.window - seg.kept + 1:
-            raise ValueError(f"extension segment {si}: boundary_frames must "
-                             f"be in [3, window - kept + 1]")
 
 
 @dataclass
@@ -353,21 +349,11 @@ class Composer:
                 rng = self._substream(seed, 2, si, pi)
                 xT = rng.standard_normal((2, seg.window, self.skeleton.D))
                 zseed = int(self._substream(seed, 3, si, pi).integers(2**31))
-
-                # start one frame before the seam: the acceleration centered
-                # on the last kept frame already depends on the first
-                # generated frame
-                pens = list(_pair_penalties(seg, a, b)) + [PenaltyConfig(
-                    "boundary", seg.boundary_weight, (pid,),
-                    params={"window_start": seg.kept - 1,
-                            "window_len": seg.boundary_frames})
-                    for pid in (a, b)]
-
                 outs, rec = self._optimize_and_sample(
                     lambda var: inpaint_extend(
                         self.prior, self.schedule, var, kept_pair, mask,
                         label, zseed, mode=seg.mode),
-                    (a, b), pens, xT)
+                    (a, b), _pair_penalties(seg, a, b), xT)
                 records.append(rec)
                 for pid, out in zip((a, b), outs):
                     new_tails[pid] = self._world(out)[seg.kept:]
@@ -399,8 +385,13 @@ def _default_pair_subjects(pens, p1, p2):
 
 
 def _pair_penalties(seg, a, b):
-    """The extra penalties of extension segment `seg` on its pair (a, b):
-    those whose subjects the pair holds, and those without subjects, which
-    act on the pair as first-pair penalties act on the first pair."""
-    return _default_pair_subjects(
-        [cfg for cfg in seg.penalties if set(cfg.subjects) <= {a, b}], a, b)
+    """The penalties of extension segment `seg` on its pair (a, b): its own
+    that the pair's subjects hold or that have none (acting as first-pair
+    ones do), then a boundary term per person from one frame before the
+    seam, whose centered acceleration reads the first generated frame."""
+    own = [cfg for cfg in seg.penalties if set(cfg.subjects) <= {a, b}]
+    return _default_pair_subjects(own, a, b) + tuple(
+        PenaltyConfig("boundary", seg.boundary_weight, (pid,),
+                      params={"window_start": seg.kept - 1,
+                              "window_len": seg.boundary_frames})
+        for pid in (a, b))

@@ -11,23 +11,35 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from typing import TypedDict
 
 import numpy as np
 
 from .motion import (N_FRAMES_MAX, MotionSequence, NormalizationStats,
-                     Skeleton, default_skeleton, read_motion,
-                     repair_velocities, write_motion)
+                     Skeleton, default_skeleton, repair_velocities,
+                     write_motion)
 from .scripts import (InteractionLabel, ROOT_HEIGHT, build_pair_from_values,
                       default_vocabulary, label_by_name)
 
 SAMPLES_PER_LABEL_MAX = 1000
 
 
+# one person's ground-truth script values, as a manifest holds them
+ScriptValues = TypedDict("ScriptValues", {
+    "anchor": np.ndarray, "drift": np.ndarray, "speed": float, "psi": float,
+    "phase": float})
+# the manifest.json that `save_corpus` writes
+CorpusManifest = TypedDict("CorpusManifest", {
+    "fps": float, "samples": tuple[TypedDict("Sample", {
+        "files": tuple[str, str], "label": InteractionLabel,
+        "params": tuple[ScriptValues, ScriptValues]}), ...]})
+
+
 @dataclass
 class CorpusSample:
     seqs: tuple                  # (MotionSequence, MotionSequence)
     label: InteractionLabel
-    params: tuple                # ground-truth script parameter dicts
+    params: tuple                # (ScriptValues, ScriptValues)
 
 
 @dataclass
@@ -64,6 +76,8 @@ class CorpusConfig:
         unknown = [l for l in self.labels if l not in known]
         if unknown:
             raise ValueError(f"CorpusConfig: unknown labels {unknown}")
+        if not self.labels:
+            raise ValueError("CorpusConfig: labels must not be empty")
 
 
 def _sample_pair_params(rng: np.random.Generator) -> tuple:
@@ -103,7 +117,8 @@ def generate_corpus(config: CorpusConfig,
     return corpus
 
 
-def save_corpus(corpus: SyntheticCorpus, out_dir: str) -> None:
+def save_corpus(corpus: SyntheticCorpus, out_dir: str) -> dict:
+    """Write the motion files and manifest.json; returns the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     manifest = {"fps": corpus.fps, "samples": []}
     for i, s in enumerate(corpus.samples):
@@ -119,28 +134,9 @@ def save_corpus(corpus: SyntheticCorpus, out_dir: str) -> None:
         })
     with open(os.path.join(out_dir, "manifest.json"), "w") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
-
-
-def load_corpus(in_dir: str, skeleton: Skeleton) -> SyntheticCorpus:
-    with open(os.path.join(in_dir, "manifest.json")) as f:
-        manifest = json.load(f)
-    corpus = SyntheticCorpus(skeleton=skeleton, fps=manifest["fps"])
-    for entry in manifest["samples"]:
-        seqs = tuple(read_motion(os.path.join(in_dir, fn), skeleton)
-                     for fn in entry["files"])
-        params = tuple(_params_from_json(p) for p in entry["params"])
-        corpus.samples.append(
-            CorpusSample(seqs, label_by_name(entry["label"]), params))
-    return corpus
+    return manifest
 
 
 def _params_json(p: dict) -> dict:
     return {k: (np.asarray(v).tolist() if isinstance(v, np.ndarray) else v)
             for k, v in p.items()}
-
-
-def _params_from_json(p: dict) -> dict:
-    out = dict(p)
-    out["anchor"] = np.array(p["anchor"])
-    out["drift"] = np.array(p["drift"])
-    return out

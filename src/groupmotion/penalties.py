@@ -244,6 +244,7 @@ KINDS = tuple(PARAMS)
 # a penalty's params: a param name has one type whatever the kind
 Params = TypedDict("Params", {k: t for kind in PARAMS.values()
                               for k, t in kind.items()}, total=False)
+BOUNDARY_WINDOW = {"window_start": 0, "window_len": 25}  # default window
 REQUIRED_PARAMS = {"root": ("targets",), "orientation": ("targets",),
                    "region": ("lower", "upper"), "relative": ("d_min", "d_max")}
 TARGET_WIDTH = {"root": 3, "orientation": 2}   # values per target frame
@@ -301,13 +302,20 @@ class PenaltyConfig:
             raise ValueError("orientation penalty targets must be nonzero")
 
     def check_frames(self, n_frames: int) -> None:
-        """Raise ValueError unless the frames lie in [0, n_frames) and
-        root/orientation targets hold one point per frame."""
+        """Raise ValueError unless the frames lie in [0, n_frames),
+        root/orientation targets hold one point per frame and a boundary
+        window of at least 3 frames lies in [0, n_frames)."""
         frames = np.asarray(range(n_frames) if self.frames is None
                             else self.frames, dtype=int)
         if frames.size and (frames.min() < 0 or frames.max() >= n_frames):
             raise ValueError(f"{self.kind} penalty frames outside "
                              f"[0, {n_frames})")
+        if self.kind == "boundary":
+            w = {**BOUNDARY_WINDOW, **self.params}
+            if not (w["window_len"] >= 3 and
+                    0 <= w["window_start"] <= n_frames - w["window_len"]):
+                raise ValueError(f"boundary penalty window {w} must span "
+                                 f">= 3 frames in [0, {n_frames})")
         width = TARGET_WIDTH.get(self.kind)
         if width and np.size(self.params["targets"]) != width * frames.size:
             raise ValueError(f"{self.kind} penalty needs one target per frame")
@@ -347,8 +355,8 @@ def evaluate_penalty(cfg: PenaltyConfig, world: dict, skeleton: Skeleton) -> ad.
         return relative_penalty(first, world[subjects[1]], p["d_min"],
                                 p["d_max"], cfg.frames)
     if cfg.kind == "boundary":
-        return boundary_penalty(first, p.get("window_start", 0),
-                                p.get("window_len", 25), skeleton)
+        return boundary_penalty(first, **{**BOUNDARY_WINDOW, **p},
+                                skeleton=skeleton)
     raise AssertionError(cfg.kind)
 
 

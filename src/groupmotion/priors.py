@@ -223,12 +223,19 @@ class MLPPrior(EpsPrior):
                  **self.weights)
 
     @classmethod
-    def load(cls, path, schedule: DiffusionSchedule) -> "MLPPrior":
-        """The prior of a `save_weights` file, sized by its meta entry."""
+    def load(cls, path, schedule: DiffusionSchedule,
+             sizes=dict) -> "MLPPrior":
+        """The prior of a `save_weights` file, sized by `sizes(meta)`, which
+        may check its meta entry; a wrong weight shape is a ValueError."""
         data = np.load(path)
         meta = json.loads(bytes(data["meta"]).decode())
-        prior = cls(schedule, meta["D"], meta["n_labels"], meta["hidden"])
-        prior.weights = {k: np.array(data[k]) for k in prior.weights}
+        prior = cls(schedule, **sizes(meta))
+        weights = {k: np.array(data[k]) for k in prior.weights}
+        for k, w in weights.items():
+            if w.shape != prior.weights[k].shape:
+                raise ValueError(f"{k} has shape {w.shape}, not "
+                                 f"{prior.weights[k].shape}")
+        prior.weights = weights
         return prior
 
     def forward(self, x, t: int, label):

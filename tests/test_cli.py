@@ -8,12 +8,17 @@ import os
 import numpy as np
 import pytest
 
+from groupmotion import cli
 from groupmotion import metrics as me
 from groupmotion.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, HIDDEN_MAX,
                              _load_runs, main)
+from groupmotion.composer import Composer
 from groupmotion.corpus import SAMPLES_PER_LABEL_MAX
+from groupmotion.diffusion import DiffusionSchedule
 from groupmotion.motion import (N_FRAMES_MAX, MotionSequence,
                                 default_skeleton, read_motion)
+from groupmotion.priors import MLPPrior
+from groupmotion.scripts import VOCABULARY
 
 
 def write_config(tmp_path, name, payload):
@@ -421,6 +426,84 @@ def test_compose_unreadable_weights_file(tmp_path, capsys):
         assert "weights file unreadable" in err
 
 
+def weights_file(path, meta=(), **arrays):
+    """A weights file of an 8-wide MLP prior with entries of its meta and
+    weight arrays replaced."""
+    prior = MLPPrior(DiffusionSchedule(50, 5), default_skeleton().D,
+                     len(VOCABULARY), hidden=8)
+    meta = dict({"D": prior.D, "n_labels": prior.n_labels, "hidden": 8},
+                **dict(meta))
+    np.savez(path, meta=np.frombuffer(json.dumps(meta).encode(), np.uint8),
+             **dict(prior.weights, **arrays))
+
+
+@pytest.mark.parametrize("meta,arrays,key", [
+    ({"hidden": "8"}, {}, "hidden"),
+    ({"hidden": HIDDEN_MAX + 1}, {}, "hidden"),
+    ({}, {"W1": np.zeros((3, 8))}, "W1")],
+    ids=["hidden-string", "hidden-above-bound", "W1-shape"])
+def test_weights_meta_and_shapes_checked(tmp_path, capsys, meta, arrays, key):
+    """The weights file's meta is typed and bounded, and each array must
+    have the shape it gives, before --dry-run returns or --out exists."""
+    weights_file(tmp_path / "w.npz", meta, **arrays)
+    payload = json.loads(open(compose_config(tmp_path)).read())
+    payload["prior"] = {"kind": "mlp", "weights": str(tmp_path / "w.npz")}
+    cfg = write_config(tmp_path, "w.json", payload)
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "compose", cfg)
+    assert "weights file" in err and key in err
+
+
+def small_corpus(tmp_path) -> str:
+    cfg = write_config(tmp_path, "c.json", {"labels": ["approach"],
+                                            "samples_per_label": 1,
+                                            "n_frames": 8})
+    corpus_dir = str(tmp_path / "corpus")
+    assert main(["corpus", "--config", cfg, "--out", corpus_dir]) == EXIT_OK
+    return corpus_dir
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda m: m.pop("fps"), "fps"),
+    (lambda m: [m.clear(), m.update(samples=[])], "fps"),
+    (lambda m: m.update(samples=[]), "sample"),
+    (lambda m: m.update(samples={}), "samples"),
+    (lambda m: m["samples"][0].pop("files"), "files"),
+    (lambda m: m["samples"][0]["files"].pop(), "files"),
+    (lambda m: m["samples"][0].update(label="tango"), "label"),
+    (lambda m: m["samples"][0].pop("params"), "params"),
+    (lambda m: m["samples"][0]["params"][0].update(anchor="x"), "anchor")],
+    ids=["fps-missing", "only-samples", "samples-empty",
+         "samples-not-a-list", "files-missing", "one-file", "label-unknown",
+         "params-missing", "anchor-not-numbers"])
+def test_train_corpus_manifest_checked(tmp_path, capsys, edit, key):
+    """A malformed corpus manifest exits 2 on --dry-run and for real,
+    before --out exists, naming the key."""
+    corpus_dir = small_corpus(tmp_path)
+    path = os.path.join(corpus_dir, "manifest.json")
+    manifest = read_manifest(corpus_dir)
+    edit(manifest)
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    cfg = write_config(tmp_path, "t.json", {"corpus_dir": corpus_dir})
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "train", cfg)
+    assert key in err
+
+
+def test_train_unreadable_motion_file(tmp_path, capsys):
+    """A corpus motion file that cannot be read exits 3 on --dry-run and
+    for real, before --out exists."""
+    corpus_dir = small_corpus(tmp_path)
+    os.remove(os.path.join(corpus_dir, "sample0000_p0.motion"))
+    cfg = write_config(tmp_path, "t.json", {"corpus_dir": corpus_dir})
+    out = tmp_path / "out"
+    for extra in (["--dry-run"], []):
+        assert main(["train", "--config", cfg, "--out", str(out)]
+                    + extra) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "sample0000_p0.motion" in err and not out.exists()
+
+
 def test_train_divergence_writes_dump(tmp_path, capsys):
     corpus_cfg = write_config(tmp_path, "c.json",
                               {"labels": ["approach"], "samples_per_label": 1,
@@ -614,6 +697,44 @@ def test_extend_huge_lr_stays_finite(tmp_path, composed):
         path = os.path.join(out, "seed00002", f"person{pid}.motion")
         seq = read_motion(path, default_skeleton())
         assert seq.N == 18 and np.isfinite(seq.frames).all()
+
+
+# -- every command -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("error,prefix", [
+    (OSError("disk full"), "error:"), (ValueError("bad value"), "error:"),
+    (FloatingPointError("overflow"), "numeric error:")],
+    ids=["OSError", "ValueError", "FloatingPointError"])
+@pytest.mark.parametrize("command,target", [
+    ("corpus", "generate_corpus"), ("train", "train"),
+    ("compose", "Composer.compose"), ("extend", "Composer.extend"),
+    ("eval", "evaluate_runs"), ("export", "read_motion")])
+def test_runtime_failure_leaves_dump(tmp_path, capsys, monkeypatch, composed,
+                                     command, target, error, prefix):
+    """Whichever command's work fails after --out exists, it exits 3 and
+    leaves diverged.json in --out, with no manifest and no traceback."""
+    corpus_dir = small_corpus(tmp_path)
+    payload = {"corpus": {"samples_per_label": 1, "n_frames": 8},
+               "train": {"corpus_dir": corpus_dir, "epochs": 1, "hidden": 8},
+               "compose": dict(FAST, scene=SCENE),
+               "extend": dict(FAST, results_dir=composed,
+                              scene={"extension": [SEGMENT]}),
+               "eval": {"results_dir": composed},
+               "export": {"inputs": [f"{composed}/seed00002"]}}[command]
+    cfg = write_config(tmp_path, "x.json", payload)
+
+    def fail(*args, **kwargs):
+        raise error
+    owner, _, name = target.rpartition(".")
+    monkeypatch.setattr(Composer if owner else cli, name, fail)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err == f"{prefix} {error}\n"
+    assert "manifest.json" not in os.listdir(out)
+    with open(out / "diverged.json") as f:
+        assert json.load(f) == {"error": str(error), "breakdown": None}
 
 
 # -- eval and export ---------------------------------------------------------------

@@ -4,8 +4,8 @@ round trip."""
 import numpy as np
 import pytest
 
-from groupmotion.corpus import (CorpusConfig, generate_corpus, load_corpus,
-                                save_corpus)
+from groupmotion.cli import _load_corpus
+from groupmotion.corpus import CorpusConfig, generate_corpus, save_corpus
 from groupmotion.motion import facing_direction
 from groupmotion.scripts import build_pair_from_values
 
@@ -77,7 +77,7 @@ def test_root_matches_scripted_curve(skeleton):
 def test_save_load_round_trip(tmp_path, skeleton):
     corpus = generate_corpus(small_config())
     save_corpus(corpus, tmp_path / "c")
-    again = load_corpus(tmp_path / "c", skeleton)
+    again = _load_corpus(str(tmp_path / "c"), skeleton)
     assert len(again.samples) == len(corpus.samples)
     for s1, s2 in zip(corpus.samples, again.samples):
         assert s1.label.name == s2.label.name

@@ -29,7 +29,7 @@ pairs = [((normalize(s.seqs[0].frames, stats),
          for s in corpus.samples]
 print(f"corpus: {len(pairs)} two-person samples, {config.n_frames} frames")
 
-prior = MLPPrior(schedule, skeleton.D, n_labels=len(default_vocabulary()),
+prior = MLPPrior(schedule, stats, n_labels=len(default_vocabulary()),
                  hidden=64, seed=0)
 curve = train(prior, pairs, schedule, epochs=200, lr=3e-3, seed=0)
 print(f"training: {len(curve)} evaluations, "

@@ -8,6 +8,11 @@ it is never mutated by a backward pass, so values can be re-read and
 is itself a constant, and no backward closure computes the gradient of an
 operand that needs none.
 
+A backward returns per parent an adjoint of its shape, None, or a
+``Scatter``: a block at an index, zero elsewhere, which ``grad`` adds in
+place into the parent's one adjoint buffer, so a node that reads a few
+rows of a large parent builds no zero-filled array of its shape.
+
 Broadcasting is deliberately restricted to scalar-with-array. Any other
 shape mismatch raises, because silent broadcasting is the easiest way to
 get a wrong gradient without noticing. That rule binds Var operands only:
@@ -142,19 +147,33 @@ def _sum_to(g: np.ndarray, parent: Var):
 # -- structural ops ---------------------------------------------------------
 
 
+class Scatter:
+    """A partial adjoint: `block` at `index` of the parent's adjoint, zero
+    elsewhere. `index` is a basic index, or holds integer arrays whose
+    entries do not repeat, so that `adjoint[index] += block` adds each
+    entry of `block` once."""
+
+    __slots__ = ("index", "block")
+
+    def __init__(self, index, block):
+        self.index = index
+        self.block = block
+
+
 def take(a, idx) -> Var:
-    """Indexing/slicing with gradient scatter-add. Integer-array indices are
-    allowed on the leading axis only; otherwise basic indexing."""
+    """Indexing/slicing with gradient scatter-add. A bare integer array or
+    list indexes the leading axis and may repeat entries; any other index
+    (basic, or holding integer arrays that repeat no entry) gets a
+    `Scatter` adjoint."""
     a = as_var(a)
     out_val = a.value[idx]
     fancy = isinstance(idx, (np.ndarray, list))
 
     def backward(g):
+        if not fancy:
+            return (Scatter(idx, g),)
         ga = np.zeros(a.shape, dtype=np.float64)
-        if fancy:
-            np.add.at(ga, idx, g)   # handles repeated indices
-        else:
-            ga[idx] += g
+        np.add.at(ga, idx, g)   # handles repeated indices
         return (ga,)
 
     return Var(np.array(out_val, copy=True), (a,), backward)
@@ -202,12 +221,15 @@ def grad(loss: Var, leaves) -> list:
     """Return d(loss)/d(leaf) for every leaf Var.
 
     `loss` must be scalar. The graph is untouched, so both the values and
-    further grad() calls stay valid.
+    further grad() calls stay valid: grad adds in place only into buffers
+    it allocated, never into a returned adjoint or a Var's value. The sums
+    are those of adding each `Scatter` as a zero-filled array.
     """
     if loss.value.shape != ():
         raise ValueError(f"grad: loss must be scalar, got shape {loss.value.shape}")
     leaves = list(leaves)
     adjoint: dict = {id(loss): np.array(1.0)}
+    owned: set = set()           # ids whose adjoint grad allocated
     order = _toposort(loss)
     for node in reversed(order):
         g = adjoint.get(id(node))
@@ -218,10 +240,18 @@ def grad(loss: Var, leaves) -> list:
             if pg is None or not p.requires_grad:
                 continue
             key = id(p)
-            if key in adjoint:
-                adjoint[key] = adjoint[key] + pg
-            else:
+            acc = adjoint.get(key)
+            if key not in owned and (acc is not None or
+                                     isinstance(pg, Scatter)):
+                acc = adjoint[key] = np.zeros(p.shape) if acc is None else \
+                    np.array(acc, dtype=np.float64)
+                owned.add(key)
+            if acc is None:
                 adjoint[key] = pg
+            elif isinstance(pg, Scatter):
+                acc[pg.index] += pg.block
+            else:
+                acc += pg
     out = []
     for leaf in leaves:
         g = adjoint.get(id(leaf))

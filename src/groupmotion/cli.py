@@ -240,7 +240,8 @@ def _prior_from(cfg: dict, schedule, stats, skeleton):
     if kind == "mlp":
         weights = _require(prior_cfg, "weights", str, "prior")
         try:
-            return MLPPrior.load(weights, schedule, partial(_sizes, skeleton))
+            return MLPPrior.load(weights, schedule, stats,
+                                 partial(_sizes, skeleton))
         except (KeyError, OSError, ValueError) as e:  # or not an npz
             raise ConfigError(f"prior: weights file unreadable: {e}") from e
     raise ConfigError(f"prior: unknown kind {kind!r}")
@@ -309,7 +310,7 @@ def cmd_train(args, cfg: dict) -> int:
         pairs = [((normalize(s.seqs[0].frames, stats),
                    normalize(s.seqs[1].frames, stats)), s.label)
                  for s in corpus.samples]
-        prior = MLPPrior(schedule, skeleton.D, n_labels=len(VOCABULARY),
+        prior = MLPPrior(schedule, stats, n_labels=len(VOCABULARY),
                          seed=seed, **hidden)
         curve = train(prior, pairs, schedule, epochs, seed=seed, **lr)
         prior.save_weights(os.path.join(out, "weights.npz"))

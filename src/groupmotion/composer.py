@@ -16,8 +16,11 @@ Pipeline, per scene:
 Each optimization steps only the noise channels the prior reads (its
 `noise_channels`: 8 of D for the analytic prior, all for an eps prior); the
 rest keep their drawn values, as they would if optimized, since their
-gradient is exactly zero. Previously generated sequences are never
-modified: later steps read them as constants.
+gradient is exactly zero. An evaluation is one world-space state from
+noise to loss: the Adam variable goes into the prior's chain, which
+returns world frames as one tape node, and the penalties read its rows.
+Previously generated sequences are never modified: later steps read them
+as constants.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .diffusion import DiffusionSchedule, FrameMask, ddim_sample, \
-    inpaint_extend, masked_sample
+from .diffusion import DiffusionSchedule, FrameMask, inpaint_kept, \
+    masked_kept
 from .motion import N_FRAMES_MAX, MotionSequence, NormalizationStats, \
-    Skeleton, denormalize, normalize, repair_velocities
+    Skeleton, normalize, repair_velocities
 from .penalties import SUBJECTS, PenaltyConfig, aggregate
 from .scripts import InteractionLabel
 
@@ -218,11 +221,15 @@ def optimize_noise(objective, x_init: np.ndarray, config: OptimizerConfig):
 
 
 class Composer:
-    """Binds a prior, schedule, normalization stats and optimizer config."""
+    """Binds a prior, schedule, normalization stats and optimizer config.
+    The prior must normalize with the same stats."""
 
     def __init__(self, prior, schedule: DiffusionSchedule,
                  stats: NormalizationStats, skeleton: Skeleton,
                  opt_config: OptimizerConfig, fps: float = 20.0):
+        if prior.stats != stats:
+            raise ValueError("Composer: the prior's stats are not the "
+                             "composer's")
         self.prior = prior
         self.schedule = schedule
         self.stats = stats
@@ -236,49 +243,50 @@ class Composer:
     def _substream(seed: int, *key) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((seed,) + key))
 
-    def _world(self, x_norm):
-        return denormalize(x_norm, self.stats)
+    def _sequence(self, frames: np.ndarray, person_id: int) -> MotionSequence:
+        return repair_velocities(MotionSequence(
+            self.skeleton, frames, fps=self.fps, person_id=person_id))
 
-    def _to_sequence(self, x_norm_value: np.ndarray, person_id: int) -> MotionSequence:
-        world = denormalize(x_norm_value, self.stats)
-        seq = MotionSequence(self.skeleton, world, fps=self.fps,
-                             person_id=person_id)
-        return repair_velocities(seq)
-
-    def _optimize_and_sample(self, sample, persons, pens, xT, fixed=None):
-        """Adam on the noise `xT` against `pens` over `fixed` world frames
-        plus `sample(x)`, one output per person of `persons`; without
-        penalties, one sample from `xT`. Returns the output values of the
-        best evaluation (a sample's values do not depend on whether its
-        noise needs a gradient, so they are those of a fresh sample from
-        the best noise) and the StepRecord of persons[0].
+    def _optimize_and_sample(self, label, xT, persons, pens, kept=None,
+                             fixed=None):
+        """Adam on the noise of `persons`, the first rows of the pair's
+        (2, N, D) noise `xT`, against `pens` over `fixed` world frames plus
+        the chain's world frames, row i for persons[i]; the rows after
+        theirs stay constant. Without penalties, one sample from `xT`.
+        Returns the chain's world frames of the best evaluation (a sample's
+        values do not depend on whether its noise needs a gradient, so they
+        are those of a fresh sample from the best noise) and the StepRecord
+        of persons[0].
 
         Adam steps only the channels of `xT` that the prior's chain reads
         (its `noise_channels`): the others would get a gradient of exactly
-        zero and so keep their values. Each evaluation puts the
-        stepped channels back into the whole noise, one tape node."""
+        zero and so keep their values."""
+        ch, P = self.prior.noise_channels, len(persons)
+        rest = xT[P:, :, ch]
+
+        def sample(var):
+            if len(rest):
+                var = ad.Var(np.concatenate([var.value, rest]), (var,),
+                             lambda g: (g[:P],))
+            return self.prior.chain(self.schedule, var, label, kept)
+
         if not pens:
-            return ([out.value for out in sample(ad.constant(xT))],
+            return (sample(ad.constant(xT[:P, :, ch])).value,
                     StepRecord(person=persons[0]))
-        ch = self.prior.noise_channels
         best = {}
 
         def objective(var):
-            x = xT.copy()
-            x[..., ch] = var.value
-            outs = sample(ad.Var(x, (var,), lambda g: (g[..., ch],)))
+            out = sample(var)
             world = dict(fixed or {})
-            for pid, out in zip(persons, outs):
-                world[pid] = self._world(out)
+            world.update((pid, out[i]) for i, pid in enumerate(persons))
             loss, breakdown = aggregate(pens, world, self.skeleton)
             # optimize_noise's best iterate: the first evaluation or one
             # strictly lower; only the values are kept, not the tape
             if not best or float(loss.value) < best["loss"]:
-                best.update(loss=float(loss.value),
-                            values=[out.value for out in outs])
+                best.update(loss=float(loss.value), values=out.value)
             return loss, breakdown
 
-        _, rec = optimize_noise(objective, xT[..., ch], self.opt)
+        _, rec = optimize_noise(objective, xT[:P, :, ch], self.opt)
         rec.person = persons[0]
         return best["values"], rec
 
@@ -287,35 +295,31 @@ class Composer:
         noise jointly through the coupled sampler, keep the sample of the
         best iterate. The reported loss is that sample's own loss."""
         p1, p2 = spec.participants[:2]
-        label = spec.first_label
         N, D = spec.n_frames, self.skeleton.D
         rng1 = self._substream(spec.seed, 0, p1)
         rng2 = self._substream(spec.seed, 0, p2)
         xT = np.stack([rng1.standard_normal((N, D)),
                        rng2.standard_normal((N, D))])
-        (f1, f2), rec = self._optimize_and_sample(
-            lambda var: ddim_sample(self.prior, self.schedule, var, label),
-            (p1, p2), _default_pair_subjects(spec.first_penalties, p1, p2),
-            xT)
-        seqs = {p1: self._to_sequence(f1, p1), p2: self._to_sequence(f2, p2)}
-        return seqs, [rec]
+        world, rec = self._optimize_and_sample(
+            spec.first_label, xT, (p1, p2),
+            _default_pair_subjects(spec.first_penalties, p1, p2))
+        return {p1: self._sequence(world[0], p1),
+                p2: self._sequence(world[1], p2)}, [rec]
 
     def add_person(self, step: SceneStep, sequences: dict, seed: int):
         """Optimize the new person's noise through the masked sampler and
         keep the sample of the best iterate. Existing sequences are
         constants."""
         N, D = next(iter(sequences.values())).N, self.skeleton.D
-        ref_seq = sequences[step.reference]
-        ref_norm = normalize(ref_seq.frames, self.stats)
+        ref_norm = normalize(sequences[step.reference].frames, self.stats)
         rng = self._substream(seed, 0, step.target)
-        xT = rng.standard_normal((N, D))
+        xT = np.stack([rng.standard_normal((N, D)), ref_norm])
         mask_seed = int(self._substream(seed, 1, step.target).integers(2**31))
-        (out,), rec = self._optimize_and_sample(
-            lambda var: (masked_sample(self.prior, self.schedule, var,
-                                       ref_norm, step.label, mask_seed),),
-            (step.target,), step.penalties, xT,
+        world, rec = self._optimize_and_sample(
+            step.label, xT, (step.target,), step.penalties,
+            masked_kept(self.schedule, (N, D), ref_norm, mask_seed),
             fixed={i: sequences[i].frames for i in step.opt_subset})
-        return self._to_sequence(out, step.target), rec
+        return self._sequence(world[0], step.target), rec
 
     def compose(self, spec: SceneSpec) -> CompositionResult:
         sequences, records = self.generate_first_pair(spec)
@@ -345,18 +349,16 @@ class Composer:
             for pi, (a, b, label) in enumerate(seg.pairs):
                 kept_pair = [normalize(sequences[pid].frames[-seg.kept:],
                                        self.stats) for pid in (a, b)]
-                mask = FrameMask(seg.window, seg.kept)
                 rng = self._substream(seed, 2, si, pi)
                 xT = rng.standard_normal((2, seg.window, self.skeleton.D))
                 zseed = int(self._substream(seed, 3, si, pi).integers(2**31))
-                outs, rec = self._optimize_and_sample(
-                    lambda var: inpaint_extend(
-                        self.prior, self.schedule, var, kept_pair, mask,
-                        label, zseed, mode=seg.mode),
-                    (a, b), _pair_penalties(seg, a, b), xT)
+                kept = inpaint_kept(self.schedule, xT.shape, kept_pair,
+                                    FrameMask(seg.window, seg.kept), zseed,
+                                    seg.mode)
+                world, rec = self._optimize_and_sample(
+                    label, xT, (a, b), _pair_penalties(seg, a, b), kept)
                 records.append(rec)
-                for pid, out in zip((a, b), outs):
-                    new_tails[pid] = self._world(out)[seg.kept:]
+                new_tails[a], new_tails[b] = world[:, seg.kept:]
             # persons not listed in any pair keep their current sequences
             for pid, tail in new_tails.items():
                 frames = np.concatenate([sequences[pid].frames, tail], axis=0)

@@ -1,6 +1,16 @@
 """Noise schedule and deterministic (eta = 0) DDIM sampling.
 
-Three samplers are thin wrappers over the prior's one chain, `prior.chain`:
+A prior runs the whole DDIM chain as one tape node, `prior.chain`, from
+the noise on its `noise_channels` to world frames (see `priors`). At each
+step it overwrites the kept block (`Kept`: the reference slot of masked
+sampling, the kept frames of an extension) with its reference, takes the
+prior's clean estimate x0_hat of the pair, stacked as one (2, N, ·) state,
+and steps, x_prev = alpha_t x + beta_t x0_hat. `masked_kept` and
+`inpaint_kept` build a kept block and check the shapes; the composer calls
+them once per optimisation, then the chain in each evaluation.
+
+Three samplers view that chain's output normalized, from full-width
+normalized noise:
 
 * ``ddim_sample``     - both slots of the two-person prior denoised jointly
 * ``masked_sample``   - one slot pinned to a forward-noised copy of an
@@ -10,22 +20,15 @@ Three samplers are thin wrappers over the prior's one chain, `prior.chain`:
                         frames is overwritten at every step, extending
                         existing sequences
 
-All samplers run on autodiff Vars, so any scalar of their output can be
-differentiated with respect to the initial noise. At each step the chain
-overwrites the sampler's kept block (`Kept`: the reference slot of
-`masked_sample`, the kept frames of `inpaint_extend`) with its reference,
-takes the prior's clean estimate x0_hat of the pair, stacked as one (2, N,
-D) state along a leading person axis, and steps in clean-estimate form,
-x_prev = alpha_t x + beta_t x0_hat; a last overwrite puts the clean
-reference in the kept block. Every prior runs that whole chain as one tape
-node, whatever the number of DDIM steps. Constant references are
+They run on autodiff Vars, so any scalar of their output can be
+differentiated with respect to the initial noise. Constant references are
 forward-noised in numpy and put nothing on the tape.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,21 +109,24 @@ class Kept:
     n: int
     ref: np.ndarray
     zetas: np.ndarray | None = None
+    memo: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     @property
     def index(self) -> tuple:
         return self.rows, slice(0, self.n)
-
-    def channels(self, ch) -> "Kept":
-        """The block restricted to the channels `ch`."""
-        return replace(self, ref=self.ref[..., ch], zetas=None
-                       if self.zetas is None else self.zetas[..., ch])
 
     def at(self, k: int, t: int, schedule: DiffusionSchedule) -> np.ndarray:
         """The block's reference at DDIM step k, timestep t."""
         if self.zetas is None:
             return self.ref
         return forward_noise(self.ref, t, self.zetas[k - 1], schedule)
+
+    def cached(self, key, make):
+        """make(), computed once per `key` for this block."""
+        if key not in self.memo:
+            self.memo[key] = make()
+        return self.memo[key]
 
 
 def _stacked(pair) -> ad.Var:
@@ -138,10 +144,69 @@ def _step_noise(noise_seed: int, n_steps: int, shape: tuple) -> np.ndarray:
     return z
 
 
+def masked_kept(schedule: DiffusionSchedule, shape: tuple, x0_ref,
+                noise_seed: int) -> Kept:
+    """The kept block of masked sampling of an (N, D) target of `shape`:
+    the pair's second slot, the clean reference `x0_ref` forward-noised at
+    each step by noise drawn once from `noise_seed`."""
+    ref = np.asarray(x0_ref, dtype=np.float64)
+    if tuple(shape) != ref.shape:
+        raise ad.ShapeMismatchError(
+            f"masked_sample: target {tuple(shape)} vs reference {ref.shape}")
+    zetas = _step_noise(noise_seed, len(schedule.taus) - 1, ref.shape)
+    return Kept(slice(1, 2), ref.shape[0], ref[None], zetas[:, None])
+
+
+def inpaint_kept(schedule: DiffusionSchedule, shape: tuple, kept_pair,
+                 mask: FrameMask, noise_seed: int, mode: str = "noised"):
+    """The kept block of an extension of a (2, N, D) pair of `shape`: the
+    first `mask.kept` frames of both slots, set to `kept_pair`, forward-
+    noised at each step by noise drawn once from `noise_seed` (mode
+    'noised') or clean (mode 'literal'); None if no frame is kept."""
+    if mode not in ("noised", "literal"):
+        raise ValueError(f"inpaint_extend: unknown mode {mode!r}")
+    P, N, D = shape
+    if mask.n_frames != N:
+        raise ValueError("inpaint_extend: mask length != window length")
+    if mask.kept >= N:
+        raise ValueError("inpaint_extend: kept frames must be fewer than the window")
+    ref = [np.asarray(k, dtype=np.float64) for k in kept_pair]
+    if len(ref) != P or any(k.shape != (mask.kept, D) for k in ref):
+        raise ad.ShapeMismatchError("inpaint_extend: kept block shape mismatch")
+    if not mask.kept:
+        return None
+    # literal mode clamps to the clean reference and needs no noise
+    zetas = _step_noise(noise_seed, len(schedule.taus) - 1, tuple(shape))[
+        :, :, :mask.kept] if mode == "noised" else None
+    return Kept(slice(None), mask.kept, np.stack(ref), zetas)
+
+
+def _normalized(prior, schedule: DiffusionSchedule, x: ad.Var, label,
+                kept=None) -> ad.Var:
+    """The world frames of `prior.chain` from the full-width noise `x`,
+    normalized, (world - mean) * (1 / std), the kept block `kept.ref`."""
+    ch, stats = prior.noise_channels, prior.stats
+    if not (isinstance(ch, slice) and ch == slice(None)):
+        x = ad.take(x, (Ellipsis, ch))
+    world = prior.chain(schedule, x, label, kept)
+    inv = 1.0 / stats.std
+    out = (world.value - stats.mean) * inv
+    if kept is not None:
+        out[kept.index] = kept.ref
+
+    def backward(g):
+        g = g * inv
+        if kept is not None:
+            g[kept.index] = 0.0
+        return (g,)
+
+    return ad.Var(out, (world,), backward)
+
+
 def ddim_sample(prior, schedule: DiffusionSchedule, x_T_pair, label):
     """Deterministic DDIM over both slots, given as a (x1, x2) tuple or one
     stacked (2, N, D) Var. Returns a Var pair (x_0^1, x_0^2)."""
-    x = prior.chain(schedule, _stacked(x_T_pair), label)
+    x = _normalized(prior, schedule, _stacked(x_T_pair), label)
     return x[0], x[1]
 
 
@@ -155,15 +220,11 @@ def masked_sample(prior, schedule: DiffusionSchedule, x_T_target, x0_ref,
     map x_T_target -> x_0_target is deterministic during optimization.
     """
     x = ad.as_var(x_T_target)
-    ref = np.asarray(x0_ref, dtype=np.float64)
-    if x.shape != ref.shape:
-        raise ad.ShapeMismatchError(
-            f"masked_sample: target {x.shape} vs reference {ref.shape}")
-    zetas = _step_noise(noise_seed, len(schedule.taus) - 1, ref.shape)
-    kept = Kept(slice(1, 2), ref.shape[0], ref[None], zetas[:, None])
+    kept = masked_kept(schedule, x.shape, x0_ref, noise_seed)
     # the target as row 0 of the pair; row 1 is overwritten before use
-    pair = ad.Var(np.stack([x.value, ref]), (x,), lambda g: (g[0],))
-    return prior.chain(schedule, pair, label, kept)[0]
+    pair = ad.Var(np.concatenate([x.value[None], kept.ref]), (x,),
+                  lambda g: (g[0],))
+    return _normalized(prior, schedule, pair, label, kept)[0]
 
 
 def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
@@ -177,23 +238,7 @@ def inpaint_extend(prior, schedule: DiffusionSchedule, x_T_pair, kept_pair,
     mode 'literal' clamps to the clean reference. In both modes the final
     output's kept frames equal the reference (exact overwrite at t=0).
     """
-    if mode not in ("noised", "literal"):
-        raise ValueError(f"inpaint_extend: unknown mode {mode!r}")
     x = _stacked(x_T_pair)
-    N = x.shape[1]
-    if mask.n_frames != N:
-        raise ValueError("inpaint_extend: mask length != window length")
-    if mask.kept >= N:
-        raise ValueError("inpaint_extend: kept frames must be fewer than the window")
-    ref = [np.asarray(k, dtype=np.float64) for k in kept_pair]
-    if len(ref) != x.shape[0] or \
-            any(k.shape != (mask.kept, x.shape[2]) for k in ref):
-        raise ad.ShapeMismatchError("inpaint_extend: kept block shape mismatch")
-    kept = None
-    if mask.kept:
-        # literal mode clamps to the clean reference and needs no noise
-        zetas = _step_noise(noise_seed, len(schedule.taus) - 1, x.shape)[
-            :, :, :mask.kept] if mode == "noised" else None
-        kept = Kept(slice(None), mask.kept, np.stack(ref), zetas)
-    x = prior.chain(schedule, x, label, kept)
+    kept = inpaint_kept(schedule, x.shape, kept_pair, mask, noise_seed, mode)
+    x = _normalized(prior, schedule, x, label, kept)
     return x[0], x[1]

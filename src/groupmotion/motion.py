@@ -265,6 +265,11 @@ class NormalizationStats:
         if np.any(self.std <= 1e-8):
             raise ValueError("NormalizationStats: std underflow (<= 1e-8)")
 
+    def __eq__(self, other):
+        return isinstance(other, NormalizationStats) and \
+            np.array_equal(self.mean, other.mean) and \
+            np.array_equal(self.std, other.std)
+
     @property
     def D(self) -> int:
         return self.mean.shape[0]

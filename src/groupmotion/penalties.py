@@ -7,6 +7,8 @@ numpy); distances are meters, so thresholds carry physical units.
 
 Each term is one tape node, its value computed in numpy and its backward
 written by hand; a numpy (fixed) subject is no parent and gets no adjoint.
+A term's adjoint of a subject is an `autodiff.Scatter` on the frames and
+channels it reads, not a zero-filled (N x D) array.
 Facing comes from ``motion.facing_gram_schmidt``, the definition the
 metrics score, whose vjp is the orientation term's backward.
 """
@@ -54,22 +56,27 @@ def _root_distance(f1, f2):
     return d, np.sqrt(np.sum(d * d, axis=1))
 
 
-def _scatter(shape, index, block) -> np.ndarray:
-    """Zeros of `shape` with `block` added at `index`, whose frames may
-    repeat."""
-    out = np.zeros(shape)
-    np.add.at(out, index, block)
-    return out
+def _scatter(frames, channels, block) -> ad.Scatter:
+    """`block`, one row per entry of `frames`, as the adjoint at those
+    frames and `channels`; the rows of a repeated frame are summed first,
+    in order, as into zeros."""
+    if len(set(frames.tolist())) < frames.size:
+        frames, inverse = np.unique(frames, return_inverse=True)
+        rows = np.zeros((frames.size,) + block.shape[1:])
+        np.add.at(rows, inverse, block)
+        block = rows
+    return ad.Scatter((frames, channels), block)
 
 
-def _distance_adjoint(slope, d, dist, shape) -> np.ndarray:
-    """Adjoint of the first subject's frames from the adjoint `slope` of
-    the root distances. At distance 0 the direction is undefined and the
-    subgradient is 0."""
+_ROOT = (slice(None), slice(0, 3))   # every frame's root position
+
+
+def _distance_adjoint(slope, d, dist) -> np.ndarray:
+    """Adjoint of the first subject's roots (`_ROOT`) from the adjoint
+    `slope` of the root distances. At distance 0 the direction is undefined
+    and the subgradient is 0."""
     s = np.divide(slope * 0.5, dist, out=np.zeros_like(dist), where=dist > 0)
-    g = np.zeros(shape)
-    g[:, 0:3] = s[:, None] * d * 2.0
-    return g
+    return s[:, None] * d * 2.0
 
 
 def overlap_penalty(target, others, delta: float = 0.30) -> ad.Var:
@@ -87,9 +94,8 @@ def overlap_penalty(target, others, delta: float = 0.30) -> ad.Var:
         rows.append((d, dist, mask))
 
     def backward(g):
-        gs = [_distance_adjoint(-(g * mask), d, dist, x[0].shape)
-              for d, dist, mask in rows]
-        return [sum(gs)] + [-gi for gi in gs]
+        gs = [_distance_adjoint(-(g * mask), d, dist) for d, dist, mask in rows]
+        return [ad.Scatter(_ROOT, gi) for gi in [sum(gs)] + [-gi for gi in gs]]
 
     return _node(total, subjects, backward)
 
@@ -106,7 +112,7 @@ def root_penalty(frames, targets, frame_set, delta: float = 0.0) -> ad.Var:
 
     def backward(g):
         gd = (g * mask)[:, None] * d
-        return [_scatter(x.shape, (frame_set, slice(0, 3)), gd + gd)]
+        return [_scatter(frame_set, slice(0, 3), gd + gd)]
 
     return _node(np.sum(h), [frames], backward)
 
@@ -145,9 +151,7 @@ def region_penalty(frames, lower, upper, skeleton: Skeleton,
         gs = g * scale
         gp = np.zeros((N * J, 3))
         gp[rows] = m_above * gs - m_below * gs
-        out = np.zeros(x.shape)
-        out[:, glo_slice(J)] = gp.reshape(N, 3 * J)
-        return [out]
+        return [ad.Scatter((slice(None), glo_slice(J)), gp.reshape(N, 3 * J))]
 
     return _node((np.sum(below) + np.sum(above)) * scale, [frames], backward)
 
@@ -167,8 +171,7 @@ def orientation_penalty(frames, d_target, frame_set, skeleton: Skeleton,
     h, mask = _hinge(1.0 - np.sum(d * d_target, axis=1) - delta)
 
     def backward(g):
-        return [_scatter(x.shape, (frame_set, rot),
-                         vjp(-(g * mask)[:, None] * d_target))]
+        return [_scatter(frame_set, rot, vjp(-(g * mask)[:, None] * d_target))]
 
     return _node(np.sum(h), [frames], backward)
 
@@ -186,9 +189,10 @@ def relative_penalty(frames1, frames2, d_min: float, d_max: float,
     above, m_above = _hinge(dist[rows] - d_max)
 
     def backward(g):
-        slope = _scatter(dist.shape, rows, m_above * g - m_below * g)
-        g1 = _distance_adjoint(slope, d, dist, x1.shape)
-        return [g1, -g1]
+        slope = np.zeros(dist.shape)
+        np.add.at(slope, rows, m_above * g - m_below * g)
+        g1 = _distance_adjoint(slope, d, dist)
+        return [ad.Scatter(_ROOT, g1), ad.Scatter(_ROOT, -g1)]
 
     return _node(np.sum(below) + np.sum(above), [frames1, frames2], backward)
 
@@ -221,9 +225,8 @@ def boundary_penalty(frames, window_start: int, window_len: int,
         gp[2:] += ga
         gp[1:-1] -= 2.0 * ga
         gp[:-2] += ga
-        out = np.zeros(x.shape)
-        out[lo:hi + 2, glo_slice(J)] = gp.reshape(hi + 2 - lo, 3 * J)
-        return [out]
+        return [ad.Scatter((slice(lo, hi + 2), glo_slice(J)),
+                           gp.reshape(hi + 2 - lo, 3 * J))]
 
     return _node(np.sum(a * a) * scale, [frames], backward)
 

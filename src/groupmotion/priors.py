@@ -1,11 +1,15 @@
 """Pluggable two-person denoisers.
 
-A denoiser runs the samplers' whole DDIM chain, ``chain(schedule, x,
-label, kept) -> x_0``, as one tape node whatever the number of steps, on
-the pair stacked along a leading person axis (a normalized (2, N, D)
-autodiff Var); ``noise_channels`` names the channels of x_T it reads, and
-``predict(x, t, label)`` gives one step's eps. It must be deterministic.
-Two concrete priors ship:
+A denoiser runs the samplers' whole DDIM chain as one tape node whatever
+the number of steps: ``chain(schedule, x, label, kept) -> frames`` reads
+the initial noise `x` on its ``noise_channels`` alone, a normalized (P, N,
+C) autodiff Var with the pair stacked along a leading person axis, and
+returns the sample as world-space (P, N, D) frames, the `kept` block (see
+`diffusion.Kept`) its clean reference in world space (``ref * std +
+mean``). The penalties read rows of that one node, and the samplers of
+`diffusion` view it normalized. A prior holds the `stats` it normalizes
+with, and ``predict(x, t, label)`` gives one step's eps. It must be
+deterministic. Two concrete priors ship:
 
 * ``AnalyticPrior`` - closed-form attractor toward the label's scripted
   motion family; every downstream acceptance run uses it because it is
@@ -13,13 +17,15 @@ Two concrete priors ship:
   state through 8 linear functionals per person and every script starts
   at its anchor, so its chain runs in that parameter space: the steps
   before the last step the functionals alone, and the last builds the one
-  script. That chain reads x_T only on the functionals' channels
-  (`noise_channels`, 8 of D), so the composer optimises only those.
+  script in world space. That chain reads x_T only on the functionals'
+  channels (`noise_channels`, 8 of D), so the composer optimises only
+  those.
 * ``MLPPrior``      - a tiny learned denoiser (shared weights per person,
   cross-person feature exchange) trained on the synthetic corpus with the
-  standard noise-prediction objective. Its forward is numpy with a
-  hand-written vjp; `EpsPrior.chain` steps it in numpy under the one
-  node, training uses no tape, and it reads every channel.
+  standard noise-prediction objective, under the `stats` it is given.
+  Its forward is numpy with a hand-written vjp; `EpsPrior.chain` steps it
+  in numpy, in normalized space, under the one node, training uses no
+  tape, and it reads every channel.
 """
 
 from __future__ import annotations
@@ -38,23 +44,31 @@ from .scripts import (InteractionLabel, assemble, functional_channels,
 
 class EpsPrior:
     """A prior that predicts eps in numpy, `forward(x, t, label) -> (eps,
-    vjp)`; it reads every channel of x_T."""
+    vjp)`, on states normalized by its `stats`; it reads every channel of
+    x_T."""
 
     noise_channels = slice(None)
 
     def chain(self, schedule: DiffusionSchedule, x, label, kept=None):
         """The samplers' DDIM chain on this prior's eps as one tape node:
         each step overwrites the `kept` block, if any, with its reference
-        and steps from x0_hat = (x - sqrt(1 - ab_t) eps) / sqrt(ab_t). The
-        backward sums each step's adjoints as a stepped tape would, the
-        step's, x0_hat's, then eps's, so the gradients agree bit for bit."""
-        x = ad.as_var(x)
+        and steps from x0_hat = (x - sqrt(1 - ab_t) eps) / sqrt(ab_t); the
+        sample, in normalized space, ends as world frames, y * std + mean.
+        The backward sums each step's adjoints as a stepped tape would, the
+        step's, x0_hat's, then eps's, so the gradients agree bit for bit.
+
+        The eps model embeds t against its own schedule's `t_train`, so
+        `schedule` must share it; its alpha_bar(t) are then this prior's."""
+        if schedule.t_train != self.schedule.t_train:
+            raise ValueError(f"chain: schedule t_train {schedule.t_train} is "
+                             f"not the prior's {self.schedule.t_train}")
+        x, std = ad.as_var(x), self.stats.std
         y, steps = x.value, []
         for k, t, alpha, beta in schedule.steps():
             if kept is not None:
                 y = y.copy()
                 y[kept.index] = kept.at(k, t, schedule)
-            ab = self.schedule.alpha_bar(t)
+            ab = schedule.alpha_bar(t)
             c, inv = np.sqrt(1.0 - ab), 1.0 / np.sqrt(ab)
             eps, vjp = self.forward(y, t, label)
             steps.append((alpha, beta, c, inv, vjp))
@@ -63,8 +77,8 @@ class EpsPrior:
             y[kept.index] = kept.ref
 
         def backward(g):
+            g = g * std
             if kept is not None:
-                g = g.copy()
                 g[kept.index] = 0.0
             for alpha, beta, c, inv, vjp in reversed(steps):
                 gi = beta * g * inv
@@ -73,7 +87,7 @@ class EpsPrior:
                     g[kept.index] = 0.0
             return (g,)
 
-        return ad.Var(y, (x,), backward)
+        return ad.Var(y * std + self.stats.mean, (x,), backward)
 
 
 class AnalyticPrior:
@@ -111,7 +125,8 @@ class AnalyticPrior:
 
     def chain(self, schedule: DiffusionSchedule, x, label, kept=None):
         """The samplers' DDIM chain of this prior (`EpsPrior.chain` on its
-        eps), run in parameter space and recorded as one tape node.
+        eps), run in parameter space and recorded as one tape node, from
+        the noise `x` on `noise_channels` to world frames.
 
         The clean estimate reads the state through its 8 functionals per
         person (`scripts.functionals`), which are linear. Every script
@@ -119,10 +134,10 @@ class AnalyticPrior:
         estimate's functionals are its input's, and each step before the
         last steps the free functionals, those outside the kept block,
         alone by the DDIM rule, the block adding its reference's as
-        constants. The last step lands on t = 0, where alpha is exactly 0
-        and beta exactly 1, so the output is its clean estimate, the one
-        script assembled, off the kept block and the clean reference on
-        it; it reads x_T only on `noise_channels`. The backward is that
+        constants, computed once per block. The last step lands on t = 0,
+        where alpha is exactly 0 and beta exactly 1, so the output is its
+        clean estimate, the one script assembled in world space, off the
+        kept block and the clean reference on it. The backward is that
         assembly's vjp, then the recursion's, step by step in reverse.
         """
         x, spec, stats = ad.as_var(x), label.spec, self.stats
@@ -131,12 +146,24 @@ class AnalyticPrior:
         sd, mu = stats.std[ch], stats.mean[ch]
         # share of each functional off the kept block: the anchor is frame 0
         free = np.ones((P, 8))
-        y = x.value[:, :, ch] * sd + mu
+        # the functionals' frame sums depend on y's memory order: y takes
+        # that of channels gathered from full-width noise, channels
+        # outermost, whatever the order of x
+        y = np.empty((8, P, N)).transpose(1, 2, 0)
+        np.multiply(x.value, sd, out=y)
+        y += mu
         if kept is not None:
             free[kept.rows, :2] = 0.0
             free[kept.rows, 2:] = (N - kept.n) / N
             y[kept.index] = 0.0
-            block = kept.channels(ch)
+            # the block's world functionals at each step k, by k, and its
+            # clean reference in world space, once per block
+            fixed = kept.cached(
+                (self, schedule.t_train, schedule.ddim_steps),
+                lambda: ({k: functionals(kept.at(k, t, schedule)[..., ch]
+                                         * sd + mu)
+                          for k, t, _, _ in schedule.steps()},
+                         kept.ref * stats.std + stats.mean))
         F = functionals(y)
         f_mean = free * np.concatenate([mu[:2], N * mu[2:]])
         steps = []                   # (alpha, beta) before the last step
@@ -144,31 +171,27 @@ class AnalyticPrior:
             Fk = F
             if kept is not None:
                 Fk = F.copy()
-                Fk[kept.rows] += functionals(block.at(k, t, schedule) * sd + mu)
+                Fk[kept.rows] += fixed[0][k]
             if k == 1:               # the last step, onto t = 0
                 break
             steps.append((alpha, beta))
             F = alpha * F + beta * (free * Fk) + (1.0 - alpha - beta) * f_mean
         q, inputs_vjp = script_inputs(Fk, spec, self.skeleton, N)
         out, assemble_vjp = assemble(q, spec, self.skeleton)
-        out -= stats.mean
-        out *= 1.0 / stats.std
         if kept is not None:
-            out[kept.index] = kept.ref
+            out[kept.index] = fixed[1]
 
         def backward(g):
             if kept is not None:
                 g = g.copy()
                 g[kept.index] = 0.0
-            gF = inputs_vjp(assemble_vjp(g * (1.0 / stats.std)))
+            gF = inputs_vjp(assemble_vjp(g))
             for alpha, beta in reversed(steps):
                 gF = alpha * gF + beta * free * gF
             gy = functionals_vjp(gF, N) * sd
             if kept is not None:
                 gy[kept.index] = 0.0
-            gx = np.zeros(x.shape)
-            gx[:, :, ch] = gy
-            return (gx,)
+            return (gy,)
 
         return ad.Var(out, (x,), backward)
 
@@ -190,10 +213,11 @@ class MLPPrior(EpsPrior):
     EMB_T = 8
     EMB_C = 8
 
-    def __init__(self, schedule: DiffusionSchedule, D: int, n_labels: int,
-                 hidden: int = 64, seed: int = 0):
+    def __init__(self, schedule: DiffusionSchedule, stats: NormalizationStats,
+                 n_labels: int, hidden: int = 64, seed: int = 0):
         self.schedule = schedule
-        self.D = D
+        self.stats = stats
+        self.D = D = stats.D
         self.n_labels = n_labels
         self.hidden = hidden
         rng = np.random.default_rng(seed)
@@ -224,12 +248,16 @@ class MLPPrior(EpsPrior):
 
     @classmethod
     def load(cls, path, schedule: DiffusionSchedule,
-             sizes=dict) -> "MLPPrior":
-        """The prior of a `save_weights` file, sized by `sizes(meta)`, which
-        may check its meta entry; a wrong weight shape is a ValueError."""
+             stats: NormalizationStats, sizes=dict) -> "MLPPrior":
+        """The prior of a `save_weights` file under `stats`, sized by
+        `sizes(meta)`, which may check its meta entry; a D other than the
+        stats' or a wrong weight shape is a ValueError."""
         data = np.load(path)
         meta = json.loads(bytes(data["meta"]).decode())
-        prior = cls(schedule, **sizes(meta))
+        kw = sizes(meta)
+        if kw.pop("D", stats.D) != stats.D:
+            raise ValueError(f"weights of D {meta['D']}, stats of D {stats.D}")
+        prior = cls(schedule, stats, **kw)
         weights = {k: np.array(data[k]) for k in prior.weights}
         for k, w in weights.items():
             if w.shape != prior.weights[k].shape:

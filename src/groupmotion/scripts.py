@@ -235,8 +235,8 @@ def params_from_values(spec: LabelSpec, values) -> dict:
 def _constants(spec: LabelSpec, skeleton: Skeleton, N: int) -> dict:
     """Read-only script constants of (spec, N), built on first use: the
     `ease` ramp, the root `sway`, the non-root joints' local offsets as
-    (N, J-1) blocks `ox`, `oy` and `oz`, their `planted` mask and the
-    (N, 4) `foot` contacts."""
+    (N, J-1) blocks `ox`, `oy` and `oz`, their `planted` mask, the (N, 4)
+    `foot` contacts and the (6J,) identity rotations `rot`."""
     s = np.linspace(0.0, 1.0, N)
     # smoothstep ease with zero end-point slope; circular sway through the
     # anchor with constant-magnitude acceleration and zero offset at frame 0
@@ -263,6 +263,7 @@ def _constants(spec: LabelSpec, skeleton: Skeleton, N: int) -> dict:
     left, right = (np.sin(t) > -0.2) * 1.0, (np.sin(t + np.pi) > -0.2) * 1.0
     k["foot"] = np.ones((N, 4)) if spec.stationary else \
         np.stack([left, left, right, right], axis=1)
+    k["rot"] = np.tile(IDENTITY_ROT6D, skeleton.J)
     for a in k.values():
         a.flags.writeable = False
     return k
@@ -472,7 +473,7 @@ def _assemble(q, skeleton: Skeleton, k: dict):
     out[:, 0, vb + 6:rb] = 0.0
     out[:, 1:, vb + 6:rb] = out[:, 1:, 6:vb] - out[:, :-1, 6:vb]
     # root rotation (s, 0, -c, 0, 1, 0), identity for the other joints
-    out[:, :, rb:fb] = np.tile(IDENTITY_ROT6D, J)
+    out[:, :, rb:fb] = k["rot"]
     out[:, :, rb] = s[:, None]
     out[:, :, rb + 2] = (-1.0 * c)[:, None]
     out[:, :, fb:] = k["foot"]

@@ -63,10 +63,12 @@ def gs_facing(frame, skeleton):
 
 class ZeroPrior(EpsPrior):
     """Predicts eps = 0, so its clean estimate is x_t / sqrt(ab_t); for
-    closed-form sampler checks."""
+    closed-form sampler checks. Its D-wide stats are the identity, so its
+    world frames are its normalized states."""
 
-    def __init__(self, schedule: DiffusionSchedule):
+    def __init__(self, schedule: DiffusionSchedule, D: int):
         self.schedule = schedule
+        self.stats = NormalizationStats(np.zeros(D), np.ones(D))
 
     def forward(self, x, t, label):
         return np.zeros(x.shape), \

@@ -11,10 +11,13 @@ The script builder is the package's own (its oracle is `tape_scripts`).
 
 `step_chain` is the stepped form of the package's one-node chains: per
 DDIM step, the kept block's overwrite, the prior's one-node clean estimate
-and the step, one tape node apiece. `StepAnalyticPrior` and `StepMLPPrior`
+and the step, one tape node apiece, then the sample as world frames
+(`motion.denormalize`, one node). `StepAnalyticPrior` and `StepMLPPrior`
 are the package's priors with `step_chain` as their chain; they are the
 references the analytic prior's parameter-space chain and
-`EpsPrior.chain` are checked against.
+`EpsPrior.chain` are checked against. The samplers here end as the
+package's do, with the normalized view of those world frames, the kept
+block its reference (`normalized_view`).
 
 The samplers take the step rule as `step`: `x0_step`, the package's
 clean-estimate form alpha * x + beta * x0_hat, or `eps_step`, the eps
@@ -28,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from groupmotion import autodiff as ad
+from groupmotion import motion
 from groupmotion.diffusion import _stacked, _step_noise
 from groupmotion.priors import AnalyticPrior, MLPPrior
 from groupmotion.scripts import build_pair_scripts
@@ -76,13 +80,22 @@ def step_chain(prior, schedule, x, label, kept=None):
     """The samplers' chain stepped over a stacked (2, N, D) state: at each
     DDIM step, overwrite the `kept` block (if any) with its reference, take
     the prior's one-node clean estimate and step; after the last step,
-    overwrite the kept block with its clean reference. Two tape nodes a
-    step and one per overwrite."""
+    overwrite the kept block with its clean reference and return the
+    sample as world frames. Two tape nodes a step, one per overwrite and
+    one for the world frames."""
     for k, t, alpha, beta in schedule.steps():
         if kept is not None:
             x = _clamp(x, kept.index, kept.at(k, t, schedule))
         x = _ddim_step(x, prior.clean_estimate(x, t, label), alpha, beta)
-    return x if kept is None else _clamp(x, kept.index, kept.ref)
+    if kept is not None:
+        x = _clamp(x, kept.index, kept.ref)
+    return motion.denormalize(x, prior.stats)
+
+
+def normalized_view(x, stats):
+    """A sampler's output from the normalized state `x` of its last step:
+    the world frames its prior's chain returns, normalized again."""
+    return normalize(denormalize(x, stats), stats)
 
 
 class StepAnalyticPrior(AnalyticPrior):
@@ -147,6 +160,7 @@ def ddim_sample(prior, schedule, x_T_pair, label, step=x0_step):
     x = _stacked(x_T_pair)
     for _, t, ab_t, ab_prev in _steps(schedule):
         x = step(prior, x, t, label, ab_t, ab_prev)
+    x = normalized_view(x, prior.stats)
     return x[0], x[1]
 
 
@@ -160,7 +174,7 @@ def masked_sample(prior, schedule, x_T_target, x0_ref, label, noise_seed,
         ref_t = forward_noise(ref_c, t, ad.constant(zetas[k - 1]), schedule)
         pair = ad.stack([x, ref_t])
         x = step(prior, pair, t, label, ab_t, ab_prev)[0]
-    return x
+    return normalized_view(x, prior.stats)
 
 
 def inpaint_extend(prior, schedule, x_T_pair, kept_pair, mask, label,
@@ -178,5 +192,5 @@ def inpaint_extend(prior, schedule, x_T_pair, kept_pair, mask, label,
             forward_noise(ref_c, t, ad.constant(zetas[k - 1]), schedule)
         x = keep_v * ref_t + free_v * x
         x = step(prior, x, t, label, ab_t, ab_prev)
-    x = keep_v * ref_c + free_v * x
+    x = keep_v * ref_c + free_v * normalized_view(x, prior.stats)
     return x[0], x[1]

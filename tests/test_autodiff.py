@@ -148,6 +148,91 @@ def test_graph_reusable_after_grad():
     assert float(loss.value) == 5.0
 
 
+def dense_grad(loss, leaves):
+    """`ad.grad` as it was before partial adjoints: each `Scatter` becomes
+    a zero-filled array, and a node's adjoints are summed into new
+    arrays."""
+    adjoint = {id(loss): np.array(1.0)}
+    for node in reversed(ad._toposort(loss)):
+        g = adjoint.get(id(node))
+        if g is None or node._backward is None:
+            continue
+        for p, pg in zip(node.parents, node._backward(g)):
+            if pg is None or not p.requires_grad:
+                continue
+            if isinstance(pg, ad.Scatter):
+                z = np.zeros(p.shape)
+                z[pg.index] += pg.block
+                pg = z
+            key = id(p)
+            adjoint[key] = adjoint[key] + pg if key in adjoint else pg
+    return [adjoint.get(id(leaf), np.zeros(leaf.shape)) for leaf in leaves]
+
+
+def scatter_read(a, index):
+    """a[index] as a node whose adjoint is a `Scatter`, for an index that
+    `take` would treat as a bare integer array."""
+    return ad.Var(a.value[index], (a,), lambda g: (ad.Scatter(index, g),))
+
+
+def random_partial_graph(seed):
+    """A loss over two (6, 5, 4) leaves and nodes of them, read in parts:
+    repeated rows, overlapping blocks, integer arrays with repeats
+    (`take`'s dense adjoint) and without (`Scatter`s), and whole."""
+    rng = np.random.default_rng(seed)
+    x, y = ad.Var(rng.standard_normal((6, 5, 4))), \
+        ad.Var(rng.standard_normal((6, 5, 4)))
+    u = to.tanh(x * y)
+    nodes = [x, y, u, x + u * 0.5]
+    reads = [
+        lambda a: a[int(rng.integers(6))],
+        lambda a: a[int(rng.integers(3)):4, :, 1:],
+        lambda a: a[2:, 1:4],
+        lambda a: ad.take(a, rng.integers(6, size=4)),
+        lambda a: scatter_read(a, (rng.permutation(6)[:3], slice(1, 4))),
+        lambda a: scatter_read(a, (Ellipsis, rng.permutation(4)[:2])),
+        lambda a: a * 1.0,
+    ]
+    loss = ad.constant(0.0)
+    for _ in range(12):
+        a = nodes[int(rng.integers(len(nodes)))]
+        r = reads[int(rng.integers(len(reads)))](a)
+        loss = loss + to.sum_(to.tanh(r) *
+                              ad.constant(rng.standard_normal(r.shape)))
+    return loss, [x, y]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_partial_adjoints_match_dense_accumulation(seed):
+    """`grad` with `Scatter` adjoints gives the gradients of dense
+    accumulation bit for bit, and writes into no array a backward returned
+    and no Var's value."""
+    loss, leaves = random_partial_graph(seed)
+    want = dense_grad(loss, leaves)
+    nodes = ad._toposort(loss)
+    values = [(n.value, n.value.copy()) for n in nodes]
+    returned = []
+
+    def recording(backward):
+        def wrapped(g):
+            out = backward(g)
+            for pg in out:
+                arr = pg.block if isinstance(pg, ad.Scatter) else pg
+                if isinstance(arr, np.ndarray):
+                    returned.append((arr, arr.copy()))
+            return out
+        return wrapped
+
+    for n in nodes:
+        if n._backward is not None:
+            n._backward = recording(n._backward)
+    got = ad.grad(loss, leaves)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert returned and all(a.tobytes() == b.tobytes()
+                            for a, b in returned + values)
+
+
 def test_relu_subgradient_zero_at_kink():
     x = ad.Var(np.array([0.0, -1.0, 1.0]))
     (g,) = ad.grad(to.sum_(to.relu(x)), [x])

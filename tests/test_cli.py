@@ -16,7 +16,8 @@ from groupmotion.composer import Composer
 from groupmotion.corpus import SAMPLES_PER_LABEL_MAX
 from groupmotion.diffusion import DiffusionSchedule
 from groupmotion.motion import (N_FRAMES_MAX, MotionSequence,
-                                default_skeleton, read_motion)
+                                NormalizationStats, default_skeleton,
+                                read_motion)
 from groupmotion.priors import MLPPrior
 from groupmotion.scripts import VOCABULARY
 
@@ -429,7 +430,8 @@ def test_compose_unreadable_weights_file(tmp_path, capsys):
 def weights_file(path, meta=(), **arrays):
     """A weights file of an 8-wide MLP prior with entries of its meta and
     weight arrays replaced."""
-    prior = MLPPrior(DiffusionSchedule(50, 5), default_skeleton().D,
+    prior = MLPPrior(DiffusionSchedule(50, 5),
+                     NormalizationStats.reference(default_skeleton()),
                      len(VOCABULARY), hidden=8)
     meta = dict({"D": prior.D, "n_labels": prior.n_labels, "hidden": 8},
                 **dict(meta))

@@ -11,8 +11,8 @@ from groupmotion.composer import (Composer, CompositionResult,
                                   OptimizerConfig, SceneSpec, SceneStep,
                                   optimize_noise)
 from groupmotion.diffusion import (FrameMask, ddim_sample, inpaint_extend,
-                                   masked_sample)
-from groupmotion.motion import denormalize, normalize
+                                   inpaint_kept, masked_kept)
+from groupmotion.motion import NormalizationStats, denormalize, normalize
 from groupmotion.penalties import (LossBreakdown, PenaltyConfig, aggregate,
                                    root_penalty)
 from groupmotion.priors import AnalyticPrior, MLPPrior
@@ -89,7 +89,7 @@ def test_zero_prior_root_projection_oracle(stats, skeleton, small_schedule):
     optimizing a root penalty is a solvable quadratic: the optimized output
     root must land on the target."""
     lab = label_by_name("approach")
-    prior = ZeroPrior(small_schedule)
+    prior = ZeroPrior(small_schedule, skeleton.D)
     N = 6
     rng = np.random.default_rng(1)
     xT0 = rng.standard_normal((N, skeleton.D)) * 0.1
@@ -124,6 +124,13 @@ def test_compose_m2_reduces_to_first_pair(analytic_prior, small_schedule,
         assert np.array_equal(res.sequences[pid].frames, seqs[pid].frames)
 
 
+def chain_sample(prior, schedule, xT, label, kept=None):
+    """The world frames of the prior's chain from the full-width noise
+    `xT`, with no gradient."""
+    return prior.chain(schedule, ad.constant(xT[..., prior.noise_channels]),
+                       label, kept).value
+
+
 def test_no_penalties_equals_plain_sample(analytic_prior, small_schedule,
                                           stats, skeleton):
     comp = make_composer(analytic_prior, small_schedule, stats, skeleton)
@@ -133,13 +140,12 @@ def test_no_penalties_equals_plain_sample(analytic_prior, small_schedule,
     N, D = spec.n_frames, skeleton.D
     xT1 = Composer._substream(9, 0, 1).standard_normal((N, D))
     xT2 = Composer._substream(9, 0, 2).standard_normal((N, D))
-    o1, o2 = ddim_sample(analytic_prior, small_schedule,
-                         (ad.constant(xT1), ad.constant(xT2)),
-                         spec.first_label)
+    world = chain_sample(analytic_prior, small_schedule,
+                         np.stack([xT1, xT2]), spec.first_label)
     from groupmotion.motion import MotionSequence, repair_velocities
-    w1 = repair_velocities(MotionSequence(
-        skeleton, denormalize(o1.value, stats)))
-    assert np.array_equal(seqs[1].frames, w1.frames)
+    for pid, w in zip((1, 2), world):
+        want = repair_velocities(MotionSequence(skeleton, w))
+        assert np.array_equal(seqs[pid].frames, want.frames)
     assert all(r.evaluations == 0 for r in recs)
 
 
@@ -168,13 +174,14 @@ def test_first_pair_refinement_runs_when_violated(analytic_prior,
     assert recs[0].best_loss == min(recs[0].losses)
 
 
+# sampler -> (the persons, the kept block), from the composer, the kept
+# frames of an extension and the (N, D) reference of a masked sample
 SAMPLES = {
-    "ddim": lambda comp, lab, kept, ref: lambda var: ddim_sample(
-        comp.prior, comp.schedule, var, lab),
-    "masked": lambda comp, lab, kept, ref: lambda var: (masked_sample(
-        comp.prior, comp.schedule, var[0], ref, lab, 4),),
-    "inpaint": lambda comp, lab, kept, ref: lambda var: inpaint_extend(
-        comp.prior, comp.schedule, var, kept, FrameMask(12, 4), lab, 5),
+    "ddim": lambda comp, kept, ref: ((1, 2), None),
+    "masked": lambda comp, kept, ref: ((1,), masked_kept(
+        comp.schedule, ref.shape, ref, 4)),
+    "inpaint": lambda comp, kept, ref: ((1, 2), inpaint_kept(
+        comp.schedule, (2,) + ref.shape, kept, FrameMask(12, 4), 5)),
 }
 
 
@@ -185,9 +192,9 @@ def test_kept_values_equal_fresh_sample_from_best_noise(
         monkeypatch):
     """The output values kept from the best evaluation, here the third of
     seven, equal, bit for bit, a fresh sample from the best noise with no
-    gradient: the best iterate of the prior's `noise_channels`, put back
-    into `xT`."""
-    prior = MLPPrior(small_schedule, skeleton.D, 7, hidden=8) if mlp \
+    gradient: the best iterate of the prior's `noise_channels` of the
+    persons' rows, put back into `xT`."""
+    prior = MLPPrior(small_schedule, stats, 7, hidden=8) if mlp \
         else analytic_prior
     comp = Composer(prior, small_schedule, stats, skeleton,
                     OptimizerConfig(lr=0.05, max_steps=6,
@@ -196,8 +203,10 @@ def test_kept_values_equal_fresh_sample_from_best_noise(
     kept = [rng.standard_normal((4, skeleton.D)) * 0.2 for _ in range(2)]
     ref = rng.standard_normal((12, skeleton.D)) * 0.3
     xT = rng.standard_normal((2, 12, skeleton.D))
-    sample = SAMPLES[name](comp, label_by_name("close-approach"), kept, ref)
-    persons = (1, 2)[:len(sample(ad.constant(xT)))]
+    persons, kept = SAMPLES[name](comp, kept, ref)
+    if name == "masked":
+        xT[1] = ref
+    label = label_by_name("close-approach")
     pens = [PenaltyConfig("region", 1.0, (p,),
                           params={"lower": [-0.2, -1.0, -0.2],
                                   "upper": [0.2, 3.0, 0.2]})
@@ -216,27 +225,24 @@ def test_kept_values_equal_fresh_sample_from_best_noise(
 
     monkeypatch.setattr(composer, "aggregate", scaled)
     monkeypatch.setattr(composer, "optimize_noise", recording)
-    values, rec = comp._optimize_and_sample(sample, persons, pens, xT)
+    values, rec = comp._optimize_and_sample(label, xT, persons, pens, kept)
     (best_x, _), = found
     assert int(np.argmin(rec.losses)) == 2 and rec.evaluations == 7
     best_noise = xT.copy()
-    best_noise[..., prior.noise_channels] = best_x
-    fresh = sample(ad.constant(best_noise))
-    assert len(values) == len(fresh)
-    for got, want in zip(values, fresh):
-        assert np.array_equal(got, want.value)
+    best_noise[:len(persons), :, prior.noise_channels] = best_x
+    fresh = chain_sample(prior, small_schedule, best_noise, label, kept)
+    assert np.array_equal(values, fresh)
 
 
 @pytest.mark.parametrize("mlp", [False, True], ids=["analytic", "mlp"])
 def test_restricted_noise_compose_byte_identical(mlp, small_schedule, stats,
                                                  skeleton, monkeypatch):
     """Adam over the prior's `noise_channels` alone gives the bytes and
-    losses of Adam over every channel: first pair, added person, and
+    losses of Adam over every channel of a chain that reads them all and
+    passes the prior's on (`FullWidth`): first pair, added person, and
     extension segments in noised and literal modes."""
-    prior = MLPPrior(small_schedule, skeleton.D, 7, hidden=8, seed=3) if mlp \
+    prior = MLPPrior(small_schedule, stats, 7, hidden=8, seed=3) if mlp \
         else AnalyticPrior(small_schedule, stats, skeleton)
-    comp = Composer(prior, small_schedule, stats, skeleton,
-                    OptimizerConfig(lr=0.03, max_steps=6))
 
     def root(pid, x):
         return PenaltyConfig("root", 1.0, (pid,), frames=(11,),
@@ -259,10 +265,9 @@ def test_restricted_noise_compose_byte_identical(mlp, small_schedule, stats,
         return optimize_noise(objective, x, config)
 
     monkeypatch.setattr(composer, "optimize_noise", recording)
-    runs = [comp.compose(spec)]
-    monkeypatch.setattr(type(prior), "noise_channels", slice(None),
-                        raising=False)
-    runs.append(comp.compose(spec))
+    runs = [Composer(p, small_schedule, stats, skeleton,
+                     OptimizerConfig(lr=0.03, max_steps=6)).compose(spec)
+            for p in (prior, FullWidth(prior))]
     assert widths == [skeleton.D if mlp else 8] * 4 + [skeleton.D] * 4
     for pid in (1, 2, 3):
         assert runs[0].sequences[pid].frames.tobytes() == \
@@ -276,18 +281,12 @@ def test_early_stop_at_first_evaluation_samples_once(
         analytic_prior, small_schedule, stats, skeleton, monkeypatch):
     """A compose that stops at its first evaluation runs the sampler once:
     the kept values are that evaluation's, with no second sample."""
-    comp = make_composer(analytic_prior, small_schedule, stats, skeleton,
+    prior = RecordingPrior(analytic_prior)
+    comp = make_composer(prior, small_schedule, stats, skeleton,
                          early_stop_loss=1e9)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return ddim_sample(*args)
-
-    monkeypatch.setattr(composer, "ddim_sample", counting)
     pen = PenaltyConfig("overlap", 1.0, (1, 2), params={"delta": 0.3})
     res = comp.compose(pair_spec(penalties=[pen], label="close-approach"))
-    assert res.records[0].evaluations == 1 and len(calls) == 1
+    assert res.records[0].evaluations == 1 and len(prior.labels) == 1
 
 
 # -- scene validation ------------------------------------------------------------------
@@ -377,12 +376,13 @@ def test_add_person_no_penalty_equals_masked_sample(analytic_prior,
     xT = Composer._substream(spec.seed, 0, 3).standard_normal(
         (12, skeleton.D))
     mask_seed = int(Composer._substream(spec.seed, 1, 3).integers(2 ** 31))
-    out = masked_sample(analytic_prior, small_schedule, ad.constant(xT),
-                        normalize(pair[1].frames, stats),
-                        spec.steps[0].label, mask_seed)
+    ref = normalize(pair[1].frames, stats)
+    world = chain_sample(analytic_prior, small_schedule, np.stack([xT, ref]),
+                         spec.steps[0].label,
+                         masked_kept(small_schedule, ref.shape, ref,
+                                     mask_seed))
     from groupmotion.motion import MotionSequence, repair_velocities
-    want = repair_velocities(MotionSequence(
-        skeleton, denormalize(out.value, stats)))
+    want = repair_velocities(MotionSequence(skeleton, world[0]))
     assert np.array_equal(seq.frames, want.frames)
 
 
@@ -404,11 +404,29 @@ class RecordingPrior:
     def __init__(self, inner):
         self.inner = inner
         self.noise_channels = inner.noise_channels
+        self.stats = inner.stats
         self.labels = []
 
     def chain(self, schedule, x, label, kept=None):
         self.labels.append(label.name)
         return self.inner.chain(schedule, x, label, kept)
+
+
+class FullWidth:
+    """Wraps a prior to read every channel of x_T: its chain passes the
+    prior's `noise_channels` on, so the others get a gradient of exactly
+    zero."""
+
+    noise_channels = slice(None)
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.stats = inner.stats
+
+    def chain(self, schedule, x, label, kept=None):
+        return self.inner.chain(
+            schedule, ad.take(x, (Ellipsis, self.inner.noise_channels)),
+            label, kept)
 
 
 def test_extend_appends_frames_and_preserves_prefix(analytic_prior,
@@ -473,6 +491,69 @@ def test_extend_two_pair_segment_penalties(analytic_prior, small_schedule,
     seg.penalties[0].subjects = (1, 3)
     with pytest.raises(ValueError, match="within one of its pairs"):
         comp.extend(res, [seg], seed=5)
+
+
+def benchmark_objective(prior, schedule, stats, skeleton, sample, pens):
+    """The objective `bench/workloads.py` rebuilds to check the composer's
+    gradient: a sampler on the full-width rows (var[0], var[1]), each
+    output row denormalized, then the penalties over a dict."""
+    def objective(var):
+        o1, o2 = sample(prior, schedule, (var[0, :, :], var[1, :, :]))
+        world = {1: denormalize(o1, stats), 2: denormalize(o2, stats)}
+        return aggregate(pens, world, skeleton)[0]
+    return objective
+
+
+def test_benchmark_objective_reproduces_first_loss(analytic_prior,
+                                                   small_schedule, stats,
+                                                   skeleton):
+    """The benchmark's rebuilt objective gives the composer's first
+    recorded loss to rtol 1e-12, for a penalised first pair and a literal
+    extension: the samplers' normalized view, denormalized, is the chain's
+    world state to rounding."""
+    comp = make_composer(analytic_prior, small_schedule, stats, skeleton)
+    lab = label_by_name("close-approach")
+    pens = (PenaltyConfig("overlap", 1.0, (1, 2), params={"delta": 0.3}),
+            PenaltyConfig("root", 1.0, (1,), frames=(11,),
+                          params={"targets": [[1.0, 0.9, 2.0]]}))
+    res = comp.compose(pair_spec(penalties=pens, label="close-approach",
+                                 seed=5))
+    xT = np.stack([Composer._substream(5, 0, p).standard_normal(
+        (12, skeleton.D)) for p in (1, 2)])
+    first = benchmark_objective(
+        analytic_prior, small_schedule, stats, skeleton,
+        lambda *a: ddim_sample(*a, lab), pens)(ad.Var(xT))
+    assert np.isclose(float(first.value), res.records[0].losses[0],
+                      rtol=1e-12, atol=0.0)
+
+    seg = ExtensionSegment(window=16, kept=6, pairs=((1, 2, lab),),
+                           boundary_frames=5, boundary_weight=1000.0,
+                           mode="literal")
+    ext = comp.extend(res, [seg], seed=5)
+    kept = [normalize(res.sequences[p].frames[-6:], stats) for p in (1, 2)]
+    xT = Composer._substream(5, 2, 0, 0).standard_normal((2, 16, skeleton.D))
+    zseed = int(Composer._substream(5, 3, 0, 0).integers(2**31))
+    first = benchmark_objective(
+        analytic_prior, small_schedule, stats, skeleton,
+        lambda *a: inpaint_extend(*a, kept, FrameMask(16, 6), lab, zseed,
+                                  mode="literal"),
+        composer._pair_penalties(seg, 1, 2))(ad.Var(xT))
+    assert first.value > 0.0
+    assert np.isclose(float(first.value), ext.records[-1].losses[0],
+                      rtol=1e-12, atol=0.0)
+
+
+def test_composer_rejects_prior_with_other_stats(small_schedule, stats,
+                                                 skeleton):
+    """The chain returns world frames under the prior's stats, so the
+    composer, which normalizes references with its own, needs the same."""
+    other = NormalizationStats(stats.mean + 0.5, stats.std)
+    with pytest.raises(ValueError, match="stats"):
+        Composer(AnalyticPrior(small_schedule, other, skeleton),
+                 small_schedule, stats, skeleton, OptimizerConfig())
+    Composer(AnalyticPrior(small_schedule, NormalizationStats(
+        stats.mean.copy(), stats.std.copy()), skeleton), small_schedule,
+        stats, skeleton, OptimizerConfig())
 
 
 def test_extend_zero_length_plan(analytic_prior, small_schedule, stats,

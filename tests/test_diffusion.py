@@ -105,7 +105,7 @@ def test_forward_noise_range_and_shape_errors(small_schedule):
 def test_zero_prior_closed_form(small_schedule):
     """eps = 0 everywhere collapses the sampler to x_0 = x_T / sqrt(ab_T)."""
     xT1, xT2 = noise((6, 10), 5), noise((6, 10), 6)
-    o1, o2 = ddim_sample(ZeroPrior(small_schedule), small_schedule,
+    o1, o2 = ddim_sample(ZeroPrior(small_schedule, 10), small_schedule,
                          (xT1, xT2), label_by_name("approach"))
     abT = small_schedule.alpha_bar(small_schedule.t_train)
     assert np.allclose(o1.value, xT1 / np.sqrt(abT), atol=1e-9)
@@ -118,8 +118,8 @@ def test_zero_prior_strided_equals_full_steps():
     lab = label_by_name("approach")
     full = DiffusionSchedule(t_train=40, ddim_steps=40)
     strided = DiffusionSchedule(t_train=40, ddim_steps=8)
-    a, _ = ddim_sample(ZeroPrior(full), full, (xT, xT), lab)
-    b, _ = ddim_sample(ZeroPrior(strided), strided, (xT, xT), lab)
+    a, _ = ddim_sample(ZeroPrior(full, 8), full, (xT, xT), lab)
+    b, _ = ddim_sample(ZeroPrior(strided, 8), strided, (xT, xT), lab)
     assert np.allclose(a.value, b.value, atol=1e-9)
 
 
@@ -427,8 +427,7 @@ def perturbed_mlp(cls=MLPPrior, seed=3):
     """A factory (schedule, stats, skeleton) -> MLP prior of class `cls`
     whose weights are moved off their init, the same for every `cls`."""
     def make(schedule, stats, skeleton):
-        prior = cls(schedule, skeleton.D, len(VOCABULARY), hidden=16,
-                    seed=seed)
+        prior = cls(schedule, stats, len(VOCABULARY), hidden=16, seed=seed)
         rng = np.random.default_rng(seed)
         prior.weights = {k: v + 0.1 * rng.standard_normal(v.shape)
                          for k, v in prior.weights.items()}
@@ -459,6 +458,24 @@ def test_mlp_chain_matches_step_chain(name, label, N, steps, stats,
         assert np.array_equal(a, b)
 
 
+def test_eps_chain_reads_one_schedule(stats, skeleton):
+    """`EpsPrior.chain` steps the schedule it is given: with the prior's
+    t_train and other steps it samples as a prior built on that schedule,
+    bit for bit; with another t_train, which the eps model's timestep
+    embedding does not know, it raises."""
+    coarse = DiffusionSchedule(t_train=50, ddim_steps=5)
+    fine = DiffusionSchedule(t_train=50, ddim_steps=12)
+    xT = noise((2, 12, skeleton.D), 51)
+    lab = label_by_name("follow")
+    outs = [ddim_sample(perturbed_mlp()(built, stats, skeleton), fine, xT,
+                        lab)[0].value for built in (coarse, fine)]
+    assert np.array_equal(outs[0], outs[1])
+    prior = perturbed_mlp()(coarse, stats, skeleton)
+    with pytest.raises(ValueError, match="t_train"):
+        ddim_sample(prior, DiffusionSchedule(t_train=40, ddim_steps=5), xT,
+                    lab)
+
+
 def test_chain_dispatch(small_schedule, stats, skeleton):
     """The analytic prior runs in parameter space, reading the functionals'
     noise channels; an eps prior runs `EpsPrior.chain`, reading every
@@ -467,13 +484,13 @@ def test_chain_dispatch(small_schedule, stats, skeleton):
     prior = AnalyticPrior(small_schedule, stats, skeleton)
     assert prior.chain.__func__ is AnalyticPrior.chain
     assert np.array_equal(prior.noise_channels, functional_channels(skeleton))
-    for eps_prior in (MLPPrior(small_schedule, skeleton.D, 6, hidden=8),
-                      ZeroPrior(small_schedule)):
+    for eps_prior in (MLPPrior(small_schedule, stats, 6, hidden=8),
+                      ZeroPrior(small_schedule, skeleton.D)):
         assert eps_prior.chain.__func__ is EpsPrior.chain
         assert eps_prior.noise_channels == slice(None)
     for step_prior in [cls(small_schedule, stats, skeleton) for cls in
                        (tape.StepAnalyticPrior, tape.TapeAnalyticPrior)] + \
-            [tape.StepMLPPrior(small_schedule, skeleton.D, 6, hidden=8)]:
+            [tape.StepMLPPrior(small_schedule, stats, 6, hidden=8)]:
         assert step_prior.chain.__func__ is tape.step_chain
         assert step_prior.noise_channels == slice(None)
 
@@ -627,20 +644,22 @@ def test_analytic_sample_nodes_independent_of_steps(name, stats, skeleton,
     of DDIM steps: the chain is one node over x_T."""
     counts = sample_node_counts(name, AnalyticPrior, stats, skeleton,
                                 monkeypatch)
-    # the chain node and the rows taken from it; masked adds the target's
-    # row of v and its embedding as row 0 of the pair
-    assert counts == [3 if name != "masked" else 4] * 3
+    # x_T on the noise channels, the chain node, its normalized view and
+    # the rows taken from it; masked adds the target's row of v and its
+    # embedding as row 0 of the pair
+    assert counts == [5 if name != "masked" else 6] * 3
 
 
 @pytest.mark.parametrize("name", ORACLE_SAMPLERS)
 def test_mlp_sample_nodes_independent_of_steps(name, stats, skeleton,
                                                monkeypatch):
     """One MLP sample records the same tape nodes whatever the number of
-    DDIM steps, as many as an analytic one: `EpsPrior.chain` is one node
-    over x_T."""
+    DDIM steps, as many as an analytic one less the restriction of x_T to
+    the noise channels, since it reads them all: `EpsPrior.chain` is one
+    node over x_T."""
     counts = sample_node_counts(name, perturbed_mlp(), stats, skeleton,
                                 monkeypatch)
-    assert counts == [3 if name != "masked" else 4] * 3
+    assert counts == [4 if name != "masked" else 5] * 3
 
 
 def test_analytic_frame0_root_independent_of_label(small_schedule, stats,

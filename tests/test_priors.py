@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from groupmotion import autodiff as ad
 from groupmotion.diffusion import DiffusionSchedule
-from groupmotion.motion import normalize
+from groupmotion.motion import NormalizationStats, normalize
 from groupmotion.priors import AnalyticPrior, MLPPrior, TrainingDiverged, train
 from groupmotion.scripts import default_vocabulary, label_by_name
 
@@ -24,8 +24,8 @@ def noise(shape, seed=0):
 
 
 @pytest.fixture(scope="module")
-def mlp_prior(small_schedule, skeleton):
-    return MLPPrior(small_schedule, skeleton.D, n_labels=6, hidden=16, seed=0)
+def mlp_prior(small_schedule, stats):
+    return MLPPrior(small_schedule, stats, n_labels=6, hidden=16, seed=0)
 
 
 def priors_under_test(analytic_prior, mlp_prior):
@@ -35,7 +35,7 @@ def priors_under_test(analytic_prior, mlp_prior):
 def stepped(prior: MLPPrior) -> tape.StepMLPPrior:
     """The stepped oracle with `prior`'s sizes and weights: one-node eps and
     clean estimate."""
-    step = tape.StepMLPPrior(prior.schedule, prior.D, prior.n_labels,
+    step = tape.StepMLPPrior(prior.schedule, prior.stats, prior.n_labels,
                              prior.hidden)
     step.weights = prior.weights
     return step
@@ -55,8 +55,10 @@ def test_conformance_shapes_and_determinism(analytic_prior, mlp_prior,
                                   noise((10, skeleton.D), 2)]))
         step = prior if name == "analytic" else stepped(prior)
         for estimate in (prior.predict, step.clean_estimate,
-                         lambda x, t, lab: prior.chain(small_schedule, x,
-                                                       lab)):
+                         lambda x, t, lab: prior.chain(
+                             small_schedule,
+                             ad.constant(x.value[..., prior.noise_channels]),
+                             lab)):
             e = estimate(x, 25, lab)
             assert e.shape == x.shape, name
             f = estimate(x, 25, lab)
@@ -187,10 +189,10 @@ def test_hypothesis_analytic_predict_gradient(small_schedule, stats, skeleton,
 # -- MLP prior ----------------------------------------------------------------
 
 
-def _perturbed_mlp(schedule, D, hidden, seed):
+def _perturbed_mlp(schedule, stats, hidden, seed):
     """An MLP prior whose biases, skip and weights are all off their
     initial values, so that every weight's gradient is exercised."""
-    prior = MLPPrior(schedule, D, len(default_vocabulary()), hidden=hidden,
+    prior = MLPPrior(schedule, stats, len(default_vocabulary()), hidden=hidden,
                      seed=seed)
     rng = np.random.default_rng(seed)
     prior.weights = {k: v + 0.1 * rng.standard_normal(v.shape)
@@ -200,14 +202,14 @@ def _perturbed_mlp(schedule, D, hidden, seed):
 
 @pytest.mark.parametrize("hidden", [8, 64])
 @pytest.mark.parametrize("N", [12, 32])
-def test_mlp_forward_and_vjp_match_tape_oracle(small_schedule, skeleton, N,
-                                               hidden):
+def test_mlp_forward_and_vjp_match_tape_oracle(small_schedule, skeleton,
+                                               stats, N, hidden):
     """eps and its adjoints to x and to every weight array are bit-identical
     to the op-by-op tape form, for every label and across t; so are the
     one-node `predict`, the stepped oracle's one-node `clean_estimate` and
     their gradients to x."""
-    prior = _perturbed_mlp(small_schedule, skeleton.D, hidden, N + hidden)
-    oracle = tape_mlp.TapeMLPPrior(small_schedule, skeleton.D,
+    prior = _perturbed_mlp(small_schedule, stats, hidden, N + hidden)
+    oracle = tape_mlp.TapeMLPPrior(small_schedule, stats,
                                    prior.n_labels, hidden=hidden)
     oracle.weights = prior.weights
     keys = sorted(prior.weights)
@@ -240,10 +242,10 @@ def test_mlp_forward_and_vjp_match_tape_oracle(small_schedule, skeleton, N,
                 assert np.array_equal(out[0][1], out[1][1])
 
 
-def test_mlp_state_only_vjp_matches_full(small_schedule, skeleton):
+def test_mlp_state_only_vjp_matches_full(small_schedule, skeleton, stats):
     """`vjp(g, weights=False)` gives the full vjp's state adjoint bit for
     bit and no weight adjoints."""
-    prior = _perturbed_mlp(small_schedule, skeleton.D, 16, 9)
+    prior = _perturbed_mlp(small_schedule, stats, 16, 9)
     rng = np.random.default_rng(9)
     x, g = rng.standard_normal((2, 2, 11, skeleton.D))
     _, vjp = prior.forward(x, 30, label_by_name("pose-pair"))
@@ -253,14 +255,15 @@ def test_mlp_state_only_vjp_matches_full(small_schedule, skeleton):
 
 @pytest.mark.parametrize("row", [0, 1])
 def test_mlp_state_vjp_with_zero_row_matches_tape_oracle(small_schedule,
-                                                         skeleton, row):
+                                                         skeleton, stats,
+                                                         row):
     """With one person's eps adjoint all zero, as the kept row of
     `masked_sample` has, the state-only vjp skips that person's matmuls
     and still gives the op-by-op tape form's adjoint bit for bit, alone
     and through the one-node `predict`; so it does when one entry of that
     row is not zero."""
-    prior = _perturbed_mlp(small_schedule, skeleton.D, 16, 10)
-    oracle = tape_mlp.TapeMLPPrior(small_schedule, skeleton.D,
+    prior = _perturbed_mlp(small_schedule, stats, 16, 10)
+    oracle = tape_mlp.TapeMLPPrior(small_schedule, stats,
                                    prior.n_labels, hidden=16)
     oracle.weights = prior.weights
     lab = label_by_name("approach")
@@ -282,11 +285,11 @@ def test_mlp_state_vjp_with_zero_row_matches_tape_oracle(small_schedule,
         assert np.array_equal(gx, vjp(g)[0])
 
 
-def test_mlp_node_gradient_matches_fd(small_schedule, skeleton):
+def test_mlp_node_gradient_matches_fd(small_schedule, skeleton, stats):
     """The hand-written vjp against central differences: to x through the
     one-node eps and the stepped oracle's one-node clean estimate, and to
     W1, b2 and skip."""
-    prior = _perturbed_mlp(small_schedule, skeleton.D, 16, 7)
+    prior = _perturbed_mlp(small_schedule, stats, 16, 7)
     lab = label_by_name("follow")
     rng = np.random.default_rng(8)
     x = rng.standard_normal((2, 6, skeleton.D))
@@ -313,40 +316,52 @@ def test_mlp_node_gradient_matches_fd(small_schedule, skeleton):
 
 def test_mlp_evaluation_records_analytic_node_count(small_schedule, skeleton,
                                                    stats, monkeypatch):
-    """A penalised evaluation with the MLP prior records exactly as many
-    tape nodes as with the analytic prior: each runs its chain as one
-    node."""
-    from groupmotion.diffusion import ddim_sample
-    from groupmotion.motion import denormalize
-    from groupmotion.penalties import PenaltyConfig, aggregate
-    lab = label_by_name("approach")
-    pens = [PenaltyConfig("overlap", 1.0, (1, 2), params={"delta": 0.3})]
-    x = noise((2, 16, skeleton.D), 12)
+    """A composer evaluation with two penalty terms records at most 6 tape
+    nodes with either prior, the same number with both: the chain as one
+    node of world frames, a row of it per person, each term and their
+    sum."""
+    from groupmotion import composer
+    from groupmotion.composer import Composer, OptimizerConfig, SceneSpec
+    from groupmotion.penalties import PenaltyConfig
+    pens = (PenaltyConfig("overlap", 1.0, (1, 2), params={"delta": 0.3}),
+            PenaltyConfig("root", 1.0, (1,), frames=(15,),
+                          params={"targets": [[1.0, 0.9, 1.0]]}))
+    spec = SceneSpec(participants=(1, 2),
+                     first_label=label_by_name("close-approach"),
+                     first_penalties=pens, n_frames=16, seed=2)
     init, count = ad.Var.__init__, [0]
 
     def counting(var, *args, **kwargs):
         count[0] += 1
         init(var, *args, **kwargs)
 
+    def counted(objective, x, config):
+        def evaluate(var):
+            before = count[0]
+            out = objective(var)
+            nodes.append(count[0] - before)
+            return out
+        return optimize(evaluate, x, config)
+
+    optimize = composer.optimize_noise
     monkeypatch.setattr(ad.Var, "__init__", counting)
-    nodes = []
+    monkeypatch.setattr(composer, "optimize_noise", counted)
+    per_prior = []
     for prior in (AnalyticPrior(small_schedule, stats, skeleton),
-                  MLPPrior(small_schedule, skeleton.D, 6, hidden=8)):
-        count[0] = 0
-        v = ad.Var(x)
-        a, b = ddim_sample(prior, small_schedule, v, lab)
-        loss, _ = aggregate(pens, {1: denormalize(a, stats),
-                                   2: denormalize(b, stats)}, skeleton)
-        ad.grad(loss, [v])
-        nodes.append(count[0])
-    assert nodes[1] == nodes[0]
+                  MLPPrior(small_schedule, stats, 6, hidden=8)):
+        nodes = []
+        Composer(prior, small_schedule, stats, skeleton,
+                 OptimizerConfig(max_steps=3)).compose(spec)
+        assert len(nodes) == 4 and len(set(nodes)) == 1
+        per_prior.append(nodes[0])
+    assert per_prior[0] == per_prior[1] <= 6
 
 
 def test_mlp_weight_round_trip(mlp_prior, tmp_path, small_schedule):
     """`load` restores the weights and the dimensions the file records."""
     path = tmp_path / "w.npz"
     mlp_prior.save_weights(path)
-    other = MLPPrior.load(path, small_schedule)
+    other = MLPPrior.load(path, small_schedule, mlp_prior.stats)
     assert (other.D, other.n_labels, other.hidden) == \
         (mlp_prior.D, mlp_prior.n_labels, mlp_prior.hidden)
     assert other.schedule is small_schedule
@@ -363,8 +378,9 @@ def test_mlp_weight_dim_mismatch(tmp_path, capsys, small_schedule, skeleton):
     n = len(default_vocabulary())
     for dD, n_labels in ((4, n), (0, n - 1)):
         path = tmp_path / f"w{dD}-{n_labels}.npz"
-        MLPPrior(small_schedule, skeleton.D + dD, n_labels,
-                 hidden=8).save_weights(path)
+        D = skeleton.D + dD
+        MLPPrior(small_schedule, NormalizationStats(np.zeros(D), np.ones(D)),
+                 n_labels, hidden=8).save_weights(path)
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({
             "schedule": {"t_train": 50, "ddim_steps": 5},
@@ -394,7 +410,7 @@ def _training_pairs(skeleton, stats, n=4, N=8):
 
 
 def test_train_zero_epochs_noop(small_schedule, skeleton, stats):
-    prior = MLPPrior(small_schedule, skeleton.D, 6, hidden=8, seed=1)
+    prior = MLPPrior(small_schedule, stats, 6, hidden=8, seed=1)
     before = {k: v.copy() for k, v in prior.weights.items()}
     curve = train(prior, _training_pairs(skeleton, stats), small_schedule,
                   epochs=0)
@@ -404,7 +420,7 @@ def test_train_zero_epochs_noop(small_schedule, skeleton, stats):
 
 
 def test_train_loss_decreases(small_schedule, skeleton, stats):
-    prior = MLPPrior(small_schedule, skeleton.D, 6, hidden=16, seed=2)
+    prior = MLPPrior(small_schedule, stats, 6, hidden=16, seed=2)
     pairs = _training_pairs(skeleton, stats, n=3)
     curve = train(prior, pairs, small_schedule, epochs=150, lr=3e-3, seed=3)
     tail = float(np.mean(curve[-10:]))
@@ -412,7 +428,7 @@ def test_train_loss_decreases(small_schedule, skeleton, stats):
 
 
 def test_train_overfits_single_sample(small_schedule, skeleton, stats):
-    prior = MLPPrior(small_schedule, skeleton.D, 6, hidden=32, seed=4)
+    prior = MLPPrior(small_schedule, stats, 6, hidden=32, seed=4)
     pairs = _training_pairs(skeleton, stats, n=1)
     # single fixed timestep family keeps the objective overfittable
     curve = train(prior, pairs, small_schedule, epochs=500, lr=3e-3, seed=5)
@@ -424,7 +440,7 @@ def test_train_matches_tape_oracle_loop(small_schedule, skeleton, stats):
     of the op-by-op tape loop bit for bit."""
     pairs = _training_pairs(skeleton, stats, n=3)
     pairs[1] = (pairs[1][0], label_by_name("follow"))
-    priors = [cls(small_schedule, skeleton.D, 6, hidden=16, seed=9)
+    priors = [cls(small_schedule, stats, 6, hidden=16, seed=9)
               for cls in (MLPPrior, tape_mlp.TapeMLPPrior)]
     curves = [fit(p, pairs, small_schedule, epochs=20, lr=3e-3, seed=10)
               for fit, p in zip((train, tape_mlp.train), priors)]
@@ -435,7 +451,7 @@ def test_train_matches_tape_oracle_loop(small_schedule, skeleton, stats):
 
 
 def test_train_divergence_detected(small_schedule, skeleton, stats):
-    prior = MLPPrior(small_schedule, skeleton.D, 6, hidden=8, seed=6)
+    prior = MLPPrior(small_schedule, stats, 6, hidden=8, seed=6)
     prior.weights["W1"][:] = np.nan
     with pytest.raises(TrainingDiverged):
         train(prior, _training_pairs(skeleton, stats, n=1), small_schedule,

@@ -236,6 +236,7 @@ def _prior_from(cfg: dict, schedule, stats, skeleton):
     _check_keys(prior_cfg, ("kind", "weights"), "prior")
     kind = prior_cfg.get("kind", "analytic")
     if kind == "analytic":
+        _check_keys(prior_cfg, ("kind",), "prior of kind 'analytic'")
         return AnalyticPrior(schedule, stats, skeleton)
     if kind == "mlp":
         weights = _require(prior_cfg, "weights", str, "prior")
@@ -262,7 +263,10 @@ def _stats_from(cfg: dict, skeleton) -> NormalizationStats:
     path = _parsed(str | None, cfg.get("stats"), "stats")
     if path is None:
         return NormalizationStats.reference(skeleton)
-    return _build(NormalizationStats, _load_json(path, "stats"), "stats")
+    stats = _build(NormalizationStats, _load_json(path, "stats"), "stats")
+    _expect(stats.D == skeleton.D, f"mean and std of {skeleton.D} values",
+            stats.D, "stats")
+    return stats
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -388,9 +392,11 @@ def cmd_compose(args, cfg: dict) -> int:
 
 
 def _load_runs(results_dir: str, skeleton) -> list:
-    """(seed, run dir name, person id -> MotionSequence) per manifest run."""
+    """(seed, run dir name, person id -> MotionSequence) per manifest run;
+    the manifest must hold at least one run."""
     path = os.path.join(results_dir, "manifest.json")
     manifest = _parsed(Results, _load_json(path, "manifest"), path)
+    _expect(manifest["runs"], "a run", [], f"{path}: runs")
     runs = []
     for i, run in enumerate(manifest["runs"]):
         seqs = {}
@@ -414,7 +420,7 @@ def cmd_extend(args, cfg: dict) -> int:
                        scene.get("extension", []), "scene.extension")
     try:
         for _, _, seqs in runs:
-            check_segments(segments, seqs)
+            check_segments(segments, {p: s.N for p, s in seqs.items()})
     except (TypeError, ValueError) as e:
         raise ConfigError(f"scene: {e}") from e
     _expect(segments, "at least one segment", [], "scene.extension")

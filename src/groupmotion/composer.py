@@ -13,12 +13,13 @@ Pipeline, per scene:
    (acceleration) penalty over the seam window and per-segment label
    switching.
 
-Each optimization steps only the noise channels the prior reads (its
-`noise_channels`: 8 of D for the analytic prior, all for an eps prior); the
-rest keep their drawn values, as they would if optimized, since their
-gradient is exactly zero. An evaluation is one world-space state from
-noise to loss: the Adam variable goes into the prior's chain, which
-returns world frames as one tape node, and the penalties read its rows.
+Each optimization holds its pair's whole noise on the channels the prior
+reads (its `noise_channels`: 8 of D for the analytic prior, all for an eps
+prior); the rest, and a masked step's reference row, which the chain's
+kept block overwrites, get a gradient of exactly zero and never move. An
+evaluation is one world-space state from noise to loss: the Adam variable
+goes into the prior's chain, which returns world frames as one tape node,
+and the penalties read its rows.
 Previously generated sequences are never modified: later steps read them
 as constants.
 """
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .diffusion import DiffusionSchedule, FrameMask, inpaint_kept, \
+from .diffusion import DiffusionSchedule, FrameMask, Kept, inpaint_kept, \
     masked_kept
 from .motion import N_FRAMES_MAX, MotionSequence, NormalizationStats, \
     Skeleton, normalize, repair_velocities
@@ -109,7 +110,7 @@ class SceneSpec:
             generated.add(step.target)
         if set(self.participants) != generated:
             raise ValueError("SceneSpec: steps do not cover the participants")
-        check_segments(self.extension, generated)
+        check_segments(self.extension, dict.fromkeys(generated, self.n_frames))
 
 
 def _check_penalties(penalties, allowed: set, n_frames: int,
@@ -122,12 +123,14 @@ def _check_penalties(penalties, allowed: set, n_frames: int,
         cfg.check_frames(n_frames)
 
 
-def check_segments(segments, persons) -> None:
+def check_segments(segments, frames: dict) -> None:
     """Raise ValueError unless every extension segment fits a scene of
-    `persons`: at least one kept frame and a window longer than the kept
-    block, each person in at most one pair, extra penalties whose subjects
-    lie within one pair, and each pair's penalties, its seam terms
-    included, fitting the window."""
+    `frames`, person id -> frame count: at least one kept frame, no more
+    than each of its persons has by then (a segment adds window - kept to
+    each), and a window longer than the kept block, each person in at most
+    one pair, extra penalties whose subjects lie within one pair, and each
+    pair's penalties, its seam terms included, fitting the window."""
+    frames = dict(frames)
     for si, seg in enumerate(segments):
         if seg.mode not in ("noised", "literal"):
             raise ValueError(f"extension segment {si}: unknown mode "
@@ -139,9 +142,14 @@ def check_segments(segments, persons) -> None:
         if len(covered) != len(set(covered)):
             raise ValueError(
                 f"extension segment {si}: a person appears in two pairs")
-        if not set(covered) <= set(persons):
+        if not set(covered) <= set(frames):
             raise ValueError(f"extension segment {si}: pairs name persons "
-                             f"outside {sorted(persons)}")
+                             f"outside {sorted(frames)}")
+        for p in covered:
+            if seg.kept > frames[p]:
+                raise ValueError(f"extension segment {si}: kept {seg.kept} "
+                                 f"frames, but person {p} has {frames[p]}")
+            frames[p] += seg.window - seg.kept
         pairs = [{a, b} for a, b, _ in seg.pairs]
         for cfg in seg.penalties:
             if cfg.subjects and not any(set(cfg.subjects) <= p for p in pairs):
@@ -247,36 +255,27 @@ class Composer:
         return repair_velocities(MotionSequence(
             self.skeleton, frames, fps=self.fps, person_id=person_id))
 
-    def _optimize_and_sample(self, label, xT, persons, pens, kept=None,
+    def _optimize_and_sample(self, label, xT, persons, pens, kept: Kept,
                              fixed=None):
-        """Adam on the noise of `persons`, the first rows of the pair's
-        (2, N, D) noise `xT`, against `pens` over `fixed` world frames plus
-        the chain's world frames, row i for persons[i]; the rows after
-        theirs stay constant. Without penalties, one sample from `xT`.
-        Returns the chain's world frames of the best evaluation (a sample's
-        values do not depend on whether its noise needs a gradient, so they
-        are those of a fresh sample from the best noise) and the StepRecord
-        of persons[0].
+        """Adam on the pair's (2, N, D) noise `xT` against `pens` over
+        `fixed` world frames plus the chain's world frames under the `kept`
+        block, row i for persons[i]. Without penalties, one sample from
+        `xT`. Returns the chain's world frames of the best evaluation (a
+        sample's values do not depend on whether its noise needs a
+        gradient, so they are those of a fresh sample from the best noise)
+        and the StepRecord of persons[0].
 
         Adam steps only the channels of `xT` that the prior's chain reads
-        (its `noise_channels`): the others would get a gradient of exactly
-        zero and so keep their values."""
-        ch, P = self.prior.noise_channels, len(persons)
-        rest = xT[P:, :, ch]
-
-        def sample(var):
-            if len(rest):
-                var = ad.Var(np.concatenate([var.value, rest]), (var,),
-                             lambda g: (g[:P],))
-            return self.prior.chain(self.schedule, var, label, kept)
-
+        (its `noise_channels`); the others, and the kept block's, would get
+        a gradient of exactly zero and so keep their values."""
+        xT = xT[:, :, self.prior.noise_channels]
         if not pens:
-            return (sample(ad.constant(xT[:P, :, ch])).value,
-                    StepRecord(person=persons[0]))
+            out = self.prior.chain(self.schedule, ad.constant(xT), label, kept)
+            return out.value, StepRecord(person=persons[0])
         best = {}
 
         def objective(var):
-            out = sample(var)
+            out = self.prior.chain(self.schedule, var, label, kept)
             world = dict(fixed or {})
             world.update((pid, out[i]) for i, pid in enumerate(persons))
             loss, breakdown = aggregate(pens, world, self.skeleton)
@@ -286,7 +285,7 @@ class Composer:
                 best.update(loss=float(loss.value), values=out.value)
             return loss, breakdown
 
-        _, rec = optimize_noise(objective, xT[:P, :, ch], self.opt)
+        _, rec = optimize_noise(objective, xT, self.opt)
         rec.person = persons[0]
         return best["values"], rec
 
@@ -302,7 +301,8 @@ class Composer:
                        rng2.standard_normal((N, D))])
         world, rec = self._optimize_and_sample(
             spec.first_label, xT, (p1, p2),
-            _default_pair_subjects(spec.first_penalties, p1, p2))
+            _default_pair_subjects(spec.first_penalties, p1, p2),
+            Kept.none(xT.shape))
         return {p1: self._sequence(world[0], p1),
                 p2: self._sequence(world[1], p2)}, [rec]
 
@@ -341,7 +341,7 @@ class Composer:
         """Inpainting-based extension; per segment, each listed pair is
         jointly re-sampled over a fresh window whose first `kept` frames are
         clamped to the tail of the current sequences."""
-        check_segments(segments, result.sequences)
+        check_segments(segments, {p: s.N for p, s in result.sequences.items()})
         sequences = dict(result.sequences)
         records = list(result.records)
         for si, seg in enumerate(segments):

@@ -5,9 +5,10 @@ the noise on its `noise_channels` to world frames (see `priors`). At each
 step it overwrites the kept block (`Kept`: the reference slot of masked
 sampling, the kept frames of an extension) with its reference, takes the
 prior's clean estimate x0_hat of the pair, stacked as one (2, N, ·) state,
-and steps, x_prev = alpha_t x + beta_t x0_hat. `masked_kept` and
-`inpaint_kept` build a kept block and check the shapes; the composer calls
-them once per optimisation, then the chain in each evaluation.
+and steps, x_prev = alpha_t x + beta_t x0_hat; a sample that keeps nothing
+has an empty block with no rows (`Kept.none`). `masked_kept` and
+`inpaint_kept` build a kept block and check the shapes; the composer builds
+its block once per optimisation, then calls the chain in each evaluation.
 
 Three samplers view that chain's output normalized, from full-width
 normalized noise:
@@ -116,6 +117,11 @@ class Kept:
     def index(self) -> tuple:
         return self.rows, slice(0, self.n)
 
+    @classmethod
+    def none(cls, shape: tuple) -> "Kept":
+        """The empty block of a (P, N, D) state of `shape`: no rows."""
+        return cls(slice(0, 0), shape[1], np.zeros((0,) + tuple(shape[1:])))
+
     def at(self, k: int, t: int, schedule: DiffusionSchedule) -> np.ndarray:
         """The block's reference at DDIM step k, timestep t."""
         if self.zetas is None:
@@ -162,7 +168,7 @@ def inpaint_kept(schedule: DiffusionSchedule, shape: tuple, kept_pair,
     """The kept block of an extension of a (2, N, D) pair of `shape`: the
     first `mask.kept` frames of both slots, set to `kept_pair`, forward-
     noised at each step by noise drawn once from `noise_seed` (mode
-    'noised') or clean (mode 'literal'); None if no frame is kept."""
+    'noised') or clean (mode 'literal'); the empty block if none is kept."""
     if mode not in ("noised", "literal"):
         raise ValueError(f"inpaint_extend: unknown mode {mode!r}")
     P, N, D = shape
@@ -174,7 +180,7 @@ def inpaint_kept(schedule: DiffusionSchedule, shape: tuple, kept_pair,
     if len(ref) != P or any(k.shape != (mask.kept, D) for k in ref):
         raise ad.ShapeMismatchError("inpaint_extend: kept block shape mismatch")
     if not mask.kept:
-        return None
+        return Kept.none(shape)
     # literal mode clamps to the clean reference and needs no noise
     zetas = _step_noise(noise_seed, len(schedule.taus) - 1, tuple(shape))[
         :, :, :mask.kept] if mode == "noised" else None
@@ -182,7 +188,7 @@ def inpaint_kept(schedule: DiffusionSchedule, shape: tuple, kept_pair,
 
 
 def _normalized(prior, schedule: DiffusionSchedule, x: ad.Var, label,
-                kept=None) -> ad.Var:
+                kept: Kept) -> ad.Var:
     """The world frames of `prior.chain` from the full-width noise `x`,
     normalized, (world - mean) * (1 / std), the kept block `kept.ref`."""
     ch, stats = prior.noise_channels, prior.stats
@@ -191,13 +197,11 @@ def _normalized(prior, schedule: DiffusionSchedule, x: ad.Var, label,
     world = prior.chain(schedule, x, label, kept)
     inv = 1.0 / stats.std
     out = (world.value - stats.mean) * inv
-    if kept is not None:
-        out[kept.index] = kept.ref
+    out[kept.index] = kept.ref
 
     def backward(g):
         g = g * inv
-        if kept is not None:
-            g[kept.index] = 0.0
+        g[kept.index] = 0.0
         return (g,)
 
     return ad.Var(out, (world,), backward)
@@ -206,7 +210,8 @@ def _normalized(prior, schedule: DiffusionSchedule, x: ad.Var, label,
 def ddim_sample(prior, schedule: DiffusionSchedule, x_T_pair, label):
     """Deterministic DDIM over both slots, given as a (x1, x2) tuple or one
     stacked (2, N, D) Var. Returns a Var pair (x_0^1, x_0^2)."""
-    x = _normalized(prior, schedule, _stacked(x_T_pair), label)
+    x = _stacked(x_T_pair)
+    x = _normalized(prior, schedule, x, label, Kept.none(x.shape))
     return x[0], x[1]
 
 

@@ -251,6 +251,8 @@ BOUNDARY_WINDOW = {"window_start": 0, "window_len": 25}  # default window
 REQUIRED_PARAMS = {"root": ("targets",), "orientation": ("targets",),
                    "region": ("lower", "upper"), "relative": ("d_min", "d_max")}
 TARGET_WIDTH = {"root": 3, "orientation": 2}   # values per target frame
+# the region bound shapes that broadcast against any (M, 3) joint block
+BOUND_SHAPES = ((), (1,), (3,), (1, 1), (1, 3))
 # (least, most) subjects per kind; None is no upper bound
 SUBJECTS = {"overlap": (2, None), "relative": (2, 2), "root": (1, 1),
             "region": (1, 1), "orientation": (1, 1), "boundary": (1, 1)}
@@ -296,6 +298,11 @@ class PenaltyConfig:
         p = self.params
         if self.kind == "region":     # joints of the skeleton scenes use
             region_joints(p.get("joints"), default_skeleton().J)
+            for key in ("lower", "upper"):   # broadcast against (M, 3)
+                if np.shape(p[key]) not in BOUND_SHAPES:
+                    raise ValueError(
+                        f"region penalty {key} must be a number, 3 numbers "
+                        f"or [[x, y, z]], got shape {np.shape(p[key])}")
             if np.any(np.asarray(p["lower"], float) >
                       np.asarray(p["upper"], float)):
                 raise ValueError("region penalty lower bound exceeds upper "

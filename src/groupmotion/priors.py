@@ -6,10 +6,12 @@ the initial noise `x` on its ``noise_channels`` alone, a normalized (P, N,
 C) autodiff Var with the pair stacked along a leading person axis, and
 returns the sample as world-space (P, N, D) frames, the `kept` block (see
 `diffusion.Kept`) its clean reference in world space (``ref * std +
-mean``). The penalties read rows of that one node, and the samplers of
-`diffusion` view it normalized. A prior holds the `stats` it normalizes
-with, and ``predict(x, t, label)`` gives one step's eps. It must be
-deterministic. Two concrete priors ship:
+mean``), and the adjoint of `x` exactly 0.0 on the block. `kept` is
+required: a sample that keeps nothing passes the empty block. The
+penalties read rows of that one node, and the samplers of `diffusion` view
+it normalized. A prior holds the `stats` it normalizes with, and
+``predict(x, t, label)`` gives one step's eps. It must be deterministic.
+Two concrete priors ship:
 
 * ``AnalyticPrior`` - closed-form attractor toward the label's scripted
   motion family; every downstream acceptance run uses it because it is
@@ -35,7 +37,7 @@ import json
 import numpy as np
 
 from . import autodiff as ad
-from .diffusion import DiffusionSchedule, forward_noise
+from .diffusion import DiffusionSchedule, Kept, forward_noise
 from .motion import NormalizationStats, Skeleton, denormalize
 from .scripts import (InteractionLabel, assemble, functional_channels,
                       functionals, functionals_vjp, pair_scripts,
@@ -49,11 +51,11 @@ class EpsPrior:
 
     noise_channels = slice(None)
 
-    def chain(self, schedule: DiffusionSchedule, x, label, kept=None):
+    def chain(self, schedule: DiffusionSchedule, x, label, kept: Kept):
         """The samplers' DDIM chain on this prior's eps as one tape node:
-        each step overwrites the `kept` block, if any, with its reference
-        and steps from x0_hat = (x - sqrt(1 - ab_t) eps) / sqrt(ab_t); the
-        sample, in normalized space, ends as world frames, y * std + mean.
+        each step overwrites the `kept` block with its reference and steps
+        from x0_hat = (x - sqrt(1 - ab_t) eps) / sqrt(ab_t); the sample, in
+        normalized space, ends as world frames, y * std + mean.
         The backward sums each step's adjoints as a stepped tape would, the
         step's, x0_hat's, then eps's, so the gradients agree bit for bit.
 
@@ -63,28 +65,23 @@ class EpsPrior:
             raise ValueError(f"chain: schedule t_train {schedule.t_train} is "
                              f"not the prior's {self.schedule.t_train}")
         x, std = ad.as_var(x), self.stats.std
-        y, steps = x.value, []
+        y, steps = x.value.copy(), []      # each step makes a new y
         for k, t, alpha, beta in schedule.steps():
-            if kept is not None:
-                y = y.copy()
-                y[kept.index] = kept.at(k, t, schedule)
+            y[kept.index] = kept.at(k, t, schedule)
             ab = schedule.alpha_bar(t)
             c, inv = np.sqrt(1.0 - ab), 1.0 / np.sqrt(ab)
             eps, vjp = self.forward(y, t, label)
             steps.append((alpha, beta, c, inv, vjp))
             y = alpha * y + beta * ((y - eps * c) * inv)
-        if kept is not None:
-            y[kept.index] = kept.ref
+        y[kept.index] = kept.ref
 
         def backward(g):
             g = g * std
-            if kept is not None:
-                g[kept.index] = 0.0
+            g[kept.index] = 0.0
             for alpha, beta, c, inv, vjp in reversed(steps):
                 gi = beta * g * inv
                 g = alpha * g + gi + vjp(-gi * c, weights=False)[0]
-                if kept is not None:
-                    g[kept.index] = 0.0
+                g[kept.index] = 0.0
             return (g,)
 
         return ad.Var(y * std + self.stats.mean, (x,), backward)
@@ -123,7 +120,7 @@ class AnalyticPrior:
         """The channels of x_T that `chain` reads, the functionals'."""
         return functional_channels(self.skeleton)
 
-    def chain(self, schedule: DiffusionSchedule, x, label, kept=None):
+    def chain(self, schedule: DiffusionSchedule, x, label, kept: Kept):
         """The samplers' DDIM chain of this prior (`EpsPrior.chain` on its
         eps), run in parameter space and recorded as one tape node, from
         the noise `x` on `noise_channels` to world frames.
@@ -134,9 +131,10 @@ class AnalyticPrior:
         estimate's functionals are its input's, and each step before the
         last steps the free functionals, those outside the kept block,
         alone by the DDIM rule, the block adding its reference's as
-        constants, computed once per block. The last step lands on t = 0,
-        where alpha is exactly 0 and beta exactly 1, so the output is its
-        clean estimate, the one script assembled in world space, off the
+        constants: one (P, 8) addend per step, zero off the block's rows,
+        computed once per block. The last step lands on t = 0, where alpha
+        is exactly 0 and beta exactly 1, so the output is its clean
+        estimate, the one script assembled in world space, off the
         kept block and the clean reference on it. The backward is that
         assembly's vjp, then the recursion's, step by step in reverse.
         """
@@ -144,53 +142,51 @@ class AnalyticPrior:
         P, N = x.shape[:2]
         ch = functional_channels(self.skeleton)
         sd, mu = stats.std[ch], stats.mean[ch]
-        # share of each functional off the kept block: the anchor is frame 0
-        free = np.ones((P, 8))
         # the functionals' frame sums depend on y's memory order: y takes
         # that of channels gathered from full-width noise, channels
         # outermost, whatever the order of x
         y = np.empty((8, P, N)).transpose(1, 2, 0)
         np.multiply(x.value, sd, out=y)
         y += mu
-        if kept is not None:
+        y[kept.index] = 0.0
+
+        def fixed():
+            # each functional's share off the block (the anchor is frame 0)
+            # and its mean's, the block's world functionals at each step k,
+            # by k, as a (P, 8) addend zero off its rows, and its world
+            # reference
+            free = np.ones((P, 8))
             free[kept.rows, :2] = 0.0
             free[kept.rows, 2:] = (N - kept.n) / N
-            y[kept.index] = 0.0
-            # the block's world functionals at each step k, by k, and its
-            # clean reference in world space, once per block
-            fixed = kept.cached(
-                (self, schedule.t_train, schedule.ddim_steps),
-                lambda: ({k: functionals(kept.at(k, t, schedule)[..., ch]
-                                         * sd + mu)
-                          for k, t, _, _ in schedule.steps()},
-                         kept.ref * stats.std + stats.mean))
+            add = {k: np.zeros((P, 8)) for k, *_ in schedule.steps()}
+            for k, t, _, _ in schedule.steps():
+                add[k][kept.rows] = functionals(
+                    kept.at(k, t, schedule)[..., ch] * sd + mu)
+            return (free, free * np.concatenate([mu[:2], N * mu[2:]]), add,
+                    kept.ref * stats.std + stats.mean)
+
+        free, f_mean, add, ref = kept.cached(
+            (self, schedule.t_train, schedule.ddim_steps, P, N), fixed)
         F = functionals(y)
-        f_mean = free * np.concatenate([mu[:2], N * mu[2:]])
         steps = []                   # (alpha, beta) before the last step
         for k, t, alpha, beta in schedule.steps():
-            Fk = F
-            if kept is not None:
-                Fk = F.copy()
-                Fk[kept.rows] += fixed[0][k]
+            Fk = F + add[k]
             if k == 1:               # the last step, onto t = 0
                 break
             steps.append((alpha, beta))
             F = alpha * F + beta * (free * Fk) + (1.0 - alpha - beta) * f_mean
         q, inputs_vjp = script_inputs(Fk, spec, self.skeleton, N)
         out, assemble_vjp = assemble(q, spec, self.skeleton)
-        if kept is not None:
-            out[kept.index] = fixed[1]
+        out[kept.index] = ref
 
         def backward(g):
-            if kept is not None:
-                g = g.copy()
-                g[kept.index] = 0.0
+            g = g.copy()
+            g[kept.index] = 0.0
             gF = inputs_vjp(assemble_vjp(g))
             for alpha, beta in reversed(steps):
                 gF = alpha * gF + beta * free * gF
             gy = functionals_vjp(gF, N) * sd
-            if kept is not None:
-                gy[kept.index] = 0.0
+            gy[kept.index] = 0.0
             return (gy,)
 
         return ad.Var(out, (x,), backward)

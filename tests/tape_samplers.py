@@ -76,19 +76,17 @@ def _clamp(x: ad.Var, index: tuple, ref: np.ndarray) -> ad.Var:
     return ad.Var(out, (x,), backward)
 
 
-def step_chain(prior, schedule, x, label, kept=None):
+def step_chain(prior, schedule, x, label, kept):
     """The samplers' chain stepped over a stacked (2, N, D) state: at each
-    DDIM step, overwrite the `kept` block (if any) with its reference, take
+    DDIM step, overwrite the `kept` block with its reference, take
     the prior's one-node clean estimate and step; after the last step,
     overwrite the kept block with its clean reference and return the
     sample as world frames. Two tape nodes a step, one per overwrite and
     one for the world frames."""
     for k, t, alpha, beta in schedule.steps():
-        if kept is not None:
-            x = _clamp(x, kept.index, kept.at(k, t, schedule))
+        x = _clamp(x, kept.index, kept.at(k, t, schedule))
         x = _ddim_step(x, prior.clean_estimate(x, t, label), alpha, beta)
-    if kept is not None:
-        x = _clamp(x, kept.index, kept.ref)
+    x = _clamp(x, kept.index, kept.ref)
     return motion.denormalize(x, prior.stats)
 
 

@@ -660,12 +660,21 @@ def test_extend_requires_segments(tmp_path, composed):
     {"scene": {"extension": [SEGMENT], "participants": [1, 2]}},
     {"scene": {"extension": [{"window": 12, "kept": 6}]}},
     {"scene": {"extension": 5}},
+    # the composed run has 12 frames
+    {"scene": {"extension": [dict(SEGMENT, window=20, kept=14)]}},
+    {"scene": {"extension": [SEGMENT, dict(SEGMENT, window=24, kept=19)]}},
+    {"prior": {"kind": "analytic", "weights": "x.npz"}},
+    {"scene": {"extension": [dict(SEGMENT, penalties=[
+        {"kind": "region", "subjects": [1],
+         "params": {"lower": [0, 0], "upper": [1, 1]}}])]}},
 ], ids=["unknown-optimizer-key", "penalty-outside-pair", "unknown-person",
         "pairs-not-a-list", "kept-zero", "seam-too-short",
         "seam-beyond-window", "penalty-frame-beyond-window", "unknown-mode",
         "unknown-segment-key", "unknown-scene-key", "unknown-params-key",
         "top-level-key", "scene-key-of-compose", "pairs-missing",
-        "extension-not-a-list"])
+        "extension-not-a-list", "kept-beyond-sequence",
+        "kept-beyond-grown-sequence", "weights-of-analytic-prior",
+        "region-bound-of-two"])
 def test_extend_config_errors(tmp_path, capsys, composed, extra):
     payload = dict(FAST, results_dir=composed,
                    scene={"extension": [{"window": 12, "kept": 6,
@@ -674,6 +683,39 @@ def test_extend_config_errors(tmp_path, capsys, composed, extra):
     payload.update(extra)
     cfg = write_config(tmp_path, "e.json", payload)
     assert_config_error_writes_nothing(tmp_path, capsys, "extend", cfg)
+
+
+def test_extend_stats_of_wrong_width(tmp_path, capsys, composed):
+    """Stats narrower than the skeleton's D are a config error of extend
+    too, before --out exists, not a normalize error after it."""
+    path = write_config(tmp_path, "stats.json",
+                        {"mean": [0.0] * 2, "std": [1.0] * 2})
+    cfg = write_config(tmp_path, "e.json", dict(
+        FAST, stats=path, results_dir=composed,
+        scene={"extension": [SEGMENT]}))
+    err = assert_config_error_writes_nothing(tmp_path, capsys, "extend", cfg)
+    assert "stats" in err
+
+
+def test_segments_fit_sequences_grown_by_earlier_ones(tmp_path, composed):
+    """A segment may keep more frames than the sequence had at first once
+    earlier segments have grown it by window - kept: 4 + 8 + 4 = 16 frames
+    in a compose, 12 + 6 + 8 = 26 in an extend of the 12-frame run."""
+    cfg = compose_config(tmp_path, n_frames=4, extension=[
+        dict(SEGMENT, window=12, kept=4), dict(SEGMENT, window=14, kept=10)])
+    ext = write_config(tmp_path, "e.json", dict(
+        FAST, results_dir=composed, scene={"extension": [
+            SEGMENT, dict(SEGMENT, window=24, kept=16)]}))
+    for command, config, n in (("compose", cfg, 16), ("extend", ext, 26)):
+        out = str(tmp_path / command)
+        for extra in (["--dry-run"], []):
+            assert main([command, "--config", config, "--out", out]
+                        + extra) == EXIT_OK
+        run = "seed00002" if command == "extend" else "seed00000"
+        for pid in (1, 2):
+            seq = read_motion(os.path.join(out, run, f"person{pid}.motion"),
+                              default_skeleton())
+            assert seq.N == n
 
 
 def test_extend_divergence_writes_dump(tmp_path, capsys, composed):
@@ -882,8 +924,9 @@ def test_manifest_run_missing_field(tmp_path, capsys, composed, key):
     (lambda m: m["runs"][0].update(files=5), "files"),
     (lambda m: m["runs"][0].update(files=["person1.motion", "p2.motion"]),
      "files"),
+    (lambda m: m.update(runs=[]), "runs"),
 ], ids=["runs-not-a-list", "run-not-an-object", "files-not-a-list",
-        "file-not-person-id"])
+        "file-not-person-id", "runs-empty"])
 @pytest.mark.parametrize("command", ["eval", "extend"])
 def test_manifest_values_checked(tmp_path, capsys, composed, command, edit,
                                  key):
@@ -905,7 +948,8 @@ def test_manifest_values_checked(tmp_path, capsys, composed, command, edit,
     ({"mean": [0.0] * 100}, "std"),
     ({"mean": [0.0] * 100, "std": [1.0] * 99 + ["x"]}, "std"),
     ([0.0], "object"),
-], ids=["std-missing", "std-not-numbers", "not-an-object"])
+    ({"mean": [0.0] * 3, "std": [1.0] * 3}, "stats"),
+], ids=["std-missing", "std-not-numbers", "not-an-object", "wrong-width"])
 def test_stats_file_checked(tmp_path, capsys, stats, key):
     """A stats file holds `mean` and `std`, lists of finite numbers."""
     path = write_config(tmp_path, "stats.json", stats)
@@ -1061,7 +1105,19 @@ def test_jobs_flag_rejects_bad_values(tmp_path, capsys, jobs):
     ("corpus", {"n_frames": N_FRAMES_MAX + 1}, "n_frames"),
     ("corpus", {"samples_per_label": SAMPLES_PER_LABEL_MAX + 1},
      "samples_per_label"),
-    ("train", {"corpus_dir": ".", "hidden": HIDDEN_MAX + 1}, "hidden")])
+    ("train", {"corpus_dir": ".", "hidden": HIDDEN_MAX + 1}, "hidden"),
+    # values the real run could not use: weights the analytic prior would
+    # ignore, more kept frames than the sequence has
+    ("compose", dict(FAST, prior={"kind": "analytic", "weights": "x.npz"},
+                     scene=SCENE), "weights"),
+    ("compose", dict(FAST, scene=dict(SCENE, n_frames=4,
+                                      extension=[SEGMENT])), "kept"),
+] + [
+    # region bounds that do not broadcast against (M, 3) joint positions
+    ("compose", dict(FAST, scene=dict(SCENE, first_penalties=[
+        {"kind": "region", "subjects": [1],
+         "params": {"lower": lower, "upper": np.add(lower, 1).tolist()}}])),
+     "lower") for lower in ([0, 0], [0] * 4, [[0, 0, 0]] * 2)])
 def test_config_errors_before_any_output(tmp_path, capsys, command, payload,
                                          key):
     """Each command reads a fixed set of top-level keys: a typo, a key of

@@ -10,8 +10,8 @@ from groupmotion.composer import (Composer, CompositionResult,
                                   ExtensionSegment, OptimizationDiverged,
                                   OptimizerConfig, SceneSpec, SceneStep,
                                   optimize_noise)
-from groupmotion.diffusion import (FrameMask, ddim_sample, inpaint_extend,
-                                   inpaint_kept, masked_kept)
+from groupmotion.diffusion import (FrameMask, Kept, ddim_sample,
+                                   inpaint_extend, inpaint_kept, masked_kept)
 from groupmotion.motion import NormalizationStats, denormalize, normalize
 from groupmotion.penalties import (LossBreakdown, PenaltyConfig, aggregate,
                                    root_penalty)
@@ -124,7 +124,7 @@ def test_compose_m2_reduces_to_first_pair(analytic_prior, small_schedule,
         assert np.array_equal(res.sequences[pid].frames, seqs[pid].frames)
 
 
-def chain_sample(prior, schedule, xT, label, kept=None):
+def chain_sample(prior, schedule, xT, label, kept):
     """The world frames of the prior's chain from the full-width noise
     `xT`, with no gradient."""
     return prior.chain(schedule, ad.constant(xT[..., prior.noise_channels]),
@@ -141,7 +141,8 @@ def test_no_penalties_equals_plain_sample(analytic_prior, small_schedule,
     xT1 = Composer._substream(9, 0, 1).standard_normal((N, D))
     xT2 = Composer._substream(9, 0, 2).standard_normal((N, D))
     world = chain_sample(analytic_prior, small_schedule,
-                         np.stack([xT1, xT2]), spec.first_label)
+                         np.stack([xT1, xT2]), spec.first_label,
+                         Kept.none((2, N, D)))
     from groupmotion.motion import MotionSequence, repair_velocities
     for pid, w in zip((1, 2), world):
         want = repair_velocities(MotionSequence(skeleton, w))
@@ -177,7 +178,7 @@ def test_first_pair_refinement_runs_when_violated(analytic_prior,
 # sampler -> (the persons, the kept block), from the composer, the kept
 # frames of an extension and the (N, D) reference of a masked sample
 SAMPLES = {
-    "ddim": lambda comp, kept, ref: ((1, 2), None),
+    "ddim": lambda comp, kept, ref: ((1, 2), Kept.none((2,) + ref.shape)),
     "masked": lambda comp, kept, ref: ((1,), masked_kept(
         comp.schedule, ref.shape, ref, 4)),
     "inpaint": lambda comp, kept, ref: ((1, 2), inpaint_kept(
@@ -193,7 +194,7 @@ def test_kept_values_equal_fresh_sample_from_best_noise(
     """The output values kept from the best evaluation, here the third of
     seven, equal, bit for bit, a fresh sample from the best noise with no
     gradient: the best iterate of the prior's `noise_channels` of the
-    persons' rows, put back into `xT`."""
+    pair's rows, put back into `xT`."""
     prior = MLPPrior(small_schedule, stats, 7, hidden=8) if mlp \
         else analytic_prior
     comp = Composer(prior, small_schedule, stats, skeleton,
@@ -229,9 +230,50 @@ def test_kept_values_equal_fresh_sample_from_best_noise(
     (best_x, _), = found
     assert int(np.argmin(rec.losses)) == 2 and rec.evaluations == 7
     best_noise = xT.copy()
-    best_noise[:len(persons), :, prior.noise_channels] = best_x
+    best_noise[:, :, prior.noise_channels] = best_x
     fresh = chain_sample(prior, small_schedule, best_noise, label, kept)
     assert np.array_equal(values, fresh)
+
+
+@pytest.mark.parametrize("mlp", [False, True], ids=["analytic", "mlp"])
+def test_masked_reference_row_never_moves(mlp, analytic_prior, small_schedule,
+                                          stats, skeleton, monkeypatch):
+    """A masked step's Adam state is the pair's whole noise on the prior's
+    `noise_channels`. Its reference row is the kept block, so at every
+    evaluation its gradient is exactly 0.0 and it equals `xT[1]` on those
+    channels bit for bit, while the target row moves."""
+    prior = MLPPrior(small_schedule, stats, 7, hidden=8) if mlp \
+        else analytic_prior
+    comp = Composer(prior, small_schedule, stats, skeleton,
+                    OptimizerConfig(lr=0.05, max_steps=6,
+                                    early_stop_loss=1e-12))
+    rng = np.random.default_rng(53)
+    ref = rng.standard_normal((12, skeleton.D)) * 0.3
+    xT = np.stack([rng.standard_normal((12, skeleton.D)), ref])
+    kept = masked_kept(small_schedule, ref.shape, ref, 4)
+    pens = [PenaltyConfig("region", 1.0, (1,),
+                          params={"lower": [-0.2, -1.0, -0.2],
+                                  "upper": [0.2, 3.0, 0.2]})]
+    states, grads = [], []
+
+    def recording(objective, x_init, config):
+        def traced(var):
+            loss, breakdown = objective(var)
+            states.append(var.value.copy())
+            grads.append(ad.grad(loss, [var])[0])
+            return loss, breakdown
+        return optimize_noise(traced, x_init, config)
+
+    monkeypatch.setattr(composer, "optimize_noise", recording)
+    comp._optimize_and_sample(label_by_name("close-approach"), xT, (1,), pens,
+                              kept)
+    want = xT[1][:, prior.noise_channels]
+    assert len(states) == 7
+    for x, g in zip(states, grads):
+        assert x.shape == (2,) + want.shape
+        assert np.array_equal(x[1], want)
+        assert np.array_equal(g[1], np.zeros_like(want)) and g[0].any()
+    assert not np.array_equal(states[-1][0], states[0][0])
 
 
 @pytest.mark.parametrize("mlp", [False, True], ids=["analytic", "mlp"])
@@ -407,7 +449,7 @@ class RecordingPrior:
         self.stats = inner.stats
         self.labels = []
 
-    def chain(self, schedule, x, label, kept=None):
+    def chain(self, schedule, x, label, kept):
         self.labels.append(label.name)
         return self.inner.chain(schedule, x, label, kept)
 
@@ -423,7 +465,7 @@ class FullWidth:
         self.inner = inner
         self.stats = inner.stats
 
-    def chain(self, schedule, x, label, kept=None):
+    def chain(self, schedule, x, label, kept):
         return self.inner.chain(
             schedule, ad.take(x, (Ellipsis, self.inner.noise_channels)),
             label, kept)

@@ -1,7 +1,7 @@
 """Config contract fuzzer: one value of a valid config made wrong.
 
-Every mutation of one path of a valid `compose`, `extend`, `train` or
-`corpus` config (a value of the wrong type, `true`, NaN, an infinity, 0,
+Every mutation of one path of a valid `compose`, `extend`, `train`,
+`corpus`, `eval` or `export` config (a value of the wrong type, `true`, NaN, an infinity, 0,
 -1, a float for an int, an empty list, an extra key or a missing key) runs
 on --dry-run and for real. Whatever the mutation, the exit code is 0, 2 or
 3 and the same on --dry-run as for real, nothing raises out of `main`, no
@@ -89,7 +89,8 @@ def workdir(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def configs(workdir):
-    """A valid config per command, over a small corpus and composed run."""
+    """A valid config per command, over a small corpus and composed run;
+    eval and export read that run."""
     corpus = {"labels": ["approach", "follow"], "samples_per_label": 1,
               "n_frames": 8, "fps": 20.0}
     corpus_dir = os.path.join(workdir, "corpus")
@@ -107,7 +108,9 @@ def configs(workdir):
             "extend": dict(RUN, results_dir=runs_dir,
                            scene={"extension": [SEGMENT]}),
             "train": {"corpus_dir": corpus_dir, "schedule": RUN["schedule"],
-                      "epochs": 1, "hidden": 8, "lr": 0.001}}
+                      "epochs": 1, "hidden": 8, "lr": 0.001},
+            "eval": {"results_dir": runs_dir, "overlap_threshold": 0.3},
+            "export": {"inputs": [os.path.join(runs_dir, "seed00000")]}}
 
 
 def check_contract(command, config, tmp):
@@ -135,14 +138,16 @@ def check_contract(command, config, tmp):
     return codes
 
 
-@pytest.mark.parametrize("command", ["compose", "extend", "train", "corpus"])
+@pytest.mark.parametrize("command", ["compose", "extend", "train", "corpus",
+                                     "eval", "export"])
 def test_valid_fuzz_bases_run(configs, workdir, command):
     """The unmutated configs exit 0, so each mutation tests its one path."""
     assert check_contract(command, configs[command], workdir) == \
         [EXIT_OK, EXIT_OK]
 
 
-@pytest.mark.parametrize("command", ["compose", "extend", "train", "corpus"])
+@pytest.mark.parametrize("command", ["compose", "extend", "train", "corpus",
+                                     "eval", "export"])
 def test_one_wrong_value_keeps_the_exit_contract(configs, workdir, command):
     """Every path of the command's config, with every change."""
     config = configs[command]

@@ -211,6 +211,32 @@ def test_inpaint_kept_frames_preserved(mode, analytic_prior, small_schedule,
         assert np.array_equal(o2.value[:5], kept[1])
 
 
+@pytest.mark.parametrize("mode", ["noised", "literal"])
+def test_inpaint_keeping_nothing_is_ddim_sample(mode, analytic_prior,
+                                                small_schedule, stats,
+                                                skeleton):
+    """An extension that keeps no frame has the empty kept block, as
+    `ddim_sample` has: the same values and gradients, bit for bit, with
+    either prior."""
+    N, D = 10, skeleton.D
+    x, w = noise((2, N, D), 24), noise((2, N, D), 25)
+    lab, empty = label_by_name("approach"), [np.zeros((0, D))] * 2
+    mlp = MLPPrior(small_schedule, stats, len(VOCABULARY), hidden=8)
+    for prior in (analytic_prior, mlp):
+        got = []
+        for sample in (
+                lambda v: ddim_sample(prior, small_schedule, v, lab),
+                lambda v: inpaint_extend(prior, small_schedule, v, empty,
+                                         FrameMask(N, 0), lab, 5, mode)):
+            v = ad.Var(x)
+            o1, o2 = sample(v)
+            loss = to.sum_(o1 * w[0]) + to.sum_(o2 * w[1])
+            got.append((o1.value, o2.value, ad.grad(loss, [v])[0]))
+        assert got[0][2].any()
+        for a, b in zip(*got):
+            assert np.array_equal(a, b)
+
+
 def test_inpaint_rejects_full_mask(analytic_prior, small_schedule, skeleton):
     kept = [np.zeros((12, skeleton.D))] * 2
     with pytest.raises(ValueError, match="fewer"):

@@ -168,6 +168,24 @@ def test_region_validation(skeleton):
         pe.region_penalty(f, [0, 0, 0], [1, 1, 1], skeleton, joints=[])
 
 
+@pytest.mark.parametrize("lower", [-1, [-1], [-1, -1, -1], [[-1]],
+                                   [[-1, -1, -1]], [0, 0], [0] * 4,
+                                   [[0, 0, 0]] * 2, [[0], [0], [0]]])
+def test_region_config_bound_shapes(skeleton, lower):
+    """A config's region bound is one that broadcasts against any (M, 3)
+    block of joint positions, and then evaluates; any other is rejected
+    when the config is built."""
+    params = {"lower": lower, "upper": np.add(lower, 2.0).tolist()}
+    if np.shape(lower) not in ((), (1,), (3,), (1, 1), (1, 3)):
+        with pytest.raises(ValueError, match="region penalty lower"):
+            pe.PenaltyConfig("region", subjects=(1,), params=params)
+        return
+    cfg = pe.PenaltyConfig("region", subjects=(1,), params=params)
+    val = pe.evaluate_penalty(cfg, {1: rand_frames(skeleton, N=4, seed=7)},
+                              skeleton)
+    assert np.isfinite(val.value)
+
+
 # -- orientation --------------------------------------------------------------------
 
 

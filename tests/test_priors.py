@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupmotion import autodiff as ad
-from groupmotion.diffusion import DiffusionSchedule
+from groupmotion.diffusion import DiffusionSchedule, Kept
 from groupmotion.motion import NormalizationStats, normalize
 from groupmotion.priors import AnalyticPrior, MLPPrior, TrainingDiverged, train
 from groupmotion.scripts import default_vocabulary, label_by_name
@@ -58,7 +58,7 @@ def test_conformance_shapes_and_determinism(analytic_prior, mlp_prior,
                          lambda x, t, lab: prior.chain(
                              small_schedule,
                              ad.constant(x.value[..., prior.noise_channels]),
-                             lab)):
+                             lab, Kept.none(x.shape))):
             e = estimate(x, 25, lab)
             assert e.shape == x.shape, name
             f = estimate(x, 25, lab)

@@ -18,8 +18,8 @@ reads (its `noise_channels`: 8 of D for the analytic prior, all for an eps
 prior); the rest, and a masked step's reference row, which the chain's
 kept block overwrites, get a gradient of exactly zero and never move. An
 evaluation is one world-space state from noise to loss: the Adam variable
-goes into the prior's chain, which returns world frames as one tape node,
-and the penalties read its rows.
+goes into the prior's chain, one tape node of world frames on the frames
+the penalties read (`PenaltyConfig.frames_read`), whose rows they read.
 Previously generated sequences are never modified: later steps read them
 as constants.
 """
@@ -36,7 +36,7 @@ from .diffusion import DiffusionSchedule, FrameMask, Kept, inpaint_kept, \
     masked_kept
 from .motion import N_FRAMES_MAX, MotionSequence, NormalizationStats, \
     Skeleton, normalize, repair_velocities
-from .penalties import SUBJECTS, PenaltyConfig, aggregate
+from .penalties import SUBJECTS, PenaltyConfig, Row, aggregate
 from .scripts import InteractionLabel
 
 
@@ -260,33 +260,40 @@ class Composer:
         """Adam on the pair's (2, N, D) noise `xT` against `pens` over
         `fixed` world frames plus the chain's world frames under the `kept`
         block, row i for persons[i]. Without penalties, one sample from
-        `xT`. Returns the chain's world frames of the best evaluation (a
-        sample's values do not depend on whether its noise needs a
-        gradient, so they are those of a fresh sample from the best noise)
-        and the StepRecord of persons[0].
+        `xT`. Returns the world frames sampled from the best noise and the
+        StepRecord of persons[0].
 
         Adam steps only the channels of `xT` that the prior's chain reads
         (its `noise_channels`); the others, and the kept block's, would get
-        a gradient of exactly zero and so keep their values."""
-        xT = xT[:, :, self.prior.noise_channels]
+        a gradient of exactly zero and so keep their values. The chain runs
+        on the frames the penalties read; unless those are all, the best
+        noise is sampled once more."""
+        xT, N = xT[:, :, self.prior.noise_channels], xT.shape[1]
         if not pens:
             out = self.prior.chain(self.schedule, ad.constant(xT), label, kept)
             return out.value, StepRecord(person=persons[0])
+        reads = [r for cfg in pens if (r := cfg.frames_read(N))]
+        frames = slice(min((r.start for r in reads), default=0),
+                       max((r.stop for r in reads), default=N))
+        full = frames == slice(0, N)
         best = {}
 
         def objective(var):
-            out = self.prior.chain(self.schedule, var, label, kept)
+            out = self.prior.chain(self.schedule, var, label, kept, frames)
             world = dict(fixed or {})
-            world.update((pid, out[i]) for i, pid in enumerate(persons))
+            world.update((pid, Row(out, i)) for i, pid in enumerate(persons))
             loss, breakdown = aggregate(pens, world, self.skeleton)
             # optimize_noise's best iterate: the first evaluation or one
             # strictly lower; only the values are kept, not the tape
-            if not best or float(loss.value) < best["loss"]:
+            if full and (not best or float(loss.value) < best["loss"]):
                 best.update(loss=float(loss.value), values=out.value)
             return loss, breakdown
 
-        _, rec = optimize_noise(objective, xT, self.opt)
+        best_x, rec = optimize_noise(objective, xT, self.opt)
         rec.person = persons[0]
+        if not full:
+            best["values"] = self.prior.chain(
+                self.schedule, ad.constant(best_x), label, kept).value
         return best["values"], rec
 
     def generate_first_pair(self, spec: SceneSpec):

@@ -60,23 +60,25 @@ class DiffusionSchedule:
         self.alpha_bars[0] = 1.0
         # strided timesteps, descending, always covering t=0 exactly
         taus = np.linspace(0, self.t_train, self.ddim_steps + 1)
-        self.taus = np.unique(np.round(taus).astype(int))
+        self.taus = taus = np.unique(np.round(taus).astype(int))
+        steps = []
+        for k in range(len(taus) - 1, 0, -1):
+            t = int(taus[k])
+            ab_t, ab_prev = self.alpha_bar(t), self.alpha_bar(int(taus[k - 1]))
+            alpha = np.sqrt(1.0 - ab_prev) / np.sqrt(max(1.0 - ab_t, 1e-12))
+            steps.append((k, t, alpha, np.sqrt(ab_prev) - alpha * np.sqrt(ab_t)))
+        self._steps = tuple(steps)
 
     def alpha_bar(self, t: int) -> float:
         return float(self.alpha_bars[t])
 
-    def steps(self):
+    def steps(self) -> tuple:
         """(k, t, alpha, beta) of each DDIM step k, in sampling order (t
         descending): the step is x_prev = alpha x + beta x0_hat, the eta = 0
         update written from the clean estimate (Song et al. 2021, eq. 12).
         The last step lands on t = 0, where alpha_bar is exactly 1, so its
         alpha is exactly 0: a sample keeps no share of x_T itself."""
-        taus = self.taus
-        for k in range(len(taus) - 1, 0, -1):
-            t = int(taus[k])
-            ab_t, ab_prev = self.alpha_bar(t), self.alpha_bar(int(taus[k - 1]))
-            alpha = np.sqrt(1.0 - ab_prev) / np.sqrt(max(1.0 - ab_t, 1e-12))
-            yield k, t, alpha, np.sqrt(ab_prev) - alpha * np.sqrt(ab_t)
+        return self._steps
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@
 
 All penalties are hinge-style: nonnegative, exactly zero when the
 constraint is satisfied, with zero subgradient at the kink so satisfied
-constraints stay inert. Inputs are (N x D) frame arrays (autodiff Vars or
+constraints stay inert. Inputs are (N x D) frame arrays (Vars, `Row`s or
 numpy); distances are meters, so thresholds carry physical units.
 
 Each term is one tape node, its value computed in numpy and its backward
@@ -26,25 +26,36 @@ from .motion import (Skeleton, default_skeleton, facing_gram_schmidt,
                      glo_slice, rot_slice)
 
 
+class Row:
+    """Row `i` of a (P, N, D) Var as a subject's frames: a term reads it,
+    and its `Scatter` adjoint goes to the Var, `i` prefixed to the index."""
+
+    def __init__(self, var: ad.Var, i: int):
+        self.var, self.i, self.value = var, i, var.value[i]
+
+
 def _node(value, subjects, backward) -> ad.Var:
-    """`value` as one tape node whose parents are the Vars among `subjects`
-    that need a gradient; backward(g) returns one adjoint per subject, and
-    the others' are dropped. With no such Var the term is a constant."""
-    need = [isinstance(s, ad.Var) and s.requires_grad for s in subjects]
+    """`value` as one tape node whose parents are the Vars (a `Row`'s Var)
+    among `subjects` that need a gradient; backward(g) returns one Scatter
+    per subject, the others' dropped. With no such Var it is a constant."""
+    rows = [(s.var, (s.i,)) if isinstance(s, Row) else (s, ())
+            for s in subjects]
+    need = [isinstance(v, ad.Var) and v.requires_grad for v, _ in rows]
     if not any(need):
         return ad.constant(value)
-    return ad.Var(value, [s for s, n in zip(subjects, need) if n],
-                  lambda g: [a for a, n in zip(backward(g), need) if n])
+    return ad.Var(value, [v for (v, _), n in zip(rows, need) if n],
+                  lambda g: [ad.Scatter(i + a.index, a.block) for a, (_, i), n
+                             in zip(backward(g), rows, need) if n])
 
 
 def _value(frames) -> np.ndarray:
-    return frames.value if isinstance(frames, ad.Var) else \
+    return frames.value if isinstance(frames, (ad.Var, Row)) else \
         np.asarray(frames, dtype=np.float64)
 
 
 def _hinge(h):
-    """max(0, h) and its mask: the subgradient is 0 at the kink."""
-    mask = h > 0.0
+    """max(0, h), NaN kept, and its mask: the subgradient is 0 at the kink."""
+    mask = ~(h <= 0.0)
     return np.where(mask, h, 0.0), mask
 
 
@@ -197,6 +208,12 @@ def relative_penalty(frames1, frames2, d_min: float, d_max: float,
     return _node(np.sum(below) + np.sum(above), [frames1, frames2], backward)
 
 
+def boundary_rows(N: int, window_start: int, window_len: int) -> tuple:
+    """The frames [lo, hi) of N that `boundary_penalty` reads: the
+    acceleration at frame n reads frames n - 1 to n + 1."""
+    return max(window_start - 1, 0), min(window_start + window_len + 1, N)
+
+
 def boundary_penalty(frames, window_start: int, window_len: int,
                      skeleton: Skeleton) -> ad.Var:
     """Mean squared joint acceleration (per joint, per frame) over the
@@ -207,26 +224,22 @@ def boundary_penalty(frames, window_start: int, window_len: int,
         raise ValueError("boundary_penalty: window must span >= 3 frames")
     if not (0 <= window_start and window_start + window_len <= N):
         raise ValueError("boundary_penalty: window outside sequence")
-    # acceleration at frame n uses p(n-1), p(n), p(n+1); index shift of 1
-    lo = max(window_start - 1, 0)
-    hi = min(window_start + window_len - 1, N - 2)
-    if hi - lo < 1:
-        raise ValueError("boundary_penalty: window too small after clipping")
-    p = x[lo:hi + 2, glo_slice(J)].reshape(hi + 2 - lo, J, 3)
+    lo, hi = boundary_rows(N, window_start, window_len)
+    p = x[lo:hi, glo_slice(J)].reshape(hi - lo, J, 3)
     a = p[2:] - 2.0 * p[1:-1] + p[:-2]
-    scale = 1.0 / ((hi - lo) * J)
+    scale = 1.0 / ((hi - lo - 2) * J)
 
     def backward(g):
         ga = g * scale * a
         ga = ga + ga
-        # adjoint of the second difference on rows [lo, hi + 2) only,
+        # adjoint of the second difference on rows [lo, hi) only,
         # summed in the tape's order
         gp = np.zeros(p.shape)
         gp[2:] += ga
         gp[1:-1] -= 2.0 * ga
         gp[:-2] += ga
-        return [ad.Scatter((slice(lo, hi + 2), glo_slice(J)),
-                           gp.reshape(hi + 2 - lo, 3 * J))]
+        return [ad.Scatter((slice(lo, hi), glo_slice(J)),
+                           gp.reshape(hi - lo, 3 * J))]
 
     return _node(np.sum(a * a) * scale, [frames], backward)
 
@@ -330,6 +343,16 @@ class PenaltyConfig:
         if width and np.size(self.params["targets"]) != width * frames.size:
             raise ValueError(f"{self.kind} penalty needs one target per frame")
 
+    def frames_read(self, n_frames: int) -> range:
+        """The frames of n_frames a term reads: a boundary window's rows, the
+        hull of `frames`, or all (if None, or for overlap, region, relative)."""
+        if self.kind == "boundary":
+            return range(*boundary_rows(n_frames,
+                                        **{**BOUNDARY_WINDOW, **self.params}))
+        f = range(n_frames) if self.frames is None or self.kind in (
+            "overlap", "region", "relative") else self.frames
+        return range(min(f, default=0), max(f, default=-1) + 1)
+
 
 @dataclass
 class LossBreakdown:
@@ -348,7 +371,7 @@ def evaluate_penalty(cfg: PenaltyConfig, world: dict, skeleton: Skeleton) -> ad.
     p = cfg.params
     subjects = cfg.subjects
     first = world[subjects[0]]
-    N = first.shape[0]
+    N = _value(first).shape[0]
     frames = cfg.frames if cfg.frames is not None else np.arange(N)
     if cfg.kind == "overlap":
         others = [world[i] for i in subjects[1:]]

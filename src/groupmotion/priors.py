@@ -1,16 +1,17 @@
 """Pluggable two-person denoisers.
 
 A denoiser runs the samplers' whole DDIM chain as one tape node whatever
-the number of steps: ``chain(schedule, x, label, kept) -> frames`` reads
-the initial noise `x` on its ``noise_channels`` alone, a normalized (P, N,
-C) autodiff Var with the pair stacked along a leading person axis, and
-returns the sample as world-space (P, N, D) frames, the `kept` block (see
-`diffusion.Kept`) its clean reference in world space (``ref * std +
-mean``), and the adjoint of `x` exactly 0.0 on the block. `kept` is
-required: a sample that keeps nothing passes the empty block. The
-penalties read rows of that one node, and the samplers of `diffusion` view
-it normalized. A prior holds the `stats` it normalizes with, and
-``predict(x, t, label)`` gives one step's eps. It must be deterministic.
+the number of steps: ``chain(schedule, x, label, kept, frames) -> out``
+reads the initial noise `x` on its ``noise_channels`` alone, a normalized
+(P, N, C) autodiff Var with the pair stacked along a leading person axis,
+and returns the sample as world-space (P, N, D) frames, exact on the slice
+`frames` (all by default; the analytic prior leaves NaN elsewhere, and
+its backward takes the adjoint there to be 0), the `kept` block (see
+`diffusion.Kept`) its clean reference in world space, and the adjoint of
+`x` exactly 0.0 on the block. A sample that keeps nothing passes the empty
+block. The penalties read rows of that one node, and the samplers of
+`diffusion` view it normalized. A prior holds the `stats` it normalizes
+with; ``predict(x, t, label)`` gives one step's eps. It is deterministic.
 Two concrete priors ship:
 
 * ``AnalyticPrior`` - closed-form attractor toward the label's scripted
@@ -51,11 +52,13 @@ class EpsPrior:
 
     noise_channels = slice(None)
 
-    def chain(self, schedule: DiffusionSchedule, x, label, kept: Kept):
+    def chain(self, schedule: DiffusionSchedule, x, label, kept: Kept,
+              frames=slice(None)):
         """The samplers' DDIM chain on this prior's eps as one tape node:
         each step overwrites the `kept` block with its reference and steps
         from x0_hat = (x - sqrt(1 - ab_t) eps) / sqrt(ab_t); the sample, in
-        normalized space, ends as world frames, y * std + mean.
+        normalized space, ends as world frames, y * std + mean, on every
+        frame whatever `frames`. A row the block keeps whole gets no eps.
         The backward sums each step's adjoints as a stepped tape would, the
         step's, x0_hat's, then eps's, so the gradients agree bit for bit.
 
@@ -65,12 +68,13 @@ class EpsPrior:
             raise ValueError(f"chain: schedule t_train {schedule.t_train} is "
                              f"not the prior's {self.schedule.t_train}")
         x, std = ad.as_var(x), self.stats.std
+        whole = range(2)[kept.rows] if kept.n == x.shape[1] else ()
         y, steps = x.value.copy(), []      # each step makes a new y
         for k, t, alpha, beta in schedule.steps():
             y[kept.index] = kept.at(k, t, schedule)
             ab = schedule.alpha_bar(t)
             c, inv = np.sqrt(1.0 - ab), 1.0 / np.sqrt(ab)
-            eps, vjp = self.forward(y, t, label)
+            eps, vjp = self.forward(y, t, label, skip=whole)
             steps.append((alpha, beta, c, inv, vjp))
             y = alpha * y + beta * ((y - eps * c) * inv)
         y[kept.index] = kept.ref
@@ -120,10 +124,13 @@ class AnalyticPrior:
         """The channels of x_T that `chain` reads, the functionals'."""
         return functional_channels(self.skeleton)
 
-    def chain(self, schedule: DiffusionSchedule, x, label, kept: Kept):
+    def chain(self, schedule: DiffusionSchedule, x, label, kept: Kept,
+              frames=slice(None)):
         """The samplers' DDIM chain of this prior (`EpsPrior.chain` on its
         eps), run in parameter space and recorded as one tape node, from
-        the noise `x` on `noise_channels` to world frames.
+        the noise `x` on `noise_channels` to world frames, exact on
+        `frames` (a slice of step 1) and NaN elsewhere; the backward takes
+        the adjoint to be 0 off `frames`.
 
         The clean estimate reads the state through its 8 functionals per
         person (`scripts.functionals`), which are linear. Every script
@@ -176,12 +183,14 @@ class AnalyticPrior:
             steps.append((alpha, beta))
             F = alpha * F + beta * (free * Fk) + (1.0 - alpha - beta) * f_mean
         q, inputs_vjp = script_inputs(Fk, spec, self.skeleton, N)
-        out, assemble_vjp = assemble(q, spec, self.skeleton)
-        out[kept.index] = ref
+        out, assemble_vjp = assemble(q, spec, self.skeleton, frames)
+        lo, hi, _ = frames.indices(N)
+        kn = min(max(kept.n, lo), hi)      # the block's frames are [lo, kn)
+        out[kept.rows, lo:kn] = ref[:, lo:kn]
 
         def backward(g):
-            g = g.copy()
-            g[kept.index] = 0.0
+            g = g[:, lo:hi].copy()
+            g[kept.rows, :kn - lo] = 0.0
             gF = inputs_vjp(assemble_vjp(g))
             for alpha, beta in reversed(steps):
                 gF = alpha * gF + beta * free * gF
@@ -262,10 +271,11 @@ class MLPPrior(EpsPrior):
         prior.weights = weights
         return prior
 
-    def forward(self, x, t: int, label):
+    def forward(self, x, t: int, label, skip=()):
         """eps of the stacked (2, N, D) pair `x` in numpy, and its vjp:
         eps's adjoint to those of `x` and of each weight array (a dict, or
-        None if `vjp(g, weights=False)` asks for the state's alone).
+        None if `vjp(g, weights=False)` asks for the state's alone). Persons
+        in `skip` get eps 0 and no MLP run, and their adjoint is taken as 0.
 
         Each person's frames go through the MLP alone, with the other's
         frame mean as its partner feature, so a person's eps does not depend
@@ -275,14 +285,14 @@ class MLPPrior(EpsPrior):
                         (N, 1))
         lab = np.broadcast_to(w["label_emb"][label.label_id], (N, self.EMB_C))
         pooled = [np.sum(xp, axis=0) * (1.0 / N) for xp in x]
-        eps, acts = [], []
-        for p in (0, 1):
+        eps, acts = [np.zeros((N, D))] * 2, [(None,) * 3] * 2
+        for p in sorted({0, 1}.difference(skip)):
             h0 = np.concatenate([x[p], np.broadcast_to(pooled[1 - p], (N, D)),
                                  t_emb, lab], axis=1)
             h1 = np.tanh(h0 @ w["W1"] + w["b1"])
             h2 = np.tanh(h1 @ w["W2"] + w["b2"])
-            eps.append(w["skip"] * x[p] + (h2 @ w["W3"] + w["b3"]))
-            acts.append((h0, h1, h2))
+            eps[p] = w["skip"] * x[p] + (h2 @ w["W3"] + w["b3"])
+            acts[p] = (h0, h1, h2)
 
         def vjp(g, weights=True):
             grads = {k: np.zeros_like(v) for k, v in w.items()} \
@@ -290,7 +300,7 @@ class MLPPrior(EpsPrior):
             own, partner = [], []
             for p, (h0, h1, h2) in enumerate(acts):
                 ge = g[p]
-                if not weights and not ge.any():
+                if h0 is None or not weights and not ge.any():
                     # no adjoint, as the kept row of masked_sample: its
                     # terms to x are zero, with no matmul
                     zero = np.zeros_like(ge)

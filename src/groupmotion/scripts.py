@@ -447,46 +447,53 @@ def _inputs(p, spec: LabelSpec, k: dict):
     return q, vjp
 
 
-def _assemble(q, skeleton: Skeleton, k: dict):
-    """Both persons' (P, N, D) frames from the assembly inputs `q`, and the
-    vjp from their adjoint to the inputs' (a dict with the keys of q).
+def _assemble(q, skeleton: Skeleton, k: dict, frames=slice(None)):
+    """Both persons' (P, N, D) frames from the assembly inputs `q`, exact on
+    `frames` (a slice of step 1) and NaN elsewhere, and the vjp from the
+    adjoint of `out[:, frames]` to the inputs' (a dict with the keys of q).
     Contacts and the constant rotations get no adjoint."""
     J, root, c, s = skeleton.J, q["root"], q["c"], q["s"]
     (P, N), planted = root.shape[:2], k["planted"]
     vb, rb, fb = (vel_slice(J).start, rot_slice(J).start, foot_slice(J).start)
+    lo, hi, _ = frames.indices(N)
+    w = slice(max(lo - 1, 0), hi)   # the differences at lo read frame lo - 1
     cb, sb = c[:, None, None], s[:, None, None]
-    ox, oy, oz = k["ox"], k["oy"], k["oz"]
+    ox, oy, oz = k["ox"][w], k["oy"][w], k["oz"][w]
     # each non-root joint sits at its base, the root or for planted feet
     # the anchor, plus its offset rotated about +y by the heading:
     # forward = (c, 0, s), left = (s, 0, -c)
     base = np.where(planted[:, None], q["anchor"][:, None, None, :],
-                    root[:, :, None, :])
+                    root[:, w, None, :])
     joints = base + np.stack([ox * sb + oz * cb, np.broadcast_to(oy, (P,) + oy.shape),
                               ox * (-1.0 * cb) + oz * sb], axis=-1)
-    out = np.empty((P, N, skeleton.D))
-    out[:, :, :3] = root
-    out[:, :, 3:vb] = joints.reshape(P, N, 3 * (J - 1))
+    out = np.full((P, N, skeleton.D), np.nan)
+    o = out[:, w]
+    o[:, :, :3] = root[:, w]
+    o[:, :, 3:vb] = joints.reshape(P, joints.shape[1], 3 * (J - 1))
     # velocities: carrier channels for root and spine, finite differences
     # for the remaining joints
-    out[:, :, vb:vb + 3] = (q["u"] * (1.0 / N))[:, None, :]
-    out[:, :, vb + 3:vb + 6] = (q["v"] * (1.0 / N))[:, None, :]
-    out[:, 0, vb + 6:rb] = 0.0
-    out[:, 1:, vb + 6:rb] = out[:, 1:, 6:vb] - out[:, :-1, 6:vb]
+    o[:, :, vb:vb + 3] = (q["u"] * (1.0 / N))[:, None, :]
+    o[:, :, vb + 3:vb + 6] = (q["v"] * (1.0 / N))[:, None, :]
+    o[:, 0, vb + 6:rb] = 0.0
+    o[:, 1:, vb + 6:rb] = o[:, 1:, 6:vb] - o[:, :-1, 6:vb]
     # root rotation (s, 0, -c, 0, 1, 0), identity for the other joints
-    out[:, :, rb:fb] = k["rot"]
-    out[:, :, rb] = s[:, None]
-    out[:, :, rb + 2] = (-1.0 * c)[:, None]
-    out[:, :, fb:] = k["foot"]
+    o[:, :, rb:fb] = k["rot"]
+    o[:, :, rb] = s[:, None]
+    o[:, :, rb + 2] = (-1.0 * c)[:, None]
+    o[:, :, fb:] = k["foot"][w]
+    out[:, w.start:lo] = np.nan      # frame lo - 1, read for the differences
 
     def vjp(G):
-        Gg = G[:, :, :vb].copy()
+        # all frames, zero off the window: frame sums add as the full ones
+        Gg = np.zeros((P, N, rb + 3))
+        Gg[:, lo:hi] = G[:, :, :rb + 3]
         # a finite difference's adjoint is a difference of adjoints
-        Gg[:, 1:, 6:] += G[:, 1:, vb + 6:rb]
-        Gg[:, :-1, 6:] -= G[:, 1:, vb + 6:rb]
-        Gj = Gg[:, :, 3:].reshape(P, N, J - 1, 3)
-        Gx, Gz = Gj[..., 0], Gj[..., 2]
-        Grot = np.sum(G[:, :, rb:rb + 3], axis=1)
-        gcarrier = np.sum(G[:, :, vb:vb + 6], axis=1) * (1.0 / N)
+        Gg[:, 1:, 6:vb] += Gg[:, 1:, vb + 6:rb]
+        Gg[:, :-1, 6:vb] -= Gg[:, 1:, vb + 6:rb]
+        Gj = Gg[:, :, 3:vb].reshape(P, N, J - 1, 3)
+        Gx, Gz, ox, oz = Gj[..., 0], Gj[..., 2], k["ox"], k["oz"]
+        Grot = np.sum(Gg[:, :, rb:rb + 3], axis=1)
+        gcarrier = np.sum(Gg[:, :, vb:vb + 6], axis=1) * (1.0 / N)
         return {"root": Gg[:, :, :3] + np.sum(Gj[:, :, ~planted], axis=2),
                 "anchor": np.sum(Gj[:, :, planted], axis=(1, 2)),
                 "c": np.sum(Gx * oz - Gz * ox, axis=(1, 2)) - Grot[:, 2],
@@ -505,9 +512,10 @@ def script_inputs(F: np.ndarray, spec: LabelSpec, skeleton: Skeleton,
     return q, lambda gq: params_vjp(inputs_vjp(gq))
 
 
-def assemble(q, spec: LabelSpec, skeleton: Skeleton):
-    """The (P, N, D) frames of assembly inputs `q` and their vjp."""
-    return _assemble(q, skeleton, _constants(spec, skeleton, q["root"].shape[1]))
+def assemble(q, spec: LabelSpec, skeleton: Skeleton, frames=slice(None)):
+    """The (P, N, D) frames of assembly inputs `q` on `frames`, and a vjp."""
+    return _assemble(q, skeleton, _constants(spec, skeleton, q["root"].shape[1]),
+                     frames)
 
 
 def pair_scripts(w: np.ndarray, spec: LabelSpec, skeleton: Skeleton):

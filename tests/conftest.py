@@ -70,7 +70,7 @@ class ZeroPrior(EpsPrior):
         self.schedule = schedule
         self.stats = NormalizationStats(np.zeros(D), np.ones(D))
 
-    def forward(self, x, t, label):
+    def forward(self, x, t, label, skip=()):
         return np.zeros(x.shape), \
             lambda g, weights=True: (np.zeros(g.shape), None)
 

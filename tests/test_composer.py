@@ -449,9 +449,9 @@ class RecordingPrior:
         self.stats = inner.stats
         self.labels = []
 
-    def chain(self, schedule, x, label, kept):
+    def chain(self, schedule, x, label, kept, frames=slice(None)):
         self.labels.append(label.name)
-        return self.inner.chain(schedule, x, label, kept)
+        return self.inner.chain(schedule, x, label, kept, frames)
 
 
 class FullWidth:
@@ -465,11 +465,106 @@ class FullWidth:
         self.inner = inner
         self.stats = inner.stats
 
-    def chain(self, schedule, x, label, kept):
+    def chain(self, schedule, x, label, kept, frames=slice(None)):
         return self.inner.chain(
             schedule, ad.take(x, (Ellipsis, self.inner.noise_channels)),
-            label, kept)
+            label, kept, frames)
 
+
+
+# -- frame windows ------------------------------------------------------------------
+
+
+def last_frame_root(pid, N, x=2.0):
+    return PenaltyConfig("root", 1.0, (pid,), frames=(N - 1,),
+                         params={"targets": [[x, 0.88, 1.0]]})
+
+
+def facing(pid, frames):
+    return PenaltyConfig("orientation", 1.0, (pid,), frames=frames,
+                         params={"targets": [[1.0, 0.0]] * len(frames),
+                                 "delta": 0.0})
+
+
+WINDOW_SPEC = SceneSpec(
+    participants=(1, 2, 3), first_label=label_by_name("approach"),
+    first_penalties=(last_frame_root(1, 12), facing(2, (8, 10))),
+    steps=(SceneStep(3, 1, label_by_name("face-and-talk"),
+                     penalties=(facing(3, (9,)),)),),
+    extension=(ExtensionSegment(20, 6, ((1, 2, label_by_name("follow")),),
+                                boundary_frames=5),
+               ExtensionSegment(16, 4, ((3, 1, label_by_name("approach")),),
+                                boundary_frames=4, mode="literal")),
+    n_frames=12, seed=5)
+
+
+@pytest.mark.parametrize("mlp", [False, True], ids=["analytic", "mlp"])
+def test_narrow_windows_equal_full_window(mlp, small_schedule, stats,
+                                          skeleton, monkeypatch):
+    """Composes and extends whose penalties read a few frames (a root target
+    at the last frame, orientation targets, extension seams) give the
+    frames, losses and records of the same runs forced onto every frame,
+    byte for byte. Each narrow optimisation runs the chain once per
+    evaluation on its window, then once more on every frame."""
+    prior = MLPPrior(small_schedule, stats, 7, hidden=8, seed=3) if mlp \
+        else AnalyticPrior(small_schedule, stats, skeleton)
+    chain, seen = type(prior).chain, []
+
+    def recorded(self, schedule, x, label, kept, frames=slice(None)):
+        seen.append(frames)
+        return chain(self, schedule, x, label, kept, frames)
+
+    monkeypatch.setattr(type(prior), "chain", recorded)
+    runs = []
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(PenaltyConfig, "frames_read",
+                                lambda self, n: range(n))
+        seen.clear()
+        res = Composer(prior, small_schedule, stats, skeleton,
+                       OptimizerConfig(lr=0.03, max_steps=6)).compose(
+                           WINDOW_SPEC)
+        windows = []
+        for f in seen:
+            if f != slice(None) and f not in windows:
+                windows.append(f)
+        evaluations = sum(r.evaluations for r in res.records)
+        runs.append((res, windows, len(seen) - evaluations))
+    (narrow, windows, extra), (full, full_windows, full_extra) = runs
+    assert windows == [slice(8, 12), slice(9, 10), slice(4, 11),
+                       slice(2, 8)]
+    assert full_windows == [slice(0, 12), slice(0, 20), slice(0, 16)]
+    assert extra == len(narrow.records) == 4 and full_extra == 0
+    for pid in (1, 2, 3):
+        assert narrow.sequences[pid].frames.tobytes() == \
+            full.sequences[pid].frames.tobytes()
+    for a, b in zip(narrow.records, full.records):
+        assert (a.person, a.losses, a.best_loss, a.evaluations) == \
+            (b.person, b.losses, b.best_loss, b.evaluations)
+        assert [x.terms for x in a.breakdowns] == \
+            [x.terms for x in b.breakdowns]
+
+
+def test_narrow_window_samples_once_more(analytic_prior, small_schedule,
+                                         stats, skeleton):
+    """An optimisation on a window narrower than the sequence runs the
+    chain exactly once more than it evaluates: the sample of its best
+    noise on every frame."""
+    prior = RecordingPrior(analytic_prior)
+    comp = make_composer(prior, small_schedule, stats, skeleton)
+    res = comp.compose(pair_spec(penalties=[last_frame_root(1, 12)]))
+    assert len(prior.labels) == res.records[0].evaluations + 1
+
+
+def test_under_declared_window_diverges(analytic_prior, small_schedule,
+                                        stats, skeleton, monkeypatch):
+    """A term that reads a frame off the declared window reads NaN, and the
+    optimisation raises OptimizationDiverged."""
+    monkeypatch.setattr(PenaltyConfig, "frames_read",
+                        lambda self, n: range(0, 1))
+    comp = make_composer(analytic_prior, small_schedule, stats, skeleton)
+    with pytest.raises(OptimizationDiverged):
+        comp.compose(pair_spec(penalties=[last_frame_root(1, 12)]))
 
 def test_extend_appends_frames_and_preserves_prefix(analytic_prior,
                                                     small_schedule, stats,

@@ -404,6 +404,79 @@ def test_aggregate_breakdown_consistency(skeleton):
 
 
 
+# -- the frames a term reads ---------------------------------------------------------
+
+
+N_READ = 20
+
+
+def boundary_cfg(pid, start, length):
+    return pe.PenaltyConfig("boundary", 1.0, (pid,), params={
+        "window_start": start, "window_len": length})
+
+
+def read_cases(N=N_READ):
+    """name -> (config on persons 1 and 2 of N frames, the frames it
+    declares with `frames_read`)."""
+    rng = np.random.default_rng(41)
+    band = {"d_min": 5.0, "d_max": 6.0}
+    return {
+        "overlap": (pe.PenaltyConfig("overlap", 1.0, (1, 2),
+                                     params={"delta": 3.0}), range(N)),
+        "root": (pe.PenaltyConfig("root", 1.0, (1,), frames=(N - 1, 4, 4),
+                                  params={"targets": rng.standard_normal(
+                                      (3, 3))}), range(4, N)),
+        "root-every-frame": (pe.PenaltyConfig(
+            "root", 1.0, (2,), params={"targets": rng.standard_normal(
+                (N, 3))}), range(N)),
+        "region": (pe.PenaltyConfig("region", 1.0, (1,), params={
+            "lower": -0.2, "upper": 0.2}), range(N)),
+        "orientation": (pe.PenaltyConfig(
+            "orientation", 1.0, (2,), frames=(11, 6), params={
+                "targets": [[0.6, 0.8], [-1.0, 0.0]], "delta": 0.0}),
+            range(6, 12)),
+        "relative": (pe.PenaltyConfig("relative", 1.0, (1, 2), params=band),
+                     range(N)),
+        "relative-frames": (pe.PenaltyConfig("relative", 1.0, (2, 1),
+                                             frames=(3, 8, 8), params=band),
+                            range(N)),
+        "boundary-start": (boundary_cfg(1, 0, 5), range(0, 6)),
+        "boundary-end": (boundary_cfg(2, N - 4, 4), range(N - 5, N)),
+        "boundary-seam": (boundary_cfg(1, 7, 6), range(6, 14)),
+    }
+
+
+def test_frames_read_declares():
+    """`frames_read` gives a boundary window's rows, the hull of a term's
+    frames, or every frame; a term of no frames reads none."""
+    for name, (cfg, want) in read_cases().items():
+        assert cfg.frames_read(N_READ) == want, name
+    none = pe.PenaltyConfig("root", 1.0, (1,), frames=(),
+                            params={"targets": np.zeros((0, 3))})
+    assert none.frames_read(N_READ) == range(0)
+
+
+@pytest.mark.parametrize("case", list(read_cases()))
+def test_term_reads_only_declared_frames(skeleton, case):
+    """A term on rows of one (2, N, D) Var: NaN on every frame outside its
+    `frames_read` changes neither its value nor its gradient, which is
+    zero off those frames."""
+    cfg, _ = read_cases()[case]
+    read = cfg.frames_read(N_READ)
+    outside = np.ones(N_READ, dtype=bool)
+    outside[read.start:read.stop] = False
+    x = np.random.default_rng(42).standard_normal((2, N_READ, skeleton.D))
+    results = []
+    for value in (x, np.where(outside[None, :, None], np.nan, x)):
+        v = ad.Var(value)
+        term = pe.evaluate_penalty(cfg, {1: pe.Row(v, 0), 2: pe.Row(v, 1)},
+                                   skeleton)
+        results.append((term.value.tobytes(), ad.grad(term, [v])[0]))
+    (value, g), (perturbed, g_perturbed) = results
+    assert value == perturbed and np.array_equal(g, g_perturbed)
+    assert g.any() and not g[:, outside].any()
+
+
 # -- one tape node per term, against the op-by-op oracle -------------------------
 
 

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupmotion import autodiff as ad
-from groupmotion.diffusion import DiffusionSchedule, Kept
+from groupmotion.diffusion import (DiffusionSchedule, FrameMask, Kept,
+                                   inpaint_kept, masked_kept)
 from groupmotion.motion import NormalizationStats, normalize
 from groupmotion.priors import AnalyticPrior, MLPPrior, TrainingDiverged, train
 from groupmotion.scripts import default_vocabulary, label_by_name
@@ -456,3 +457,126 @@ def test_train_divergence_detected(small_schedule, skeleton, stats):
     with pytest.raises(TrainingDiverged):
         train(prior, _training_pairs(skeleton, stats, n=1), small_schedule,
               epochs=1)
+
+
+# -- frame windows of the chain ---------------------------------------------------
+
+
+# one label per script kind: approach, circle, talk, pose, follow
+WINDOW_LABELS = ["approach", "circle-together", "face-and-talk", "pose-pair",
+                 "follow"]
+BLOCKS = ["none", "masked", "noised", "literal"]
+
+
+def kept_block(name, schedule, shape, rng):
+    """The kept block `name` of a (2, N, D) state: none, the masked
+    reference row, or an extension's first N // 3 frames in noised or
+    literal mode."""
+    P, N, D = shape
+    if name == "none":
+        return Kept.none(shape)
+    if name == "masked":
+        return masked_kept(schedule, (N, D), rng.standard_normal((N, D)), 5)
+    pair = [rng.standard_normal((N // 3, D)) * 0.2 for _ in range(P)]
+    return inpaint_kept(schedule, shape, pair, FrameMask(N, N // 3), 3, name)
+
+
+def windows(N):
+    """The first frame, the last, one straddling an extension's kept block,
+    and every frame."""
+    return [slice(0, 1), slice(N - 1, N), slice(N // 3 - 2, N // 3 + 3),
+            slice(0, N)]
+
+
+def pullback(out, leaf, G):
+    """The gradient at `leaf` of the adjoint G of `out`."""
+    return ad.grad(ad.Var(0.0, (out,), lambda g: (G,)), [leaf])[0]
+
+
+@pytest.mark.parametrize("N", [12, 32, 240])
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("label", WINDOW_LABELS)
+def test_chain_window_equals_full_chain(label, block, N, analytic_prior,
+                                        small_schedule, skeleton):
+    """On its window the analytic chain's frames are the full chain's bit
+    for bit and NaN off it, and an adjoint supported on the window pulls
+    back to the full chain's gradient bit for bit."""
+    rng = np.random.default_rng(N)
+    shape = (2, N, skeleton.D)
+    kept = kept_block(block, small_schedule, shape, rng)
+    x = rng.standard_normal(shape)[..., analytic_prior.noise_channels]
+    lab = label_by_name(label)
+    whole = ad.Var(x)
+    full = analytic_prior.chain(small_schedule, whole, lab, kept)
+    assert np.isfinite(full.value).all()
+    for frames in windows(N):
+        inside = np.zeros(N, dtype=bool)
+        inside[frames] = True
+        v = ad.Var(x)
+        out = analytic_prior.chain(small_schedule, v, lab, kept, frames)
+        assert np.array_equal(out.value[:, inside], full.value[:, inside])
+        assert np.isnan(out.value[:, ~inside]).all()
+        G = np.zeros(shape)
+        G[:, inside] = rng.standard_normal((2, inside.sum(), skeleton.D))
+        g = pullback(out, v, G)
+        assert np.array_equal(g, pullback(full, whole, G))
+        G[kept.index] = 0.0     # the block's frames pull back nothing
+        assert g.any() == G.any()
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_eps_chain_window_is_every_frame(block, mlp_prior, small_schedule,
+                                         skeleton):
+    """`EpsPrior.chain` returns every frame exact whatever its window, with
+    the full chain's gradient."""
+    rng = np.random.default_rng(7)
+    shape = (2, 12, skeleton.D)
+    kept = kept_block(block, small_schedule, shape, rng)
+    x, G = rng.standard_normal(shape), rng.standard_normal(shape)
+    lab = label_by_name("follow")
+    outs = [(v, mlp_prior.chain(small_schedule, v, lab, kept, frames))
+            for v, frames in ((ad.Var(x), slice(None)),
+                              (ad.Var(x), slice(3, 5)))]
+    assert np.array_equal(outs[0][1].value, outs[1][1].value)
+    assert np.array_equal(*[pullback(out, v, G) for v, out in outs])
+
+
+def test_chain_window_gradient_matches_fd(stats, skeleton):
+    """A windowed objective's gradient against central differences: the
+    seam of an extension's kept block, roots a smooth distance apart."""
+    schedule = DiffusionSchedule(t_train=50, ddim_steps=5)
+    prior = AnalyticPrior(schedule, stats, skeleton)
+    rng = np.random.default_rng(46)
+    N = 10
+    xT = rng.standard_normal((2, N, skeleton.D)) * 0.5
+    xT[1, 0, [0, 2]] = xT[0, 0, [0, 2]] + 2.0 / stats.std[[0, 2]]
+    kept = kept_block("noised", schedule, xT.shape, rng)
+    w = ad.constant(rng.standard_normal((2, 4, skeleton.D)))
+    lab = label_by_name("approach")
+
+    def loss(v):
+        out = prior.chain(schedule, v, lab, kept, slice(1, 5))
+        return to.sum_(to.tanh(out[:, 1:5] * 0.1) * w)
+
+    check_gradient(loss, xT[..., prior.noise_channels], n_coords=12,
+                   rtol=1e-5)
+
+
+@pytest.mark.parametrize("block,runs", [("none", 2), ("masked", 1),
+                                        ("noised", 2)])
+def test_mlp_runs_only_for_rows_not_kept_whole(block, runs, mlp_prior,
+                                               small_schedule, skeleton,
+                                               monkeypatch):
+    """`EpsPrior.chain` runs the MLP (two tanh layers a person) at each
+    step for the persons whose rows the kept block does not keep whole:
+    both, but the free row alone in a masked step."""
+    rng = np.random.default_rng(8)
+    shape = (2, 12, skeleton.D)
+    kept = kept_block(block, small_schedule, shape, rng)
+    calls = []
+    tanh = np.tanh
+    monkeypatch.setattr(np, "tanh", lambda a: calls.append(a.shape) or tanh(a))
+    mlp_prior.chain(small_schedule, ad.constant(rng.standard_normal(shape)),
+                    label_by_name("approach"), kept)
+    steps = len(small_schedule.steps())
+    assert calls == [(12, mlp_prior.hidden)] * (2 * runs * steps)
